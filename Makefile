@@ -16,11 +16,12 @@ race:
 
 # Trace-pipeline and event-engine benchmarks plus the committed comparison
 # artifacts (BENCH_trace.json: cold build vs cache-hit construction;
-# BENCH_engine.json: calendar-queue vs heap scheduling).
+# BENCH_engine.json: calendar-queue vs heap scheduling, measured in
+# internal/sim where the heap is reachable).
 bench:
-	$(GO) test -run=NONE -bench='BenchmarkWorkload|BenchmarkEncodeWorkload|BenchmarkDecodeWorkload|BenchmarkBuilder|BenchmarkEngineChurn' -benchtime=1x . ./internal/trace
+	$(GO) test -run=NONE -bench='BenchmarkWorkload|BenchmarkEncodeWorkload|BenchmarkDecodeWorkload|BenchmarkBuilder|BenchmarkEngineChurn' -benchtime=1x . ./internal/trace ./internal/sim
 	BEACON_BENCH_TRACE=BENCH_trace.json $(GO) test -run TestBenchTraceArtifact -v .
-	BEACON_BENCH_ENGINE=BENCH_engine.json $(GO) test -run TestBenchEngineArtifact -v .
+	BEACON_BENCH_ENGINE=$(CURDIR)/BENCH_engine.json $(GO) test -run TestBenchEngineArtifact -v ./internal/sim
 
 # The repository's determinism analyzers (see DESIGN.md §4d), including
 # the dataflow-backed unitflow/seedflow/errwrap checks. Exit codes: 0

@@ -78,9 +78,6 @@ type sweepPoint struct {
 // fixedExtra when extra is nil), in sweep order.
 func (e *Evaluator) runSweep(ctx context.Context, title, extraName string,
 	points []sweepPoint, extra func(*core.Result) float64) (*AblationResult, error) {
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-
 	jobs := make([]runner.Job[*core.Result], len(points))
 	for i, p := range points {
 		p := p
@@ -300,41 +297,4 @@ func (e *Evaluator) AllAblations(ctx context.Context) (string, error) {
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
-}
-
-// AblationCoalesceGroup runs the coalescing-group sweep on a fresh
-// GOMAXPROCS-wide evaluator; the other package-level ablation functions
-// below are the same convenience wrappers for their methods.
-func AblationCoalesceGroup(rc RunConfig) (*AblationResult, error) {
-	return NewEvaluator(rc, 0).AblationCoalesceGroup(context.Background())
-}
-
-// AblationCXLGPerSwitch sweeps CXLG-DIMMs per switch.
-func AblationCXLGPerSwitch(rc RunConfig) (*AblationResult, error) {
-	return NewEvaluator(rc, 0).AblationCXLGPerSwitch(context.Background())
-}
-
-// AblationLinkBandwidth sweeps per-DIMM CXL link bandwidth.
-func AblationLinkBandwidth(rc RunConfig) (*AblationResult, error) {
-	return NewEvaluator(rc, 0).AblationLinkBandwidth(context.Background())
-}
-
-// AblationInFlight sweeps the task-scheduler queue depth.
-func AblationInFlight(rc RunConfig) (*AblationResult, error) {
-	return NewEvaluator(rc, 0).AblationInFlight(context.Background())
-}
-
-// AblationPoolScale sweeps the pool's switch count.
-func AblationPoolScale(rc RunConfig) (*AblationResult, error) {
-	return NewEvaluator(rc, 0).AblationPoolScale(context.Background())
-}
-
-// AblationRowPolicy compares row-buffer policies.
-func AblationRowPolicy(rc RunConfig) (*AblationResult, error) {
-	return NewEvaluator(rc, 0).AblationRowPolicy(context.Background())
-}
-
-// AllAblations runs every sweep and renders them.
-func AllAblations(rc RunConfig) (string, error) {
-	return NewEvaluator(rc, 0).AllAblations(context.Background())
 }

@@ -1,6 +1,7 @@
 package beacon
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -10,7 +11,7 @@ func TestAblationCoalesceGroup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := AblationCoalesceGroup(QuickRunConfig())
+	res, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).AblationCoalesceGroup(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestAblationLinkBandwidth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := AblationLinkBandwidth(QuickRunConfig())
+	res, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).AblationLinkBandwidth(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestAblationInFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := AblationInFlight(QuickRunConfig())
+	res, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).AblationInFlight(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestAblationPoolScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := AblationPoolScale(QuickRunConfig())
+	res, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).AblationPoolScale(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestAblationPoolScale(t *testing.T) {
 
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := AllAblations(QuickRunConfig()); err != nil {
+		if _, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).AllAblations(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +96,7 @@ func TestAblationRowPolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := AblationRowPolicy(QuickRunConfig())
+	res, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).AblationRowPolicy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

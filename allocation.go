@@ -110,7 +110,7 @@ func SimulateWithAllocation(p Platform, w *Workload, opts AllocationOptions) (*A
 		ptes += a.PageTableUpdates
 	}
 
-	rep, err := Simulate(p, w)
+	res, err := Run(p, w)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +122,7 @@ func SimulateWithAllocation(p Platform, w *Workload, opts AllocationOptions) (*A
 
 	setupCycles := float64(migrated)/migrationBytesPerCycle + float64(ptes)*pageTableUpdateCycles
 	out := &AllocationReport{
-		Report:           *rep,
+		Report:           *res.Report,
 		MigratedBytes:    migrated,
 		PageTableUpdates: ptes,
 		SetupSeconds:     sim.SecondsOf(setupCycles),
@@ -130,6 +130,6 @@ func SimulateWithAllocation(p Platform, w *Workload, opts AllocationOptions) (*A
 	for _, a := range granted {
 		out.DIMMsGranted += len(a.DIMMs)
 	}
-	out.TotalSeconds = out.SetupSeconds + rep.Seconds
+	out.TotalSeconds = out.SetupSeconds + res.Report.Seconds
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package beacon
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -62,10 +63,11 @@ func TestSimulateAllPlatforms(t *testing.T) {
 	}
 	var reports []*Report
 	for _, kind := range []PlatformKind{CPU, DDRBaseline, BeaconD, BeaconS} {
-		rep, err := Simulate(Platform{Kind: kind, Opts: AllOptimizations()}, wl)
+		res, err := Run(Platform{Kind: kind, Opts: AllOptimizations()}, wl)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
+		rep := res.Report
 		if rep.Cycles <= 0 || rep.Seconds <= 0 || rep.EnergyPJ <= 0 {
 			t.Errorf("%v: non-positive report %+v", kind, rep)
 		}
@@ -92,10 +94,10 @@ func TestSimulateAllPlatforms(t *testing.T) {
 
 func TestSimulateNilWorkload(t *testing.T) {
 	t.Parallel()
-	if _, err := Simulate(Platform{Kind: CPU}, nil); err == nil {
+	if _, err := Run(Platform{Kind: CPU}, nil); err == nil {
 		t.Error("nil workload accepted")
 	}
-	if _, err := Simulate(Platform{Kind: PlatformKind(42)}, &Workload{}); err == nil {
+	if _, err := Run(Platform{Kind: PlatformKind(42)}, &Workload{}); err == nil {
 		t.Error("unknown platform accepted")
 	}
 }
@@ -106,15 +108,15 @@ func TestSimulateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("workload: %v", err)
 	}
-	a, err := Simulate(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
+	a, err := Run(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
+	b, err := Run(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Cycles != b.Cycles || a.EnergyPJ != b.EnergyPJ {
+	if a.Report.Cycles != b.Report.Cycles || a.Report.EnergyPJ != b.Report.EnergyPJ {
 		t.Error("simulation is not deterministic")
 	}
 }
@@ -166,8 +168,7 @@ func TestFigure3Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rc := QuickRunConfig()
-	fig, err := Figure3(rc)
+	fig, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).Figure3(context.Background())
 	if err != nil {
 		t.Fatalf("Figure3: %v", err)
 	}
@@ -189,7 +190,7 @@ func TestFigure13Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	fig, err := Figure13(QuickRunConfig())
+	fig, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).Figure13(context.Background())
 	if err != nil {
 		t.Fatalf("Figure13: %v", err)
 	}
@@ -222,7 +223,7 @@ func TestMEMSeedingWorkload(t *testing.T) {
 	if wl.Steps == fixed.Steps {
 		t.Error("MEM and fixed-stride traces identical; mode likely ignored")
 	}
-	if _, err := Simulate(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl); err != nil {
-		t.Fatalf("Simulate: %v", err)
+	if _, err := Run(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }

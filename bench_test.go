@@ -11,6 +11,7 @@ package beacon
 // as full text tables at the default scale.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -19,9 +20,13 @@ import (
 // behaviour, small enough to iterate.
 func benchRC() RunConfig { return RunConfig{GenomeScale: 15_000, Reads: 300, Seed: 0xBEAC07} }
 
+// benchEval returns a fresh GOMAXPROCS-wide evaluator at benchRC scale, so
+// every iteration pays for its own workload builds.
+func benchEval() *Evaluator { return NewEvaluator(benchRC(), EvalOptions{}) }
+
 func BenchmarkFig03IdealizedComm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := Figure3(benchRC())
+		fig, err := benchEval().Figure3(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -32,7 +37,7 @@ func BenchmarkFig03IdealizedComm(b *testing.B) {
 
 func benchLadder(b *testing.B, app Application, kind PlatformKind) {
 	for i := 0; i < b.N; i++ {
-		fig, err := runLadder(app, kind, benchRC())
+		fig, err := benchEval().runLadder(context.Background(), app, kind)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,7 +54,7 @@ func BenchmarkFig12FMIndexSeedingS(b *testing.B) { benchLadder(b, FMSeeding, Bea
 
 func BenchmarkFig13ChipBalance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := Figure13(benchRC())
+		fig, err := benchEval().Figure13(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,7 +71,7 @@ func BenchmarkFig15KmerCountingS(b *testing.B) { benchLadder(b, KmerCounting, Be
 
 func BenchmarkFig16PreAlignment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig, err := Figure16(benchRC())
+		fig, err := benchEval().Figure16(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +86,7 @@ func BenchmarkFig17EnergyBreakdownS(b *testing.B) { benchFig17(b, BeaconS) }
 
 func benchFig17(b *testing.B, kind PlatformKind) {
 	for i := 0; i < b.N; i++ {
-		fig, err := Figure17(kind, benchRC())
+		fig, err := benchEval().Figure17(context.Background(), kind)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +98,7 @@ func benchFig17(b *testing.B, kind PlatformKind) {
 func BenchmarkOptimizationSummary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, kind := range []PlatformKind{BeaconD, BeaconS} {
-			sum, err := OptimizationSummary(kind, benchRC())
+			sum, err := benchEval().OptimizationSummary(context.Background(), kind)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -107,14 +112,14 @@ func BenchmarkOptimizationSummary(b *testing.B) {
 func TestTableIConfiguration(t *testing.T) {
 	t.Parallel()
 	// These constants are asserted through the internal defaults used by
-	// Simulate; the test pins them so a config drift is caught.
+	// Run; the test pins them so a config drift is caught.
 	wl, err := NewFMSeedingWorkload(quickCfg(PinusTaeda))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A run on each platform must succeed with the Table I defaults.
 	for _, kind := range []PlatformKind{CPU, DDRBaseline, BeaconD, BeaconS} {
-		if _, err := Simulate(Platform{Kind: kind}, wl); err != nil {
+		if _, err := Run(Platform{Kind: kind}, wl); err != nil {
 			t.Errorf("%v: %v", kind, err)
 		}
 	}
@@ -146,7 +151,7 @@ func TestOptimizationSummary(t *testing.T) {
 		t.Skip("short mode")
 	}
 	for _, kind := range []PlatformKind{BeaconD, BeaconS} {
-		sum, err := OptimizationSummary(kind, QuickRunConfig())
+		sum, err := NewEvaluator(QuickRunConfig(), EvalOptions{}).OptimizationSummary(context.Background(), kind)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}

@@ -9,7 +9,6 @@ import (
 
 	"beacon/internal/calib"
 	"beacon/internal/obs"
-	"beacon/internal/sim"
 )
 
 // defaultCalibGolden is the committed quick-suite artifact the calibrate
@@ -30,14 +29,13 @@ type calibFlags struct {
 // validates the physical envelopes, and diffs against the golden artifact.
 // Returns the process exit status: 0 clean, 1 on envelope violations or
 // golden drift, 2 on harness errors.
-func runCalibrate(w io.Writer, sched sim.SchedulerKind, cf calibFlags) int {
+func runCalibrate(w io.Writer, cf calibFlags) int {
 	cfg := calib.QuickConfig()
 	suite := "quick"
 	if cf.full {
 		cfg = calib.FullConfig()
 		suite = "full"
 	}
-	cfg.Scheduler = sched
 
 	art, err := calib.Run(cfg)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 
 	"beacon/internal/calib"
 	"beacon/internal/obs"
-	"beacon/internal/sim"
 )
 
 // The -calib-update / diff round trip: regenerating a golden and
@@ -19,7 +18,7 @@ func TestRunCalibrateGoldenWorkflow(t *testing.T) {
 	base := calibFlags{golden: golden}
 
 	var out strings.Builder
-	if st := runCalibrate(&out, sim.SchedulerCalendar, calibFlags{golden: golden, update: true}); st != 0 {
+	if st := runCalibrate(&out, calibFlags{golden: golden, update: true}); st != 0 {
 		t.Fatalf("update run exited %d:\n%s", st, out.String())
 	}
 	if !strings.Contains(out.String(), "golden "+golden+" updated") {
@@ -27,7 +26,7 @@ func TestRunCalibrateGoldenWorkflow(t *testing.T) {
 	}
 
 	out.Reset()
-	if st := runCalibrate(&out, sim.SchedulerCalendar, base); st != 0 {
+	if st := runCalibrate(&out, base); st != 0 {
 		t.Fatalf("clean diff exited %d:\n%s", st, out.String())
 	}
 	if !strings.Contains(out.String(), "curves match") || !strings.Contains(out.String(), "envelopes: all curves") {
@@ -49,7 +48,7 @@ func TestRunCalibrateGoldenWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if st := runCalibrate(&out, sim.SchedulerCalendar, base); st != 1 {
+	if st := runCalibrate(&out, base); st != 1 {
 		t.Fatalf("tampered diff exited %d, want 1:\n%s", st, out.String())
 	}
 	if !strings.Contains(out.String(), "drift:") || !strings.Contains(out.String(), art.Curves[0].Key()) {
@@ -60,7 +59,7 @@ func TestRunCalibrateGoldenWorkflow(t *testing.T) {
 	out.Reset()
 	tolerant := base
 	tolerant.per = []obs.MetricTolerance{{Pattern: "gb_per_sec", Tolerance: 0.6}}
-	if st := runCalibrate(&out, sim.SchedulerCalendar, tolerant); st != 0 {
+	if st := runCalibrate(&out, tolerant); st != 0 {
 		t.Fatalf("tolerant diff exited %d:\n%s", st, out.String())
 	}
 }
@@ -70,7 +69,7 @@ func TestRunCalibrateWritesOut(t *testing.T) {
 	golden := filepath.Join(dir, "curves.json")
 	outPath := filepath.Join(dir, "sub", "out.json")
 	var out strings.Builder
-	if st := runCalibrate(&out, sim.SchedulerCalendar, calibFlags{golden: golden, update: true, out: outPath}); st != 0 {
+	if st := runCalibrate(&out, calibFlags{golden: golden, update: true, out: outPath}); st != 0 {
 		t.Fatalf("exited %d:\n%s", st, out.String())
 	}
 	fh, err := os.Open(outPath)
@@ -89,7 +88,7 @@ func TestRunCalibrateWritesOut(t *testing.T) {
 
 func TestRunCalibrateMissingGolden(t *testing.T) {
 	var out strings.Builder
-	if st := runCalibrate(&out, sim.SchedulerCalendar, calibFlags{golden: filepath.Join(t.TempDir(), "absent.json")}); st != 2 {
+	if st := runCalibrate(&out, calibFlags{golden: filepath.Join(t.TempDir(), "absent.json")}); st != 2 {
 		t.Fatalf("missing golden exited %d, want 2", st)
 	}
 }

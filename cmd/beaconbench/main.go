@@ -67,14 +67,14 @@ func main() {
 	flag.Parse()
 	of.HandleVersion()
 
-	// Resolve -faults/-fault-seed/-scheduler through the RunSpec path —
-	// the same construction every other entry point uses.
+	// Resolve -faults/-fault-seed through the RunSpec path — the same
+	// construction every other entry point uses.
 	base, err := of.PlatformSpec(beacon.BeaconD, beacon.AllOptimizations())
 	check(err)
-	faults, sched := base.Faults, base.Scheduler
+	faults := base.Faults
 
 	if *calibrate {
-		os.Exit(runCalibrate(os.Stdout, sched, calibFlags{
+		os.Exit(runCalibrate(os.Stdout, calibFlags{
 			full:   *calibFull,
 			golden: *calibGolden,
 			out:    *calibOut,
@@ -110,7 +110,6 @@ func main() {
 		Faults:        faults,
 		FaultSeed:     of.FaultSeed,
 		WorkloadCache: openWorkloadCache(of),
-		Scheduler:     sched,
 	})
 	if err != nil {
 		// Dump whatever observability accumulated before the failure, then

@@ -153,9 +153,9 @@ func ExampleNewWorkloadCached() {
 	// identical trace: true
 }
 
-// ExampleSimulate runs FM-index seeding on BEACON-D with the full
+// ExampleRun_fmSeeding runs FM-index seeding on BEACON-D with the full
 // optimization stack and checks the headline relations.
-func ExampleSimulate() {
+func ExampleRun_fmSeeding() {
 	cfg := beacon.DefaultWorkloadConfig(beacon.PinusTaeda)
 	cfg.GenomeScale = 8000
 	cfg.Reads = 100
@@ -164,11 +164,11 @@ func ExampleSimulate() {
 	if err != nil {
 		panic(err)
 	}
-	cpu, err := beacon.Simulate(beacon.Platform{Kind: beacon.CPU}, wl)
+	cpu, err := beacon.Run(beacon.Platform{Kind: beacon.CPU}, wl)
 	if err != nil {
 		panic(err)
 	}
-	d, err := beacon.Simulate(beacon.Platform{
+	d, err := beacon.Run(beacon.Platform{
 		Kind: beacon.BeaconD,
 		Opts: beacon.AllOptimizations(),
 	}, wl)
@@ -176,7 +176,7 @@ func ExampleSimulate() {
 		panic(err)
 	}
 	fmt.Println("verified:", wl.Verified)
-	fmt.Println("beacon-d faster than cpu:", d.Seconds < cpu.Seconds)
+	fmt.Println("beacon-d faster than cpu:", d.Report.Seconds < cpu.Report.Seconds)
 	// Output:
 	// verified: true
 	// beacon-d faster than cpu: true

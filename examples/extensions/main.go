@@ -40,10 +40,11 @@ func main() {
 			wl.Name, wl.Tasks, wl.Steps, wl.Verified)
 		var cpu *beacon.Report
 		for _, kind := range []beacon.PlatformKind{beacon.CPU, beacon.BeaconD, beacon.BeaconS} {
-			rep, err := beacon.Simulate(beacon.Platform{Kind: kind, Opts: beacon.AllOptimizations()}, wl)
+			res, err := beacon.Run(beacon.Platform{Kind: kind, Opts: beacon.AllOptimizations()}, wl)
 			if err != nil {
 				log.Fatal(err)
 			}
+			rep := res.Report
 			if kind == beacon.CPU {
 				cpu = rep
 				fmt.Printf("  %-10s %12.1f us\n", kind, rep.Seconds*1e6)

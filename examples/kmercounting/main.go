@@ -52,10 +52,11 @@ func main() {
 			f.name, wl.Tasks, wl.Steps, wl.Verified)
 		results[f.name] = map[string]*beacon.Report{}
 		for _, pl := range platforms {
-			rep, err := beacon.Simulate(pl.p, wl)
+			res, err := beacon.Run(pl.p, wl)
 			if err != nil {
 				log.Fatal(err)
 			}
+			rep := res.Report
 			results[f.name][pl.name] = rep
 		}
 	}

@@ -43,27 +43,28 @@ func main() {
 	// Serial: one tenant at a time.
 	var serial float64
 	for _, wl := range []*beacon.Workload{seeding, prealign} {
-		rep, err := beacon.Simulate(p, wl)
+		res, err := beacon.Run(p, wl)
 		if err != nil {
 			log.Fatal(err)
 		}
+		rep := res.Report
 		fmt.Printf("serial  %-22s %10.1f us\n", wl.Name, rep.Seconds*1e6)
 		serial += rep.Seconds
 	}
 	fmt.Printf("serial  %-22s %10.1f us\n\n", "total", serial*1e6)
 
 	// Co-located: both tenants share the pool.
-	shared, err := beacon.SimulateShared(p, []*beacon.Workload{seeding, prealign})
+	shared, err := beacon.Run(p, seeding, beacon.WithCoRun(prealign))
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, t := range shared.Tenants {
 		fmt.Printf("shared  %-22s %10.1f us  (%d tasks)\n", t.Workload, t.Seconds*1e6, t.Tasks)
 	}
-	fmt.Printf("shared  %-22s %10.1f us\n\n", "makespan", shared.Combined.Seconds*1e6)
+	fmt.Printf("shared  %-22s %10.1f us\n\n", "makespan", shared.Report.Seconds*1e6)
 
 	fmt.Printf("consolidation gain: %.2fx (both tenants done in %.1f us instead of %.1f us)\n",
-		serial/shared.Combined.Seconds, shared.Combined.Seconds*1e6, serial*1e6)
+		serial/shared.Report.Seconds, shared.Report.Seconds*1e6, serial*1e6)
 	fmt.Println("\nThe pool's NDP modules, links and DRAM banks absorb both tenants'")
 	fmt.Println("traffic concurrently — the resource-consolidation argument that")
 	fmt.Println("motivates memory disaggregation in the paper's §II.")

@@ -32,16 +32,18 @@ func main() {
 	fmt.Printf("workload %s: %d reads x %d candidates, %d steps\n\n",
 		wl.Name, cfg.Reads, cfg.Candidates, wl.Steps)
 
-	cpu, err := beacon.Simulate(beacon.Platform{Kind: beacon.CPU}, wl)
+	res, err := beacon.Run(beacon.Platform{Kind: beacon.CPU}, wl)
 	if err != nil {
 		log.Fatal(err)
 	}
+	cpu := res.Report
 	fmt.Printf("%-34s %12.1f us\n", "CPU (Shouji software model)", cpu.Seconds*1e6)
 	for _, kind := range []beacon.PlatformKind{beacon.BeaconD, beacon.BeaconS} {
-		rep, err := beacon.Simulate(beacon.Platform{Kind: kind, Opts: beacon.AllOptimizations()}, wl)
+		res, err := beacon.Run(beacon.Platform{Kind: kind, Opts: beacon.AllOptimizations()}, wl)
 		if err != nil {
 			log.Fatal(err)
 		}
+		rep := res.Report
 		fmt.Printf("%-34s %12.1f us  (%.0fx CPU, comm energy %.1f%%)\n",
 			kind.String()+" (all optimizations)", rep.Seconds*1e6,
 			cpu.Seconds/rep.Seconds, 100*rep.CommEnergyRatio())

@@ -4,7 +4,7 @@
 //
 // This is the five-minute tour of the public API: a Workload captures a real
 // genomics kernel's memory trace (here FM-index seeding on the Pinus taeda
-// stand-in genome), and Simulate replays it on the CPU software baseline,
+// stand-in genome), and Run replays it on the CPU software baseline,
 // the MEDAL-style DDR NDP accelerator, and both BEACON designs.
 package main
 
@@ -49,10 +49,11 @@ func main() {
 	var cpu *beacon.Report
 	fmt.Printf("%-30s %14s %12s %10s\n", "platform", "time", "energy", "vs CPU")
 	for i, p := range platforms {
-		rep, err := beacon.Simulate(p, wl)
+		res, err := beacon.Run(p, wl)
 		if err != nil {
 			log.Fatal(err)
 		}
+		rep := res.Report
 		if i == 0 {
 			cpu = rep
 		}

@@ -40,10 +40,11 @@ func main() {
 
 		var prev *beacon.Report
 		for _, step := range ladder {
-			rep, err := beacon.Simulate(beacon.Platform{Kind: beacon.BeaconD, Opts: step.opts}, wl)
+			res, err := beacon.Run(beacon.Platform{Kind: beacon.BeaconD, Opts: step.opts}, wl)
 			if err != nil {
 				log.Fatal(err)
 			}
+			rep := res.Report
 			gain := "      "
 			if prev != nil {
 				gain = fmt.Sprintf("%5.2fx", prev.Seconds/rep.Seconds)

@@ -1,7 +1,6 @@
 package beacon
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -30,11 +29,20 @@ func QuickRunConfig() RunConfig {
 	return RunConfig{GenomeScale: 8_000, Reads: 120, Seed: 0xBEAC07}
 }
 
-func (rc RunConfig) workloadConfig(sp Species) WorkloadConfig {
+// workloadConfig is the configuration an evaluation job replays for an
+// application on a species with a flow override. Hash seeding issues ~6x
+// fewer memory steps per read than FM seeding, so its read count is scaled
+// up to keep the timing runs in the same throughput-bound regime as the
+// other applications.
+func (rc RunConfig) workloadConfig(app Application, sp Species, flow KmerFlow) WorkloadConfig {
 	cfg := DefaultWorkloadConfig(sp)
 	cfg.GenomeScale = rc.GenomeScale
 	cfg.Reads = rc.Reads
 	cfg.Seed = rc.Seed
+	cfg.Flow = flow
+	if app == HashSeeding {
+		cfg.Reads *= 2
+	}
 	return cfg
 }
 
@@ -108,19 +116,6 @@ type LadderFigure struct {
 	PctOfIdealPerf, PctOfIdealEnergy float64
 }
 
-// buildWorkload constructs the workload for a species with a flow override.
-// Hash seeding issues ~6x fewer memory steps per read than FM seeding, so
-// its read count is scaled up to keep the timing runs in the same
-// throughput-bound regime as the other applications.
-func (rc RunConfig) buildWorkload(app Application, sp Species, flow KmerFlow) (*Workload, error) {
-	cfg := rc.workloadConfig(sp)
-	cfg.Flow = flow
-	if app == HashSeeding {
-		cfg.Reads *= 2
-	}
-	return NewWorkload(app, cfg)
-}
-
 // speciesFor returns the datasets an application is evaluated on.
 func speciesFor(app Application) []Species {
 	if app == KmerCounting {
@@ -131,13 +126,6 @@ func speciesFor(app Application) []Species {
 
 // baselineFlow returns the flow the DDR baseline (NEST) uses.
 func baselineFlow(app Application) KmerFlow { return MultiPass }
-
-// runLadder executes a full ladder figure on a fresh single-evaluation
-// orchestrator (kept for the benchmark harness; figure functions share an
-// Evaluator instead).
-func runLadder(app Application, kind PlatformKind, rc RunConfig) (*LadderFigure, error) {
-	return NewEvaluator(rc, 0).runLadder(context.Background(), app, kind)
-}
 
 // String renders the figure as text tables.
 func (f *LadderFigure) String() string {
@@ -173,24 +161,6 @@ func (f *LadderFigure) String() string {
 	return b.String()
 }
 
-// Figure12 reproduces the FM-index seeding evaluation for both designs.
-// It (and every figure function below) runs its simulations on a
-// GOMAXPROCS-wide worker pool; use an Evaluator directly to control the
-// pool width, share workload caches across figures, or attach a timeout.
-func Figure12(rc RunConfig) (d, s *LadderFigure, err error) {
-	return NewEvaluator(rc, 0).Figure12(context.Background())
-}
-
-// Figure14 reproduces the hash-index seeding evaluation.
-func Figure14(rc RunConfig) (d, s *LadderFigure, err error) {
-	return NewEvaluator(rc, 0).Figure14(context.Background())
-}
-
-// Figure15 reproduces the k-mer counting evaluation.
-func Figure15(rc RunConfig) (d, s *LadderFigure, err error) {
-	return NewEvaluator(rc, 0).Figure15(context.Background())
-}
-
 // Fig3Row is one workload of Fig. 3.
 type Fig3Row struct {
 	Workload string
@@ -204,12 +174,6 @@ type Figure3Result struct {
 	Rows []Fig3Row
 	// AvgPerf / AvgEnergy are geometric means (paper: 4.36x / 2.32x).
 	AvgPerf, AvgEnergy float64
-}
-
-// Figure3 measures how much idealized communication would speed up the
-// previous DDR-DIMM accelerators — the paper's motivation experiment.
-func Figure3(rc RunConfig) (*Figure3Result, error) {
-	return NewEvaluator(rc, 0).Figure3(context.Background())
 }
 
 // String renders Fig. 3.
@@ -232,12 +196,6 @@ type Figure13Result struct {
 	CVWithout, CVWith float64
 }
 
-// Figure13 measures per-chip access balance on the CXLG-DIMMs for FM-index
-// seeding, without and with multi-chip coalescing (Fig. 11/13).
-func Figure13(rc RunConfig) (*Figure13Result, error) {
-	return NewEvaluator(rc, 0).Figure13(context.Background())
-}
-
 // String renders Fig. 13.
 func (f *Figure13Result) String() string {
 	t := report.NewTable("Fig. 13 — normalized memory access per DRAM chip (FM seeding)",
@@ -258,11 +216,6 @@ type Figure16Result struct {
 	PerfD, PerfS, EnergyD, EnergyS []float64
 	// Geomeans.
 	GeoPerfD, GeoPerfS, GeoEnergyD, GeoEnergyS float64
-}
-
-// Figure16 runs DNA pre-alignment on both designs with full optimizations.
-func Figure16(rc RunConfig) (*Figure16Result, error) {
-	return NewEvaluator(rc, 0).Figure16(context.Background())
 }
 
 // String renders Fig. 16.
@@ -291,12 +244,6 @@ type Figure17Result struct {
 	ComputeRatio []float64
 }
 
-// Figure17 measures the energy breakdown along the ladder, averaged over
-// the four applications (one representative dataset each).
-func Figure17(kind PlatformKind, rc RunConfig) (*Figure17Result, error) {
-	return NewEvaluator(rc, 0).Figure17(context.Background(), kind)
-}
-
 // String renders Fig. 17.
 func (f *Figure17Result) String() string {
 	t := report.NewTable(fmt.Sprintf("Fig. 17 — energy breakdown on %s (avg over 4 apps)", f.Kind),
@@ -323,12 +270,6 @@ type OptSummary struct {
 	// CommBefore and CommAfter are communication energy shares at vanilla
 	// and at the final step.
 	CommBefore, CommAfter float64
-}
-
-// OptimizationSummary aggregates the ladder gains across all four
-// applications for one design.
-func OptimizationSummary(kind PlatformKind, rc RunConfig) (*OptSummary, error) {
-	return NewEvaluator(rc, 0).OptimizationSummary(context.Background(), kind)
 }
 
 // String renders the summary.

@@ -13,11 +13,11 @@ func TestGraphWorkload(t *testing.T) {
 	if !wl.Verified || wl.App != GraphProcessing || wl.Tasks == 0 {
 		t.Errorf("workload = %+v", wl)
 	}
-	rep, err := Simulate(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
+	res, err := Run(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	if rep.Cycles <= 0 {
+	if res.Report.Cycles <= 0 {
 		t.Error("no cycles")
 	}
 	bad := cfg
@@ -41,16 +41,16 @@ func TestDBSearchWorkload(t *testing.T) {
 	}
 	// Extension workloads must run faster on BEACON than the CPU model —
 	// the §V claim.
-	cpu, err := Simulate(Platform{Kind: CPU}, wl)
+	cpu, err := Run(Platform{Kind: CPU}, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Simulate(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
+	d, err := Run(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Seconds >= cpu.Seconds {
-		t.Errorf("BEACON-D (%.2e s) not faster than CPU (%.2e s)", d.Seconds, cpu.Seconds)
+	if d.Report.Seconds >= cpu.Report.Seconds {
+		t.Errorf("BEACON-D (%.2e s) not faster than CPU (%.2e s)", d.Report.Seconds, cpu.Report.Seconds)
 	}
 	bad := cfg
 	bad.Fanout = 1
@@ -70,11 +70,11 @@ func TestImageWorkload(t *testing.T) {
 	if !wl.Verified || wl.App != ImageProcessing || wl.Tasks != 64 {
 		t.Errorf("workload = %+v", wl)
 	}
-	rep, err := Simulate(Platform{Kind: BeaconS, Opts: AllOptimizations()}, wl)
+	res, err := Run(Platform{Kind: BeaconS, Opts: AllOptimizations()}, wl)
 	if err != nil {
-		t.Fatalf("Simulate: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	if rep.Cycles <= 0 {
+	if res.Report.Cycles <= 0 {
 		t.Error("no cycles")
 	}
 	cfg.TileSize = 0

@@ -15,7 +15,7 @@ import (
 func TestFaultDeterminism(t *testing.T) {
 	t.Parallel()
 	mk := func(jobs int) *Evaluator {
-		return NewEvaluator(tinyRC(), jobs).WithFaults(HeavyFaultProfile(), 42)
+		return NewEvaluator(tinyRC(), EvalOptions{Jobs: jobs, Faults: HeavyFaultProfile(), FaultSeed: 42})
 	}
 	serial, parallel := mk(1), mk(8)
 	for _, tc := range []struct {
@@ -66,8 +66,8 @@ func TestFaultDeterminism(t *testing.T) {
 // all-zero profile (injection fully compiled out of the hot path).
 func TestFaultSummaryAbsentWhenDisabled(t *testing.T) {
 	t.Parallel()
-	plain := NewEvaluator(tinyRC(), 2)
-	zeroed := NewEvaluator(tinyRC(), 2).WithFaults(FaultProfile{}, 99)
+	plain := NewEvaluator(tinyRC(), EvalOptions{Jobs: 2})
+	zeroed := NewEvaluator(tinyRC(), EvalOptions{Jobs: 2, FaultSeed: 99})
 	a, err := plain.runLadder(context.Background(), FMSeeding, BeaconD)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"beacon/internal/obs"
 )
 
 // TestHTTPStatus exhaustively pins the sentinel → status table, for bare
@@ -66,5 +68,35 @@ func TestHTTPStatus(t *testing.T) {
 	_, err = NewWorkload(FMSeeding, DefaultWorkloadConfig("Zz"))
 	if got := HTTPStatus(err); got != 422 {
 		t.Errorf("species error %v: status %d, want 422", err, got)
+	}
+}
+
+// TestRunArgumentErrors pins that every malformed Run call is a client
+// error: it wraps ErrBadConfig, so HTTPStatus answers 400, never 500.
+func TestRunArgumentErrors(t *testing.T) {
+	t.Parallel()
+	wl, err := NewFMSeedingWorkload(quickCfg(PinusTaeda))
+	if err != nil {
+		t.Fatal(err)
+	}
+	beaconD := Platform{Kind: BeaconD, Opts: AllOptimizations()}
+	cases := []struct {
+		name string
+		p    Platform
+		w    *Workload
+		opts []RunOption
+	}{
+		{"nil workload", beaconD, nil, nil},
+		{"unknown platform kind", Platform{Kind: PlatformKind(42)}, wl, nil},
+		{"co-run on ddr", Platform{Kind: DDRBaseline}, wl, []RunOption{WithCoRun(wl)}},
+		{"co-run on cpu", Platform{Kind: CPU}, wl, []RunOption{WithCoRun(wl)}},
+		{"nil co-run workload", beaconD, wl, []RunOption{WithCoRun(nil)}},
+		{"co-run with observer", beaconD, wl, []RunOption{WithCoRun(wl), WithObserver(obs.New("x"))}},
+	}
+	for _, tc := range cases {
+		_, err := Run(tc.p, tc.w, tc.opts...)
+		if !errors.Is(err, ErrBadConfig) || HTTPStatus(err) != 400 {
+			t.Errorf("%s: err = %v (status %d), want ErrBadConfig / 400", tc.name, err, HTTPStatus(err))
+		}
 	}
 }

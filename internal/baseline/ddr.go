@@ -65,9 +65,6 @@ type DDRConfig struct {
 	DRAMEnergy dram.EnergyModel
 	// MaxEvents is the livelock backstop (0 = derived).
 	MaxEvents uint64
-	// Scheduler selects the engine's pending-event queue implementation
-	// (see core.Config.Scheduler; zero value = calendar queue).
-	Scheduler sim.SchedulerKind
 	// Obs, when non-nil, attaches the observability layer (see core.Config).
 	// Observation-only: cycle counts are identical with Obs set or nil.
 	Obs *obs.Obs
@@ -184,7 +181,7 @@ func NewDDRMachine(cfg DDRConfig) (*DDRMachine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &DDRMachine{cfg: cfg, engine: sim.NewEngineWithScheduler(cfg.Scheduler)}
+	m := &DDRMachine{cfg: cfg, engine: sim.NewEngine()}
 	// Address mapping: every DIMM is customized (fine-grained, per-chip:
 	// MEDAL has no multi-chip coalescing), the index shards stripe across
 	// the whole platform, spatial data is row-major.

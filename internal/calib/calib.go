@@ -28,7 +28,6 @@ import (
 
 	"beacon/internal/cxl"
 	"beacon/internal/dram"
-	"beacon/internal/sim"
 )
 
 // Pattern names one canonical synthetic access pattern.
@@ -171,9 +170,6 @@ type Config struct {
 	Requests int
 	// Seed feeds the deterministic RNG behind the stochastic patterns.
 	Seed uint64
-	// Scheduler selects the event engine's pending-event queue. Curves are
-	// byte-identical across kinds (the differential suite pins this).
-	Scheduler sim.SchedulerKind
 }
 
 // QuickConfig returns the short calibration suite: the committed goldens
@@ -192,7 +188,6 @@ func QuickConfig() Config {
 		WritePcts: []int{0, 50},
 		Requests:  256,
 		Seed:      1,
-		Scheduler: sim.SchedulerCalendar,
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"beacon/internal/obs"
-	"beacon/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files instead of comparing")
@@ -90,45 +89,5 @@ func TestGoldenCoversPlatformsAndPatterns(t *testing.T) {
 				t.Errorf("golden missing %s/%s", plat.Name, p)
 			}
 		}
-	}
-}
-
-// TestDifferentialSchedulers replays every pattern under both scheduler
-// kinds and requires byte-identical artifacts: the calendar queue and the
-// reference heap must order calibration traffic identically.
-func TestDifferentialSchedulers(t *testing.T) {
-	base := QuickConfig()
-	// One platform per path keeps the differential fast while still
-	// exercising DIMM-only, switch and host event orderings; all five
-	// patterns, both depths.
-	base.Sizes = []int{64}
-	base.Requests = 128
-
-	run := func(kind sim.SchedulerKind) []byte {
-		t.Helper()
-		cfg := base
-		cfg.Scheduler = kind
-		art, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("scheduler %v: %v", kind, err)
-		}
-		enc, err := art.EncodeBytes()
-		if err != nil {
-			t.Fatalf("scheduler %v: encode: %v", kind, err)
-		}
-		return enc
-	}
-
-	heap := run(sim.SchedulerHeap)
-	cal := run(sim.SchedulerCalendar)
-	if !bytes.Equal(heap, cal) {
-		a, _ := Decode(bytes.NewReader(heap))
-		b, _ := Decode(bytes.NewReader(cal))
-		if a != nil && b != nil {
-			for _, d := range Compare(a, b, obs.DiffOptions{}) {
-				t.Errorf("heap vs calendar: %s", d)
-			}
-		}
-		t.Fatal("heap and calendar schedulers produced different calibration artifacts")
 	}
 }

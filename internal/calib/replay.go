@@ -29,7 +29,7 @@ type point struct {
 
 // Run replays the whole calibration suite and returns its artifact. The
 // replay is fully deterministic: identical Configs yield byte-identical
-// encoded artifacts regardless of scheduler kind or host machine.
+// encoded artifacts regardless of host machine.
 func Run(cfg Config) (*Artifact, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -82,7 +82,7 @@ func pointSeed(seed uint64, p point) uint64 {
 // so the scheduler-equivalence guarantees of internal/sim extend to these
 // curves.
 func runPoint(cfg Config, p point) (Curve, error) {
-	eng := sim.NewEngineWithScheduler(cfg.Scheduler)
+	eng := sim.NewEngine()
 	// Livelock backstop: a request costs a bounded handful of events on
 	// every path (two for raw DRAM, ~a dozen hops for the pool paths).
 	eng.MaxEvents = uint64(cfg.Requests)*64 + 1024

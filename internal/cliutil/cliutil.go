@@ -51,10 +51,6 @@ type Flags struct {
 	// WorkloadCache selects the on-disk workload cache: "auto" (the
 	// per-user default directory), "off", or an explicit directory.
 	WorkloadCache string
-	// Scheduler names the event engine's pending-event queue ("calendar",
-	// "heap"). Reports are byte-identical across kinds; the heap kind
-	// exists for differential cross-checks and regression triage.
-	Scheduler string
 }
 
 // Register installs the shared flags on the default flag set; call before
@@ -76,7 +72,6 @@ func Register(traceCap int) *Flags {
 	flag.StringVar(&f.Faults, "faults", "off", "fault-injection `profile` for BEACON platforms (off, default, heavy)")
 	flag.Uint64Var(&f.FaultSeed, "fault-seed", 1, "`seed` for the deterministic fault streams")
 	flag.StringVar(&f.WorkloadCache, "workload-cache", "auto", "on-disk workload cache `dir` (auto = per-user default, off = disabled)")
-	flag.StringVar(&f.Scheduler, "scheduler", "calendar", "event-engine `queue` (calendar, heap); results are byte-identical")
 	return f
 }
 

@@ -65,7 +65,7 @@ func (sf *SpecFlags) OptsName() string {
 
 // Specs compiles the flag surface into one validated beacon.RunSpec per
 // -platform entry, in flag order. The observability flag set supplies the
-// platform-side knobs (-faults, -fault-seed, -scheduler).
+// platform-side knobs (-faults, -fault-seed).
 func (sf *SpecFlags) Specs(of *Flags) ([]beacon.RunSpec, error) {
 	app, err := beacon.ParseApplication(sf.App)
 	if err != nil {
@@ -96,7 +96,6 @@ func (sf *SpecFlags) Specs(of *Flags) ([]beacon.RunSpec, error) {
 		spec.Opts = opts
 		spec.Faults = of.Faults
 		spec.FaultSeed = of.FaultSeed
-		spec.Scheduler = of.Scheduler
 		if err := spec.Validate(); err != nil {
 			return nil, err
 		}
@@ -106,7 +105,7 @@ func (sf *SpecFlags) Specs(of *Flags) ([]beacon.RunSpec, error) {
 }
 
 // PlatformSpec compiles the observability flag set's platform-side knobs
-// (-faults, -fault-seed, -scheduler) plus the given kind and options into
+// (-faults, -fault-seed) plus the given kind and options into
 // a resolved beacon.Platform, by round-tripping them through a RunSpec —
 // the same path every other construction takes.
 func (f *Flags) PlatformSpec(kind beacon.PlatformKind, opts beacon.Options) (beacon.Platform, error) {
@@ -115,6 +114,5 @@ func (f *Flags) PlatformSpec(kind beacon.PlatformKind, opts beacon.Options) (bea
 	spec.Opts = opts
 	spec.Faults = f.Faults
 	spec.FaultSeed = f.FaultSeed
-	spec.Scheduler = f.Scheduler
 	return spec.Platform()
 }

@@ -22,7 +22,7 @@ func defaultSpecFlags() *SpecFlags {
 }
 
 func defaultFlags() *Flags {
-	return &Flags{Faults: "off", FaultSeed: 1, Scheduler: "calendar"}
+	return &Flags{Faults: "off", FaultSeed: 1}
 }
 
 // TestSpecsCompilation pins that the flag surface compiles to the same
@@ -44,7 +44,7 @@ func TestSpecsCompilation(t *testing.T) {
 }
 
 // TestSpecsPlatformList pins the comma-separated platform fan-out and the
-// knob plumbing (vanilla/ideal/singlepass/faults/scheduler).
+// knob plumbing (vanilla/ideal/singlepass/faults).
 func TestSpecsPlatformList(t *testing.T) {
 	t.Parallel()
 	sf := defaultSpecFlags()
@@ -58,7 +58,6 @@ func TestSpecsPlatformList(t *testing.T) {
 	of := defaultFlags()
 	of.Faults = "heavy"
 	of.FaultSeed = 9
-	of.Scheduler = "heap"
 
 	specs, err := sf.Specs(of)
 	if err != nil {
@@ -80,7 +79,7 @@ func TestSpecsPlatformList(t *testing.T) {
 		if spec.Opts != (beacon.Options{IdealComm: true}) {
 			t.Errorf("spec %d opts = %+v, want vanilla+ideal", i, spec.Opts)
 		}
-		if spec.Faults != "heavy" || spec.FaultSeed != 9 || spec.Scheduler != "heap" {
+		if spec.Faults != "heavy" || spec.FaultSeed != 9 {
 			t.Errorf("spec %d platform knobs wrong: %+v", i, spec)
 		}
 	}
@@ -130,13 +129,12 @@ func TestOptsName(t *testing.T) {
 }
 
 // TestPlatformSpec pins that the observability flags resolve to a Platform
-// through the RunSpec path, faults and scheduler included.
+// through the RunSpec path, faults included.
 func TestPlatformSpec(t *testing.T) {
 	t.Parallel()
 	of := defaultFlags()
 	of.Faults = "default"
 	of.FaultSeed = 5
-	of.Scheduler = "heap"
 	p, err := of.PlatformSpec(beacon.BeaconD, beacon.AllOptimizations())
 	if err != nil {
 		t.Fatal(err)

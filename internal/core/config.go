@@ -22,7 +22,6 @@ import (
 	"beacon/internal/fault"
 	"beacon/internal/memmgmt"
 	"beacon/internal/obs"
-	"beacon/internal/sim"
 )
 
 // Design selects where computation happens.
@@ -125,11 +124,6 @@ type Config struct {
 	InFlightPerNode int
 	// MaxEvents bounds the event count as a livelock backstop (0 = default).
 	MaxEvents uint64
-	// Scheduler selects the engine's pending-event queue implementation.
-	// Every kind produces the identical dispatch sequence (the differential
-	// suite in internal/sim proves it); the zero value is the calendar
-	// queue, the fast default.
-	Scheduler sim.SchedulerKind
 	// Faults enables deterministic fault injection (the zero profile is
 	// off): link CRC retries, switch-port degradation, DRAM media errors and
 	// NDP unit failures, drawn from per-component PCG streams keyed by

@@ -19,10 +19,6 @@ import (
 // instrumentation).
 var DebugTaskEnd func(sim.Cycle)
 
-// DebugTaskEndOwner, when non-nil, receives every task's identity and
-// completion time (used by RunShared to attribute finishes to tenants).
-var DebugTaskEndOwner func(*trace.Task, sim.Cycle)
-
 // DebugStepTrace, when non-nil, receives (taskIndex, step, eventNow, peDone)
 // for every step issue (test instrumentation).
 var DebugStepTrace func(ti, step int, now, tc sim.Cycle)
@@ -86,6 +82,11 @@ type Machine struct {
 	ob          *obs.Obs
 	taskTracks  []obs.Track
 	stepLatency *obs.Histogram
+	// onTaskEnd, when non-nil, receives every task's identity and
+	// completion time (RunShared attributes finishes to tenants with it).
+	// It is per machine, so concurrent co-located runs never see each
+	// other's tasks.
+	onTaskEnd func(*trace.Task, sim.Cycle)
 }
 
 // NewMachine builds the machine.
@@ -93,7 +94,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, engine: sim.NewEngineWithScheduler(cfg.Scheduler)}
+	m := &Machine{cfg: cfg, engine: sim.NewEngine()}
 	var err error
 	m.fabric, err = cxl.New(cfg.fabricConfig())
 	if err != nil {
@@ -505,8 +506,8 @@ func (m *Machine) Run(wl *trace.Workload) (*Result, error) {
 			if DebugTaskEnd != nil {
 				DebugTaskEnd(now)
 			}
-			if DebugTaskEndOwner != nil {
-				DebugTaskEndOwner(task, now)
+			if m.onTaskEnd != nil {
+				m.onTaskEnd(task, now)
 			}
 			if onHost {
 				// The failed node's scheduler slot was already freed at

@@ -104,13 +104,11 @@ func (m *Machine) runWithOwners(wl *trace.Workload, owners []int, nOwners int) (
 		ownerOf[&wl.Tasks[i]] = owners[i]
 	}
 	ends := make([]sim.Cycle, nOwners)
-	prev := DebugTaskEndOwner
-	DebugTaskEndOwner = func(task *trace.Task, at sim.Cycle) {
+	m.onTaskEnd = func(task *trace.Task, at sim.Cycle) {
 		if o, ok := ownerOf[task]; ok && at > ends[o] {
 			ends[o] = at
 		}
 	}
-	defer func() { DebugTaskEndOwner = prev }()
 	res, err := m.Run(wl)
 	if err != nil {
 		return nil, nil, err

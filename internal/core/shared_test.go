@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"beacon/internal/runner"
 	"beacon/internal/trace"
 )
 
@@ -115,6 +119,40 @@ func TestRunSharedDeterministic(t *testing.T) {
 	for i := range a.PerWorkload {
 		if a.PerWorkload[i].Cycles != b.PerWorkload[i].Cycles {
 			t.Errorf("tenant %d completion differs", i)
+		}
+	}
+}
+
+// TestRunSharedConcurrentRunsIsolated runs several co-located machines at
+// once: each must attribute only its own tasks to its tenants, so the
+// per-tenant completions match a run made alone.
+func TestRunSharedConcurrentRunsIsolated(t *testing.T) {
+	mk := func() []*trace.Workload {
+		return []*trace.Workload{
+			smallWorkload(trace.EngineHashIndex, 40, 5, trace.SpaceHashBucket),
+			smallWorkload(trace.EnginePreAlign, 20, 3, trace.SpaceReference),
+		}
+	}
+	want, err := RunShared(DefaultConfig(DesignS, AllOptions()), mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]runner.Job[*SharedResult], 4)
+	for i := range jobs {
+		jobs[i] = runner.Job[*SharedResult]{
+			Label: fmt.Sprintf("shared %d", i),
+			Fn: func(context.Context) (*SharedResult, error) {
+				return RunShared(DefaultConfig(DesignS, AllOptions()), mk())
+			},
+		}
+	}
+	got, err := runner.Run(context.Background(), runner.NewPool(len(jobs)), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range got {
+		if !reflect.DeepEqual(res.PerWorkload, want.PerWorkload) {
+			t.Errorf("concurrent run %d: tenants %+v, want %+v", i, res.PerWorkload, want.PerWorkload)
 		}
 	}
 }

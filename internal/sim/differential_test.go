@@ -3,11 +3,12 @@ package sim
 // Differential scheduler-equivalence suite.
 //
 // The calendar queue replaced the binary heap as the Engine's pending-event
-// queue; the heap stays compiled in as the reference implementation. This
-// file drives both through identical scripted workloads — same-cycle ties,
-// re-entrant scheduling from inside events, RunUntil resume boundaries,
-// MaxEvents aborts, past-schedule violations, far-future (overflow-tier)
-// events, and Reset — and asserts the full observable record is identical:
+// queue; the heap stays compiled in as the reference implementation,
+// reached through the unexported newEngine. This file drives both through
+// identical scripted workloads — same-cycle ties, re-entrant scheduling
+// from inside events, RunUntil resume boundaries, MaxEvents aborts,
+// past-schedule violations, far-future (overflow-tier) events, and Reset —
+// and asserts the full observable record is identical:
 // dispatch order, OnAdvance timestamps, clock values, counters, and errors.
 //
 // The same interpreter backs FuzzSchedulerEquivalence (fuzz_test.go), so
@@ -19,10 +20,16 @@ import (
 	"testing"
 )
 
+// The two pending-event queues under test.
+var (
+	heapQueue     = func() scheduler { return &heapScheduler{} }
+	calendarQueue = func() scheduler { return newCalendarScheduler() }
+)
+
 // runScript interprets a byte-encoded scheduling workload on a fresh engine
-// with the given scheduler kind and returns the full observable record. The
-// interpretation is a pure function of (kind, script); the differential
-// suite asserts the record is independent of kind.
+// over the queue newQueue builds and returns the full observable record.
+// The interpretation is a pure function of (queue, script); the
+// differential suite asserts the record is independent of the queue.
 //
 // Script encoding: a sequence of instructions, each an opcode byte (mod 10)
 // followed by up to two u16 little-endian operands (missing bytes read as
@@ -39,9 +46,9 @@ import (
 //	7: MaxEvents = Executed() + a%64 + 1 (tight livelock bound)
 //	8: Reset()
 //	9: schedule one event at Never
-func runScript(kind SchedulerKind, script []byte) []string {
+func runScript(newQueue func() scheduler, script []byte) []string {
 	var log []string
-	e := NewEngineWithScheduler(kind)
+	e := newEngine(newQueue())
 	e.OnAdvance = func(now Cycle) {
 		log = append(log, fmt.Sprintf("adv@%d", now))
 	}
@@ -135,8 +142,8 @@ func runScript(kind SchedulerKind, script []byte) []string {
 // diffSchedulers runs the script under both schedulers and returns the two
 // records plus the first line where they diverge (-1 when identical).
 func diffSchedulers(script []byte) (heap, cal []string, divergence int) {
-	heap = runScript(SchedulerHeap, script)
-	cal = runScript(SchedulerCalendar, script)
+	heap = runScript(heapQueue, script)
+	cal = runScript(calendarQueue, script)
 	n := len(heap)
 	if len(cal) < n {
 		n = len(cal)
@@ -312,35 +319,15 @@ func TestSchedulerEquivalenceRandomized(t *testing.T) {
 // scripted case, neither scheduler ever executes a past-scheduled event.
 func TestSchedulerEquivalenceViolationNeverDispatches(t *testing.T) {
 	for _, tc := range scriptedCases {
-		for _, kind := range []SchedulerKind{SchedulerHeap, SchedulerCalendar} {
-			for _, line := range runScript(kind, tc.script) {
+		for _, q := range []struct {
+			name  string
+			queue func() scheduler
+		}{{"heap", heapQueue}, {"calendar", calendarQueue}} {
+			for _, line := range runScript(q.queue, tc.script) {
 				if strings.Contains(line, "must never appear") {
-					t.Errorf("%s/%v executed a past-scheduled event", tc.name, kind)
+					t.Errorf("%s/%s executed a past-scheduled event", tc.name, q.name)
 				}
 			}
 		}
-	}
-}
-
-// TestSchedulerKindNames pins the kind <-> name mapping used by CLI flags
-// and configs.
-func TestSchedulerKindNames(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SchedulerKind
-	}{{"calendar", SchedulerCalendar}, {"", SchedulerCalendar}, {"heap", SchedulerHeap}} {
-		got, err := ParseSchedulerKind(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseSchedulerKind(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseSchedulerKind("splay"); err == nil {
-		t.Error("ParseSchedulerKind accepted an unknown scheduler")
-	}
-	if SchedulerCalendar.String() != "calendar" || SchedulerHeap.String() != "heap" {
-		t.Errorf("String() = %q, %q", SchedulerCalendar, SchedulerHeap)
-	}
-	if s := SchedulerKind(9).String(); s != "scheduler(9)" {
-		t.Errorf("unknown kind String() = %q", s)
 	}
 }

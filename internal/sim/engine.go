@@ -10,9 +10,9 @@
 // map iteration ever reaches a scheduling decision.
 //
 // Two pending-event queues implement the contract (see scheduler.go): the
-// default calendar queue (calendar.go) and the reference binary heap
-// (heap.go). The differential suite in this package proves them
-// event-for-event identical; which one runs is a pure performance choice.
+// calendar queue (calendar.go) that NewEngine builds and the reference
+// binary heap (heap.go) kept for this package's differential suite. The
+// suite proves them event-for-event identical.
 package sim
 
 import (
@@ -59,19 +59,14 @@ type Engine struct {
 	err error
 }
 
-// NewEngine returns an engine with the clock at cycle 0, using the default
-// calendar-queue scheduler.
-func NewEngine() *Engine {
-	return NewEngineWithScheduler(SchedulerCalendar)
-}
+// NewEngine returns an engine with the clock at cycle 0 on the calendar
+// queue (the reference heap when built with the beacon_heapref tag). It is
+// the only constructor outside this package.
+func NewEngine() *Engine { return newEngine(defaultScheduler()) }
 
-// NewEngineWithScheduler returns an engine with the clock at cycle 0 using
-// the given pending-event queue implementation. Every kind produces the
-// identical dispatch sequence; SchedulerHeap exists as the reference for
-// differential testing.
-func NewEngineWithScheduler(k SchedulerKind) *Engine {
-	return &Engine{sched: newScheduler(k)}
-}
+// newEngine returns an engine over the given pending-event queue; the
+// differential suite uses it to run the reference heap.
+func newEngine(s scheduler) *Engine { return &Engine{sched: s} }
 
 // mustInit panics when the engine was not built by NewEngine.
 func (e *Engine) mustInit() {

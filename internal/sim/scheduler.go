@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // scheduler is the pending-event priority queue behind the Engine. Events
 // are totally ordered by (at, seq): earlier times first, insertion order
 // within a time. The Engine owns seq assignment and past-time rejection;
@@ -16,10 +14,15 @@ import "fmt"
 //   - calendarScheduler (calendar.go) is a bucketed timing wheel with a
 //     heap overflow tier for far-future events. It dispatches same-cycle
 //     batches in O(1) per event with zero steady-state allocations and is
-//     the default.
+//     what NewEngine builds.
 //
-// The differential suite (differential_test.go, FuzzSchedulerEquivalence)
-// pins the two to identical dispatch sequences on arbitrary workloads.
+// The queue is a private detail of this package: no option, field or flag
+// outside it selects one. The differential suite (differential_test.go,
+// FuzzSchedulerEquivalence) reaches the heap through newEngine and pins the
+// two to identical dispatch sequences on arbitrary workloads. For a
+// whole-stack cross-check, building with the beacon_heapref tag makes
+// NewEngine return the heap instead (see queue_default.go and
+// queue_heapref.go); reports must stay byte-identical.
 type scheduler interface {
 	// schedule inserts an event. seq values arrive strictly increasing.
 	schedule(at Cycle, seq uint64, fn func())
@@ -31,52 +34,4 @@ type scheduler interface {
 	len() int
 	// reset discards all pending events, retaining internal capacity.
 	reset()
-}
-
-// SchedulerKind selects the Engine's pending-event queue implementation.
-// Both kinds produce event-for-event identical dispatch sequences — the
-// differential suite in this package enforces it — so the choice is purely
-// a performance one. The zero value is the calendar queue (the default).
-type SchedulerKind uint8
-
-const (
-	// SchedulerCalendar is the calendar-queue (bucketed timing wheel)
-	// scheduler: O(1) amortized per event, allocation-free at steady state.
-	SchedulerCalendar SchedulerKind = iota
-	// SchedulerHeap is the original binary-heap scheduler, kept as the
-	// reference implementation for differential testing.
-	SchedulerHeap
-)
-
-// String names the kind ("calendar", "heap").
-func (k SchedulerKind) String() string {
-	switch k {
-	case SchedulerCalendar:
-		return "calendar"
-	case SchedulerHeap:
-		return "heap"
-	}
-	return fmt.Sprintf("scheduler(%d)", uint8(k))
-}
-
-// ParseSchedulerKind resolves a scheduler name ("calendar", "heap").
-func ParseSchedulerKind(s string) (SchedulerKind, error) {
-	switch s {
-	case "calendar", "":
-		return SchedulerCalendar, nil
-	case "heap":
-		return SchedulerHeap, nil
-	}
-	return 0, fmt.Errorf("sim: unknown scheduler %q (want calendar or heap)", s)
-}
-
-// newScheduler instantiates the kind.
-func newScheduler(k SchedulerKind) scheduler {
-	switch k {
-	case SchedulerHeap:
-		return &heapScheduler{}
-	case SchedulerCalendar:
-		return newCalendarScheduler()
-	}
-	panic(fmt.Sprintf("sim: unknown scheduler kind %d", uint8(k)))
 }

@@ -27,18 +27,18 @@ func TestObservabilityDeterminism(t *testing.T) {
 	col.SampleEvery = 500 // aggressive cadence: many OnAdvance snapshots
 	for _, kind := range []PlatformKind{CPU, DDRBaseline, BeaconD, BeaconS} {
 		p := Platform{Kind: kind, Opts: AllOptimizations()}
-		bare, err := Simulate(p, wl)
+		bare, err := Run(p, wl)
 		if err != nil {
 			t.Fatalf("%v bare: %v", kind, err)
 		}
 		ob := col.New(kind.String())
-		observed, err := SimulateObserved(p, wl, ob)
+		observed, err := Run(p, wl, WithObserver(ob))
 		if err != nil {
 			t.Fatalf("%v observed: %v", kind, err)
 		}
-		if bare.Cycles != observed.Cycles {
+		if bare.Report.Cycles != observed.Report.Cycles {
 			t.Errorf("%v: observability moved the clock: %d vs %d cycles",
-				kind, bare.Cycles, observed.Cycles)
+				kind, bare.Report.Cycles, observed.Report.Cycles)
 		}
 		if !reflect.DeepEqual(bare, observed) {
 			t.Errorf("%v: bare and observed reports differ:\n%+v\nvs\n%+v",
@@ -95,7 +95,7 @@ func TestObservedRunsAreRepeatable(t *testing.T) {
 	dump := func() (string, string) {
 		ob := obs.New("run")
 		ob.SampleEvery = 1000
-		if _, err := SimulateObserved(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl, ob); err != nil {
+		if _, err := Run(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl, WithObserver(ob)); err != nil {
 			t.Fatal(err)
 		}
 		var m, tr strings.Builder
@@ -122,12 +122,12 @@ func TestObservedRunsAreRepeatable(t *testing.T) {
 // registered under its full app/species/platform/step label.
 func TestEvaluatorObservability(t *testing.T) {
 	t.Parallel()
-	plain, err := NewEvaluator(tinyRC(), 4).Figure13(context.Background())
+	plain, err := NewEvaluator(tinyRC(), EvalOptions{Jobs: 4}).Figure13(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	col := obs.NewCollection()
-	observed, err := NewEvaluator(tinyRC(), 4).WithObservability(col).Figure13(context.Background())
+	observed, err := NewEvaluator(tinyRC(), EvalOptions{Jobs: 4, Obs: col}).Figure13(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestEvaluatorProgress(t *testing.T) {
 	t.Parallel()
 	var b strings.Builder
 	mu := &syncBuilder{b: &b}
-	if _, err := NewEvaluator(tinyRC(), 2).WithProgress(mu).Figure13(context.Background()); err != nil {
+	if _, err := NewEvaluator(tinyRC(), EvalOptions{Jobs: 2, Progress: mu}).Figure13(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	out := mu.String()
@@ -173,7 +173,7 @@ func TestEvaluatorProgress(t *testing.T) {
 // figure/species/platform/step identity so the operator can locate it.
 func TestJobErrorIdentity(t *testing.T) {
 	t.Parallel()
-	e := NewEvaluator(tinyRC(), 1)
+	e := NewEvaluator(tinyRC(), EvalOptions{Jobs: 1})
 	bad := e.simJob(FMSeeding, PinusTaeda, MultiPass, Platform{Kind: PlatformKind(99)}, "cpu-ref")
 	_, err := runner.Run(context.Background(), e.pool, []runner.Job[*Report]{bad})
 	if err == nil {

@@ -31,81 +31,37 @@ import (
 // concurrent coordinators (RunEvaluation fans every figure out at once)
 // still respect the single -jobs bound.
 type Evaluator struct {
-	rc      RunConfig
-	timeout time.Duration
-	pool    *runner.Pool
-	cache   *workloadCache
-	obsCol  *obs.Collection
-	// Fault injection (zero profile = off): the profile and seed applied to
-	// every BEACON simulation job, plus a per-platform aggregate. The
-	// aggregate is commutative uint64 sums under a mutex, so it is
+	rc    RunConfig
+	opts  EvalOptions
+	pool  *runner.Pool
+	cache *workloadCache
+	// faultAgg is the per-platform fault aggregate (nil when injection is
+	// off). It is commutative uint64 sums under a mutex, so it is
 	// byte-identical at any jobs width even though jobs finish in
 	// scheduler order.
-	faults    FaultProfile
-	faultSeed uint64
-	faultMu   sync.Mutex
-	faultAgg  map[PlatformKind]FaultStats
-	// sched selects the event engine's pending-event queue for every
-	// simulation job (zero = calendar). Reports are byte-identical across
-	// kinds, so this never changes a figure.
-	sched SchedulerKind
+	faultMu  sync.Mutex
+	faultAgg map[PlatformKind]FaultStats
 }
 
-// NewEvaluator returns an evaluator running rc's scale on a pool of the
-// given width. jobs <= 0 selects GOMAXPROCS.
-func NewEvaluator(rc RunConfig, jobs int) *Evaluator {
-	return &Evaluator{
+// NewEvaluator returns an evaluator running rc's scale, configured once by
+// opts: the pool width, the observability collection, the fault profile,
+// the workload cache and the progress log. opts.Timeout and
+// opts.Ablations apply to RunEvaluation only; a figure method is bounded
+// by its ctx alone.
+func NewEvaluator(rc RunConfig, opts EvalOptions) *Evaluator {
+	e := &Evaluator{
 		rc:    rc,
-		pool:  runner.NewPool(jobs),
+		opts:  opts,
+		pool:  runner.NewPool(opts.Jobs),
 		cache: newWorkloadCache(),
 	}
-}
-
-// WithTimeout bounds every subsequent figure run; d <= 0 means no limit.
-// It returns the evaluator for chaining.
-func (e *Evaluator) WithTimeout(d time.Duration) *Evaluator {
-	e.timeout = d
-	return e
-}
-
-// WithObservability attaches an obs.Collection: every subsequent simulation
-// job registers a per-job Obs under its full job label and runs fully
-// instrumented. Instrumentation is observation-only, so attaching a
-// collection never changes any figure. It returns the evaluator for
-// chaining.
-func (e *Evaluator) WithObservability(col *obs.Collection) *Evaluator {
-	e.obsCol = col
-	return e
-}
-
-// WithWorkloadCache backs the evaluator's workload construction with the
-// on-disk content-addressed cache: each distinct configuration is looked
-// up there before the functional phase runs, and stored after a cold
-// build. A nil cache is a no-op. The cache never changes results — only
-// how fast workloads materialize. It returns the evaluator for chaining.
-func (e *Evaluator) WithWorkloadCache(wc *WorkloadCache) *Evaluator {
-	e.cache.disk = wc
-	return e
-}
-
-// WithFaults applies a fault-injection profile to every subsequent BEACON
-// simulation job (the baselines ignore it). It returns the evaluator for
-// chaining.
-func (e *Evaluator) WithFaults(prof FaultProfile, seed uint64) *Evaluator {
-	e.faults = prof
-	e.faultSeed = seed
-	if prof.Enabled() {
+	e.cache.disk = opts.WorkloadCache
+	if opts.Faults.Enabled() {
 		e.faultAgg = make(map[PlatformKind]FaultStats)
 	}
-	return e
-}
-
-// WithScheduler selects the event engine's pending-event queue for every
-// subsequent simulation job. Reports are byte-identical across kinds (see
-// WithScheduler in run.go), so this never changes a figure. It returns the
-// evaluator for chaining.
-func (e *Evaluator) WithScheduler(k SchedulerKind) *Evaluator {
-	e.sched = k
+	if opts.Progress != nil {
+		e.logProgress(opts.Progress)
+	}
 	return e
 }
 
@@ -117,7 +73,7 @@ func (e *Evaluator) FaultSummary() *FaultSummary {
 	}
 	e.faultMu.Lock()
 	defer e.faultMu.Unlock()
-	out := &FaultSummary{Profile: e.faults, Seed: e.faultSeed}
+	out := &FaultSummary{Profile: e.opts.Faults, Seed: e.opts.FaultSeed}
 	for _, k := range []PlatformKind{BeaconD, BeaconS} {
 		if st, ok := e.faultAgg[k]; ok {
 			out.Rows = append(out.Rows, FaultSummaryRow{Kind: k, Stats: st})
@@ -138,14 +94,11 @@ func (e *Evaluator) recordFaults(kind PlatformKind, st FaultStats) {
 	e.faultMu.Unlock()
 }
 
-// WithProgress streams one line per finished simulation job to w — label,
+// logProgress streams one line per finished simulation job to w — label,
 // wall-clock duration, and FAIL plus the error for failed jobs. Output
 // order follows completion order (nondeterministic by design: this is a
-// live log, not a result). It returns the evaluator for chaining.
-func (e *Evaluator) WithProgress(w io.Writer) *Evaluator {
-	if w == nil {
-		return e
-	}
+// live log, not a result).
+func (e *Evaluator) logProgress(w io.Writer) {
 	var mu sync.Mutex
 	done := 0
 	e.pool.SetObserver(func(ev runner.JobEvent) {
@@ -160,29 +113,14 @@ func (e *Evaluator) WithProgress(w io.Writer) *Evaluator {
 		fmt.Fprintf(w, "[%4d] done %-48s %9s\n",
 			done, ev.Label, ev.Wall.Round(time.Millisecond))
 	})
-	return e
 }
 
 // Jobs returns the pool's concurrency bound.
 func (e *Evaluator) Jobs() int { return e.pool.Size() }
 
-// context applies the evaluator's timeout to ctx.
-func (e *Evaluator) context(ctx context.Context) (context.Context, context.CancelFunc) {
-	if e.timeout > 0 {
-		return context.WithTimeout(ctx, e.timeout)
-	}
-	return context.WithCancel(ctx)
-}
-
-// workload returns the cached workload for (app, sp, flow), applying the
-// same per-application adjustments as RunConfig.buildWorkload.
+// workload returns the cached workload for (app, sp, flow).
 func (e *Evaluator) workload(app Application, sp Species, flow KmerFlow) (*Workload, error) {
-	cfg := e.rc.workloadConfig(sp)
-	cfg.Flow = flow
-	if app == HashSeeding {
-		cfg.Reads *= 2
-	}
-	return e.cache.get(app, cfg)
+	return e.cache.get(app, e.rc.workloadConfig(app, sp, flow))
 }
 
 // simJob is one leaf of the job graph: build (or fetch) the workload and
@@ -199,9 +137,8 @@ func (e *Evaluator) simJob(app Application, sp Species, flow KmerFlow, p Platfor
 				return nil, err
 			}
 			res, err := Run(p, wl,
-				WithObserver(e.obsCol.New(label)),
-				WithFaultInjection(e.faults, e.faultSeed),
-				WithScheduler(e.sched))
+				WithObserver(e.opts.Obs.New(label)),
+				WithFaultInjection(e.opts.Faults, e.opts.FaultSeed))
 			if err != nil {
 				return nil, err
 			}
@@ -224,9 +161,6 @@ func stepFlow(app Application, st ladderStep) KmerFlow {
 // one DDR-baseline reference, every ladder step, and the idealized-
 // communication run — all as independent pool jobs.
 func (e *Evaluator) runLadder(ctx context.Context, app Application, kind PlatformKind) (*LadderFigure, error) {
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-
 	speciesList := speciesFor(app)
 	steps := ladderFor(app, kind)
 	fig := &LadderFigure{App: app, Kind: kind, Species: speciesList}
@@ -340,9 +274,6 @@ func (e *Evaluator) Figure15(ctx context.Context) (d, s *LadderFigure, err error
 // Figure3 measures how much idealized communication would speed up the
 // previous DDR-DIMM accelerators — the paper's motivation experiment.
 func (e *Evaluator) Figure3(ctx context.Context) (*Figure3Result, error) {
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-
 	type rowSpec struct {
 		app Application
 		sp  Species
@@ -387,9 +318,6 @@ func (e *Evaluator) Figure3(ctx context.Context) (*Figure3Result, error) {
 // Figure13 measures per-chip access balance on the CXLG-DIMMs for FM-index
 // seeding, without and with multi-chip coalescing (Fig. 11/13).
 func (e *Evaluator) Figure13(ctx context.Context) (*Figure13Result, error) {
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-
 	placed := Options{DataPacking: true, MemAccessOpt: true, Placement: true}
 	reports, err := runner.Run(ctx, e.pool, []runner.Job[*Report]{
 		e.simJob(FMSeeding, PinusTaeda, MultiPass, Platform{Kind: BeaconD, Opts: placed}, "placed"),
@@ -421,9 +349,6 @@ func (e *Evaluator) Figure13(ctx context.Context) (*Figure13Result, error) {
 
 // Figure16 runs DNA pre-alignment on both designs with full optimizations.
 func (e *Evaluator) Figure16(ctx context.Context) (*Figure16Result, error) {
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-
 	out := &Figure16Result{Species: AllSeedingSpecies()}
 	// Per-species job layout: [cpu, beacon-d, beacon-s].
 	jobs := make([]runner.Job[*Report], 0, 3*len(out.Species))
@@ -454,9 +379,6 @@ func (e *Evaluator) Figure16(ctx context.Context) (*Figure16Result, error) {
 // Figure17 measures the energy breakdown along the ladder, averaged over
 // the four applications (one representative dataset each).
 func (e *Evaluator) Figure17(ctx context.Context, kind PlatformKind) (*Figure17Result, error) {
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-
 	apps := []Application{FMSeeding, HashSeeding, KmerCounting, PreAlignment}
 	// Use the longest ladder's step names; shorter ladders clamp to final.
 	maxSteps := []string{"CXL-vanilla", "+data packing", "+mem access opt", "+placement/mapping", "+app-specific"}
@@ -499,9 +421,6 @@ func (e *Evaluator) Figure17(ctx context.Context, kind PlatformKind) (*Figure17R
 // OptimizationSummary aggregates the ladder gains across all four
 // applications for one design (§VI-G).
 func (e *Evaluator) OptimizationSummary(ctx context.Context, kind PlatformKind) (*OptSummary, error) {
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-
 	apps := []Application{FMSeeding, HashSeeding, KmerCounting, PreAlignment}
 	// Per-app job layout: [vanilla, final].
 	jobs := make([]runner.Job[*Report], 0, 2*len(apps))
@@ -534,13 +453,15 @@ func (e *Evaluator) OptimizationSummary(ctx context.Context, kind PlatformKind) 
 	}, nil
 }
 
-// EvalOptions configures a full-evaluation run.
+// EvalOptions configures an Evaluator (NewEvaluator) or a full-evaluation
+// run (RunEvaluation).
 type EvalOptions struct {
 	// Jobs bounds concurrent simulations; <= 0 selects GOMAXPROCS.
 	Jobs int
-	// Timeout bounds the whole evaluation; 0 means no limit.
+	// Timeout bounds the whole RunEvaluation; 0 means no limit.
 	Timeout time.Duration
-	// Ablations additionally runs the design-choice sweeps.
+	// Ablations additionally runs the design-choice sweeps in
+	// RunEvaluation.
 	Ablations bool
 	// Progress, when non-nil, receives one line per finished simulation
 	// job (live log; completion order).
@@ -555,10 +476,6 @@ type EvalOptions struct {
 	// WorkloadCache, when non-nil, backs workload construction with the
 	// on-disk content-addressed cache. Results are identical either way.
 	WorkloadCache *WorkloadCache
-	// Scheduler selects the event engine's pending-event queue for every
-	// simulation job (zero = calendar). Results are byte-identical across
-	// kinds; the heap kind exists for differential cross-checks.
-	Scheduler SchedulerKind
 }
 
 // Evaluation holds every table and figure of the paper's evaluation
@@ -589,16 +506,12 @@ type Evaluation struct {
 // pool of opts.Jobs workers, and each figure's merge order is fixed, so the
 // result is independent of scheduling.
 func RunEvaluation(ctx context.Context, rc RunConfig, opts EvalOptions) (*Evaluation, error) {
-	e := NewEvaluator(rc, opts.Jobs).WithTimeout(opts.Timeout).
-		WithObservability(opts.Obs).WithProgress(opts.Progress).
-		WithFaults(opts.Faults, opts.FaultSeed).
-		WithWorkloadCache(opts.WorkloadCache).
-		WithScheduler(opts.Scheduler)
-	ctx, cancel := e.context(ctx)
-	defer cancel()
-	// The evaluator's per-figure timeout is already applied to ctx here;
-	// avoid stacking a second deadline inside each figure call.
-	e.timeout = 0
+	e := NewEvaluator(rc, opts)
+	if opts.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
+		defer cancel()
+	}
 
 	out := &Evaluation{
 		Provenance: obs.NewProvenance(rc, rc.Seed),

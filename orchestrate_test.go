@@ -23,14 +23,15 @@ func TestDeterminismGolden(t *testing.T) {
 	}
 	for _, kind := range []PlatformKind{CPU, DDRBaseline, BeaconD, BeaconS} {
 		p := Platform{Kind: kind, Opts: AllOptimizations()}
-		a, err := Simulate(p, wl)
+		ra, err := Run(p, wl)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		b, err := Simulate(p, wl)
+		rb, err := Run(p, wl)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
+		a, b := ra.Report, rb.Report
 		if a.Cycles != b.Cycles || a.EnergyPJ != b.EnergyPJ {
 			t.Errorf("%v: cycles/energy differ across identical runs: %d/%g vs %d/%g",
 				kind, a.Cycles, a.EnergyPJ, b.Cycles, b.EnergyPJ)
@@ -57,11 +58,11 @@ func TestSerialParallelLadderEquivalence(t *testing.T) {
 		{KmerCounting, BeaconS},
 		{FMSeeding, BeaconD},
 	} {
-		serial, err := NewEvaluator(tinyRC(), 1).runLadder(context.Background(), tc.app, tc.kind)
+		serial, err := NewEvaluator(tinyRC(), EvalOptions{Jobs: 1}).runLadder(context.Background(), tc.app, tc.kind)
 		if err != nil {
 			t.Fatalf("serial %v/%v: %v", tc.app, tc.kind, err)
 		}
-		parallel, err := NewEvaluator(tinyRC(), 8).runLadder(context.Background(), tc.app, tc.kind)
+		parallel, err := NewEvaluator(tinyRC(), EvalOptions{Jobs: 8}).runLadder(context.Background(), tc.app, tc.kind)
 		if err != nil {
 			t.Fatalf("parallel %v/%v: %v", tc.app, tc.kind, err)
 		}
@@ -116,7 +117,7 @@ func TestSerialParallelEvaluationEquivalence(t *testing.T) {
 // must be indistinguishable from a fresh build.
 func TestWorkloadCache(t *testing.T) {
 	t.Parallel()
-	e := NewEvaluator(tinyRC(), 4)
+	e := NewEvaluator(tinyRC(), EvalOptions{Jobs: 4})
 	if _, err := e.runLadder(context.Background(), KmerCounting, BeaconS); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestWorkloadCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := e.rc.buildWorkload(KmerCounting, Human, MultiPass)
+	fresh, err := NewWorkload(KmerCounting, e.rc.workloadConfig(KmerCounting, Human, MultiPass))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +139,11 @@ func TestWorkloadCache(t *testing.T) {
 		cached.Steps != fresh.Steps || cached.FootprintBytes != fresh.FootprintBytes {
 		t.Errorf("cached workload differs from fresh build: %+v vs %+v", cached, fresh)
 	}
-	a, err := Simulate(Platform{Kind: BeaconS}, cached)
+	a, err := Run(Platform{Kind: BeaconS}, cached)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(Platform{Kind: BeaconS}, fresh)
+	b, err := Run(Platform{Kind: BeaconS}, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +152,16 @@ func TestWorkloadCache(t *testing.T) {
 	}
 }
 
-// TestEvaluatorTimeout asserts the -timeout knob aborts a run cleanly.
+// TestEvaluatorTimeout asserts the -timeout knob aborts a run cleanly: an
+// evaluation through EvalOptions.Timeout, a figure method through its ctx.
 func TestEvaluatorTimeout(t *testing.T) {
 	t.Parallel()
-	e := NewEvaluator(tinyRC(), 2).WithTimeout(time.Nanosecond)
-	if _, err := e.Figure3(context.Background()); err == nil {
+	if _, err := RunEvaluation(context.Background(), tinyRC(), EvalOptions{Jobs: 2, Timeout: time.Nanosecond}); err == nil {
+		t.Error("nanosecond timeout did not abort the evaluation")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	if _, err := NewEvaluator(tinyRC(), EvalOptions{Jobs: 2}).Figure3(ctx); err == nil {
 		t.Error("nanosecond timeout did not abort the figure")
 	}
 }
@@ -163,7 +169,7 @@ func TestEvaluatorTimeout(t *testing.T) {
 // TestEvaluatorJobs pins the pool-width plumbing.
 func TestEvaluatorJobs(t *testing.T) {
 	t.Parallel()
-	if got := NewEvaluator(tinyRC(), 3).Jobs(); got != 3 {
+	if got := NewEvaluator(tinyRC(), EvalOptions{Jobs: 3}).Jobs(); got != 3 {
 		t.Errorf("Jobs() = %d, want 3", got)
 	}
 }

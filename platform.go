@@ -20,24 +20,6 @@ type FaultProfile = fault.Profile
 // FaultStats counts injected faults and recovery actions.
 type FaultStats = fault.Stats
 
-// SchedulerKind selects the event engine's pending-event queue
-// implementation (see internal/sim): the calendar queue (the zero value and
-// the fast default) or the reference binary heap kept for differential
-// testing. Every kind produces the identical dispatch sequence — and
-// therefore byte-identical reports — so choosing one is a pure performance
-// decision.
-type SchedulerKind = sim.SchedulerKind
-
-// The scheduler kinds.
-const (
-	SchedulerCalendar = sim.SchedulerCalendar
-	SchedulerHeap     = sim.SchedulerHeap
-)
-
-// ParseSchedulerKind parses a scheduler name: "calendar" (also ""), or
-// "heap".
-func ParseSchedulerKind(s string) (SchedulerKind, error) { return sim.ParseSchedulerKind(s) }
-
 // DefaultFaultProfile returns the moderate fault-rate profile.
 func DefaultFaultProfile() FaultProfile { return fault.DefaultProfile() }
 
@@ -132,10 +114,6 @@ type Platform struct {
 	Faults FaultProfile
 	// FaultSeed seeds the per-component fault streams.
 	FaultSeed uint64
-	// Scheduler selects the event engine's pending-event queue (zero value
-	// = calendar queue). Reports are byte-identical across kinds. The CPU
-	// baseline is analytic and has no event engine.
-	Scheduler SchedulerKind
 }
 
 // Report summarizes one simulation.
@@ -186,35 +164,10 @@ func (r *Report) EnergyReductionOver(other *Report) float64 {
 	return stats.Speedup(other.EnergyPJ, r.EnergyPJ)
 }
 
-// Simulate replays the workload on the platform. It is Run with no
-// options, returning the Report directly.
-func Simulate(p Platform, w *Workload) (*Report, error) {
-	res, err := Run(p, w)
-	if err != nil {
-		return nil, err
-	}
-	return res.Report, nil
-}
-
-// SimulateObserved replays the workload on the platform with the
-// observability layer attached: component metrics, activity spans and
-// snapshot series accumulate in ob. A nil ob disables instrumentation
-// entirely (Simulate is exactly this with ob == nil). Instrumentation is
-// observation-only — the returned Report is byte-identical either way. The
-// CPU platform is an analytic model with no simulated timeline, so it
-// records nothing. It is Run with WithObserver(ob).
-func SimulateObserved(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
-	res, err := Run(p, w, WithObserver(ob))
-	if err != nil {
-		return nil, err
-	}
-	return res.Report, nil
-}
-
 // simulateOne is the single-tenant simulation behind Run.
 func simulateOne(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
 	if w == nil || w.tr == nil {
-		return nil, fmt.Errorf("beacon: nil workload")
+		return nil, fmt.Errorf("%w: nil workload", ErrBadConfig)
 	}
 	rep := &Report{Platform: p, Workload: w.Name}
 	switch p.Kind {
@@ -237,7 +190,6 @@ func simulateOne(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
 		}
 		cfg.IdealComm = p.Opts.IdealComm
 		cfg.Obs = ob
-		cfg.Scheduler = p.Scheduler
 		res, err := baseline.RunDDR(cfg, w.tr)
 		if err != nil {
 			return nil, err
@@ -263,7 +215,6 @@ func simulateOne(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
 		cfg.Obs = ob
 		cfg.Faults = p.Faults
 		cfg.FaultSeed = p.FaultSeed
-		cfg.Scheduler = p.Scheduler
 		res, err := core.Run(cfg, w.tr)
 		if err != nil {
 			return nil, err
@@ -283,17 +234,7 @@ func simulateOne(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
 		}
 		return rep, nil
 	}
-	return nil, fmt.Errorf("beacon: unknown platform %d", int(p.Kind))
-}
-
-// SharedReport summarizes a multi-tenant (co-located) run — the §II memory
-// pooling scenario: several workloads sharing one pool's DIMMs, fabric and
-// NDP modules.
-type SharedReport struct {
-	// Combined is the whole run (its fields aggregate all tenants).
-	Combined Report
-	// Tenants lists each workload's own completion.
-	Tenants []TenantReport
+	return nil, fmt.Errorf("%w: unknown platform %d", ErrBadConfig, int(p.Kind))
 }
 
 // TenantReport is one workload's share of a co-located run.
@@ -303,25 +244,11 @@ type TenantReport struct {
 	Tasks    int
 }
 
-// SimulateShared replays several workloads concurrently on one BEACON
-// platform (BeaconD or BeaconS). Their tasks interleave in the task
-// schedulers and contend for the same fabric and DRAM. It is Run with
-// WithCoRun(wls[1:]...).
-func SimulateShared(p Platform, wls []*Workload) (*SharedReport, error) {
-	if len(wls) == 0 {
-		return nil, fmt.Errorf("beacon: shared run needs at least one workload")
-	}
-	res, err := Run(p, wls[0], WithCoRun(wls[1:]...))
-	if err != nil {
-		return nil, err
-	}
-	return &SharedReport{Combined: *res.Report, Tenants: res.Tenants}, nil
-}
-
-// simulateShared is the multi-tenant simulation behind Run.
-func simulateShared(p Platform, wls []*Workload) (*SharedReport, error) {
+// simulateShared is the multi-tenant simulation behind Run: it returns the
+// combined (all-tenant) report and each workload's own completion.
+func simulateShared(p Platform, wls []*Workload) (*Report, []TenantReport, error) {
 	if p.Kind != BeaconD && p.Kind != BeaconS {
-		return nil, fmt.Errorf("beacon: shared runs require a BEACON platform, got %v", p.Kind)
+		return nil, nil, fmt.Errorf("%w: shared runs require a BEACON platform, got %v", ErrBadConfig, p.Kind)
 	}
 	design := core.DesignD
 	if p.Kind == BeaconS {
@@ -331,37 +258,34 @@ func simulateShared(p Platform, wls []*Workload) (*SharedReport, error) {
 	names := make([]string, len(wls))
 	for i, w := range wls {
 		if w == nil || w.tr == nil {
-			return nil, fmt.Errorf("beacon: nil workload at index %d", i)
+			return nil, nil, fmt.Errorf("%w: nil workload at index %d", ErrBadConfig, i)
 		}
 		traces = append(traces, w.tr)
 		names[i] = w.Name
 	}
-	cfg := core.DefaultConfig(design, p.Opts.coreOpts())
-	cfg.Scheduler = p.Scheduler
-	res, err := core.RunShared(cfg, traces)
+	res, err := core.RunShared(core.DefaultConfig(design, p.Opts.coreOpts()), traces)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := &SharedReport{
-		Combined: Report{
-			Platform:        p,
-			Workload:        "shared",
-			Cycles:          int64(res.Combined.Cycles),
-			Seconds:         res.Combined.Seconds(),
-			EnergyPJ:        res.Combined.EnergyPJ(),
-			CommEnergyPJ:    res.Combined.Energy.CommunicationPJ,
-			DRAMEnergyPJ:    res.Combined.Energy.DRAMPJ,
-			ComputeEnergyPJ: res.Combined.Energy.ComputePJ,
-			WireBytes:       res.Combined.Fabric.WireBytes,
-			HostCrossings:   res.Combined.Fabric.HostCrossings,
-		},
+	rep := &Report{
+		Platform:        p,
+		Workload:        "shared",
+		Cycles:          int64(res.Combined.Cycles),
+		Seconds:         res.Combined.Seconds(),
+		EnergyPJ:        res.Combined.EnergyPJ(),
+		CommEnergyPJ:    res.Combined.Energy.CommunicationPJ,
+		DRAMEnergyPJ:    res.Combined.Energy.DRAMPJ,
+		ComputeEnergyPJ: res.Combined.Energy.ComputePJ,
+		WireBytes:       res.Combined.Fabric.WireBytes,
+		HostCrossings:   res.Combined.Fabric.HostCrossings,
 	}
+	var tenants []TenantReport
 	for i, sl := range res.PerWorkload {
-		out.Tenants = append(out.Tenants, TenantReport{
+		tenants = append(tenants, TenantReport{
 			Workload: names[i],
 			Seconds:  sim.Seconds(sl.Cycles),
 			Tasks:    sl.Tasks,
 		})
 	}
-	return out, nil
+	return rep, tenants, nil
 }

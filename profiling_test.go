@@ -18,7 +18,7 @@ func profileFor(t *testing.T, kind PlatformKind) obs.Profile {
 	}
 	ob := obs.New(kind.String())
 	ob.SampleEvery = 100_000
-	if _, err := SimulateObserved(Platform{Kind: kind, Opts: AllOptimizations()}, wl, ob); err != nil {
+	if _, err := Run(Platform{Kind: kind, Opts: AllOptimizations()}, wl, WithObserver(ob)); err != nil {
 		t.Fatal(err)
 	}
 	return obs.NewProfile(ob.Metrics.Snapshots())
@@ -74,7 +74,7 @@ func TestProfileDiffSelfIsEmpty(t *testing.T) {
 		col := obs.NewCollection()
 		col.SampleEvery = 100_000
 		ob := col.New("fm-seeding/Pt/beacon-d")
-		if _, err := SimulateObserved(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl, ob); err != nil {
+		if _, err := Run(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl, WithObserver(ob)); err != nil {
 			t.Fatal(err)
 		}
 		d := col.Dump()
@@ -97,7 +97,7 @@ func TestOpenMetricsExportOfRealRun(t *testing.T) {
 	}
 	col := obs.NewCollection()
 	ob := col.New("fm-seeding/Pt/beacon-d")
-	if _, err := SimulateObserved(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl, ob); err != nil {
+	if _, err := Run(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wl, WithObserver(ob)); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder

@@ -15,8 +15,6 @@ type runSettings struct {
 	faults    FaultProfile
 	faultSeed uint64
 	setFaults bool
-	sched     SchedulerKind
-	setSched  bool
 	shared    bool
 	coRun     []*Workload
 }
@@ -38,19 +36,6 @@ func WithFaultInjection(profile FaultProfile, seed uint64) RunOption {
 		s.faults = profile
 		s.faultSeed = seed
 		s.setFaults = true
-	}
-}
-
-// WithScheduler selects the event engine's pending-event queue
-// implementation (overriding the Platform's own Scheduler field): the
-// calendar queue (the default) or the reference binary heap. Reports are
-// byte-identical across kinds — the differential suite in internal/sim
-// proves the dispatch sequences equal — so this is a performance knob and
-// a determinism cross-check, never a modeling choice.
-func WithScheduler(k SchedulerKind) RunOption {
-	return func(s *runSettings) {
-		s.sched = k
-		s.setSched = true
 	}
 }
 
@@ -77,11 +62,15 @@ type RunResult struct {
 	Tenants []TenantReport
 }
 
-// Run replays the workload on the platform. It is the single entry point
-// behind Simulate, SimulateObserved and SimulateShared: options select
-// instrumentation (WithObserver), deterministic fault injection
+// Run replays the workload on the platform. It is the one way to run a
+// simulation (RunSpec.Execute and the Evaluator both end here): options
+// select instrumentation (WithObserver), deterministic fault injection
 // (WithFaultInjection) and multi-tenant co-location (WithCoRun), and they
 // compose — except that co-located runs do not support an observer.
+//
+// Argument errors — a nil workload, an unknown platform kind, co-location
+// on a non-BEACON platform, an observer on a co-located run — wrap
+// ErrBadConfig, so HTTPStatus maps them to 400.
 //
 // Determinism: identical platform, workload(s) and options produce a
 // byte-identical result.
@@ -94,18 +83,15 @@ func Run(p Platform, w *Workload, opts ...RunOption) (*RunResult, error) {
 		p.Faults = s.faults
 		p.FaultSeed = s.faultSeed
 	}
-	if s.setSched {
-		p.Scheduler = s.sched
-	}
 	if s.shared {
 		if s.ob != nil {
 			return nil, fmt.Errorf("%w: co-located runs do not support an observer", ErrBadConfig)
 		}
-		sr, err := simulateShared(p, append([]*Workload{w}, s.coRun...))
+		rep, tenants, err := simulateShared(p, append([]*Workload{w}, s.coRun...))
 		if err != nil {
 			return nil, err
 		}
-		return &RunResult{Report: &sr.Combined, Tenants: sr.Tenants}, nil
+		return &RunResult{Report: rep, Tenants: tenants}, nil
 	}
 	rep, err := simulateOne(p, w, s.ob)
 	if err != nil {

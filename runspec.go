@@ -14,7 +14,7 @@ import (
 // whenever the JSON shape or the canonical encoding changes incompatibly;
 // decoders reject every other version, so a daemon and its clients can
 // never silently disagree about what a spec means.
-const RunSpecVersion = 1
+const RunSpecVersion = 2
 
 // WorkloadSpec names one workload to construct: the application plus its
 // full configuration. It is the declarative counterpart of NewWorkload —
@@ -29,8 +29,7 @@ type WorkloadSpec struct {
 
 // RunSpec is the versioned, serializable description of one simulation
 // run: what to build (workload + co-run set) and where to replay it
-// (platform, optimization ladder position, fault profile and seed, event
-// scheduler). It is the single construction path behind the CLIs and the
+// (platform, optimization ladder position, fault profile and seed). It is the single construction path behind the CLIs and the
 // beaconsimd daemon: flag sets and HTTP bodies both compile down to a
 // RunSpec, Execute turns it into a RunResult, and CanonicalHash gives it a
 // stable content address for job IDs and cache keys.
@@ -54,22 +53,17 @@ type RunSpec struct {
 	Faults string
 	// FaultSeed seeds the deterministic per-component fault streams.
 	FaultSeed uint64
-	// Scheduler names the event engine's pending-event queue ("calendar",
-	// "heap"; "" means "calendar").
-	Scheduler string
 }
 
 // NewRunSpec returns a runnable spec for the given workload on the default
-// platform: BEACON-D with the full optimization stack, no faults, the
-// calendar-queue scheduler.
+// platform: BEACON-D with the full optimization stack, no faults.
 func NewRunSpec(app Application, cfg WorkloadConfig) RunSpec {
 	return RunSpec{
-		Version:   RunSpecVersion,
-		Workload:  WorkloadSpec{App: app, Config: cfg},
-		Kind:      BeaconD,
-		Opts:      AllOptimizations(),
-		Faults:    "off",
-		Scheduler: "calendar",
+		Version:  RunSpecVersion,
+		Workload: WorkloadSpec{App: app, Config: cfg},
+		Kind:     BeaconD,
+		Opts:     AllOptimizations(),
+		Faults:   "off",
 	}
 }
 
@@ -131,15 +125,6 @@ func canonicalFaultsName(s string) string {
 	return s
 }
 
-// canonicalSchedulerName normalizes the scheduler spelling ("" is the
-// calendar default).
-func canonicalSchedulerName(s string) string {
-	if s == "" {
-		return "calendar"
-	}
-	return s
-}
-
 // Compile-time guards: the unkeyed literals fail to compile whenever a
 // spec-carrying struct gains or loses a field, forcing the canonical
 // encoding below (and its golden test) to be revisited. Stale cache hits
@@ -148,7 +133,7 @@ func canonicalSchedulerName(s string) string {
 var (
 	_ = WorkloadConfig{"", 0, 0, 0, 0, 0, 0, 0, false, 0, 0, MultiPass, 0, 0}
 	_ = Options{false, false, false, false, false}
-	_ = RunSpec{0, WorkloadSpec{}, nil, 0, Options{}, "", 0, ""}
+	_ = RunSpec{0, WorkloadSpec{}, nil, 0, Options{}, "", 0}
 )
 
 // canonicalFields enumerates every WorkloadSpec field as key=value pairs.
@@ -216,11 +201,11 @@ func (ws WorkloadSpec) validate() error {
 
 // CanonicalString renders the whole spec as a stable key=value enumeration:
 // version, every workload field, every platform knob, the normalized fault
-// and scheduler names, and the co-run set in order. Two specs share the
+// name, and the co-run set in order. Two specs share the
 // string exactly when Execute would produce byte-identical results from
 // byte-identical construction work.
 func (s RunSpec) CanonicalString() string {
-	parts := make([]string, 0, 24+len(s.CoRun))
+	parts := make([]string, 0, 23+len(s.CoRun))
 	parts = append(parts, "beacon.RunSpec/v"+strconv.Itoa(s.Version))
 	parts = append(parts, s.Workload.canonicalFields()...)
 	parts = append(parts,
@@ -232,7 +217,6 @@ func (s RunSpec) CanonicalString() string {
 		"ideal="+strconv.FormatBool(s.Opts.IdealComm),
 		"faults="+canonicalFaultsName(s.Faults),
 		"faultseed="+strconv.FormatUint(s.FaultSeed, 10),
-		"scheduler="+canonicalSchedulerName(s.Scheduler),
 		"corun="+strconv.Itoa(len(s.CoRun)),
 	)
 	for i, c := range s.CoRun {
@@ -250,8 +234,8 @@ func (s RunSpec) CanonicalHash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Platform resolves the spec's platform half: kind, optimization options,
-// parsed fault profile and scheduler kind. It does not validate the
+// Platform resolves the spec's platform half: kind, optimization options
+// and parsed fault profile. It does not validate the
 // workload half (Validate does both).
 func (s RunSpec) Platform() (Platform, error) {
 	switch s.Kind {
@@ -263,16 +247,11 @@ func (s RunSpec) Platform() (Platform, error) {
 	if err != nil {
 		return Platform{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	sched, err := ParseSchedulerKind(canonicalSchedulerName(s.Scheduler))
-	if err != nil {
-		return Platform{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
 	return Platform{
 		Kind:      s.Kind,
 		Opts:      s.Opts,
 		Faults:    prof,
 		FaultSeed: s.FaultSeed,
-		Scheduler: sched,
 	}, nil
 }
 
@@ -370,7 +349,6 @@ type runSpecWire struct {
 	Options   optionsWire    `json:"options"`
 	Faults    string         `json:"faults"`
 	FaultSeed uint64         `json:"fault_seed"`
-	Scheduler string         `json:"scheduler"`
 }
 
 func workloadToWire(ws WorkloadSpec) workloadWire {
@@ -424,8 +402,8 @@ func workloadFromWire(w workloadWire) (WorkloadSpec, error) {
 	}, nil
 }
 
-// MarshalJSON renders the spec in its versioned wire form with normalized
-// fault and scheduler names, so marshaling is a canonicalizing operation:
+// MarshalJSON renders the spec in its versioned wire form with a normalized
+// fault name, so marshaling is a canonicalizing operation:
 // unmarshal(marshal(s)) compares equal for any valid s.
 func (s RunSpec) MarshalJSON() ([]byte, error) {
 	w := runSpecWire{
@@ -434,7 +412,6 @@ func (s RunSpec) MarshalJSON() ([]byte, error) {
 		Platform:  s.Kind.String(),
 		Faults:    canonicalFaultsName(s.Faults),
 		FaultSeed: s.FaultSeed,
-		Scheduler: canonicalSchedulerName(s.Scheduler),
 		Options: optionsWire{
 			DataPacking:  s.Opts.DataPacking,
 			MemAccessOpt: s.Opts.MemAccessOpt,
@@ -481,7 +458,6 @@ func (s *RunSpec) UnmarshalJSON(data []byte) error {
 		Kind:      kind,
 		Faults:    canonicalFaultsName(w.Faults),
 		FaultSeed: w.FaultSeed,
-		Scheduler: canonicalSchedulerName(w.Scheduler),
 		Opts: Options{
 			DataPacking:  w.Options.DataPacking,
 			MemAccessOpt: w.Options.MemAccessOpt,

@@ -29,7 +29,6 @@ func TestRunSpecJSONRoundTrip(t *testing.T) {
 			s.Opts.IdealComm = true
 			s.Faults = "heavy"
 			s.FaultSeed = 42
-			s.Scheduler = "heap"
 			return s
 		}(),
 		func() RunSpec {
@@ -70,7 +69,6 @@ func TestRunSpecJSONNormalizes(t *testing.T) {
 	t.Parallel()
 	s := quickSpec()
 	s.Faults = "" // same meaning as "off"
-	s.Scheduler = ""
 	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +76,8 @@ func TestRunSpecJSONNormalizes(t *testing.T) {
 	if !strings.Contains(string(data), `"faults":"off"`) {
 		t.Errorf("marshal did not normalize faults: %s", data)
 	}
-	if !strings.Contains(string(data), `"scheduler":"calendar"`) {
-		t.Errorf("marshal did not normalize scheduler: %s", data)
+	if strings.Contains(string(data), `"scheduler"`) {
+		t.Errorf("wire form carries the version 1 scheduler key: %s", data)
 	}
 }
 
@@ -116,8 +114,12 @@ func TestRunSpecStrictDecoding(t *testing.T) {
 			m["options"].(map[string]any)["turbo"] = true
 		}), ErrBadConfig},
 		{"trailing data", string(valid) + `{"version":1}`, ErrBadConfig},
-		{"future version", mutate(func(m map[string]any) { m["version"] = 2 }), ErrBadConfig},
+		{"future version", mutate(func(m map[string]any) { m["version"] = RunSpecVersion + 1 }), ErrBadConfig},
 		{"missing version", mutate(func(m map[string]any) { delete(m, "version") }), ErrBadConfig},
+		{"version 1 body with scheduler", mutate(func(m map[string]any) {
+			m["version"] = 1
+			m["scheduler"] = "calendar"
+		}), ErrBadConfig},
 		{"unknown application", mutate(func(m map[string]any) {
 			m["workload"].(map[string]any)["app"] = "protein-folding"
 		}), ErrUnsupportedApp},
@@ -128,8 +130,9 @@ func TestRunSpecStrictDecoding(t *testing.T) {
 		{"not json", "platform=beacon-d", ErrBadConfig},
 	}
 	for _, tc := range cases {
-		if _, err := ParseRunSpec([]byte(tc.body)); !errors.Is(err, tc.sentinel) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.sentinel)
+		_, err := ParseRunSpec([]byte(tc.body))
+		if !errors.Is(err, tc.sentinel) || HTTPStatus(err) != HTTPStatus(tc.sentinel) {
+			t.Errorf("%s: err = %v (status %d), want %v", tc.name, err, HTTPStatus(err), tc.sentinel)
 		}
 	}
 }
@@ -141,12 +144,12 @@ func TestRunSpecStrictDecoding(t *testing.T) {
 func TestRunSpecCanonicalStringGolden(t *testing.T) {
 	t.Parallel()
 	spec := NewRunSpec(FMSeeding, DefaultWorkloadConfig(PinusTaeda))
-	const want = "beacon.RunSpec/v1" +
+	const want = "beacon.RunSpec/v2" +
 		"|app=fm-seeding|species=Pt|scale=30000|reads=500|readlen=100" +
 		"|errrate=0.01|seed=12495879|seedlen=20|maxhits=8|mem=false" +
 		"|memminlen=19|k=28|flow=multi-pass|maxedits=5|candidates=8" +
 		"|platform=beacon-d|pack=true|maopt=true|place=true|coal=true|ideal=false" +
-		"|faults=off|faultseed=0|scheduler=calendar|corun=0"
+		"|faults=off|faultseed=0|corun=0"
 	if got := spec.CanonicalString(); got != want {
 		t.Errorf("canonical string drifted:\ngot  %s\nwant %s", got, want)
 	}
@@ -187,7 +190,6 @@ func TestRunSpecCanonicalHashCoversEveryField(t *testing.T) {
 		"Opts.IdealComm":    func(s *RunSpec) { s.Opts.IdealComm = true },
 		"Faults":            func(s *RunSpec) { s.Faults = "heavy" },
 		"FaultSeed":         func(s *RunSpec) { s.FaultSeed++ },
-		"Scheduler":         func(s *RunSpec) { s.Scheduler = "heap" },
 		"CoRun": func(s *RunSpec) {
 			s.CoRun = []WorkloadSpec{{App: PreAlignment, Config: DefaultWorkloadConfig(PinusTaeda)}}
 		},
@@ -217,8 +219,7 @@ func TestRunSpecCanonicalHashCoversEveryField(t *testing.T) {
 }
 
 // TestRunSpecCanonicalNormalization pins that equivalent spellings of the
-// default fault/scheduler names hash identically, and non-equivalent
-// settings do not.
+// default fault name hash identically, and non-equivalent settings do not.
 func TestRunSpecCanonicalNormalization(t *testing.T) {
 	t.Parallel()
 	base := quickSpec()
@@ -230,10 +231,6 @@ func TestRunSpecCanonicalNormalization(t *testing.T) {
 		}
 	}
 	s := base
-	s.Scheduler = ""
-	if s.CanonicalHash() != base.CanonicalHash() {
-		t.Error(`scheduler "" should hash like "calendar"`)
-	}
 	s.Faults = "default"
 	if s.CanonicalHash() == base.CanonicalHash() {
 		t.Error(`faults "default" should not hash like "off"`)
@@ -257,7 +254,6 @@ func TestRunSpecValidate(t *testing.T) {
 		{"unknown flow", func(s *RunSpec) { s.Workload.Config.Flow = KmerFlow(9) }, ErrBadConfig},
 		{"unknown kind", func(s *RunSpec) { s.Kind = PlatformKind(99) }, ErrBadConfig},
 		{"unknown faults", func(s *RunSpec) { s.Faults = "catastrophic" }, ErrBadConfig},
-		{"unknown scheduler", func(s *RunSpec) { s.Scheduler = "fifo" }, ErrBadConfig},
 		{"co-run on cpu", func(s *RunSpec) {
 			s.Kind = CPU
 			s.CoRun = []WorkloadSpec{{App: PreAlignment, Config: quickCfg(PinusTaeda)}}

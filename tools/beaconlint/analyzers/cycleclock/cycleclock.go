@@ -14,7 +14,7 @@
 //   - a zero-value sim.Engine must not be constructed outside package sim
 //     (composite literal, new(), a value-typed variable or struct field):
 //     the zero value has no pending-event queue and panics on first use —
-//     NewEngine / NewEngineWithScheduler are the only constructors.
+//     sim.NewEngine is the only constructor.
 package cycleclock
 
 import (

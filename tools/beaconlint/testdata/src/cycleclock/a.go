@@ -30,7 +30,8 @@ func variableDelayOK(e *sim.Engine, d sim.Cycles) {
 }
 
 // Zero-value construction: the engine's pending-event queue only exists
-// after NewEngine, so every zero-value path is diagnosed.
+// after sim.NewEngine, the only constructor, so every zero-value path is
+// diagnosed.
 
 var pkgLevelEngine sim.Engine // want `variable declared with value type sim\.Engine`
 

@@ -46,11 +46,11 @@ func TestWorkloadCacheDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(cold.tr, warm.tr) {
 			t.Fatalf("%v: decoded trace differs from cold build", app)
 		}
-		a, err := Simulate(p, cold)
+		a, err := Run(p, cold)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Simulate(p, warm)
+		b, err := Run(p, warm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,8 +161,8 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
-// TestRunEquivalence pins that the three legacy entry points are exactly
-// Run with the corresponding options.
+// TestRunEquivalence pins how Run's options relate to the Platform fields
+// they override and how they compose.
 func TestRunEquivalence(t *testing.T) {
 	t.Parallel()
 	wl, err := NewFMSeedingWorkload(quickCfg(PinusTaeda))
@@ -171,16 +171,9 @@ func TestRunEquivalence(t *testing.T) {
 	}
 	p := Platform{Kind: BeaconD, Opts: AllOptimizations()}
 
-	legacy, err := Simulate(p, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res, err := Run(p, wl)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy, res.Report) {
-		t.Error("Run differs from Simulate")
 	}
 	if res.Tenants != nil {
 		t.Error("single-tenant Run reported tenants")
@@ -190,7 +183,7 @@ func TestRunEquivalence(t *testing.T) {
 	pf := p
 	pf.Faults = DefaultFaultProfile()
 	pf.FaultSeed = 7
-	viaPlatform, err := Simulate(pf, wl)
+	viaPlatform, err := Run(pf, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,28 +191,26 @@ func TestRunEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(viaPlatform, viaOption.Report) {
+	if !reflect.DeepEqual(viaPlatform, viaOption) {
 		t.Error("WithFaultInjection differs from Platform.Faults")
 	}
 
-	// Co-location == SimulateShared.
+	// Co-location reports the combined run plus one entry per tenant, in
+	// workload order.
 	second, err := NewPreAlignmentWorkload(quickCfg(PinusTaeda))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedLegacy, err := SimulateShared(p, []*Workload{wl, second})
+	shared, err := Run(p, wl, WithCoRun(second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedRun, err := Run(p, wl, WithCoRun(second))
-	if err != nil {
-		t.Fatal(err)
+	if shared.Report.Workload != "shared" || shared.Report.Cycles <= res.Report.Cycles {
+		t.Errorf("combined report %+v, want the shared run to outlast the solo one (%d cycles)",
+			shared.Report, res.Report.Cycles)
 	}
-	if !reflect.DeepEqual(&sharedLegacy.Combined, sharedRun.Report) {
-		t.Error("WithCoRun combined report differs from SimulateShared")
-	}
-	if !reflect.DeepEqual(sharedLegacy.Tenants, sharedRun.Tenants) {
-		t.Error("WithCoRun tenants differ from SimulateShared")
+	if len(shared.Tenants) != 2 || shared.Tenants[0].Workload != wl.Name || shared.Tenants[1].Workload != second.Name {
+		t.Errorf("tenants = %+v, want %s then %s", shared.Tenants, wl.Name, second.Name)
 	}
 
 	// Observer + co-run is rejected as a config error; a nil observer is
