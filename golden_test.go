@@ -59,7 +59,100 @@ func goldenReport(t *testing.T) string {
 		faulty.Rows = append(faulty.Rows, FaultSummaryRow{Kind: kind, Stats: rep.Faults})
 	}
 
-	return clean.String() + "\n" + degraded.String() + "\n" + faulty.String()
+	return clean.String() + "\n" + degraded.String() + "\n" + faulty.String() + "\n" + replayGolden(t)
+}
+
+// replayGolden covers the task-replay paths the FM-only tables above never
+// reach, at a tiny scale: every application on the DDR baseline and both
+// BEACON designs across the optimization ladder (remote atomics, the host
+// coherence detour, pre-alignment and hash paths), the BEACON designs under
+// heavy faults and with every NDP unit failing (task migration and the
+// host-CPU fallback), and one co-located tenant pair.
+func replayGolden(t *testing.T) string {
+	t.Helper()
+	cfg := DefaultWorkloadConfig(PinusTaeda)
+	cfg.GenomeScale = 2_000
+	cfg.Reads = 40
+	apps := []Application{FMSeeding, HashSeeding, KmerCounting, PreAlignment}
+	wls := make([]*Workload, len(apps))
+	for i, app := range apps {
+		wl, err := NewWorkload(app, cfg)
+		if err != nil {
+			t.Fatalf("%v workload: %v", app, err)
+		}
+		wls[i] = wl
+	}
+
+	ladder := report.NewTable("Replay ladder, scale 2000, 40 reads",
+		"app", "platform", "opts", "cycles", "energy pJ", "comm pJ", "local frac", "wire bytes", "host crossings")
+	opts := []struct {
+		name string
+		o    Options
+	}{{"vanilla", Vanilla()}, {"all", AllOptimizations()}, {"ideal", IdealComm()}}
+	for i, wl := range wls {
+		for _, kind := range []PlatformKind{DDRBaseline, BeaconD, BeaconS} {
+			for _, o := range opts {
+				res, err := Run(Platform{Kind: kind, Opts: o.o}, wl)
+				if err != nil {
+					t.Fatalf("%v %v %s: %v", apps[i], kind, o.name, err)
+				}
+				rep := res.Report
+				ladder.AddRow(apps[i].String(), kind.String(), o.name,
+					fmt.Sprint(rep.Cycles),
+					fmt.Sprintf("%.6g", rep.EnergyPJ),
+					fmt.Sprintf("%.6g", rep.CommEnergyPJ),
+					fmt.Sprintf("%.4f", rep.LocalFraction),
+					fmt.Sprint(rep.WireBytes),
+					fmt.Sprint(rep.HostCrossings))
+			}
+		}
+	}
+
+	unitFail := DefaultFaultProfile()
+	unitFail.NDP.UnitFailProb = 1
+	profiles := []struct {
+		name string
+		p    FaultProfile
+	}{{"heavy", HeavyFaultProfile()}, {"unit-fail", unitFail}}
+	faulty := report.NewTable("Replay under faults (seed 7, all optimizations)",
+		"app", "platform", "profile", "cycles", "energy pJ", "faults total",
+		"unit fails", "DRAM retries", "migrated", "host fallback")
+	for i, wl := range wls {
+		for _, kind := range []PlatformKind{BeaconD, BeaconS} {
+			for _, pr := range profiles {
+				res, err := Run(Platform{Kind: kind, Opts: AllOptimizations()}, wl,
+					WithFaultInjection(pr.p, 7))
+				if err != nil {
+					t.Fatalf("%v %v %s: %v", apps[i], kind, pr.name, err)
+				}
+				rep := res.Report
+				f := rep.Faults
+				faulty.AddRow(apps[i].String(), kind.String(), pr.name,
+					fmt.Sprint(rep.Cycles),
+					fmt.Sprintf("%.6g", rep.EnergyPJ),
+					fmt.Sprint(f.Total()),
+					fmt.Sprint(f.NDPUnitFailures),
+					fmt.Sprint(f.DRAMRetries),
+					fmt.Sprint(f.MigratedTasks),
+					fmt.Sprint(f.HostFallbackTasks))
+			}
+		}
+	}
+
+	shared := report.NewTable("Co-located FM + hash seeding on beacon-d (all optimizations)",
+		"workload", "cycles", "seconds", "tasks", "energy pJ", "wire bytes")
+	res, err := Run(Platform{Kind: BeaconD, Opts: AllOptimizations()}, wls[0], WithCoRun(wls[1]))
+	if err != nil {
+		t.Fatalf("co-run: %v", err)
+	}
+	rep := res.Report
+	shared.AddRow(rep.Workload, fmt.Sprint(rep.Cycles), fmt.Sprintf("%.6e", rep.Seconds), "",
+		fmt.Sprintf("%.6g", rep.EnergyPJ), fmt.Sprint(rep.WireBytes))
+	for _, tn := range res.Tenants {
+		shared.AddRow(tn.Workload, "", fmt.Sprintf("%.6e", tn.Seconds), fmt.Sprint(tn.Tasks), "", "")
+	}
+
+	return ladder.String() + "\n" + faulty.String() + "\n" + shared.String()
 }
 
 // TestReportGolden locks the rendered evaluation report to a committed
