@@ -10,9 +10,17 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the packages that create or drive goroutines.
+# Race-detector pass over the packages that run concurrently: the
+# orchestrator (root), the worker pool, the observability layer, the fault
+# subsystem, the event kernel they drive, the on-disk workload cache
+# (shared by parallel evaluator jobs), the machines (co-located runs on
+# concurrent daemon workers keep per-run hooks), the daemon's admission
+# queue, and the CLI progress observer. The full tree runs race-free too,
+# but scoping keeps the (~10x slower) instrumented run fast while still
+# covering every goroutine the repository creates. CI's race job runs this
+# target.
 race:
-	$(GO) test -race -timeout 15m . ./internal/runner ./internal/obs ./internal/fault ./internal/sim ./internal/wcache
+	$(GO) test -race -timeout 15m . ./internal/runner ./internal/obs ./internal/fault ./internal/sim ./internal/wcache ./internal/core ./internal/server ./internal/cliutil
 
 # Trace-pipeline and event-engine benchmarks plus the committed comparison
 # artifacts (BENCH_trace.json: cold build vs cache-hit construction;

@@ -109,7 +109,7 @@ func main() {
 		Obs:           col,
 		Faults:        faults,
 		FaultSeed:     of.FaultSeed,
-		WorkloadCache: openWorkloadCache(of),
+		WorkloadCache: cliutil.OpenWorkloadCache(of.WorkloadCache),
 	})
 	if err != nil {
 		// Dump whatever observability accumulated before the failure, then
@@ -179,22 +179,6 @@ func main() {
 		[2]string{"seed", fmt.Sprintf("0x%X", ev.Provenance.Seed)},
 		[2]string{"wall", time.Since(start).Round(time.Millisecond).String()},
 	))
-}
-
-// openWorkloadCache resolves -workload-cache. The cache is a pure
-// accelerant, so an unopenable directory degrades to cold builds with a
-// warning instead of failing the evaluation.
-func openWorkloadCache(of *cliutil.Flags) *beacon.WorkloadCache {
-	dir, enabled := of.WorkloadCacheDir()
-	if !enabled {
-		return nil
-	}
-	wc, err := beacon.OpenWorkloadCache(dir)
-	if err != nil {
-		log.Printf("workload cache disabled: %v", err)
-		return nil
-	}
-	return wc
 }
 
 func section(title string) {

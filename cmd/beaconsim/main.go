@@ -64,7 +64,7 @@ func main() {
 
 	fmt.Println(obs.NewProvenance(cfg, cfg.Seed).Header(0))
 
-	wc := openWorkloadCache(of)
+	wc := cliutil.OpenWorkloadCache(of.WorkloadCache)
 	wl, err := specs[0].Workload.Build(wc)
 	if err != nil {
 		log.Fatal(err)
@@ -130,22 +130,6 @@ func main() {
 	}
 	stopProfiles()
 	os.Exit(0)
-}
-
-// openWorkloadCache resolves -workload-cache. The cache is a pure
-// accelerant, so an unopenable directory degrades to a cold build with a
-// warning instead of failing the run.
-func openWorkloadCache(of *cliutil.Flags) *beacon.WorkloadCache {
-	dir, enabled := of.WorkloadCacheDir()
-	if !enabled {
-		return nil
-	}
-	wc, err := beacon.OpenWorkloadCache(dir)
-	if err != nil {
-		log.Printf("workload cache disabled: %v", err)
-		return nil
-	}
-	return wc
 }
 
 func printReport(kind beacon.PlatformKind, rep *beacon.Report) {

@@ -34,7 +34,7 @@ import (
 	"syscall"
 	"time"
 
-	beacon "beacon"
+	"beacon/internal/cliutil"
 	"beacon/internal/obs"
 	"beacon/internal/runner"
 	"beacon/internal/server"
@@ -62,21 +62,9 @@ func main() {
 		return
 	}
 
-	var wc *beacon.WorkloadCache
-	switch *workloadCache {
-	case "off", "false", "no":
-	default:
-		dir := *workloadCache
-		if dir == "auto" {
-			dir = ""
-		}
-		opened, err := beacon.OpenWorkloadCache(dir)
-		if err != nil {
-			log.Printf("workload cache disabled: %v", err)
-		} else {
-			wc = opened
-			log.Printf("workload cache: %s", wc.Dir())
-		}
+	wc := cliutil.OpenWorkloadCache(*workloadCache)
+	if wc != nil {
+		log.Printf("workload cache: %s", wc.Dir())
 	}
 
 	var col *obs.Collection

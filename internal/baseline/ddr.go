@@ -2,8 +2,8 @@
 // DDR-DIMM based NDP accelerators (MEDAL for DNA seeding, NEST for k-mer
 // counting) and the 48-thread CPU software baseline.
 //
-// The DDR machines share BEACON's DIMM timing model and task-replay
-// semantics but live on conventional DDR memory channels: inter-DIMM
+// The DDR machines share BEACON's DIMM timing model and its task-replay
+// loop (ndp.Replay) but live on conventional DDR memory channels: inter-DIMM
 // communication crosses a single shared, half-duplex channel bus
 // (12.8 GB/s), and cross-channel traffic detours through the host memory
 // controller. That topology is the source of MEDAL's ~12x intra/inter
@@ -49,22 +49,11 @@ type DDRConfig struct {
 	ReqBytes int
 	// AtomicLatency is the in-DIMM atomic unit latency.
 	AtomicLatency int
-	// InFlightPerDIMM bounds concurrently active tasks per DIMM.
-	InFlightPerDIMM int
-	// TaskAffinity is the fraction of hot-index stripes kept local to the
-	// serving DIMM by task-migration techniques. The default (0) models
-	// MEDAL's evaluation regime: the index is sharded channel-locally but
-	// probes land on random shards, leaving inter-DIMM communication as the
-	// bottleneck (Fig. 1, Fig. 3). Raising it is an ablation knob for
-	// hypothetical stronger affinity schemes.
-	TaskAffinity float64
 	// IdealComm removes all communication cost (Fig. 3's idealization).
 	IdealComm bool
 	// Energy models.
 	Energy     energy.Model
 	DRAMEnergy dram.EnergyModel
-	// MaxEvents is the livelock backstop (0 = derived).
-	MaxEvents uint64
 	// Obs, when non-nil, attaches the observability layer (see core.Config).
 	// Observation-only: cycle counts are identical with Obs set or nil.
 	Obs *obs.Obs
@@ -83,7 +72,6 @@ func DefaultDDRConfig() DDRConfig {
 		HostLatencyCycles:       240,
 		ReqBytes:                16,
 		AtomicLatency:           4,
-		TaskAffinity:            0,
 		Energy:                  energy.DefaultModel(),
 		DRAMEnergy:              dram.DefaultEnergyModel(),
 	}
@@ -129,28 +117,18 @@ func (c DDRConfig) Validate() error {
 	if c.ReqBytes <= 0 || c.AtomicLatency < 0 {
 		return fmt.Errorf("baseline: invalid message/latency parameters")
 	}
-	if c.TaskAffinity < 0 || c.TaskAffinity >= 1 {
-		return fmt.Errorf("baseline: task affinity %g out of [0,1)", c.TaskAffinity)
-	}
 	return nil
 }
 
 // Result is the outcome of a DDR-baseline run.
 type Result struct {
-	// Cycles is the makespan.
-	Cycles sim.Cycle
-	// Tasks and Steps count completed work.
-	Tasks, Steps int
+	ndp.Totals
 	// Energy is the breakdown.
 	Energy energy.Breakdown
 	// ChannelBytes is the traffic crossing DDR channel buses.
 	ChannelBytes uint64
 	// HostCrossings counts cross-channel detours.
 	HostCrossings uint64
-	// PEBusyCycles accumulates PE busy time.
-	PEBusyCycles sim.Cycles
-	// LocalAccesses / RemoteAccesses split by DIMM locality.
-	LocalAccesses, RemoteAccesses uint64
 }
 
 // Seconds converts the makespan to seconds (1.25 ns cycles).
@@ -161,15 +139,15 @@ func (r *Result) EnergyPJ() float64 { return r.Energy.TotalPJ() }
 
 // DDRMachine is an instantiated MEDAL/NEST-style platform.
 type DDRMachine struct {
-	cfg     DDRConfig
-	engine  *sim.Engine
-	dimms   [][]*dram.DIMM // [channel][slot]
-	mappers []*memmgmt.Mapper
-	homes   []cxl.NodeID  // channel=Switch, slot=Slot
-	modules []*ndp.Module // one NDP module per accelerator DIMM
-	chanBus []*sim.Pipe   // per channel, half duplex shared
+	cfg    DDRConfig
+	engine *sim.Engine
+	dimms  [][]*dram.DIMM // [channel][slot]
+	// nodes holds one NDP module per accelerator DIMM, homed at
+	// channel=Switch, slot=Slot; rp replays tasks over them.
+	nodes   []ndp.Node
+	rp      *ndp.Replay
+	chanBus []*sim.Pipe // per channel, half duplex shared
 	host    *sim.Pipe
-	ob      *obs.Obs
 	stats   struct {
 		channelBytes  uint64
 		hostCrossings uint64
@@ -194,7 +172,6 @@ func NewDDRMachine(cfg DDRConfig) (*DDRMachine, error) {
 		DIMM:           cfg.DIMM,
 		Scheme:         memmgmt.SchemeArchData,
 		PlacementLocal: true, // MEDAL shards the index channel-locally
-		HomeBias:       cfg.TaskAffinity,
 		CoalesceGroup:  1,
 		StripeBytes:    4096,
 		FineUnitBytes:  32,
@@ -208,22 +185,19 @@ func NewDDRMachine(cfg DDRConfig) (*DDRMachine, error) {
 			}
 			row = append(row, dm)
 			home := cxl.DIMM(ch, d)
-			m.homes = append(m.homes, home)
 			mp, err := memmgmt.NewMapper(mm, home)
 			if err != nil {
 				return nil, err
 			}
-			m.mappers = append(m.mappers, mp)
 			mod, err := ndp.New(fmt.Sprintf("ch%d.d%d", ch, d), ndp.Config{
 				PEs:           cfg.PEsPerDIMM,
-				QueueDepth:    cfg.InFlightPerDIMM,
 				AtomicEngines: cfg.PEsPerDIMM,
 				AtomicLatency: cfg.AtomicLatency,
 			})
 			if err != nil {
 				return nil, err
 			}
-			m.modules = append(m.modules, mod)
+			m.nodes = append(m.nodes, ndp.Node{Module: mod, Home: home, Mapper: mp})
 		}
 		m.dimms = append(m.dimms, row)
 		if !cfg.IdealComm {
@@ -235,6 +209,7 @@ func NewDDRMachine(cfg DDRConfig) (*DDRMachine, error) {
 		m.host = sim.NewPipeN("hostbridge", cfg.HostBridgeBytesPerCycle,
 			sim.Cycles(cfg.HostLatencyCycles), cfg.Channels)
 	}
+	m.rp = ndp.NewReplay("ddr", m.engine, m.nodes, m.serve)
 	m.instrument(cfg.Obs)
 	return m, nil
 }
@@ -244,10 +219,7 @@ func (m *DDRMachine) instrument(ob *obs.Obs) {
 	if ob == nil {
 		return
 	}
-	m.ob = ob
 	reg := ob.Registry()
-	reg.Gauge("engine.pending_events", func() float64 { return float64(m.engine.Pending()) })
-	reg.Gauge("engine.executed_events", func() float64 { return float64(m.engine.Executed()) })
 	reg.Gauge("ddr.channel_bytes", func() float64 { return float64(m.stats.channelBytes) })
 	reg.Gauge("ddr.host_crossings", func() float64 { return float64(m.stats.hostCrossings) })
 	for _, row := range m.dimms {
@@ -255,9 +227,7 @@ func (m *DDRMachine) instrument(ob *obs.Obs) {
 			d.Instrument(ob)
 		}
 	}
-	for _, mod := range m.modules {
-		mod.Instrument(ob)
-	}
+	m.rp.Instrument(ob)
 	// Channel buses and the host bridge account their cycles through the
 	// Accountant (util.* gauges), replacing the old ad-hoc ddr.*.busy_cycles
 	// gauges with the same polled counters plus queueing wait.
@@ -284,14 +254,6 @@ func (m *DDRMachine) instrument(ob *obs.Obs) {
 // wire64 rounds a payload to DDR burst granularity.
 func wire64(n int) int { return (n + 63) / 64 * 64 }
 
-// then schedules fn at absolute time t (clamped to now).
-func (m *DDRMachine) then(t sim.Cycle, fn func()) {
-	if now := m.engine.Now(); t < now {
-		t = now
-	}
-	m.engine.ScheduleAt(t, fn)
-}
-
 // routeThen moves a message between DIMMs with per-hop events, as in
 // internal/core: same-channel over the shared bus, cross-channel via the
 // host bridge.
@@ -304,18 +266,70 @@ func (m *DDRMachine) routeThen(now sim.Cycle, from, to cxl.NodeID, size int, con
 	m.stats.channelBytes += uint64(wire)
 	t1 := m.chanBus[from.Switch].Transfer(now, wire)
 	if from.Switch == to.Switch {
-		m.then(t1, func() { cont(t1) })
+		m.engine.ScheduleAtOrNow(t1, func() { cont(t1) })
 		return
 	}
 	m.stats.hostCrossings++
 	m.stats.channelBytes += uint64(wire)
-	m.then(t1, func() {
+	m.engine.ScheduleAtOrNow(t1, func() {
 		t2 := m.host.Transfer(t1, wire)
-		m.then(t2, func() {
+		m.engine.ScheduleAtOrNow(t2, func() {
 			t3 := m.chanBus[to.Switch].Transfer(t2, wire)
-			m.then(t3, func() { cont(t3) })
+			m.engine.ScheduleAtOrNow(t3, func() { cont(t3) })
 		})
 	})
+}
+
+// nodeIndex returns the replay node homed at a DIMM.
+func (m *DDRMachine) nodeIndex(n cxl.NodeID) int { return n.Switch*m.cfg.DIMMsPerChannel + n.Slot }
+
+// serve is the machine's ndp.Serve: local accesses stay inside the DIMM,
+// remote ones cross the channel bus (and the host bridge between channels).
+func (m *DDRMachine) serve(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedAccess, op trace.Op,
+	fail func(error), cont func(sim.Cycle)) {
+	dimm := m.dimms[pa.Node.Switch][pa.Node.Slot]
+	doDRAM := func(t sim.Cycle, write bool, k func(sim.Cycle)) {
+		t2, err := dimm.Access(t, pa.Loc, pa.Bytes, write, pa.Mode)
+		if err != nil {
+			fail(err)
+			return
+		}
+		k(t2)
+	}
+	switch {
+	case pa.Node == home && op == trace.OpAtomicRMW:
+		doDRAM(now, false, func(t sim.Cycle) {
+			t2 := t + m.nodes[m.nodeIndex(home)].Module.AtomicLatency()
+			m.engine.ScheduleAtOrNow(t2, func() { doDRAM(t2, true, cont) })
+		})
+	case pa.Node == home:
+		doDRAM(now, op == trace.OpWrite, cont)
+	case op == trace.OpAtomicRMW:
+		// Remote RMW: command to the target DIMM, whose own NDP logic
+		// performs the read-modify-write, then acknowledges.
+		m.routeThen(now, home, pa.Node, m.cfg.ReqBytes+pa.Bytes, func(t sim.Cycle) {
+			doDRAM(t, false, func(t2 sim.Cycle) {
+				t3 := m.nodes[m.nodeIndex(pa.Node)].Module.Atomic(t2)
+				m.engine.ScheduleAtOrNow(t3, func() {
+					doDRAM(t3, true, func(t4 sim.Cycle) {
+						m.engine.ScheduleAtOrNow(t4, func() { m.routeThen(t4, pa.Node, home, 4, cont) })
+					})
+				})
+			})
+		})
+	case op == trace.OpWrite:
+		m.routeThen(now, home, pa.Node, m.cfg.ReqBytes+pa.Bytes, func(t sim.Cycle) {
+			doDRAM(t, true, func(t2 sim.Cycle) {
+				m.engine.ScheduleAtOrNow(t2, func() { m.routeThen(t2, pa.Node, home, 4, cont) })
+			})
+		})
+	default:
+		m.routeThen(now, home, pa.Node, m.cfg.ReqBytes, func(t sim.Cycle) {
+			doDRAM(t, false, func(t2 sim.Cycle) {
+				m.engine.ScheduleAtOrNow(t2, func() { m.routeThen(t2, pa.Node, home, pa.Bytes, cont) })
+			})
+		})
+	}
 }
 
 // Run replays a workload. The machine is single use.
@@ -323,166 +337,19 @@ func (m *DDRMachine) Run(wl *trace.Workload) (*Result, error) {
 	if err := wl.Validate(); err != nil {
 		return nil, err
 	}
-	res := &Result{}
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-
 	// Multi-pass merge traffic crosses channels via the host.
 	if wl.MergeBytes > 0 && !m.cfg.IdealComm {
-		for range m.homes {
+		for range m.nodes {
 			m.host.Transfer(0, int(wl.MergeBytes))
 			m.stats.channelBytes += wl.MergeBytes
 		}
 	}
-
-	m.engine.MaxEvents = m.cfg.MaxEvents
-	if m.engine.MaxEvents == 0 {
-		m.engine.MaxEvents = uint64(wl.TotalSteps())*64 + 1<<20
-	}
-	if m.ob != nil {
-		m.engine.OnAdvance = func(now sim.Cycle) { m.ob.MaybeSample(int64(now)) }
-		reg := m.ob.Registry()
-		reg.Gauge("ddr.tasks_completed", func() float64 { return float64(res.Tasks) })
-		reg.Gauge("ddr.steps_completed", func() float64 { return float64(res.Steps) })
-		reg.Gauge("ddr.local_accesses", func() float64 { return float64(res.LocalAccesses) })
-		reg.Gauge("ddr.remote_accesses", func() float64 { return float64(res.RemoteAccesses) })
-	}
-
-	dimmAt := func(n cxl.NodeID) *dram.DIMM { return m.dimms[n.Switch][n.Slot] }
-	nodeIndex := func(n cxl.NodeID) int { return n.Switch*m.cfg.DIMMsPerChannel + n.Slot }
-
-	var runTask func(node int, task *trace.Task, step int, now sim.Cycle)
-	admit := func(node int) {
-		m.modules[node].Admit(func(task *trace.Task) {
-			runTask(node, task, 0, m.engine.Now())
-		})
-	}
-
-	// serve one placed access; cont receives completion time.
-	serve := func(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedAccess, op trace.Op, cont func(sim.Cycle)) {
-		dimm := dimmAt(pa.Node)
-		doDRAM := func(t sim.Cycle, write bool, k func(sim.Cycle)) {
-			t2, err := dimm.Access(t, pa.Loc, pa.Bytes, write, pa.Mode)
-			if err != nil {
-				fail(err)
-				return
-			}
-			k(t2)
-		}
-		switch {
-		case pa.Node == home && op == trace.OpAtomicRMW:
-			doDRAM(now, false, func(t sim.Cycle) {
-				t2 := t + m.modules[nodeIndex(home)].AtomicLatency()
-				m.then(t2, func() { doDRAM(t2, true, cont) })
-			})
-		case pa.Node == home:
-			doDRAM(now, op == trace.OpWrite, cont)
-		case op == trace.OpAtomicRMW:
-			// Remote RMW: command to the target DIMM, whose own NDP logic
-			// performs the read-modify-write, then acknowledges.
-			m.routeThen(now, home, pa.Node, m.cfg.ReqBytes+pa.Bytes, func(t sim.Cycle) {
-				doDRAM(t, false, func(t2 sim.Cycle) {
-					t3 := m.modules[nodeIndex(pa.Node)].Atomic(t2)
-					m.then(t3, func() {
-						doDRAM(t3, true, func(t4 sim.Cycle) {
-							m.then(t4, func() { m.routeThen(t4, pa.Node, home, 4, cont) })
-						})
-					})
-				})
-			})
-		case op == trace.OpWrite:
-			m.routeThen(now, home, pa.Node, m.cfg.ReqBytes+pa.Bytes, func(t sim.Cycle) {
-				doDRAM(t, true, func(t2 sim.Cycle) {
-					m.then(t2, func() { m.routeThen(t2, pa.Node, home, 4, cont) })
-				})
-			})
-		default:
-			m.routeThen(now, home, pa.Node, m.cfg.ReqBytes, func(t sim.Cycle) {
-				doDRAM(t, false, func(t2 sim.Cycle) {
-					m.then(t2, func() { m.routeThen(t2, pa.Node, home, pa.Bytes, cont) })
-				})
-			})
-		}
-	}
-
-	runTask = func(node int, task *trace.Task, step int, now sim.Cycle) {
-		if firstErr != nil {
-			return
-		}
-		if step >= len(task.Steps) {
-			res.Tasks++
-			m.modules[node].Complete(func(task *trace.Task) {
-				runTask(node, task, 0, m.engine.Now())
-			})
-			return
-		}
-		st := task.Steps[step]
-		tc := m.modules[node].Compute(now, task.Engine, st)
-		home := m.homes[node]
-		local := wl.LocalSpaces[st.Space]
-		shared := st.Op == trace.OpAtomicRMW && !local
-		placed, err := m.mappers[node].MapShared(st.Space, st.Addr, st.Size, st.Spatial, local, shared)
-		if err != nil {
-			fail(err)
-			return
-		}
-		m.then(tc, func() {
-			remaining := len(placed)
-			latest := tc
-			done := func(t sim.Cycle) {
-				if t > latest {
-					latest = t
-				}
-				remaining--
-				if remaining == 0 {
-					res.Steps++
-					m.then(latest, func() { runTask(node, task, step+1, latest) })
-				}
-			}
-			for _, pa := range placed {
-				if pa.Node == home {
-					res.LocalAccesses++
-				} else {
-					res.RemoteAccesses++
-				}
-				serve(tc, home, pa, st.Op, done)
-			}
-		})
-	}
-
-	for i := range wl.Tasks {
-		m.modules[i%len(m.homes)].Enqueue(&wl.Tasks[i])
-	}
-	for node := range m.homes {
-		node := node
-		m.engine.Schedule(0, func() { admit(node) })
-	}
-	end, err := m.engine.Run()
+	tot, err := m.rp.Run(wl)
 	if err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if res.Tasks != len(wl.Tasks) {
-		return nil, fmt.Errorf("baseline: completed %d of %d tasks", res.Tasks, len(wl.Tasks))
-	}
-	// Final registry snapshot at the makespan, so even SampleEvery==0 runs
-	// dump end-of-run metrics.
-	m.ob.Sample(int64(end))
-
-	res.Cycles = end
-	var peBusy sim.Cycles
-	for _, mod := range m.modules {
-		peBusy += mod.PEBusyCycles()
-	}
-	res.PEBusyCycles = peBusy
-	res.ChannelBytes = m.stats.channelBytes
-	res.HostCrossings = m.stats.hostCrossings
+	res := &Result{Totals: tot, ChannelBytes: m.stats.channelBytes, HostCrossings: m.stats.hostCrossings}
+	end := res.Cycles
 
 	var dramPJ float64
 	for _, row := range m.dimms {
@@ -493,8 +360,8 @@ func (m *DDRMachine) Run(wl *trace.Workload) (*Result, error) {
 	ranks := m.cfg.Channels * m.cfg.DIMMsPerChannel * m.cfg.DIMM.Ranks
 	dramPJ += m.cfg.DRAMEnergy.BackgroundEnergyPJ(int64(end), ranks)
 	commPJ := m.cfg.Energy.DDRChannelPJ(res.ChannelBytes) + m.cfg.Energy.HostPJ(res.HostCrossings)
-	computePJ := m.cfg.Energy.PEComputePJ(int64(peBusy)) +
-		m.cfg.Energy.PELeakagePJ(len(m.homes)*m.cfg.PEsPerDIMM, int64(end))
+	computePJ := m.cfg.Energy.PEComputePJ(int64(res.PEBusyCycles)) +
+		m.cfg.Energy.PELeakagePJ(len(m.nodes)*m.cfg.PEsPerDIMM, int64(end))
 	res.Energy = energy.Breakdown{CommunicationPJ: commPJ, DRAMPJ: dramPJ, ComputePJ: computePJ}
 	return res, nil
 }

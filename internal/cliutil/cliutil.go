@@ -10,12 +10,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync"
 
+	beacon "beacon"
 	"beacon/internal/obs"
 	"beacon/internal/runner"
 )
@@ -75,18 +77,25 @@ func Register(traceCap int) *Flags {
 	return f
 }
 
-// WorkloadCacheDir resolves the -workload-cache flag: enabled=false for
-// "off", otherwise the directory to open ("" means the caller's default
-// location, for "auto").
-func (f *Flags) WorkloadCacheDir() (dir string, enabled bool) {
-	switch f.WorkloadCache {
+// OpenWorkloadCache resolves a -workload-cache flag value: "off" (or
+// "false", "no") disables the cache, "auto" (or "") opens the per-user
+// default directory, anything else opens that directory. The cache is a
+// pure accelerant, so a directory that cannot be opened logs a warning and
+// returns nil: the command degrades to cold builds instead of failing.
+func OpenWorkloadCache(value string) *beacon.WorkloadCache {
+	dir := value
+	switch value {
 	case "off", "false", "no":
-		return "", false
-	case "auto", "":
-		return "", true
-	default:
-		return f.WorkloadCache, true
+		return nil
+	case "auto":
+		dir = ""
 	}
+	wc, err := beacon.OpenWorkloadCache(dir)
+	if err != nil {
+		log.Printf("workload cache disabled: %v", err)
+		return nil
+	}
+	return wc
 }
 
 // HandleVersion prints the build banner and exits when -version was given.

@@ -122,8 +122,6 @@ type Config struct {
 	// scheduler needs enough in-flight work to cover the fabric's
 	// bandwidth-delay product.
 	InFlightPerNode int
-	// MaxEvents bounds the event count as a livelock backstop (0 = default).
-	MaxEvents uint64
 	// Faults enables deterministic fault injection (the zero profile is
 	// off): link CRC retries, switch-port degradation, DRAM media errors and
 	// NDP unit failures, drawn from per-component PCG streams keyed by

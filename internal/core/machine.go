@@ -15,22 +15,10 @@ import (
 	"beacon/internal/trace"
 )
 
-// DebugTaskEnd, when non-nil, receives every task's completion time (test
-// instrumentation).
-var DebugTaskEnd func(sim.Cycle)
-
-// DebugStepTrace, when non-nil, receives (taskIndex, step, eventNow, peDone)
-// for every step issue (test instrumentation).
-var DebugStepTrace func(ti, step int, now, tc sim.Cycle)
-
-// Result is the outcome of replaying one workload on one machine.
+// Result is the outcome of replaying one workload on one machine. Its
+// replay totals' local/remote split is meaningful for BEACON-D only.
 type Result struct {
-	// Cycles is the makespan in DRAM bus cycles.
-	Cycles sim.Cycle
-	// Tasks is the number of tasks completed.
-	Tasks int
-	// Steps is the number of memory steps executed.
-	Steps int
+	ndp.Totals
 	// Energy is the Fig. 17-style breakdown.
 	Energy energy.Breakdown
 	// Fabric is the interconnect activity.
@@ -40,11 +28,6 @@ type Result struct {
 	// CXLGChipAccesses is the per-chip burst distribution aggregated over
 	// CXLG-DIMMs (Fig. 13); nil for BEACON-S.
 	CXLGChipAccesses []uint64
-	// PEBusyCycles is the total busy time across all PEs.
-	PEBusyCycles sim.Cycles
-	// LocalAccesses / RemoteAccesses split DRAM accesses by whether they
-	// stayed inside the compute node's own DIMM (BEACON-D only).
-	LocalAccesses, RemoteAccesses uint64
 	// Faults counts injected faults and recovery actions when fault
 	// injection is enabled (all zero otherwise).
 	Faults fault.Stats
@@ -58,35 +41,20 @@ func (r *Result) EnergyPJ() float64 { return r.Energy.TotalPJ() }
 
 // Machine is an instantiated BEACON system ready to replay workloads.
 type Machine struct {
-	cfg     Config
-	engine  *sim.Engine
-	fabric  *cxl.Fabric
-	dimms   [][]*dram.DIMM // [switch][slot]
-	mappers []*memmgmt.Mapper
-	homes   []cxl.NodeID
-	// modules holds each compute node's NDP module (PE pool + task
-	// scheduler); atomics holds the per-switch atomic engine bank used by
-	// remote RMW flows (Fig. 7).
-	modules   []*ndp.Module
+	cfg    Config
+	engine *sim.Engine
+	fabric *cxl.Fabric
+	dimms  [][]*dram.DIMM // [switch][slot]
+	// nodes holds each compute node's NDP module (PE pool + task
+	// scheduler), home and mapper; rp replays tasks over them. atomics
+	// holds the per-switch atomic engine bank used by remote RMW flows
+	// (Fig. 7).
+	nodes     []ndp.Node
+	rp        *ndp.Replay
 	atomics   []*sim.Resource
 	packersOn bool
-	// Fault injection (nil/empty when disabled): the shared injector, one
-	// unit-failure stream per compute node, the liveness map, and the host
-	// CPU pool that absorbs tasks when every NDP unit has failed.
-	inj       *fault.Injector
-	nodeFault []fault.Component
-	dead      []bool
-	hostCPU   *sim.Resource
-	// Observability (nil when disabled): per-node task tracks, the
-	// step-completion latency histogram, and the snapshot driver.
-	ob          *obs.Obs
-	taskTracks  []obs.Track
-	stepLatency *obs.Histogram
-	// onTaskEnd, when non-nil, receives every task's identity and
-	// completion time (RunShared attributes finishes to tenants with it).
-	// It is per machine, so concurrent co-located runs never see each
-	// other's tasks.
-	onTaskEnd func(*trace.Task, sim.Cycle)
+	// inj is the shared fault injector (nil when disabled).
+	inj *fault.Injector
 }
 
 // NewMachine builds the machine.
@@ -122,24 +90,24 @@ func NewMachine(cfg Config) (*Machine, error) {
 		m.atomics = append(m.atomics, sim.NewResource(fmt.Sprintf("s%d.atomic", s), width))
 	}
 	// Compute homes.
+	var homes []cxl.NodeID
 	switch cfg.Design {
 	case DesignD:
 		for s := 0; s < cfg.Switches; s++ {
 			for g := 0; g < cfg.CXLGPerSwitch; g++ {
-				m.homes = append(m.homes, cxl.DIMM(s, g))
+				homes = append(homes, cxl.DIMM(s, g))
 			}
 		}
 	case DesignS:
 		for s := 0; s < cfg.Switches; s++ {
-			m.homes = append(m.homes, cxl.Switch(s))
+			homes = append(homes, cxl.Switch(s))
 		}
 	}
-	for i, h := range m.homes {
+	for i, h := range homes {
 		mp, err := memmgmt.NewMapper(mm, h)
 		if err != nil {
 			return nil, err
 		}
-		m.mappers = append(m.mappers, mp)
 		mod, err := ndp.New(fmt.Sprintf("node%d", i), ndp.Config{
 			PEs:           cfg.PEsPerNode,
 			QueueDepth:    cfg.InFlightPerNode,
@@ -149,8 +117,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.modules = append(m.modules, mod)
+		m.nodes = append(m.nodes, ndp.Node{Module: mod, Home: h, Mapper: mp})
 	}
+	m.rp = ndp.NewReplay("core", m.engine, m.nodes, m.serve)
 	m.packersOn = cfg.Opts.DataPacking
 	if cfg.Faults.Enabled() {
 		m.inj = fault.NewInjector(cfg.FaultSeed, cfg.Faults)
@@ -160,16 +129,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 				d.SetInjector(m.inj)
 			}
 		}
-		for i, mod := range m.modules {
-			mod.SetInjector(m.inj)
-			m.nodeFault = append(m.nodeFault, m.inj.Component(fmt.Sprintf("node%d", i)))
-		}
-		m.dead = make([]bool, len(m.homes))
-		host := cfg.Faults.NDP.HostPEs
-		if host <= 0 {
-			host = 1
-		}
-		m.hostCPU = sim.NewResource("host.cpu", host)
+		m.rp.SetInjector(m.inj, cfg.Faults.NDP)
 	}
 	m.instrument(cfg.Obs)
 	return m, nil
@@ -181,20 +141,13 @@ func (m *Machine) instrument(ob *obs.Obs) {
 	if ob == nil {
 		return
 	}
-	m.ob = ob
-	reg := ob.Registry()
-	reg.Gauge("engine.pending_events", func() float64 { return float64(m.engine.Pending()) })
-	reg.Gauge("engine.executed_events", func() float64 { return float64(m.engine.Executed()) })
 	m.fabric.Instrument(ob)
 	for s := range m.dimms {
 		for _, d := range m.dimms[s] {
 			d.Instrument(ob)
 		}
 	}
-	for i, mod := range m.modules {
-		mod.Instrument(ob)
-		m.taskTracks = append(m.taskTracks, ob.Tracer().Track(fmt.Sprintf("node%d.tasks", i)))
-	}
+	m.rp.Instrument(ob)
 	ac := ob.Accountant()
 	for _, a := range m.atomics {
 		a.Instrument(ob.Tracer(), "rmw")
@@ -207,24 +160,17 @@ func (m *Machine) instrument(ob *obs.Obs) {
 			Wait:  func() int64 { return int64(a.WaitCycles()) },
 		})
 	}
-	if m.hostCPU != nil {
-		ac.Track(obs.Meter{
-			Class: obs.ClassHostCPU,
-			Name:  m.hostCPU.Name(),
-			Width: m.hostCPU.Width(),
-			Busy:  func() int64 { return int64(m.hostCPU.BusyCycles()) },
-			Wait:  func() int64 { return int64(m.hostCPU.WaitCycles()) },
-		})
-	}
-	if m.inj != nil {
-		m.inj.Instrument(ob)
-	}
-	// Step-completion latency from issue to last returned piece, in cycles.
-	m.stepLatency = reg.Histogram("core.step_latency_cycles", obs.ExpBuckets(1, 2, 24))
+	m.inj.Instrument(ob)
 }
 
 // Homes returns the compute nodes (for tests).
-func (m *Machine) Homes() []cxl.NodeID { return append([]cxl.NodeID(nil), m.homes...) }
+func (m *Machine) Homes() []cxl.NodeID {
+	homes := make([]cxl.NodeID, len(m.nodes))
+	for i, n := range m.nodes {
+		homes[i] = n.Home
+	}
+	return homes
+}
 
 // dimmAt returns the DIMM model behind a node id.
 func (m *Machine) dimmAt(n cxl.NodeID) *dram.DIMM {
@@ -255,19 +201,6 @@ func (m *Machine) route(now sim.Cycle, from, to cxl.NodeID, size int) (sim.Cycle
 	return m.fabric.Route(now, from, to, size, pk)
 }
 
-// then schedules fn at absolute time t (which may equal the current time).
-// Every multi-cycle phase boundary in the serving paths goes through then()
-// so that calendar reservations are made in (near) time order — reserving a
-// far-future slot from an early event would block earlier-time requests
-// behind it and destroy the queues' work-conserving behaviour.
-func (m *Machine) then(t sim.Cycle, fn func()) {
-	now := m.engine.Now()
-	if t < now {
-		t = now
-	}
-	m.engine.ScheduleAt(t, fn)
-}
-
 // routeThen routes a message hop-by-hop, traversing each hop in an event at
 // the previous hop's delivery time (so calendar reservations stay in time
 // order — see cxl.Hop), and invokes cont at the delivery time.
@@ -295,7 +228,7 @@ func (m *Machine) routeThen(now sim.Cycle, from, to cxl.NodeID, size int, fail f
 			return
 		}
 		t2 := hops[i].Traverse(t, wire)
-		m.then(t2, func() { walk(i+1, t2) })
+		m.engine.ScheduleAtOrNow(t2, func() { walk(i+1, t2) })
 	}
 	walk(0, now)
 }
@@ -324,16 +257,27 @@ func (m *Machine) dimmAccess(now sim.Cycle, dimm *dram.DIMM, pa memmgmt.PlacedAc
 			return
 		}
 		m.inj.CountDRAMRetry(t)
-		m.then(t+sim.Cycles(m.cfg.Faults.DRAM.RetryBackoffCycles), func() {
+		m.engine.ScheduleAtOrNow(t+sim.Cycles(m.cfg.Faults.DRAM.RetryBackoffCycles), func() {
 			attempt(m.engine.Now(), tries+1)
 		})
 	}
 	attempt(now, 0)
 }
 
+// serve is the machine's ndp.Serve: a read/write access or the Fig. 7
+// atomic flow over the CXL fabric.
+func (m *Machine) serve(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedAccess, op trace.Op,
+	fail func(error), cont func(sim.Cycle)) {
+	if op == trace.OpAtomicRMW {
+		m.serveAtomic(now, home, pa, fail, cont)
+		return
+	}
+	m.serveAccess(now, home, pa, op == trace.OpWrite, fail, cont)
+}
+
 // serveAccess performs a read/write access from `home` to one placed
 // access, invoking cont in an event at the time the data (or ack) arrives
-// back at home. Phases are event-separated (see then()).
+// back at home. Phases are event-separated (see sim.Engine.ScheduleAtOrNow).
 func (m *Machine) serveAccess(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedAccess, write bool,
 	fail func(error), cont func(sim.Cycle)) {
 	dimm := m.dimmAt(pa.Node)
@@ -351,7 +295,7 @@ func (m *Machine) serveAccess(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedA
 	}
 	m.routeThen(now, home, pa.Node, reqSize, fail, func(t sim.Cycle) {
 		m.dimmAccess(t, dimm, pa, write, fail, func(t2 sim.Cycle) {
-			m.then(t2, func() {
+			m.engine.ScheduleAtOrNow(t2, func() {
 				m.routeThen(t2, pa.Node, home, respSize, fail, cont)
 			})
 		})
@@ -368,7 +312,7 @@ func (m *Machine) serveAtomic(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedA
 		// own MC/PE logic (no shared engine involved), write back.
 		m.dimmAccess(now, dimm, pa, false, fail, func(t sim.Cycle) {
 			t2 := t + sim.Cycles(m.cfg.AtomicLatency)
-			m.then(t2, func() {
+			m.engine.ScheduleAtOrNow(t2, func() {
 				m.dimmAccess(t2, dimm, pa, true, fail, cont)
 			})
 		})
@@ -380,15 +324,15 @@ func (m *Machine) serveAtomic(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedA
 		// 2-3. Switch MC reads the data from the DIMM.
 		m.routeThen(t, sw, pa.Node, m.cfg.ReqBytes, fail, func(t sim.Cycle) {
 			m.dimmAccess(t, dimm, pa, false, fail, func(t2 sim.Cycle) {
-				m.then(t2, func() {
+				m.engine.ScheduleAtOrNow(t2, func() {
 					m.routeThen(t2, pa.Node, sw, pa.Bytes, fail, func(t sim.Cycle) {
 						// 4-5. Atomic engine (D) / switch PE (S) computes.
 						_, t3 := m.atomics[pa.Node.Switch].Acquire(t, sim.Cycles(m.cfg.AtomicLatency))
-						m.then(t3, func() {
+						m.engine.ScheduleAtOrNow(t3, func() {
 							// 6. Write back and acknowledge the requester.
 							m.routeThen(t3, sw, pa.Node, pa.Bytes, fail, func(t sim.Cycle) {
 								m.dimmAccess(t, dimm, pa, true, fail, func(t4 sim.Cycle) {
-									m.then(t4, func() {
+									m.engine.ScheduleAtOrNow(t4, func() {
 										m.routeThen(t4, sw, home, m.cfg.AckBytes, fail, cont)
 									})
 								})
@@ -407,214 +351,28 @@ func (m *Machine) Run(wl *trace.Workload) (*Result, error) {
 	if err := wl.Validate(); err != nil {
 		return nil, err
 	}
-	res := &Result{}
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-
 	// Merge traffic for multi-pass flows: each node ships its local filter
 	// up and receives the merged copy (between passes; the calendar model is
 	// insensitive to exact ordering, so issue it at t=0).
 	if wl.MergeBytes > 0 {
-		for _, h := range m.homes {
-			if _, err := m.route(0, h, cxl.Host(), int(wl.MergeBytes/2)); err != nil {
+		for _, n := range m.nodes {
+			if _, err := m.route(0, n.Home, cxl.Host(), int(wl.MergeBytes/2)); err != nil {
 				return nil, err
 			}
-			if _, err := m.route(0, cxl.Host(), h, int(wl.MergeBytes/2)); err != nil {
+			if _, err := m.route(0, cxl.Host(), n.Home, int(wl.MergeBytes/2)); err != nil {
 				return nil, err
 			}
 		}
 	}
-
-	m.engine.MaxEvents = m.cfg.MaxEvents
-	if m.engine.MaxEvents == 0 {
-		m.engine.MaxEvents = uint64(wl.TotalSteps())*64 + 1<<20
-	}
-
-	// Observability: drive registry snapshots off the clock's advance (no
-	// events scheduled, so timing is untouched), publish run progress as
-	// gauges, and record per-task lifetime spans.
-	var taskStart map[*trace.Task]sim.Cycle
-	if m.ob != nil {
-		m.engine.OnAdvance = func(now sim.Cycle) { m.ob.MaybeSample(int64(now)) }
-		reg := m.ob.Registry()
-		reg.Gauge("core.tasks_completed", func() float64 { return float64(res.Tasks) })
-		reg.Gauge("core.steps_completed", func() float64 { return float64(res.Steps) })
-		reg.Gauge("core.local_accesses", func() float64 { return float64(res.LocalAccesses) })
-		reg.Gauge("core.remote_accesses", func() float64 { return float64(res.RemoteAccesses) })
-		taskStart = make(map[*trace.Task]sim.Cycle, len(wl.Tasks))
-	}
-
-	// Per-node task admission: each NDP module's Task Scheduler keeps a
-	// bounded number of tasks in flight and admits the next as one retires.
-	// onHost marks tasks that fell back to the host CPU after every NDP unit
-	// failed; they run the degraded software path to completion.
-	var runTask func(node int, task *trace.Task, step int, now sim.Cycle, onHost bool)
-	admit := func(node int) {
-		m.modules[node].Admit(func(task *trace.Task) {
-			runTask(node, task, 0, m.engine.Now(), false)
-		})
-	}
-	runTask = func(node int, task *trace.Task, step int, now sim.Cycle, onHost bool) {
-		if firstErr != nil {
-			return
-		}
-		if step == 0 && m.inj != nil && !onHost {
-			// Unit-failure check at admission: a node that fails stops
-			// accepting work. Its tasks migrate to the next surviving node
-			// after the failover latency, or — with no survivors — fall back
-			// to the host CPU baseline path.
-			if !m.dead[node] && m.nodeFault[node].NDPUnitFails(now) {
-				m.dead[node] = true
-			}
-			if m.dead[node] {
-				at := now + sim.Cycles(m.cfg.Faults.NDP.FailoverLatencyCycles)
-				if alt := m.aliveAfter(node); alt >= 0 {
-					m.inj.CountMigration(now)
-					m.then(at, func() {
-						m.modules[alt].Enqueue(task)
-						admit(alt)
-					})
-				} else {
-					m.inj.CountHostFallback(now)
-					m.then(at, func() { runTask(node, task, 0, m.engine.Now(), true) })
-				}
-				// Free the dead node's scheduler slot so its backlog drains
-				// (each drained task migrates in turn); via an event so the
-				// drain stays iterative rather than recursive.
-				m.engine.Schedule(0, func() {
-					if firstErr == nil {
-						m.modules[node].Complete(func(t *trace.Task) {
-							runTask(node, t, 0, m.engine.Now(), false)
-						})
-					}
-				})
-				return
-			}
-		}
-		if taskStart != nil && step == 0 {
-			taskStart[task] = now
-		}
-		if step >= len(task.Steps) {
-			res.Tasks++
-			if taskStart != nil {
-				m.ob.Tracer().Span(m.taskTracks[node], "task", int64(taskStart[task]), int64(now))
-			}
-			if DebugTaskEnd != nil {
-				DebugTaskEnd(now)
-			}
-			if m.onTaskEnd != nil {
-				m.onTaskEnd(task, now)
-			}
-			if onHost {
-				// The failed node's scheduler slot was already freed at
-				// failover time.
-				return
-			}
-			m.modules[node].Complete(func(task *trace.Task) {
-				runTask(node, task, 0, m.engine.Now(), false)
-			})
-			return
-		}
-		st := task.Steps[step]
-		// PE compute preceding the access: the full engine latency for a new
-		// logical operation, one pipeline cycle for a continuation access.
-		var tc sim.Cycle
-		if onHost {
-			// Degraded software path: a host CPU thread services the step with
-			// the per-step fallback penalty instead of an NDP PE.
-			_, tc = m.hostCPU.Acquire(now,
-				sim.Cycles(m.cfg.Faults.NDP.HostFallbackCycles+int(st.Compute)))
-		} else {
-			tc = m.modules[node].Compute(now, task.Engine, st)
-		}
-		if DebugStepTrace != nil {
-			DebugStepTrace(taskIndex(task, wl), step, now, tc)
-		}
-
-		home := m.homes[node]
-		if onHost {
-			// The data stays placed for the failed node; the host reaches it
-			// across the fabric.
-			home = cxl.Host()
-		}
-		local := wl.LocalSpaces[st.Space]
-		// Non-replicated atomic targets are logically one copy pool-wide.
-		shared := st.Op == trace.OpAtomicRMW && !local
-		placed, err := m.mappers[node].MapShared(st.Space, st.Addr, st.Size, st.Spatial, local, shared)
-		if err != nil {
-			fail(err)
-			return
-		}
-		// Issue the access(es) when the PE finishes computing; the step
-		// completes when every placed piece has returned.
-		m.then(tc, func() {
-			remaining := len(placed)
-			latest := tc
-			pieceDone := func(t sim.Cycle) {
-				if t > latest {
-					latest = t
-				}
-				remaining--
-				if remaining == 0 {
-					res.Steps++
-					m.stepLatency.Observe(float64(latest - now))
-					m.then(latest, func() { runTask(node, task, step+1, latest, onHost) })
-				}
-			}
-			for _, pa := range placed {
-				if pa.Node == home {
-					res.LocalAccesses++
-				} else {
-					res.RemoteAccesses++
-				}
-				switch st.Op {
-				case trace.OpAtomicRMW:
-					m.serveAtomic(tc, home, pa, fail, pieceDone)
-				case trace.OpWrite:
-					m.serveAccess(tc, home, pa, true, fail, pieceDone)
-				default:
-					m.serveAccess(tc, home, pa, false, fail, pieceDone)
-				}
-			}
-		})
-	}
-
-	// Distribute tasks round-robin across compute nodes and start admission.
-	for i := range wl.Tasks {
-		m.modules[i%len(m.homes)].Enqueue(&wl.Tasks[i])
-	}
-	for node := range m.homes {
-		node := node
-		m.engine.Schedule(0, func() { admit(node) })
-	}
-	end, err := m.engine.Run()
+	tot, err := m.rp.Run(wl)
 	if err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if res.Tasks != len(wl.Tasks) {
-		return nil, fmt.Errorf("core: completed %d of %d tasks", res.Tasks, len(wl.Tasks))
-	}
-	// Final registry snapshot at the makespan, so even SampleEvery==0 runs
-	// dump end-of-run metrics.
-	m.ob.Sample(int64(end))
-
-	res.Cycles = end
+	res := &Result{Totals: tot, Fabric: m.fabric.Stats()}
 	if m.inj != nil {
 		res.Faults = m.inj.Stats()
 	}
-	var peBusy sim.Cycles
-	for _, mod := range m.modules {
-		peBusy += mod.PEBusyCycles()
-	}
-	res.PEBusyCycles = peBusy
-	res.Fabric = m.fabric.Stats()
+	end := res.Cycles
 
 	// Aggregate DRAM stats and the CXLG chip distribution.
 	var cxlgChips []uint64
@@ -658,35 +416,9 @@ func (m *Machine) Run(wl *trace.Workload) (*Result, error) {
 	dramPJ += dm.BackgroundEnergyPJ(int64(end), m.cfg.Switches*m.cfg.DIMMsPerSwitch*m.cfg.DIMM.Ranks)
 	em := m.cfg.Energy
 	commPJ := em.LinkPJ(res.Fabric.WireBytes) + em.BusPJ(res.Fabric.SwitchBusBytes) + em.HostPJ(res.Fabric.HostCrossings)
-	computePJ := em.PEComputePJ(int64(peBusy)) + em.PELeakagePJ(len(m.homes)*m.cfg.PEsPerNode, int64(end))
+	computePJ := em.PEComputePJ(int64(res.PEBusyCycles)) + em.PELeakagePJ(len(m.nodes)*m.cfg.PEsPerNode, int64(end))
 	res.Energy = energy.Breakdown{CommunicationPJ: commPJ, DRAMPJ: dramPJ, ComputePJ: computePJ}
 	return res, nil
-}
-
-// aliveAfter returns the next surviving node after node in round-robin
-// order, or -1 when every node has failed.
-func (m *Machine) aliveAfter(node int) int {
-	for i := 1; i <= len(m.homes); i++ {
-		n := (node + i) % len(m.homes)
-		if !m.dead[n] {
-			return n
-		}
-	}
-	return -1
-}
-
-// taskIndex locates a task within its workload (debug only; O(1) via
-// pointer arithmetic is not portable, so linear scan is memoized by a map).
-var taskIndexMemo map[*trace.Task]int
-
-func taskIndex(task *trace.Task, wl *trace.Workload) int {
-	if taskIndexMemo == nil {
-		taskIndexMemo = map[*trace.Task]int{}
-		for i := range wl.Tasks {
-			taskIndexMemo[&wl.Tasks[i]] = i
-		}
-	}
-	return taskIndexMemo[task]
 }
 
 // Run is the package-level convenience: build a machine and replay.

@@ -104,7 +104,7 @@ func (m *Machine) runWithOwners(wl *trace.Workload, owners []int, nOwners int) (
 		ownerOf[&wl.Tasks[i]] = owners[i]
 	}
 	ends := make([]sim.Cycle, nOwners)
-	m.onTaskEnd = func(task *trace.Task, at sim.Cycle) {
+	m.rp.OnTaskEnd = func(task *trace.Task, at sim.Cycle) {
 		if o, ok := ownerOf[task]; ok && at > ends[o] {
 			ends[o] = at
 		}

@@ -107,11 +107,6 @@ type Config struct {
 	// behaviour when the placement optimization is on. Only meaningful for
 	// DIMM-homed mappers.
 	HotLocal bool
-	// HomeBias in [0,1) biases that fraction of a DIMM-homed node's
-	// non-spatial stripes to its own DIMM, modeling the previous work's
-	// task-migration/affinity techniques (MEDAL) which keep most — but not
-	// all — index probes local.
-	HomeBias float64
 }
 
 // DefaultConfig returns a BEACON-D-like pool shape: 2 switches x 4 DIMMs,
@@ -148,9 +143,6 @@ func (c Config) Validate() error {
 	}
 	if c.FineUnitBytes == 0 {
 		return fmt.Errorf("memmgmt: zero fine unit bytes")
-	}
-	if c.HomeBias < 0 || c.HomeBias >= 1 {
-		return fmt.Errorf("memmgmt: home bias %g out of [0,1)", c.HomeBias)
 	}
 	return nil
 }
@@ -259,8 +251,7 @@ func (m *Mapper) DIMMSet() []cxl.NodeID { return append([]cxl.NodeID(nil), m.dim
 // locations in proximity to the NDP modules", §IV-C), and task affinity
 // sends each task to the node owning its shard. Spatial/streaming data
 // stripes across the set — that is the memory-expansion story: bulk data
-// lives in unmodified CXL-DIMMs. HomeBias gives the partial version of the
-// same behaviour for the previous work's task-migration heuristics.
+// lives in unmodified CXL-DIMMs.
 func (m *Mapper) Map(space trace.Space, addr uint64, size uint32, spatial, local bool) ([]PlacedAccess, error) {
 	return m.MapShared(space, addr, size, spatial, local, false)
 }
@@ -295,18 +286,6 @@ func (m *Mapper) MapShared(space trace.Space, addr uint64, size uint32, spatial,
 		}
 		stripe := addr/m.cfg.StripeBytes + salt
 		node := set[stripe%uint64(len(set))]
-		if m.cfg.HomeBias > 0 && !local && !shared && m.home.Kind == cxl.NodeDIMM && affinitySpace(space) {
-			// Task affinity: a biased share of stripes resolve to the home
-			// DIMM; the rest keep their striped placement. Only index
-			// traversal spaces benefit — tasks can migrate to follow an
-			// FM-index walk or a hash probe, but the random multi-hash
-			// probes of a Bloom filter cannot be colocated (which is why
-			// NEST resorts to filter replication instead).
-			h := stripe * 0x9E3779B97F4A7C15
-			if float64(h%1000) < m.cfg.HomeBias*1000 {
-				node = m.home
-			}
-		}
 		pieces, err := m.placeWithin(node, space, addr, int(chunk), spatial)
 		if err != nil {
 			return nil, err
@@ -316,16 +295,6 @@ func (m *Mapper) MapShared(space trace.Space, addr uint64, size uint32, spatial,
 		size -= uint32(chunk)
 	}
 	return out, nil
-}
-
-// affinitySpace reports whether task migration can keep accesses to the
-// space local (seeding index structures, not hash-scattered filters).
-func affinitySpace(space trace.Space) bool {
-	switch space {
-	case trace.SpaceOcc, trace.SpaceSuffixArray, trace.SpaceHashBucket, trace.SpaceCandidates:
-		return true
-	}
-	return false
 }
 
 // placeWithin maps a chunk inside one DIMM.

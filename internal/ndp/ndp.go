@@ -7,8 +7,14 @@
 // The components are calendar-based like the rest of the simulator: the PE
 // pool bounds compute concurrency, the scheduler bounds tasks in flight
 // (modeling its queue capacity), and the atomic bank bounds concurrent RMW
-// arithmetic. The machines in internal/core and internal/baseline drive
-// them; this package owns the semantics and their unit tests.
+// arithmetic.
+//
+// Replay is the one task-replay loop over these modules: admission, step
+// compute (including the host-CPU fallback), address mapping and piece
+// fan-out, fault recovery, task spans and the run's totals. The machines in
+// internal/core (BEACON-D/S over the CXL fabric) and internal/baseline
+// (MEDAL/NEST over DDR channels) build the modules and supply only how one
+// placed piece is served over their interconnect.
 package ndp
 
 import (

@@ -1,0 +1,327 @@
+package ndp
+
+import (
+	"fmt"
+
+	"beacon/internal/cxl"
+	"beacon/internal/fault"
+	"beacon/internal/memmgmt"
+	"beacon/internal/obs"
+	"beacon/internal/sim"
+	"beacon/internal/trace"
+)
+
+// Node is one compute node of a machine: its NDP module, where it sits in
+// the pool, and the mapper that places its accesses.
+type Node struct {
+	Module *Module
+	Home   cxl.NodeID
+	Mapper *memmgmt.Mapper
+}
+
+// Serve carries one placed piece of a step between a compute node's home
+// and the DIMM holding it, invoking cont in an event at the time the data
+// (or acknowledgement) is back at home, or fail on an error. It is the only
+// part of a replay that differs between machines: BEACON serves over the
+// CXL fabric, the DDR baseline over channel buses and the host bridge.
+type Serve func(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedAccess, op trace.Op,
+	fail func(error), cont func(sim.Cycle))
+
+// Totals is what one replay counted.
+type Totals struct {
+	// Cycles is the makespan in DRAM bus cycles.
+	Cycles sim.Cycle
+	// Tasks is the number of tasks completed.
+	Tasks int
+	// Steps is the number of memory steps executed.
+	Steps int
+	// PEBusyCycles is the total busy time across all PEs.
+	PEBusyCycles sim.Cycles
+	// LocalAccesses / RemoteAccesses split DRAM accesses by whether they
+	// stayed inside the compute node's own DIMM.
+	LocalAccesses, RemoteAccesses uint64
+}
+
+// Replay is the task-replay loop of every NDP machine. Tasks are dealt
+// round-robin to the nodes; each node's Task Scheduler keeps a bounded
+// number in flight and admits the next as one retires. A step computes on
+// a PE, maps its access through the node's mapper and hands every placed
+// piece to the machine's Serve; it completes when the last piece is back.
+//
+// With a fault injector attached, a node may fail at task admission: its
+// tasks then migrate to the next surviving node after the failover
+// latency or, with no survivors, fall back to the host CPU, which runs the
+// degraded software path to completion.
+type Replay struct {
+	prefix string
+	engine *sim.Engine
+	nodes  []Node
+	serve  Serve
+	wl     *trace.Workload
+	tot    Totals
+	// err is the first failure; fail records it. fail is built once so
+	// handing it to every served piece allocates nothing.
+	err  error
+	fail func(error)
+
+	// OnTaskEnd, when non-nil, receives every task's identity and
+	// completion time. It belongs to one replay, so concurrent runs never
+	// see each other's tasks.
+	OnTaskEnd func(*trace.Task, sim.Cycle)
+
+	// Fault recovery (nil injector when disabled): one unit-failure stream
+	// per node, the liveness map, and the host CPU pool that absorbs tasks
+	// once every NDP unit has failed.
+	inj       *fault.Injector
+	faults    fault.NDPFaults
+	nodeFault []fault.Component
+	dead      []bool
+	hostCPU   *sim.Resource
+
+	// Observability (nil when disabled): per-node task tracks, each
+	// in-flight task's start, and the step-completion latency histogram.
+	ob          *obs.Obs
+	taskTracks  []obs.Track
+	taskStart   map[*trace.Task]sim.Cycle
+	stepLatency *obs.Histogram
+}
+
+// NewReplay builds the loop over a machine's engine, nodes and serve
+// routine. prefix names the machine family in progress metrics and errors
+// ("core", "ddr").
+func NewReplay(prefix string, engine *sim.Engine, nodes []Node, serve Serve) *Replay {
+	r := &Replay{prefix: prefix, engine: engine, nodes: nodes, serve: serve}
+	r.fail = func(err error) {
+		if r.err == nil {
+			r.err = err
+		}
+	}
+	return r
+}
+
+// SetInjector enables transient PE stalls on every node and the
+// unit-failure recovery policy, with latencies from p. A nil injector
+// leaves faults off.
+func (r *Replay) SetInjector(inj *fault.Injector, p fault.NDPFaults) {
+	if inj == nil {
+		return
+	}
+	r.inj = inj
+	r.faults = p
+	for i, n := range r.nodes {
+		n.Module.SetInjector(inj)
+		r.nodeFault = append(r.nodeFault, inj.Component(fmt.Sprintf("node%d", i)))
+	}
+	r.dead = make([]bool, len(r.nodes))
+	host := p.HostPEs
+	if host <= 0 {
+		host = 1
+	}
+	r.hostCPU = sim.NewResource("host.cpu", host)
+}
+
+// Instrument attaches observability: engine and run-progress gauges, each
+// node's module plus a "<module>.tasks" lifetime track, the host CPU's
+// cycle account, and the step-completion latency histogram. Call it after
+// SetInjector. Observation-only.
+func (r *Replay) Instrument(ob *obs.Obs) {
+	if ob == nil {
+		return
+	}
+	r.ob = ob
+	reg := ob.Registry()
+	reg.Gauge("engine.pending_events", func() float64 { return float64(r.engine.Pending()) })
+	reg.Gauge("engine.executed_events", func() float64 { return float64(r.engine.Executed()) })
+	reg.Gauge(r.prefix+".tasks_completed", func() float64 { return float64(r.tot.Tasks) })
+	reg.Gauge(r.prefix+".steps_completed", func() float64 { return float64(r.tot.Steps) })
+	reg.Gauge(r.prefix+".local_accesses", func() float64 { return float64(r.tot.LocalAccesses) })
+	reg.Gauge(r.prefix+".remote_accesses", func() float64 { return float64(r.tot.RemoteAccesses) })
+	for _, n := range r.nodes {
+		n.Module.Instrument(ob)
+		r.taskTracks = append(r.taskTracks, ob.Tracer().Track(n.Module.name+".tasks"))
+	}
+	if r.hostCPU != nil {
+		ob.Accountant().Track(obs.Meter{
+			Class: obs.ClassHostCPU,
+			Name:  r.hostCPU.Name(),
+			Width: r.hostCPU.Width(),
+			Busy:  func() int64 { return int64(r.hostCPU.BusyCycles()) },
+			Wait:  func() int64 { return int64(r.hostCPU.WaitCycles()) },
+		})
+	}
+	// Step-completion latency from issue to last returned piece, in cycles.
+	r.stepLatency = reg.Histogram(r.prefix+".step_latency_cycles", obs.ExpBuckets(1, 2, 24))
+}
+
+// Run replays wl, which must have passed Validate, and returns the totals.
+// The replay is single use: it consumes the engine and the modules'
+// calendars.
+func (r *Replay) Run(wl *trace.Workload) (Totals, error) {
+	r.wl = wl
+	r.engine.MaxEvents = uint64(wl.TotalSteps())*64 + 1<<20
+	if r.ob != nil {
+		// Drive registry snapshots off the clock's advance: no events are
+		// scheduled, so timing is untouched.
+		r.engine.OnAdvance = func(now sim.Cycle) { r.ob.MaybeSample(int64(now)) }
+		r.taskStart = make(map[*trace.Task]sim.Cycle, len(wl.Tasks))
+	}
+	for i := range wl.Tasks {
+		r.nodes[i%len(r.nodes)].Module.Enqueue(&wl.Tasks[i])
+	}
+	for node := range r.nodes {
+		node := node
+		r.engine.Schedule(0, func() { r.admit(node) })
+	}
+	end, err := r.engine.Run()
+	if err != nil {
+		return Totals{}, err
+	}
+	if r.err != nil {
+		return Totals{}, r.err
+	}
+	if r.tot.Tasks != len(wl.Tasks) {
+		return Totals{}, fmt.Errorf("%s: completed %d of %d tasks", r.prefix, r.tot.Tasks, len(wl.Tasks))
+	}
+	// Final registry snapshot at the makespan, so even SampleEvery==0 runs
+	// dump end-of-run metrics.
+	r.ob.Sample(int64(end))
+	r.tot.Cycles = end
+	for _, n := range r.nodes {
+		r.tot.PEBusyCycles += n.Module.PEBusyCycles()
+	}
+	return r.tot, nil
+}
+
+// admit starts the tasks node's scheduler has room for.
+func (r *Replay) admit(node int) {
+	r.nodes[node].Module.Admit(func(task *trace.Task) {
+		r.runTask(node, task, 0, r.engine.Now(), false)
+	})
+}
+
+// retire frees a scheduler slot on node and starts the task it admits.
+func (r *Replay) retire(node int) {
+	r.nodes[node].Module.Complete(func(task *trace.Task) {
+		r.runTask(node, task, 0, r.engine.Now(), false)
+	})
+}
+
+// runTask issues step `step` of task at now. onHost marks a task that fell
+// back to the host CPU after every NDP unit failed.
+func (r *Replay) runTask(node int, task *trace.Task, step int, now sim.Cycle, onHost bool) {
+	if r.err != nil {
+		return
+	}
+	if step == 0 && r.inj != nil && !onHost && r.failover(node, task, now) {
+		return
+	}
+	if r.taskStart != nil && step == 0 {
+		r.taskStart[task] = now
+	}
+	if step >= len(task.Steps) {
+		r.tot.Tasks++
+		if r.taskStart != nil {
+			r.ob.Tracer().Span(r.taskTracks[node], "task", int64(r.taskStart[task]), int64(now))
+		}
+		if r.OnTaskEnd != nil {
+			r.OnTaskEnd(task, now)
+		}
+		// A host task's scheduler slot was freed at failover time.
+		if !onHost {
+			r.retire(node)
+		}
+		return
+	}
+	st := task.Steps[step]
+	n := r.nodes[node]
+	// PE compute preceding the access: the full engine latency for a new
+	// logical operation, one pipeline cycle for a continuation access.
+	var tc sim.Cycle
+	home := n.Home
+	if onHost {
+		// Degraded software path: a host CPU thread services the step with
+		// the per-step fallback penalty, and reaches the data (still placed
+		// for the failed node) across the fabric.
+		_, tc = r.hostCPU.Acquire(now, sim.Cycles(r.faults.HostFallbackCycles+int(st.Compute)))
+		home = cxl.Host()
+	} else {
+		tc = n.Module.Compute(now, task.Engine, st)
+	}
+	local := r.wl.LocalSpaces[st.Space]
+	// Non-replicated atomic targets are logically one copy pool-wide.
+	shared := st.Op == trace.OpAtomicRMW && !local
+	placed, err := n.Mapper.MapShared(st.Space, st.Addr, st.Size, st.Spatial, local, shared)
+	if err != nil {
+		r.fail(err)
+		return
+	}
+	// Issue the pieces when the PE finishes computing; the step completes
+	// when every piece has returned.
+	r.engine.ScheduleAtOrNow(tc, func() {
+		remaining := len(placed)
+		latest := tc
+		pieceDone := func(t sim.Cycle) {
+			if t > latest {
+				latest = t
+			}
+			remaining--
+			if remaining == 0 {
+				r.tot.Steps++
+				r.stepLatency.Observe(float64(latest - now))
+				r.engine.ScheduleAtOrNow(latest, func() { r.runTask(node, task, step+1, latest, onHost) })
+			}
+		}
+		for _, pa := range placed {
+			if pa.Node == home {
+				r.tot.LocalAccesses++
+			} else {
+				r.tot.RemoteAccesses++
+			}
+			r.serve(tc, home, pa, st.Op, r.fail, pieceDone)
+		}
+	})
+}
+
+// failover runs the unit-failure check at task admission and reports
+// whether the task left node: a failed node stops accepting work, and its
+// tasks migrate to the next surviving node or fall back to the host CPU.
+func (r *Replay) failover(node int, task *trace.Task, now sim.Cycle) bool {
+	if !r.dead[node] && r.nodeFault[node].NDPUnitFails(now) {
+		r.dead[node] = true
+	}
+	if !r.dead[node] {
+		return false
+	}
+	at := now + sim.Cycles(r.faults.FailoverLatencyCycles)
+	if alt := r.aliveAfter(node); alt >= 0 {
+		r.inj.CountMigration(now)
+		r.engine.ScheduleAtOrNow(at, func() {
+			r.nodes[alt].Module.Enqueue(task)
+			r.admit(alt)
+		})
+	} else {
+		r.inj.CountHostFallback(now)
+		r.engine.ScheduleAtOrNow(at, func() { r.runTask(node, task, 0, r.engine.Now(), true) })
+	}
+	// Free the dead node's scheduler slot so its backlog drains (each
+	// drained task migrates in turn); via an event so the drain stays
+	// iterative rather than recursive.
+	r.engine.Schedule(0, func() {
+		if r.err == nil {
+			r.retire(node)
+		}
+	})
+	return true
+}
+
+// aliveAfter returns the next surviving node after node in round-robin
+// order, or -1 when every node has failed.
+func (r *Replay) aliveAfter(node int) int {
+	for i := 1; i <= len(r.nodes); i++ {
+		n := (node + i) % len(r.nodes)
+		if !r.dead[n] {
+			return n
+		}
+	}
+	return -1
+}

@@ -1,0 +1,102 @@
+package ndp
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"beacon/internal/cxl"
+	"beacon/internal/memmgmt"
+	"beacon/internal/sim"
+	"beacon/internal/trace"
+)
+
+// testReplay builds a replay over n DIMM-homed nodes whose serve routine
+// returns every piece after a fixed latency, or calls fail once failAt
+// pieces have been served (failAt < 0 never fails).
+func testReplay(t *testing.T, n, failAt int) (*Replay, *int) {
+	t.Helper()
+	eng := sim.NewEngine()
+	var nodes []Node
+	for i := 0; i < n; i++ {
+		home := cxl.DIMM(0, i)
+		mp, err := memmgmt.NewMapper(memmgmt.DefaultConfig(), home)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, err := New(fmt.Sprintf("n%d", i), Config{PEs: 2, QueueDepth: 2, AtomicEngines: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, Node{Module: mod, Home: home, Mapper: mp})
+	}
+	served := 0
+	serve := func(now sim.Cycle, _ cxl.NodeID, _ memmgmt.PlacedAccess, _ trace.Op,
+		fail func(error), cont func(sim.Cycle)) {
+		served++
+		if served == failAt {
+			fail(errors.New("serve failed"))
+			return
+		}
+		eng.ScheduleAtOrNow(now+10, func() { cont(now + 10) })
+	}
+	return NewReplay("test", eng, nodes, serve), &served
+}
+
+func testWorkload(tasks int) *trace.Workload {
+	wl := &trace.Workload{Name: "t", Passes: 1, Tasks: make([]trace.Task, tasks)}
+	wl.SpaceBytes[trace.SpaceOcc] = 1 << 16
+	for i := range wl.Tasks {
+		wl.Tasks[i].Steps = []trace.Step{
+			{Space: trace.SpaceOcc, Addr: uint64(i) * 64, Size: 32},
+			{Space: trace.SpaceOcc, Addr: uint64(i)*64 + 32, Size: 32, Light: true},
+		}
+	}
+	return wl
+}
+
+// TestReplayCompletesEveryTask pins the loop's accounting: every task
+// retires exactly once through OnTaskEnd, every step and placed piece is
+// counted, and the schedulers drain.
+func TestReplayCompletesEveryTask(t *testing.T) {
+	r, served := testReplay(t, 3, -1)
+	wl := testWorkload(11)
+	if err := wl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ended, calls := map[*trace.Task]bool{}, 0
+	r.OnTaskEnd = func(task *trace.Task, _ sim.Cycle) {
+		ended[task] = true
+		calls++
+	}
+	tot, err := r.Run(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tot.Tasks != 11 || tot.Steps != 22 {
+		t.Errorf("tasks/steps = %d/%d, want 11/22", tot.Tasks, tot.Steps)
+	}
+	if got := tot.LocalAccesses + tot.RemoteAccesses; got != uint64(*served) {
+		t.Errorf("local+remote = %d, served %d pieces", got, *served)
+	}
+	if len(ended) != 11 || calls != 11 {
+		t.Errorf("OnTaskEnd saw %d calls for %d distinct tasks, want 11 each", calls, len(ended))
+	}
+	if tot.Cycles <= 0 || tot.PEBusyCycles <= 0 {
+		t.Errorf("cycles %d, PE busy %d: want both positive", tot.Cycles, tot.PEBusyCycles)
+	}
+	for i, n := range r.nodes {
+		if n.Module.Active() != 0 || n.Module.Backlog() != 0 {
+			t.Errorf("node %d left %d active, %d queued", i, n.Module.Active(), n.Module.Backlog())
+		}
+	}
+}
+
+// TestReplaySurfacesServeError pins that the first serve failure aborts the
+// run with that error instead of a task-count mismatch.
+func TestReplaySurfacesServeError(t *testing.T) {
+	r, _ := testReplay(t, 2, 5)
+	if _, err := r.Run(testWorkload(6)); err == nil || err.Error() != "serve failed" {
+		t.Fatalf("err = %v, want the serve failure", err)
+	}
+}

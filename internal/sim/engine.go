@@ -117,6 +117,19 @@ func (e *Engine) ScheduleAt(at Cycle, fn func()) {
 	e.seq++
 }
 
+// ScheduleAtOrNow runs fn at absolute time at, or at Now when at has
+// already passed. The timing models route every multi-cycle phase boundary
+// through it so that calendar reservations are made in (near) time order:
+// reserving a far-future slot from an early event would block
+// earlier-time requests behind it and destroy the queues'
+// work-conserving behaviour.
+func (e *Engine) ScheduleAtOrNow(at Cycle, fn func()) {
+	if at < e.now {
+		at = e.now
+	}
+	e.ScheduleAt(at, fn)
+}
+
 // Err returns the first violation recorded, if any.
 func (e *Engine) Err() error { return e.err }
 

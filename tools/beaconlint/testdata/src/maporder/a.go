@@ -62,6 +62,12 @@ func schedule(e *sim.Engine, m map[string]int) {
 	}
 }
 
+func scheduleAtOrNow(e *sim.Engine, m map[string]int) {
+	for _, v := range m { // want `map iteration with order-dependent effect \(sim\.Engine event scheduling\)`
+		e.ScheduleAtOrNow(sim.Cycle(v), func() {})
+	}
+}
+
 func metrics(o *obs.Obs, m map[string]int) {
 	c := o.Registry().Counter("x")
 	for range m { // want `map iteration with order-dependent effect \(obs metric/trace emission\)`
