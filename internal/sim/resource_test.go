@@ -204,3 +204,61 @@ func TestRNGForkIndependence(t *testing.T) {
 		t.Errorf("forked streams look correlated: %d/64 equal draws", eq)
 	}
 }
+
+// TestAcquireMatchesLinearScan replays random (now, d) request streams
+// against a linear-scan reference model of a width-server calendar — the
+// obvious "pick the earliest-free server" loop — and requires every grant
+// and every accessor to agree after each call. Servers are identical, so
+// only the multiset of free times matters; any server-selection structure
+// that keeps that multiset exact grants the same intervals.
+func TestAcquireMatchesLinearScan(t *testing.T) {
+	for _, width := range []int{1, 2, 3, 64, 128, 256} {
+		rng := NewRNG(uint64(0xAC0 + width))
+		r := NewResource("ref", width)
+		ref := make([]Cycle, width)
+		var busy, waited Cycles
+		now := Cycle(0)
+		for i := 0; i < 20_000; i++ {
+			// Mostly-forward time with occasional stale requests (a model
+			// may reserve for an earlier cycle than the last grant's).
+			switch rng.Intn(8) {
+			case 0:
+				now -= Cycle(rng.Intn(50))
+				if now < 0 {
+					now = 0
+				}
+			default:
+				now += Cycle(rng.Intn(4))
+			}
+			d := Cycles(rng.Intn(3 * width))
+			if rng.Intn(16) == 0 {
+				d = 0
+			}
+			best := 0
+			for j := 1; j < width; j++ {
+				if ref[j] < ref[best] {
+					best = j
+				}
+			}
+			wantStart := max(now, ref[best])
+			wantEnd := wantStart + d
+			ref[best] = wantEnd
+			busy += d
+			waited += wantStart - now
+			avail := ref[0]
+			for _, f := range ref[1:] {
+				avail = min(avail, f)
+			}
+
+			start, end := r.Acquire(now, d)
+			if start != wantStart || end != wantEnd {
+				t.Fatalf("width %d grant %d: Acquire(%d, %d) = [%d,%d), want [%d,%d)",
+					width, i, now, d, start, end, wantStart, wantEnd)
+			}
+			if r.BusyCycles() != busy || r.WaitCycles() != waited || r.AvailableAt() != avail {
+				t.Fatalf("width %d grant %d: busy/wait/avail = %d/%d/%d, want %d/%d/%d",
+					width, i, r.BusyCycles(), r.WaitCycles(), r.AvailableAt(), busy, waited, avail)
+			}
+		}
+	}
+}
