@@ -196,3 +196,19 @@ func TestCPUModel(t *testing.T) {
 		t.Errorf("thread scaling ratio = %.3f, want 2", ratio)
 	}
 }
+
+// TestNewDDRMachineAllocBudget caps the heap allocations one NewDDRMachine
+// may make: bank and chip state are flat value slices and the event wheel
+// is one slab, so construction stays in the low hundreds of allocations.
+func TestNewDDRMachineAllocBudget(t *testing.T) {
+	const budget = 400
+	cfg := DefaultDDRConfig()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewDDRMachine(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > budget {
+		t.Errorf("NewDDRMachine makes %.0f allocations, budget %d", allocs, budget)
+	}
+}

@@ -374,11 +374,14 @@ func (m *Machine) Run(wl *trace.Workload) (*Result, error) {
 	}
 	end := res.Cycles
 
-	// Aggregate DRAM stats and the CXLG chip distribution.
+	// Aggregate DRAM stats, the CXLG chip distribution and DRAM access
+	// energy from one snapshot per DIMM.
 	var cxlgChips []uint64
+	var dramPJ float64
 	for s := range m.dimms {
 		for d, dm := range m.dimms[s] {
 			st := dm.Stats()
+			dramPJ += m.cfg.DRAMEnergy.AccessEnergyPJ(st, 1)
 			res.DRAM.Reads += st.Reads
 			res.DRAM.Writes += st.Writes
 			res.DRAM.RowHits += st.RowHits
@@ -406,14 +409,7 @@ func (m *Machine) Run(wl *trace.Workload) (*Result, error) {
 	res.CXLGChipAccesses = cxlgChips
 
 	// Energy.
-	dm := m.cfg.DRAMEnergy
-	var dramPJ float64
-	for s := range m.dimms {
-		for _, d := range m.dimms[s] {
-			dramPJ += dm.AccessEnergyPJ(d.Stats(), 1)
-		}
-	}
-	dramPJ += dm.BackgroundEnergyPJ(int64(end), m.cfg.Switches*m.cfg.DIMMsPerSwitch*m.cfg.DIMM.Ranks)
+	dramPJ += m.cfg.DRAMEnergy.BackgroundEnergyPJ(int64(end), m.cfg.Switches*m.cfg.DIMMsPerSwitch*m.cfg.DIMM.Ranks)
 	em := m.cfg.Energy
 	commPJ := em.LinkPJ(res.Fabric.WireBytes) + em.BusPJ(res.Fabric.SwitchBusBytes) + em.HostPJ(res.Fabric.HostCrossings)
 	computePJ := em.PEComputePJ(int64(res.PEBusyCycles)) + em.PELeakagePJ(len(m.nodes)*m.cfg.PEsPerNode, int64(end))

@@ -9,8 +9,9 @@
 // parameters (DDR4-1600 22-22-22, 4 ranks, 16 x4 chips per rank, 4 bank
 // groups x 4 banks) drive bandwidth, latency and row-locality behaviour.
 // Commands are not replayed cycle-by-cycle; each request reserves its bank
-// and chip resources on calendars (internal/sim), which preserves the
-// queueing behaviour the evaluation depends on at a fraction of the cost.
+// and chip calendars (granted by the internal/sim Resource rule), which
+// preserves the queueing behaviour the evaluation depends on at a fraction
+// of the cost.
 package dram
 
 import "fmt"

@@ -90,31 +90,55 @@ func (s Stats) RowHitRate() float64 {
 
 // DIMM is one simulated module. All methods are single-goroutine, in keeping
 // with the deterministic event kernel.
+//
+// Bank and chip state live in two flat value slices, so building a DIMM is
+// a handful of allocations however many banks it has. Banks and chip data
+// buses are single-server calendars granted by the sim.Resource rule — a
+// request at t for d cycles gets [max(t, free), max(t, free)+d) — kept
+// inline because the timing model reads nothing else of a Resource.
 type DIMM struct {
 	cfg  Config
 	name string
-	// chips[rank][chip] is the per-chip data-bus calendar.
-	chips [][]*sim.Resource
-	// bank state per (rank, chip, bank): because chips may be addressed
-	// individually, each chip's banks track their own open row. In lock-step
-	// or coalesced mode the participating chips advance together (their rows
-	// always match because requests address them together).
-	openRow  [][][]int64 // -1 = precharged
-	bankRes  [][][]*sim.Resource
+	// banks[(rank*ChipsPerRank+chip)*Banks()+bank] holds per-bank state:
+	// because chips may be addressed individually, each chip's banks track
+	// their own open row.
+	// In lock-step or coalesced mode the participating chips advance
+	// together (their rows always match because requests address them
+	// together).
+	banks []bank
+	// chips[rank*ChipsPerRank+chip] holds each chip's data-bus calendar
+	// and tFAW history.
+	chips    []chip
 	stats    Stats
 	coalesce int // group size for ModeCoalesced
-	// lastRefresh[rank][chip][bank] is the index of the last refresh window
-	// the bank has paid for (lazy refresh accounting).
-	lastRefresh [][][]int64
-	// actTimes[rank][chip] is a ring of the last 4 activation start times
-	// per chip, enforcing tFAW.
-	actTimes [][][4]sim.Cycle
-	actIdx   [][]int
 	// tr, when non-nil, records every access as a span on the DIMM's track.
 	tr      *obs.Tracer
 	trTrack obs.Track
 	// flt, when enabled, rolls on-die-ECC media errors per access.
 	flt fault.Component
+}
+
+// bank is one bank's row-buffer, refresh and occupancy state.
+type bank struct {
+	// open is the open row; -1 = precharged.
+	open int64
+	// refreshed is the index of the last refresh window the bank has paid
+	// for (lazy refresh accounting).
+	refreshed int64
+	// free is when the bank can start its next operation.
+	free sim.Cycle
+}
+
+// chip is one chip's data-bus calendar and activation history.
+type chip struct {
+	// free is when the data bus can start its next burst run; waited sums
+	// the queueing delay requests spent behind it.
+	free   sim.Cycle
+	waited sim.Cycles
+	// acts is a ring of the last 4 activation start times, enforcing tFAW;
+	// actIdx indexes its oldest entry.
+	acts   [4]sim.Cycle
+	actIdx int
 }
 
 // NewDIMM builds a DIMM; coalesce is the multi-chip-coalescing group size
@@ -128,36 +152,16 @@ func NewDIMM(name string, cfg Config, coalesce int) (*DIMM, error) {
 			coalesce, cfg.ChipsPerRank)
 	}
 	d := &DIMM{cfg: cfg, name: name, coalesce: coalesce}
-	banks := cfg.Banks()
-	d.chips = make([][]*sim.Resource, cfg.Ranks)
-	d.openRow = make([][][]int64, cfg.Ranks)
-	d.bankRes = make([][][]*sim.Resource, cfg.Ranks)
-	d.lastRefresh = make([][][]int64, cfg.Ranks)
-	d.actTimes = make([][][4]sim.Cycle, cfg.Ranks)
-	d.actIdx = make([][]int, cfg.Ranks)
-	for r := 0; r < cfg.Ranks; r++ {
-		d.chips[r] = make([]*sim.Resource, cfg.ChipsPerRank)
-		d.openRow[r] = make([][]int64, cfg.ChipsPerRank)
-		d.bankRes[r] = make([][]*sim.Resource, cfg.ChipsPerRank)
-		d.lastRefresh[r] = make([][]int64, cfg.ChipsPerRank)
-		d.actTimes[r] = make([][4]sim.Cycle, cfg.ChipsPerRank)
-		d.actIdx[r] = make([]int, cfg.ChipsPerRank)
-		for ch := range d.actTimes[r] {
-			for i := range d.actTimes[r][ch] {
-				// Far past, so the first four activations are unthrottled.
-				d.actTimes[r][ch][i] = -sim.Cycle(1) << 40
-			}
+	d.chips = make([]chip, cfg.Ranks*cfg.ChipsPerRank)
+	for i := range d.chips {
+		// Far past, so the first four activations are unthrottled.
+		for j := range d.chips[i].acts {
+			d.chips[i].acts[j] = -sim.Cycle(1) << 40
 		}
-		for ch := 0; ch < cfg.ChipsPerRank; ch++ {
-			d.chips[r][ch] = sim.NewResource(fmt.Sprintf("%s/r%d/c%d", name, r, ch), 1)
-			d.openRow[r][ch] = make([]int64, banks)
-			d.bankRes[r][ch] = make([]*sim.Resource, banks)
-			d.lastRefresh[r][ch] = make([]int64, banks)
-			for b := 0; b < banks; b++ {
-				d.openRow[r][ch][b] = -1
-				d.bankRes[r][ch][b] = sim.NewResource(fmt.Sprintf("%s/r%d/c%d/b%d", name, r, ch, b), 1)
-			}
-		}
+	}
+	d.banks = make([]bank, len(d.chips)*cfg.Banks())
+	for i := range d.banks {
+		d.banks[i].open = -1
 	}
 	d.stats.PerChipAccesses = make([]uint64, cfg.ChipsPerRank)
 	return d, nil
@@ -241,10 +245,8 @@ func (d *DIMM) Instrument(ob *obs.Obs) {
 // data bus (polled at snapshot time only).
 func (d *DIMM) chipWaitCycles() int64 {
 	var w sim.Cycles
-	for _, rank := range d.chips {
-		for _, c := range rank {
-			w += c.WaitCycles()
-		}
+	for i := range d.chips {
+		w += d.chips[i].waited
 	}
 	return int64(w)
 }
@@ -305,14 +307,15 @@ func (d *DIMM) Access(now sim.Cycle, loc Loc, bytes int, write bool, mode Access
 
 	// Bank timing on the leading chip decides the row state; all chips in
 	// the set advance together.
-	lead := d.bankRes[loc.Rank][first][loc.Bank]
-	open := d.openRow[loc.Rank][first][loc.Bank]
+	rankChip := loc.Rank * d.cfg.ChipsPerRank
+	banks := d.cfg.Banks()
+	lead := &d.banks[(rankChip+first)*banks+loc.Bank]
 	prep := 0
 	activates := false
 	switch {
-	case open == loc.Row:
+	case lead.open == loc.Row:
 		d.stats.RowHits++
-	case open < 0:
+	case lead.open < 0:
 		prep = d.cfg.TRCD
 		d.stats.RowMisses++
 		d.stats.Activations++
@@ -331,17 +334,16 @@ func (d *DIMM) Access(now sim.Cycle, loc Loc, bytes int, write bool, mode Access
 		nextRow = -1
 	}
 	for ch := first; ch < first+width; ch++ {
-		d.openRow[loc.Rank][ch][loc.Bank] = nextRow
+		d.banks[(rankChip+ch)*banks+loc.Bank].open = nextRow
 	}
 
 	// Lazy refresh accounting: if a refresh window elapsed since the bank
 	// last paid one, charge tRFC now (the auto-refresh blocked the bank at
 	// some point during the window).
 	if d.cfg.TREFI > 0 {
-		window := int64(now) / int64(d.cfg.TREFI)
-		if paid := d.lastRefresh[loc.Rank][first][loc.Bank]; window > paid {
+		if window := int64(now) / int64(d.cfg.TREFI); window > lead.refreshed {
 			prep += d.cfg.TRFC
-			d.lastRefresh[loc.Rank][first][loc.Bank] = window
+			lead.refreshed = window
 			d.stats.Refreshes++
 			d.stats.RefreshStallCycles += sim.Cycles(d.cfg.TRFC)
 		}
@@ -350,15 +352,16 @@ func (d *DIMM) Access(now sim.Cycle, loc Loc, bytes int, write bool, mode Access
 	// Bursts needed to move the useful bytes through `width` chips.
 	perBurst := width * d.cfg.ChipIOBytes
 	bursts := (bytes + perBurst - 1) / perBurst
-	occupancy := sim.Cycles(prep + bursts*d.cfg.TBL)
-	d.stats.BusyCyclesByChips += sim.Cycles(width * bursts * d.cfg.TBL)
+	burstCycles := sim.Cycles(bursts * d.cfg.TBL)
+	occupancy := sim.Cycles(prep) + burstCycles
+	d.stats.BusyCyclesByChips += sim.Cycles(width) * burstCycles
 
 	// tFAW: at most four activations per chip per rolling window. The
 	// leading chip's history gates the whole set (they activate together).
+	leadChip := &d.chips[rankChip+first]
 	earliest := now
 	if activates && d.cfg.TFAW > 0 {
-		idx := d.actIdx[loc.Rank][first]
-		oldest := d.actTimes[loc.Rank][first][idx]
+		oldest := leadChip.acts[leadChip.actIdx]
 		if lim := oldest + sim.Cycles(d.cfg.TFAW); lim > earliest {
 			d.stats.FAWStallCycles += sim.Cycles(lim - earliest)
 			earliest = lim
@@ -369,19 +372,20 @@ func (d *DIMM) Access(now sim.Cycle, loc Loc, bytes int, write bool, mode Access
 	// The bank is busy for the whole operation; the chip data buses are busy
 	// for the burst portion. Reserve the bank first (it gates issue), then
 	// the chips from the bank-ready time.
-	start, bankEnd := lead.Acquire(earliest, occupancy)
+	start := max(earliest, lead.free)
+	end := start + occupancy
+	lead.free = end
 	if activates && d.cfg.TFAW > 0 {
-		idx := d.actIdx[loc.Rank][first]
-		d.actTimes[loc.Rank][first][idx] = start
-		d.actIdx[loc.Rank][first] = (idx + 1) % 4
+		leadChip.acts[leadChip.actIdx] = start
+		leadChip.actIdx = (leadChip.actIdx + 1) % 4
 	}
 	burstStart := start + sim.Cycles(prep)
-	var end sim.Cycle = bankEnd
 	for ch := first; ch < first+width; ch++ {
-		_, chEnd := d.chips[loc.Rank][ch].Acquire(burstStart, sim.Cycles(bursts*d.cfg.TBL))
-		if chEnd > end {
-			end = chEnd
-		}
+		c := &d.chips[rankChip+ch]
+		chStart := max(burstStart, c.free)
+		c.waited += chStart - burstStart
+		c.free = chStart + burstCycles
+		end = max(end, c.free)
 		d.stats.PerChipAccesses[ch] += uint64(bursts)
 	}
 	// Data is available TCL after the column command completes issue; fold

@@ -16,10 +16,13 @@ import (
 // as a batch by walking the bucket. Events beyond the window wait in a
 // value min-heap and migrate into buckets as the window slides forward.
 //
-// Event storage is flat: buckets and the overflow tier hold calEvent
-// values in reusable slabs (the builder-arena style of trace.Builder), so
-// scheduling allocates nothing at steady state — bucket capacity is
-// retained across reuse and there is no per-event heap node.
+// Event storage is flat: every bucketed event lives in one slab of
+// calSlot values, each bucket is a singly linked FIFO list through the
+// slots' 1-based next indexes (head/tail per bucket), and dispatched slots
+// go on a free list for the next schedule to reuse. The slab therefore
+// grows only to the peak number of bucketed events and scheduling
+// allocates nothing at steady state; the overflow tier is a value heap in
+// its own reusable slice, so there is no per-event heap node either.
 //
 // Ordering invariants, maintained jointly with the Engine:
 //
@@ -46,18 +49,36 @@ const (
 	calMask   = calWindow - 1
 )
 
-// calEvent is one pending event, stored by value in a bucket or the
-// overflow heap.
+// calEvent is one pending event in the overflow heap.
 type calEvent struct {
 	at  Cycle
 	seq uint64
 	fn  func()
 }
 
+// calSlot is one bucketed event. Buckets keep seq order by list position,
+// so the slot needs no seq; next is the 1-based slab index of the
+// following event in the same bucket (or on the free list), 0 ending it.
+type calSlot struct {
+	at   Cycle
+	fn   func()
+	next int32
+}
+
+// calList is one bucket: 1-based slab indexes of its first and last
+// events, 0 when empty.
+type calList struct {
+	head, tail int32
+}
+
 type calendarScheduler struct {
-	// buckets[i] holds the events for the unique in-window cycle with
+	// slab stores every bucketed event; free heads the list of slots
+	// released by pop (1-based, 0 = none).
+	slab []calSlot
+	free int32
+	// buckets[i] lists the events for the unique in-window cycle with
 	// cycle&calMask == i, in seq order.
-	buckets [][]calEvent
+	buckets []calList
 	// occ is the bucket-occupancy bitmap (1 bit per bucket); it lets the
 	// head scan skip 64 empty cycles per word.
 	occ []uint64
@@ -65,9 +86,8 @@ type calendarScheduler struct {
 	inWindow int
 	// cur is the cycle of the batch currently (or last) dispatched.
 	cur Cycle
-	// curIdx indexes the next event in cur's bucket while a batch is being
-	// dispatched; -1 when no batch is open.
-	curIdx int
+	// open is true while cur's batch is being dispatched.
+	open bool
 	// horizon is the bucket/overflow boundary (see the invariants above).
 	horizon Cycle
 	// overflow holds events at or beyond horizon, ordered by (at, seq).
@@ -80,32 +100,43 @@ type calendarScheduler struct {
 
 func newCalendarScheduler() *calendarScheduler {
 	return &calendarScheduler{
-		buckets: make([][]calEvent, calWindow),
+		buckets: make([]calList, calWindow),
 		occ:     make([]uint64, calWindow/64),
-		curIdx:  -1,
 		horizon: calWindow,
 	}
 }
 
 func (c *calendarScheduler) schedule(at Cycle, seq uint64, fn func()) {
-	ev := calEvent{at: at, seq: seq, fn: fn}
 	if at < c.horizon {
-		c.bucket(ev)
+		c.bucket(at, fn)
 	} else {
-		c.overflowPush(ev)
+		c.overflowPush(calEvent{at: at, seq: seq, fn: fn})
 	}
 	if c.headValid && at < c.headAt {
 		c.headAt = at
 	}
 }
 
-// bucket appends a window event to its cycle's bucket.
-func (c *calendarScheduler) bucket(ev calEvent) {
-	i := int(ev.at & calMask)
-	if len(c.buckets[i]) == 0 {
-		c.occ[i>>6] |= 1 << uint(i&63)
+// bucket appends a window event to the tail of its cycle's bucket, in a
+// free slot when one is left over from a dispatched event.
+func (c *calendarScheduler) bucket(at Cycle, fn func()) {
+	idx := c.free
+	if idx != 0 {
+		c.free = c.slab[idx-1].next
+		c.slab[idx-1] = calSlot{at: at, fn: fn}
+	} else {
+		c.slab = append(c.slab, calSlot{at: at, fn: fn})
+		idx = int32(len(c.slab))
 	}
-	c.buckets[i] = append(c.buckets[i], ev)
+	i := int(at & calMask)
+	b := &c.buckets[i]
+	if b.head == 0 {
+		b.head = idx
+		c.occ[i>>6] |= 1 << uint(i&63)
+	} else {
+		c.slab[b.tail-1].next = idx
+	}
+	b.tail = idx
 	c.inWindow++
 }
 
@@ -118,7 +149,7 @@ func (c *calendarScheduler) pop() (Cycle, func(), bool) {
 	if !ok {
 		return 0, nil, false
 	}
-	if c.curIdx < 0 {
+	if !c.open {
 		// A new batch begins: commit the cursor to its cycle, slide the
 		// window forward and migrate newly eligible overflow events before
 		// reading the bucket. When the head itself came from overflow (the
@@ -126,40 +157,42 @@ func (c *calendarScheduler) pop() (Cycle, func(), bool) {
 		// batch's bucket — in (at, seq) order, so the batch dispatches
 		// complete and correctly ordered.
 		c.cur = at
-		c.curIdx = 0
+		c.open = true
 		c.headValid = false
 		c.advanceHorizon()
 	}
-	b := c.buckets[int(c.cur&calMask)]
-	ev := b[c.curIdx]
-	if ev.at != c.cur {
-		panic(fmt.Sprintf("sim: calendar bucket corrupt: event at %d in bucket for cycle %d", ev.at, c.cur))
+	b := &c.buckets[int(c.cur&calMask)]
+	idx := b.head
+	s := &c.slab[idx-1]
+	if s.at != c.cur {
+		panic(fmt.Sprintf("sim: calendar bucket corrupt: event at %d in bucket for cycle %d", s.at, c.cur))
 	}
-	c.curIdx++
+	fn := s.fn
+	b.head = s.next
+	// Release the slot: dropping the fn pointer lets the closure be
+	// collected while the slot waits on the free list.
+	*s = calSlot{next: c.free}
+	c.free = idx
 	c.inWindow--
-	return ev.at, ev.fn, true
+	return at, fn, true
 }
 
 func (c *calendarScheduler) len() int { return c.inWindow + len(c.overflow) }
 
 // headTime returns the earliest pending event time without committing the
-// cursor. It closes a finished batch (releasing its bucket slab) and
-// otherwise serves from the cached scan.
+// cursor. It closes a finished batch and otherwise serves from the cached
+// scan.
 func (c *calendarScheduler) headTime() (Cycle, bool) {
-	if c.curIdx >= 0 {
+	if c.open {
 		i := int(c.cur & calMask)
-		b := c.buckets[i]
-		if c.curIdx < len(b) {
+		if c.buckets[i].head != 0 {
 			return c.cur, true // mid-batch: the open bucket still has events
 		}
-		// Batch finished: release the bucket. Dropping the fn pointers lets
-		// the closures be collected while the slab capacity is reused. The
-		// cursor stays on cur — the Engine may legally schedule at this very
-		// cycle again before the clock moves.
-		clear(b)
-		c.buckets[i] = b[:0]
+		// Batch finished: mark the bucket empty. The cursor stays on cur —
+		// the Engine may legally schedule at this very cycle again before
+		// the clock moves.
 		c.occ[i>>6] &^= 1 << uint(i&63)
-		c.curIdx = -1
+		c.open = false
 		c.headValid = false
 	}
 	if c.headValid {
@@ -207,23 +240,22 @@ func (c *calendarScheduler) advanceHorizon() {
 	}
 	c.horizon = target
 	for len(c.overflow) > 0 && c.overflow[0].at < target {
-		c.bucket(c.overflowPop())
+		ev := c.overflowPop()
+		c.bucket(ev.at, ev.fn)
 	}
 }
 
 func (c *calendarScheduler) reset() {
-	for i := range c.buckets {
-		if b := c.buckets[i]; len(b) > 0 {
-			clear(b)
-			c.buckets[i] = b[:0]
-		}
-	}
+	clear(c.slab)
+	c.slab = c.slab[:0]
+	c.free = 0
+	clear(c.buckets)
 	clear(c.occ)
 	clear(c.overflow)
 	c.overflow = c.overflow[:0]
 	c.inWindow = 0
 	c.cur = 0
-	c.curIdx = -1
+	c.open = false
 	c.horizon = calWindow
 	c.headValid = false
 }

@@ -17,7 +17,11 @@ import (
 // (e.g. a PE pool, independent sub-channels). Each server is its own
 // calendar; Acquire always picks the earliest-available server.
 type Resource struct {
-	name     string
+	name string
+	// nextFree holds each server's next free time as a binary min-heap, so
+	// the earliest-available server is always nextFree[0]. Servers are
+	// identical, so only the multiset of free times matters: which slot a
+	// time sits in never changes a grant.
 	nextFree []Cycle
 	// busy accumulates total granted cycles across servers, for utilization
 	// reporting.
@@ -67,40 +71,43 @@ func (r *Resource) Acquire(now Cycle, d Cycles) (start, end Cycle) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: resource %q acquire negative duration %d", r.name, d))
 	}
-	best := 0
-	for i := 1; i < len(r.nextFree); i++ {
-		if r.nextFree[i] < r.nextFree[best] {
-			best = i
-		}
-	}
-	start = now
-	if r.nextFree[best] > start {
-		start = r.nextFree[best]
-	}
+	start = max(now, r.nextFree[0])
 	end = start + d
-	r.nextFree[best] = end
+	r.siftDown(end)
 	r.busy += d
 	r.waited += Cycles(start - now)
 	r.grants++
-	if DebugTrackWaits {
-		debugRecord(r.name, start-now, d)
-	}
 	if r.tr != nil {
 		r.tr.Span(r.trTrack, r.trName, int64(start), int64(end))
 	}
 	return start, end
 }
 
-// AvailableAt returns the earliest time any server could start a new grant.
-func (r *Resource) AvailableAt() Cycle {
-	best := r.nextFree[0]
-	for _, t := range r.nextFree[1:] {
-		if t < best {
-			best = t
+// siftDown replaces the heap root — the server just granted — with its new
+// free time t. A grant only ever moves a server's free time later, so the
+// root can only sink.
+func (r *Resource) siftDown(t Cycle) {
+	h := r.nextFree
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[c] >= t {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return best
+	h[i] = t
 }
+
+// AvailableAt returns the earliest time any server could start a new grant.
+func (r *Resource) AvailableAt() Cycle { return r.nextFree[0] }
 
 // BusyCycles returns the total cycles granted across all servers.
 func (r *Resource) BusyCycles() Cycles { return r.busy }
@@ -125,9 +132,7 @@ func (r *Resource) Utilization(horizon Cycle) float64 {
 
 // Reset clears all calendars and counters.
 func (r *Resource) Reset() {
-	for i := range r.nextFree {
-		r.nextFree[i] = 0
-	}
+	clear(r.nextFree)
 	r.busy = 0
 	r.waited = 0
 	r.grants = 0
@@ -228,21 +233,4 @@ func (p *Pipe) Reset() {
 	p.res.Reset()
 	p.bytesMoved = 0
 	p.frac = 0
-}
-
-// DebugMaxWait tracks the worst queueing delay granted by any resource, for
-// diagnosing serialization; enabled whenever DebugTrackWaits is true.
-var (
-	DebugTrackWaits bool
-	DebugWaits      = map[string]Cycles{}
-	DebugOccupancy  = map[string]Cycles{}
-	DebugTotalWait  = map[string]Cycles{}
-)
-
-func debugRecord(name string, wait, occ Cycles) {
-	if wait > DebugWaits[name] {
-		DebugWaits[name] = wait
-	}
-	DebugOccupancy[name] += occ
-	DebugTotalWait[name] += wait
 }

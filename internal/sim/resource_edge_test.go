@@ -121,28 +121,6 @@ func TestResourceInstrument(t *testing.T) {
 	}
 }
 
-func TestResourceDebugWaitTracking(t *testing.T) {
-	DebugTrackWaits = true
-	defer func() {
-		DebugTrackWaits = false
-		delete(DebugWaits, "dbg")
-		delete(DebugOccupancy, "dbg")
-		delete(DebugTotalWait, "dbg")
-	}()
-	r := NewResource("dbg", 1)
-	r.Acquire(0, 10)
-	r.Acquire(0, 5) // queues 10 cycles behind the first grant
-	if DebugWaits["dbg"] != 10 {
-		t.Errorf("DebugWaits = %d, want 10", DebugWaits["dbg"])
-	}
-	if DebugOccupancy["dbg"] != 15 {
-		t.Errorf("DebugOccupancy = %d, want 15", DebugOccupancy["dbg"])
-	}
-	if DebugTotalWait["dbg"] != 10 {
-		t.Errorf("DebugTotalWait = %d, want 10", DebugTotalWait["dbg"])
-	}
-}
-
 func TestPipeConstructorValidation(t *testing.T) {
 	mustPanic(t, "NewPipe(bandwidth=0)", func() { NewPipe("link", 0, 1) })
 	mustPanic(t, "NewPipe(bandwidth<0)", func() { NewPipe("link", -4, 1) })

@@ -12,9 +12,11 @@ package sim
 //     reference implementation: small, obviously correct, O(log n) per
 //     operation, one allocation per event.
 //   - calendarScheduler (calendar.go) is a bucketed timing wheel with a
-//     heap overflow tier for far-future events. It dispatches same-cycle
-//     batches in O(1) per event with zero steady-state allocations and is
-//     what NewEngine builds.
+//     heap overflow tier for far-future events. Bucketed events share one
+//     slab, each bucket a linked list through it, with dispatched slots
+//     reused from a free list. It dispatches same-cycle batches in O(1)
+//     per event with zero steady-state allocations and is what NewEngine
+//     builds.
 //
 // The queue is a private detail of this package: no option, field or flag
 // outside it selects one. The differential suite (differential_test.go,
