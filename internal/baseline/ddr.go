@@ -148,7 +148,9 @@ type DDRMachine struct {
 	rp      *ndp.Replay
 	chanBus []*sim.Pipe // per channel, half duplex shared
 	host    *sim.Pipe
-	stats   struct {
+	// paths[a][b] is the hop sequence from channel a to channel b.
+	paths [][][]cxl.Hop
+	stats struct {
 		channelBytes  uint64
 		hostCrossings uint64
 	}
@@ -208,8 +210,21 @@ func NewDDRMachine(cfg DDRConfig) (*DDRMachine, error) {
 	if !cfg.IdealComm {
 		m.host = sim.NewPipeN("hostbridge", cfg.HostBridgeBytesPerCycle,
 			sim.Cycles(cfg.HostLatencyCycles), cfg.Channels)
+		for a, bus := range m.chanBus {
+			row := make([][]cxl.Hop, cfg.Channels)
+			for b := range row {
+				row[b] = []cxl.Hop{cxl.PipeHop(bus), cxl.PipeHop(m.host), cxl.PipeHop(m.chanBus[b])}
+				if b == a {
+					row[b] = row[b][:1]
+				}
+			}
+			m.paths = append(m.paths, row)
+		}
 	}
-	m.rp = ndp.NewReplay("ddr", m.engine, m.nodes, m.serve)
+	m.rp = ndp.NewReplay("ddr", m.nodes, &ndp.Walker{
+		Engine: m.engine, Flows: Flows, ReqBytes: cfg.ReqBytes, AckBytes: 4,
+		Path: m.path, Access: m.access, Atomic: m.atomic,
+	})
 	m.instrument(cfg.Obs)
 	return m, nil
 }
@@ -235,13 +250,7 @@ func (m *DDRMachine) instrument(ob *obs.Obs) {
 	ac := ob.Accountant()
 	pipe := func(p *sim.Pipe, class string) {
 		p.Instrument(tr, "xfer")
-		ac.Track(obs.Meter{
-			Class: class,
-			Name:  p.Name(),
-			Width: p.Width(),
-			Busy:  func() int64 { return int64(p.BusyCycles()) },
-			Wait:  func() int64 { return int64(p.WaitCycles()) },
-		})
+		ac.Track(p.Meter(class))
 	}
 	for _, bus := range m.chanBus {
 		pipe(bus, obs.ClassBus)
@@ -254,82 +263,57 @@ func (m *DDRMachine) instrument(ob *obs.Obs) {
 // wire64 rounds a payload to DDR burst granularity.
 func wire64(n int) int { return (n + 63) / 64 * 64 }
 
-// routeThen moves a message between DIMMs with per-hop events, as in
-// internal/core: same-channel over the shared bus, cross-channel via the
-// host bridge.
-func (m *DDRMachine) routeThen(now sim.Cycle, from, to cxl.NodeID, size int, cont func(sim.Cycle)) {
-	if m.cfg.IdealComm || from == to {
-		cont(now)
-		return
+// Flows is the DDR baseline's flow table (ndp.Walker): local pieces stay
+// inside the DIMM; remote ones cross the channel bus (and the host bridge
+// between channels). A remote RMW sends its command with the operand to
+// the target DIMM, whose own NDP logic performs the read-modify-write, then
+// acknowledges.
+var Flows = ndp.Flows{
+	Local: [...]ndp.Flow{
+		trace.OpRead:      {ndp.DRAMRead},
+		trace.OpWrite:     {ndp.DRAMWrite},
+		trace.OpAtomicRMW: {ndp.DRAMRead, ndp.Atomic(ndp.Home), ndp.DRAMWrite},
+	},
+	Remote: [...]ndp.Flow{
+		trace.OpRead:  {ndp.Route(ndp.Home, ndp.Target, ndp.Req), ndp.DRAMRead, ndp.Route(ndp.Target, ndp.Home, ndp.Data)},
+		trace.OpWrite: {ndp.Route(ndp.Home, ndp.Target, ndp.ReqData), ndp.DRAMWrite, ndp.Route(ndp.Target, ndp.Home, ndp.Ack)},
+		trace.OpAtomicRMW: {
+			ndp.Route(ndp.Home, ndp.Target, ndp.ReqData),
+			ndp.DRAMRead, ndp.Atomic(ndp.Target), ndp.DRAMWrite,
+			ndp.Route(ndp.Target, ndp.Home, ndp.Ack),
+		},
+	},
+}
+
+// path is the walker's Path: same-channel messages cross the shared bus,
+// cross-channel ones also the host bridge and the target's bus, each hop
+// moving the payload rounded to DDR bursts.
+func (m *DDRMachine) path(from, to cxl.NodeID, size int) ([]cxl.Hop, int, error) {
+	if m.cfg.IdealComm {
+		return nil, 0, nil
 	}
 	wire := wire64(size)
 	m.stats.channelBytes += uint64(wire)
-	t1 := m.chanBus[from.Switch].Transfer(now, wire)
-	if from.Switch == to.Switch {
-		m.engine.ScheduleAtOrNow(t1, func() { cont(t1) })
-		return
+	if from.Switch != to.Switch {
+		m.stats.hostCrossings++
+		m.stats.channelBytes += uint64(wire)
 	}
-	m.stats.hostCrossings++
-	m.stats.channelBytes += uint64(wire)
-	m.engine.ScheduleAtOrNow(t1, func() {
-		t2 := m.host.Transfer(t1, wire)
-		m.engine.ScheduleAtOrNow(t2, func() {
-			t3 := m.chanBus[to.Switch].Transfer(t2, wire)
-			m.engine.ScheduleAtOrNow(t3, func() { cont(t3) })
-		})
-	})
+	return m.paths[from.Switch][to.Switch], wire, nil
 }
 
-// nodeIndex returns the replay node homed at a DIMM.
-func (m *DDRMachine) nodeIndex(n cxl.NodeID) int { return n.Switch*m.cfg.DIMMsPerChannel + n.Slot }
+// access is the walker's Access; the DDR baseline never retries.
+func (m *DDRMachine) access(now sim.Cycle, pa memmgmt.PlacedAccess, write bool) (sim.Cycle, error) {
+	return m.dimms[pa.Node.Switch][pa.Node.Slot].Access(now, pa.Loc, pa.Bytes, write, pa.Mode)
+}
 
-// serve is the machine's ndp.Serve: local accesses stay inside the DIMM,
-// remote ones cross the channel bus (and the host bridge between channels).
-func (m *DDRMachine) serve(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedAccess, op trace.Op,
-	fail func(error), cont func(sim.Cycle)) {
-	dimm := m.dimms[pa.Node.Switch][pa.Node.Slot]
-	doDRAM := func(t sim.Cycle, write bool, k func(sim.Cycle)) {
-		t2, err := dimm.Access(t, pa.Loc, pa.Bytes, write, pa.Mode)
-		if err != nil {
-			fail(err)
-			return
-		}
-		k(t2)
+// atomic is the walker's Atomic: a local RMW computes inline in the home
+// DIMM's logic, a remote one on the target DIMM's atomic units.
+func (m *DDRMachine) atomic(now sim.Cycle, at cxl.NodeID, local bool) sim.Cycle {
+	mod := m.nodes[at.Switch*m.cfg.DIMMsPerChannel+at.Slot].Module
+	if local {
+		return now + mod.AtomicLatency()
 	}
-	switch {
-	case pa.Node == home && op == trace.OpAtomicRMW:
-		doDRAM(now, false, func(t sim.Cycle) {
-			t2 := t + m.nodes[m.nodeIndex(home)].Module.AtomicLatency()
-			m.engine.ScheduleAtOrNow(t2, func() { doDRAM(t2, true, cont) })
-		})
-	case pa.Node == home:
-		doDRAM(now, op == trace.OpWrite, cont)
-	case op == trace.OpAtomicRMW:
-		// Remote RMW: command to the target DIMM, whose own NDP logic
-		// performs the read-modify-write, then acknowledges.
-		m.routeThen(now, home, pa.Node, m.cfg.ReqBytes+pa.Bytes, func(t sim.Cycle) {
-			doDRAM(t, false, func(t2 sim.Cycle) {
-				t3 := m.nodes[m.nodeIndex(pa.Node)].Module.Atomic(t2)
-				m.engine.ScheduleAtOrNow(t3, func() {
-					doDRAM(t3, true, func(t4 sim.Cycle) {
-						m.engine.ScheduleAtOrNow(t4, func() { m.routeThen(t4, pa.Node, home, 4, cont) })
-					})
-				})
-			})
-		})
-	case op == trace.OpWrite:
-		m.routeThen(now, home, pa.Node, m.cfg.ReqBytes+pa.Bytes, func(t sim.Cycle) {
-			doDRAM(t, true, func(t2 sim.Cycle) {
-				m.engine.ScheduleAtOrNow(t2, func() { m.routeThen(t2, pa.Node, home, 4, cont) })
-			})
-		})
-	default:
-		m.routeThen(now, home, pa.Node, m.cfg.ReqBytes, func(t sim.Cycle) {
-			doDRAM(t, false, func(t2 sim.Cycle) {
-				m.engine.ScheduleAtOrNow(t2, func() { m.routeThen(t2, pa.Node, home, pa.Bytes, cont) })
-			})
-		})
-	}
+	return mod.Atomic(now)
 }
 
 // Run replays a workload. The machine is single use.

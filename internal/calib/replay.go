@@ -102,11 +102,9 @@ func runPoint(cfg Config, p point) (Curve, error) {
 		if err != nil {
 			return Curve{}, err
 		}
-		switch p.plat.Via {
-		case PathSwitch:
+		origin = cxl.Host()
+		if p.plat.Via == PathSwitch {
 			origin = cxl.Switch(0)
-		default:
-			origin = cxl.Host()
 		}
 	}
 
@@ -124,32 +122,28 @@ func runPoint(cfg Config, p point) (Curve, error) {
 			runErr = err
 		}
 	}
-	complete := func(issue, done sim.Cycle) {
-		lats = append(lats, int64(done-issue))
-		if done > lastDone {
-			lastDone = done
-		}
-	}
 
-	// send walks a fabric path hop by hop, each hop traversed in an event
-	// at the previous hop's delivery time (granting calendar slots far in
-	// the future would block earlier traffic — see cxl.Hop).
+	// send walks a fabric path with the event-driven hop walker (see
+	// cxl.Walk).
 	send := func(from, to cxl.NodeID, useful int, then func(sim.Cycle)) {
 		hops, wire, err := fab.PathHops(from, to, useful, false, false)
 		if err != nil {
 			fail(err)
 			return
 		}
-		var walk func(i int, t sim.Cycle)
-		walk = func(i int, t sim.Cycle) {
-			if i == len(hops) {
-				then(t)
-				return
-			}
-			d := hops[i].Traverse(t, wire)
-			eng.ScheduleAt(d, func() { walk(i+1, d) })
+		cxl.Walk(eng, hops, wire, eng.Now(), then)
+	}
+
+	// access performs the DRAM access entered at time t (an event time on
+	// fabric paths, the issue time on the raw path) and calls after in an
+	// event at its completion.
+	access := func(t sim.Cycle, loc dram.Loc, write bool, after func(sim.Cycle)) {
+		done, err := dimm.Access(t, loc, p.size, write, p.plat.Mode)
+		if err != nil {
+			fail(err)
+			return
 		}
-		walk(0, eng.Now())
+		eng.ScheduleAt(done, func() { after(done) })
 	}
 
 	var issue func(slot int)
@@ -162,25 +156,15 @@ func runPoint(cfg Config, p point) (Curve, error) {
 		loc := gen.next(slot)
 		write := writeAt(i, p.writePct)
 		start := eng.Now()
-
-		// The DRAM access, entered at time t (an event time on fabric
-		// paths, the issue time on the raw path).
-		access := func(t sim.Cycle, after func(sim.Cycle)) {
-			done, err := dimm.Access(t, loc, p.size, write, p.plat.Mode)
-			if err != nil {
-				fail(err)
-				return
-			}
-			eng.ScheduleAt(done, func() { after(done) })
-		}
 		finish := func(done sim.Cycle) {
-			complete(start, done)
+			lats = append(lats, int64(done-start))
+			lastDone = max(lastDone, done)
 			totalData += uint64(p.size)
 			issue(slot)
 		}
 
 		if p.plat.Via == PathDRAM {
-			access(start, finish)
+			access(start, loc, write, finish)
 			return
 		}
 		// Pool paths: command down, DRAM access, payload/ack back.
@@ -188,11 +172,8 @@ func runPoint(cfg Config, p point) (Curve, error) {
 		if write {
 			down, up = p.size, ackBytes
 		}
-		send(origin, dimmNode, down, func(t sim.Cycle) {
-			access(t, func(done sim.Cycle) {
-				send(dimmNode, origin, up, finish)
-			})
-		})
+		back := func(sim.Cycle) { send(dimmNode, origin, up, finish) }
+		send(origin, dimmNode, down, func(t sim.Cycle) { access(t, loc, write, back) })
 	}
 
 	for s := 0; s < p.depth; s++ {

@@ -119,7 +119,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 		}
 		m.nodes = append(m.nodes, ndp.Node{Module: mod, Home: h, Mapper: mp})
 	}
-	m.rp = ndp.NewReplay("core", m.engine, m.nodes, m.serve)
+	m.rp = ndp.NewReplay("core", m.nodes, &ndp.Walker{
+		Engine: m.engine, Flows: Flows, ReqBytes: cfg.ReqBytes, AckBytes: cfg.AckBytes,
+		Path: m.path, Access: m.access, Retry: m.retry, Atomic: m.atomic,
+	})
 	m.packersOn = cfg.Opts.DataPacking
 	if cfg.Faults.Enabled() {
 		m.inj = fault.NewInjector(cfg.FaultSeed, cfg.Faults)
@@ -151,14 +154,7 @@ func (m *Machine) instrument(ob *obs.Obs) {
 	ac := ob.Accountant()
 	for _, a := range m.atomics {
 		a.Instrument(ob.Tracer(), "rmw")
-		a := a
-		ac.Track(obs.Meter{
-			Class: obs.ClassAtomic,
-			Name:  a.Name(),
-			Width: a.Width(),
-			Busy:  func() int64 { return int64(a.BusyCycles()) },
-			Wait:  func() int64 { return int64(a.WaitCycles()) },
-		})
+		ac.Track(a.Meter(obs.ClassAtomic))
 	}
 	m.inj.Instrument(ob)
 }
@@ -172,177 +168,74 @@ func (m *Machine) Homes() []cxl.NodeID {
 	return homes
 }
 
-// dimmAt returns the DIMM model behind a node id.
-func (m *Machine) dimmAt(n cxl.NodeID) *dram.DIMM {
-	return m.dimms[n.Switch][n.Slot]
-}
-
 // packed reports whether a payload of the given size travels packed.
 func (m *Machine) packed(size int) bool {
 	return m.packersOn && size < cxl.FlitBytes
 }
 
-// route moves a message, honoring the memory-access optimization: without
-// it, traffic to unmodified CXL-DIMMs detours through the host (Fig. 9).
-func (m *Machine) route(now sim.Cycle, from, to cxl.NodeID, size int) (sim.Cycle, error) {
-	if from == to {
-		return now, nil
-	}
-	pk := m.packed(size)
-	// The coherence detour applies to DIMM traffic when the target (or
-	// source) is an unmodified CXL-DIMM and device bias is not configured.
-	if !m.cfg.Opts.MemAccessOpt {
-		touchesUnmod := (from.Kind == cxl.NodeDIMM && !m.isCXLG(from)) ||
-			(to.Kind == cxl.NodeDIMM && !m.isCXLG(to))
-		if touchesUnmod {
-			return m.fabric.RouteViaHost(now, from, to, size, pk)
-		}
-	}
-	return m.fabric.Route(now, from, to, size, pk)
+// Flows is BEACON's flow table (ndp.Walker). A local piece, inside the
+// compute node's own CXLG-DIMM, goes straight to the DRAM; a local RMW
+// does its arithmetic in the NDP module's own MC/PE logic. A remote RMW is
+// the Fig. 7 flow: (1) the command travels to the switch owning the target
+// DIMM, (2-3) the switch MC reads the data, (4-5) the switch's atomic
+// engine (BEACON-D) or PE (BEACON-S) computes, (6) the result is written
+// back and the requester acknowledged.
+var Flows = ndp.Flows{
+	Local: [...]ndp.Flow{
+		trace.OpRead:      {ndp.DRAMRead},
+		trace.OpWrite:     {ndp.DRAMWrite},
+		trace.OpAtomicRMW: {ndp.DRAMRead, ndp.Atomic(ndp.Home), ndp.DRAMWrite},
+	},
+	Remote: [...]ndp.Flow{
+		trace.OpRead:  {ndp.Route(ndp.Home, ndp.Target, ndp.Req), ndp.DRAMRead, ndp.Route(ndp.Target, ndp.Home, ndp.Data)},
+		trace.OpWrite: {ndp.Route(ndp.Home, ndp.Target, ndp.ReqData), ndp.DRAMWrite, ndp.Route(ndp.Target, ndp.Home, ndp.Ack)},
+		trace.OpAtomicRMW: {
+			ndp.Route(ndp.Home, ndp.TargetSwitch, ndp.Req),
+			ndp.Route(ndp.TargetSwitch, ndp.Target, ndp.Req), ndp.DRAMRead, ndp.Route(ndp.Target, ndp.TargetSwitch, ndp.Data),
+			ndp.Atomic(ndp.TargetSwitch),
+			ndp.Route(ndp.TargetSwitch, ndp.Target, ndp.Data), ndp.DRAMWrite, ndp.Route(ndp.TargetSwitch, ndp.Home, ndp.Ack),
+		},
+	},
 }
 
-// routeThen routes a message hop-by-hop, traversing each hop in an event at
-// the previous hop's delivery time (so calendar reservations stay in time
-// order — see cxl.Hop), and invokes cont at the delivery time.
-func (m *Machine) routeThen(now sim.Cycle, from, to cxl.NodeID, size int, fail func(error), cont func(sim.Cycle)) {
-	if from == to {
-		cont(now)
-		return
-	}
-	viaHost := false
-	if !m.cfg.Opts.MemAccessOpt {
-		// The coherence detour applies when the source or target is an
-		// unmodified CXL-DIMM and device bias is not configured (Fig. 9).
-		viaHost = (from.Kind == cxl.NodeDIMM && !m.isCXLG(from)) ||
-			(to.Kind == cxl.NodeDIMM && !m.isCXLG(to))
-	}
-	hops, wire, err := m.fabric.PathHops(from, to, size, m.packed(size), viaHost)
-	if err != nil {
-		fail(err)
-		return
-	}
-	var walk func(i int, t sim.Cycle)
-	walk = func(i int, t sim.Cycle) {
-		if i >= len(hops) {
-			cont(t)
-			return
-		}
-		t2 := hops[i].Traverse(t, wire)
-		m.engine.ScheduleAtOrNow(t2, func() { walk(i+1, t2) })
-	}
-	walk(0, now)
+// viaHost is the Fig. 9 detour predicate: without the memory-access
+// optimization (device bias), traffic to or from an unmodified CXL-DIMM
+// detours through the host for coherence.
+func (m *Machine) viaHost(from, to cxl.NodeID) bool {
+	unmodified := func(n cxl.NodeID) bool { return n.Kind == cxl.NodeDIMM && n.Slot >= m.cfg.CXLGPerSwitch }
+	return !m.cfg.Opts.MemAccessOpt && (unmodified(from) || unmodified(to))
 }
 
-func (m *Machine) isCXLG(n cxl.NodeID) bool {
-	return n.Kind == cxl.NodeDIMM && n.Slot < m.cfg.CXLGPerSwitch
+// path is the walker's Path over the CXL fabric.
+func (m *Machine) path(from, to cxl.NodeID, size int) ([]cxl.Hop, int, error) {
+	return m.fabric.PathHops(from, to, size, m.packed(size), m.viaHost(from, to))
 }
 
-// dimmAccess performs one DRAM access with uncorrectable-ECC retry: the
-// memory controller re-issues the access after a backoff, up to the fault
+// access is the walker's Access.
+func (m *Machine) access(now sim.Cycle, pa memmgmt.PlacedAccess, write bool) (sim.Cycle, error) {
+	return m.dimms[pa.Node.Switch][pa.Node.Slot].Access(now, pa.Loc, pa.Bytes, write, pa.Mode)
+}
+
+// retry is the walker's Retry: the memory controller re-issues an access
+// that hit an uncorrectable ECC error after a backoff, up to the fault
 // profile's retry budget, so transient media errors surface as latency
-// instead of run failures. Without injection (or for non-ECC errors) it
-// degenerates to a single Access call.
-func (m *Machine) dimmAccess(now sim.Cycle, dimm *dram.DIMM, pa memmgmt.PlacedAccess, write bool,
-	fail func(error), cont func(sim.Cycle)) {
-	var attempt func(t sim.Cycle, tries int)
-	attempt = func(t sim.Cycle, tries int) {
-		t2, err := dimm.Access(t, pa.Loc, pa.Bytes, write, pa.Mode)
-		if err == nil {
-			cont(t2)
-			return
-		}
-		if m.inj == nil || !errors.Is(err, fault.ErrUncorrectable) ||
-			tries >= m.cfg.Faults.DRAM.MaxRetries {
-			fail(err)
-			return
-		}
-		m.inj.CountDRAMRetry(t)
-		m.engine.ScheduleAtOrNow(t+sim.Cycles(m.cfg.Faults.DRAM.RetryBackoffCycles), func() {
-			attempt(m.engine.Now(), tries+1)
-		})
+// instead of run failures.
+func (m *Machine) retry(now sim.Cycle, err error, tries int) (sim.Cycles, bool) {
+	if m.inj == nil || !errors.Is(err, fault.ErrUncorrectable) || tries >= m.cfg.Faults.DRAM.MaxRetries {
+		return 0, false
 	}
-	attempt(now, 0)
+	m.inj.CountDRAMRetry(now)
+	return sim.Cycles(m.cfg.Faults.DRAM.RetryBackoffCycles), true
 }
 
-// serve is the machine's ndp.Serve: a read/write access or the Fig. 7
-// atomic flow over the CXL fabric.
-func (m *Machine) serve(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedAccess, op trace.Op,
-	fail func(error), cont func(sim.Cycle)) {
-	if op == trace.OpAtomicRMW {
-		m.serveAtomic(now, home, pa, fail, cont)
-		return
+// atomic is the walker's Atomic: the switch's atomic engine bank for a
+// remote RMW, the NDP module's inline logic for a local one.
+func (m *Machine) atomic(now sim.Cycle, at cxl.NodeID, local bool) sim.Cycle {
+	if local {
+		return now + sim.Cycles(m.cfg.AtomicLatency)
 	}
-	m.serveAccess(now, home, pa, op == trace.OpWrite, fail, cont)
-}
-
-// serveAccess performs a read/write access from `home` to one placed
-// access, invoking cont in an event at the time the data (or ack) arrives
-// back at home. Phases are event-separated (see sim.Engine.ScheduleAtOrNow).
-func (m *Machine) serveAccess(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedAccess, write bool,
-	fail func(error), cont func(sim.Cycle)) {
-	dimm := m.dimmAt(pa.Node)
-	if pa.Node == home {
-		// Local access inside the compute node's own CXLG-DIMM: straight to
-		// the DRAM, no fabric.
-		m.dimmAccess(now, dimm, pa, write, fail, cont)
-		return
-	}
-	reqSize := m.cfg.ReqBytes
-	respSize := pa.Bytes
-	if write {
-		reqSize = m.cfg.ReqBytes + pa.Bytes
-		respSize = m.cfg.AckBytes
-	}
-	m.routeThen(now, home, pa.Node, reqSize, fail, func(t sim.Cycle) {
-		m.dimmAccess(t, dimm, pa, write, fail, func(t2 sim.Cycle) {
-			m.engine.ScheduleAtOrNow(t2, func() {
-				m.routeThen(t2, pa.Node, home, respSize, fail, cont)
-			})
-		})
-	})
-}
-
-// serveAtomic performs the Fig. 7 atomic RMW flow for one placed access,
-// invoking cont when the acknowledgement reaches home.
-func (m *Machine) serveAtomic(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedAccess,
-	fail func(error), cont func(sim.Cycle)) {
-	dimm := m.dimmAt(pa.Node)
-	if pa.Node == home {
-		// Local RMW inside the CXLG-DIMM: read, compute in the NDP module's
-		// own MC/PE logic (no shared engine involved), write back.
-		m.dimmAccess(now, dimm, pa, false, fail, func(t sim.Cycle) {
-			t2 := t + sim.Cycles(m.cfg.AtomicLatency)
-			m.engine.ScheduleAtOrNow(t2, func() {
-				m.dimmAccess(t2, dimm, pa, true, fail, cont)
-			})
-		})
-		return
-	}
-	sw := cxl.Switch(pa.Node.Switch)
-	// 1. Command travels to the switch owning the target DIMM.
-	m.routeThen(now, home, sw, m.cfg.ReqBytes, fail, func(t sim.Cycle) {
-		// 2-3. Switch MC reads the data from the DIMM.
-		m.routeThen(t, sw, pa.Node, m.cfg.ReqBytes, fail, func(t sim.Cycle) {
-			m.dimmAccess(t, dimm, pa, false, fail, func(t2 sim.Cycle) {
-				m.engine.ScheduleAtOrNow(t2, func() {
-					m.routeThen(t2, pa.Node, sw, pa.Bytes, fail, func(t sim.Cycle) {
-						// 4-5. Atomic engine (D) / switch PE (S) computes.
-						_, t3 := m.atomics[pa.Node.Switch].Acquire(t, sim.Cycles(m.cfg.AtomicLatency))
-						m.engine.ScheduleAtOrNow(t3, func() {
-							// 6. Write back and acknowledge the requester.
-							m.routeThen(t3, sw, pa.Node, pa.Bytes, fail, func(t sim.Cycle) {
-								m.dimmAccess(t, dimm, pa, true, fail, func(t4 sim.Cycle) {
-									m.engine.ScheduleAtOrNow(t4, func() {
-										m.routeThen(t4, sw, home, m.cfg.AckBytes, fail, cont)
-									})
-								})
-							})
-						})
-					})
-				})
-			})
-		})
-	})
+	_, end := m.atomics[at.Switch].Acquire(now, sim.Cycles(m.cfg.AtomicLatency))
+	return end
 }
 
 // Run replays the workload and returns the result. The machine is single
@@ -355,11 +248,13 @@ func (m *Machine) Run(wl *trace.Workload) (*Result, error) {
 	// up and receives the merged copy (between passes; the calendar model is
 	// insensitive to exact ordering, so issue it at t=0).
 	if wl.MergeBytes > 0 {
+		size := int(wl.MergeBytes / 2)
+		pk := m.packed(size)
 		for _, n := range m.nodes {
-			if _, err := m.route(0, n.Home, cxl.Host(), int(wl.MergeBytes/2)); err != nil {
+			if _, err := m.fabric.Route(0, n.Home, cxl.Host(), size, pk, m.viaHost(n.Home, cxl.Host())); err != nil {
 				return nil, err
 			}
-			if _, err := m.route(0, cxl.Host(), n.Home, int(wl.MergeBytes/2)); err != nil {
+			if _, err := m.fabric.Route(0, cxl.Host(), n.Home, size, pk, m.viaHost(cxl.Host(), n.Home)); err != nil {
 				return nil, err
 			}
 		}

@@ -302,13 +302,7 @@ func (f *Fabric) Instrument(ob *obs.Obs) {
 	pipe := func(p *sim.Pipe, class string) {
 		p.Instrument(tr, "xfer")
 		reg.Gauge("cxl."+p.Name()+".bytes_moved", func() float64 { return float64(p.BytesMoved()) })
-		ac.Track(obs.Meter{
-			Class: class,
-			Name:  p.Name(),
-			Width: p.Width(),
-			Busy:  func() int64 { return int64(p.BusyCycles()) },
-			Wait:  func() int64 { return int64(p.WaitCycles()) },
-		})
+		ac.Track(p.Meter(class))
 	}
 	for s := range f.hostLinks {
 		pipe(f.hostLinks[s].up, obs.ClassLink)
@@ -348,19 +342,25 @@ const (
 	hopBus
 	hopPacker
 	hopLatency
+	hopPipe
 )
 
-// Hop is one traversal stage of a routed path. Callers walking a path
-// hop-by-hop MUST traverse each hop in an event at (or near) the previous
-// hop's delivery time: granting calendar slots far in the future would
-// block earlier-time traffic behind idle holes (the calendars are FIFO in
-// call order and do not backfill).
+// Hop is one traversal stage of a routed path. A path is walked with Walk,
+// which traverses each hop in an event at the previous hop's delivery time:
+// granting calendar slots far in the future would block earlier-time
+// traffic behind idle holes (the calendars are FIFO in call order and do
+// not backfill).
 type Hop struct {
 	f     *Fabric
 	pipe  *sim.Pipe
 	kind  hopKind
 	extra sim.Cycles // added after delivery (host turnaround)
 }
+
+// PipeHop is a plain hop through one pipe, outside any Fabric: it counts
+// no fabric stats and injects no faults. The DDR baseline builds its
+// channel-bus and host-bridge paths from it.
+func PipeHop(p *sim.Pipe) Hop { return Hop{pipe: p, kind: hopPipe} }
 
 // Traverse sends wire bytes through the hop at time now and returns the
 // delivery time. A pure-latency hop has no pipe. With fault injection
@@ -390,6 +390,19 @@ func (h Hop) Traverse(now sim.Cycle, wire int) sim.Cycle {
 		}
 	}
 	return t + h.extra
+}
+
+// Walk is the event-driven hop walker: it traverses the first hop at now,
+// inline, and every later hop in an event at the previous hop's delivery,
+// then calls cont with the last delivery time in that event. With no hops
+// it calls cont(now) inline.
+func Walk(eng *sim.Engine, hops []Hop, wire int, now sim.Cycle, cont func(sim.Cycle)) {
+	if len(hops) == 0 {
+		cont(now)
+		return
+	}
+	t := hops[0].Traverse(now, wire)
+	eng.ScheduleAtOrNow(t, func() { Walk(eng, hops[1:], wire, t, cont) })
 }
 
 // PathHops returns the hop sequence for a message and the wire bytes it
@@ -494,17 +507,16 @@ func (f *Fabric) checkNode(n NodeID) error {
 }
 
 // Route delivers a message of `useful` payload bytes from one endpoint to
-// another, reserving every link hop synchronously, and returns the delivery
+// another, reserving every hop synchronously, and returns the delivery
 // time. Cross-switch traffic traverses the host links (the CXL tree has no
-// switch-to-switch cables) but does NOT pay the host coherence turnaround —
-// use RouteViaHost for flows that the host must process.
+// switch-to-switch cables) but pays the host coherence turnaround only with
+// viaHost, the naive coherence flow of Fig. 9 (a)/(c).
 //
 // Synchronous routing reserves downstream hops ahead of time; under load
 // that blocks earlier-time traffic behind idle calendar holes. It is fine
-// for tests and one-shot transfers; the timing machines in internal/core
-// walk PathHops hop-by-hop with events instead.
-func (f *Fabric) Route(now sim.Cycle, from, to NodeID, useful int, packed bool) (sim.Cycle, error) {
-	hops, wire, err := f.PathHops(from, to, useful, packed, false)
+// for tests and one-shot transfers; timed flows walk PathHops with Walk.
+func (f *Fabric) Route(now sim.Cycle, from, to NodeID, useful int, packed, viaHost bool) (sim.Cycle, error) {
+	hops, wire, err := f.PathHops(from, to, useful, packed, viaHost)
 	if err != nil {
 		return 0, err
 	}
@@ -513,42 +525,4 @@ func (f *Fabric) Route(now sim.Cycle, from, to NodeID, useful int, packed bool) 
 		t = h.Traverse(t, wire)
 	}
 	return t, nil
-}
-
-// RouteViaHost models the naive coherence flow of Fig. 9 (a)/(c): the
-// message detours through the host, paying the host turnaround latency, and
-// is then forwarded to its destination. See Route for the synchronous-
-// reservation caveat.
-func (f *Fabric) RouteViaHost(now sim.Cycle, from, to NodeID, useful int, packed bool) (sim.Cycle, error) {
-	hops, wire, err := f.PathHops(from, to, useful, packed, true)
-	if err != nil {
-		return 0, err
-	}
-	t := now
-	for _, h := range hops {
-		t = h.Traverse(t, wire)
-	}
-	return t, nil
-}
-
-// DebugBusy reports per-pipe busy cycles for diagnosing serialization; keys
-// are pipe names. Intended for tests and tooling.
-func (f *Fabric) DebugBusy() map[string]int64 {
-	out := map[string]int64{}
-	if f.cfg.Ideal {
-		return out
-	}
-	for s := range f.hostLinks {
-		out[f.hostLinks[s].up.Name()] = int64(f.hostLinks[s].up.BusyCycles())
-		out[f.hostLinks[s].down.Name()] = int64(f.hostLinks[s].down.BusyCycles())
-		out[f.bus[s].Name()] = int64(f.bus[s].BusyCycles())
-		out[f.packers[s].Name()] = int64(f.packers[s].BusyCycles())
-	}
-	for s := range f.dimmLinks {
-		for d := range f.dimmLinks[s] {
-			out[f.dimmLinks[s][d].up.Name()] = int64(f.dimmLinks[s][d].up.BusyCycles())
-			out[f.dimmLinks[s][d].down.Name()] = int64(f.dimmLinks[s][d].down.BusyCycles())
-		}
-	}
-	return out
 }

@@ -68,7 +68,7 @@ func TestWireBytes(t *testing.T) {
 
 func TestRouteSameSwitchSkipsHost(t *testing.T) {
 	f := testFabric(t)
-	done, err := f.Route(0, DIMM(0, 0), DIMM(0, 1), 32, false)
+	done, err := f.Route(0, DIMM(0, 0), DIMM(0, 1), 32, false, false)
 	if err != nil {
 		t.Fatalf("Route: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestRouteSameSwitchSkipsHost(t *testing.T) {
 	}
 	// Cross-switch is strictly slower (host tree traversal).
 	f2 := testFabric(t)
-	done2, err := f2.Route(0, DIMM(0, 0), DIMM(1, 0), 32, false)
+	done2, err := f2.Route(0, DIMM(0, 0), DIMM(1, 0), 32, false, false)
 	if err != nil {
 		t.Fatalf("Route: %v", err)
 	}
@@ -95,13 +95,13 @@ func TestRouteSameSwitchSkipsHost(t *testing.T) {
 func TestRouteViaHostSlower(t *testing.T) {
 	direct := testFabric(t)
 	viaHost := testFabric(t)
-	d1, err := direct.Route(0, Switch(0), DIMM(0, 2), 64, false)
+	d1, err := direct.Route(0, Switch(0), DIMM(0, 2), 64, false, false)
 	if err != nil {
 		t.Fatalf("Route: %v", err)
 	}
-	d2, err := viaHost.RouteViaHost(0, Switch(0), DIMM(0, 2), 64, false)
+	d2, err := viaHost.Route(0, Switch(0), DIMM(0, 2), 64, false, true)
 	if err != nil {
-		t.Fatalf("RouteViaHost: %v", err)
+		t.Fatalf("Route via host: %v", err)
 	}
 	if d2 <= d1 {
 		t.Errorf("host detour (%d) not slower than direct (%d)", d2, d1)
@@ -115,10 +115,10 @@ func TestPackingSavesWireBytes(t *testing.T) {
 	unpacked := testFabric(t)
 	packed := testFabric(t)
 	for i := 0; i < 100; i++ {
-		if _, err := unpacked.Route(sim.Cycle(i*10), DIMM(0, 0), Switch(0), 8, false); err != nil {
+		if _, err := unpacked.Route(sim.Cycle(i*10), DIMM(0, 0), Switch(0), 8, false, false); err != nil {
 			t.Fatalf("Route: %v", err)
 		}
-		if _, err := packed.Route(sim.Cycle(i*10), DIMM(0, 0), Switch(0), 8, true); err != nil {
+		if _, err := packed.Route(sim.Cycle(i*10), DIMM(0, 0), Switch(0), 8, true, false); err != nil {
 			t.Fatalf("Route: %v", err)
 		}
 	}
@@ -136,11 +136,11 @@ func TestPackingThroughputAdvantage(t *testing.T) {
 	var lastU, lastP sim.Cycle
 	for i := 0; i < 500; i++ {
 		var err error
-		lastU, err = unpacked.Route(0, DIMM(0, 0), Switch(0), 8, false)
+		lastU, err = unpacked.Route(0, DIMM(0, 0), Switch(0), 8, false, false)
 		if err != nil {
 			t.Fatalf("Route: %v", err)
 		}
-		lastP, err = packed.Route(0, DIMM(0, 0), Switch(0), 8, true)
+		lastP, err = packed.Route(0, DIMM(0, 0), Switch(0), 8, true, false)
 		if err != nil {
 			t.Fatalf("Route: %v", err)
 		}
@@ -157,16 +157,16 @@ func TestIdealFabricIsInstant(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	done, err := f.Route(123, DIMM(0, 0), DIMM(1, 3), 1<<20, false)
+	done, err := f.Route(123, DIMM(0, 0), DIMM(1, 3), 1<<20, false, false)
 	if err != nil {
 		t.Fatalf("Route: %v", err)
 	}
 	if done != 123 {
 		t.Errorf("ideal route took %d cycles", done-123)
 	}
-	done, err = f.RouteViaHost(50, DIMM(0, 0), Host(), 64, false)
+	done, err = f.Route(50, DIMM(0, 0), Host(), 64, false, true)
 	if err != nil {
-		t.Fatalf("RouteViaHost: %v", err)
+		t.Fatalf("Route via host: %v", err)
 	}
 	if done != 50 {
 		t.Errorf("ideal host route took %d cycles", done-50)
@@ -183,7 +183,7 @@ func TestRouteValidation(t *testing.T) {
 		{NodeID{Kind: 99}, Host()},
 	}
 	for i, c := range bad {
-		if _, err := f.Route(0, c.from, c.to, 8, false); err == nil {
+		if _, err := f.Route(0, c.from, c.to, 8, false, false); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
@@ -191,7 +191,7 @@ func TestRouteValidation(t *testing.T) {
 
 func TestRouteSelfIsFree(t *testing.T) {
 	f := testFabric(t)
-	done, err := f.Route(77, DIMM(1, 1), DIMM(1, 1), 64, false)
+	done, err := f.Route(77, DIMM(1, 1), DIMM(1, 1), 64, false, false)
 	if err != nil {
 		t.Fatalf("Route: %v", err)
 	}
@@ -209,7 +209,7 @@ func TestHostLinkContentionAcrossDIMMs(t *testing.T) {
 	f := testFabric(t)
 	var last sim.Cycle
 	for i := 0; i < 50; i++ {
-		d, err := f.Route(0, DIMM(0, i%4), DIMM(1, i%4), 4096, false)
+		d, err := f.Route(0, DIMM(0, i%4), DIMM(1, i%4), 4096, false, false)
 		if err != nil {
 			t.Fatalf("Route: %v", err)
 		}
@@ -241,7 +241,7 @@ func TestRouteMonotoneProperty(t *testing.T) {
 		}
 		now := sim.Cycle(0)
 		for _, s := range sizes {
-			d, err := fab.Route(now, DIMM(0, 0), Switch(0), int(s)+1, false)
+			d, err := fab.Route(now, DIMM(0, 0), Switch(0), int(s)+1, false, false)
 			if err != nil || d < now {
 				return false
 			}

@@ -113,7 +113,7 @@ func TestPathHopsStatsCategories(t *testing.T) {
 func TestRouteMatchesPathHops(t *testing.T) {
 	// The synchronous Route wrapper and a manual hop walk must agree.
 	f1, f2 := testFabric(t), testFabric(t)
-	d1, err := f1.Route(0, DIMM(0, 0), DIMM(1, 2), 48, true)
+	d1, err := f1.Route(0, DIMM(0, 0), DIMM(1, 2), 48, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,13 +236,9 @@ func NewMapper(cfg Config, home cxl.NodeID) (*Mapper, error) {
 // Home returns the compute node this mapper serves.
 func (m *Mapper) Home() cxl.NodeID { return m.home }
 
-// DIMMSet returns the striping set (for tests and reporting).
-func (m *Mapper) DIMMSet() []cxl.NodeID { return append([]cxl.NodeID(nil), m.dimmSet...) }
-
-// Map resolves one logical step into physical accesses. local pins the
-// access to the node's local set (trace.Workload.LocalSpaces semantics).
-// Deprecated internally in favour of MapShared; kept for tests and callers
-// without shared-data semantics.
+// MapShared resolves one logical step into physical accesses. local pins
+// the access to the node's local set (trace.Workload.LocalSpaces
+// semantics).
 //
 // With HotLocal set and a CXLG-DIMM home, non-spatial (hot, fine-grained)
 // data maps into the home DIMM itself: the data-migration half of the
@@ -252,15 +248,12 @@ func (m *Mapper) DIMMSet() []cxl.NodeID { return append([]cxl.NodeID(nil), m.dim
 // sends each task to the node owning its shard. Spatial/streaming data
 // stripes across the set — that is the memory-expansion story: bulk data
 // lives in unmodified CXL-DIMMs.
-func (m *Mapper) Map(space trace.Space, addr uint64, size uint32, spatial, local bool) ([]PlacedAccess, error) {
-	return m.MapShared(space, addr, size, spatial, local, false)
-}
-
-// MapShared is Map with an extra `shared` hint: data that is logically one
-// copy across every compute node (a single-pass global Bloom filter, a
-// shared counter table). Shared data must map identically from every home,
-// so it stripes pool-wide regardless of placement locality — two switches
-// atomically updating "counter 0" must serialize at one physical bank.
+//
+// shared marks data that is logically one copy across every compute node
+// (a single-pass global Bloom filter, a shared counter table). Shared data
+// must map identically from every home, so it stripes pool-wide regardless
+// of placement locality — two switches atomically updating "counter 0"
+// must serialize at one physical bank.
 func (m *Mapper) MapShared(space trace.Space, addr uint64, size uint32, spatial, local, shared bool) ([]PlacedAccess, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("memmgmt: zero-size access")

@@ -60,9 +60,9 @@ func TestNewMapperValidation(t *testing.T) {
 func TestPlacementLocalKeepsTrafficOnOwnSwitch(t *testing.T) {
 	m := mapperFor(t, nil, cxl.DIMM(1, 0))
 	for addr := uint64(0); addr < 1<<20; addr += 4096 {
-		accs, err := m.Map(trace.SpaceOcc, addr, 32, false, false)
+		accs, err := m.MapShared(trace.SpaceOcc, addr, 32, false, false, false)
 		if err != nil {
-			t.Fatalf("Map: %v", err)
+			t.Fatalf("MapShared: %v", err)
 		}
 		for _, a := range accs {
 			if a.Node.Switch != 1 {
@@ -76,9 +76,9 @@ func TestPlacementGlobalSpreadsAcrossPool(t *testing.T) {
 	m := mapperFor(t, func(c *Config) { c.PlacementLocal = false; c.HotLocal = false }, cxl.DIMM(0, 0))
 	seen := map[cxl.NodeID]int{}
 	for addr := uint64(0); addr < 1<<20; addr += 4096 {
-		accs, err := m.Map(trace.SpaceOcc, addr, 32, false, false)
+		accs, err := m.MapShared(trace.SpaceOcc, addr, 32, false, false, false)
 		if err != nil {
-			t.Fatalf("Map: %v", err)
+			t.Fatalf("MapShared: %v", err)
 		}
 		for _, a := range accs {
 			seen[a.Node]++
@@ -93,9 +93,9 @@ func TestLocalSpacesPinToHome(t *testing.T) {
 	home := cxl.DIMM(0, 0)
 	m := mapperFor(t, nil, home)
 	for addr := uint64(0); addr < 1<<18; addr += 999 {
-		accs, err := m.Map(trace.SpaceBloom, addr, 1, false, true)
+		accs, err := m.MapShared(trace.SpaceBloom, addr, 1, false, true, false)
 		if err != nil {
-			t.Fatalf("Map: %v", err)
+			t.Fatalf("MapShared: %v", err)
 		}
 		for _, a := range accs {
 			if a.Node != home {
@@ -106,9 +106,9 @@ func TestLocalSpacesPinToHome(t *testing.T) {
 	// Switch-homed mapper pins to its DIMM set instead.
 	ms := mapperFor(t, nil, cxl.Switch(1))
 	for addr := uint64(0); addr < 1<<18; addr += 997 {
-		accs, err := ms.Map(trace.SpaceBloom, addr, 1, false, true)
+		accs, err := ms.MapShared(trace.SpaceBloom, addr, 1, false, true, false)
 		if err != nil {
-			t.Fatalf("Map: %v", err)
+			t.Fatalf("MapShared: %v", err)
 		}
 		for _, a := range accs {
 			if a.Node.Switch != 1 {
@@ -121,9 +121,9 @@ func TestLocalSpacesPinToHome(t *testing.T) {
 func TestCXLGGetsFineGrainedModes(t *testing.T) {
 	m := mapperFor(t, nil, cxl.DIMM(0, 0))
 	// Slot 0 is CXLG: fine-grained access must be coalesced with group 8.
-	accs, err := m.Map(trace.SpaceBloom, 64, 1, false, true) // pinned to home = slot 0
+	accs, err := m.MapShared(trace.SpaceBloom, 64, 1, false, true, false) // pinned to home = slot 0
 	if err != nil {
-		t.Fatalf("Map: %v", err)
+		t.Fatalf("MapShared: %v", err)
 	}
 	for _, a := range accs {
 		if a.Mode != dram.ModeCoalesced {
@@ -132,9 +132,9 @@ func TestCXLGGetsFineGrainedModes(t *testing.T) {
 	}
 	// With group 1, mode is per-chip.
 	m1 := mapperFor(t, func(c *Config) { c.CoalesceGroup = 1 }, cxl.DIMM(0, 0))
-	accs, err = m1.Map(trace.SpaceBloom, 64, 1, false, true)
+	accs, err = m1.MapShared(trace.SpaceBloom, 64, 1, false, true, false)
 	if err != nil {
-		t.Fatalf("Map: %v", err)
+		t.Fatalf("MapShared: %v", err)
 	}
 	for _, a := range accs {
 		if a.Mode != dram.ModePerChip {
@@ -148,9 +148,9 @@ func TestUnmodifiedDIMMsAreLockstep(t *testing.T) {
 	// scheme (no per-chip CS on unmodified DIMMs).
 	m := mapperFor(t, func(c *Config) { c.Pool.CXLGSlots = 0 }, cxl.Switch(0))
 	for addr := uint64(0); addr < 1<<16; addr += 1024 {
-		accs, err := m.Map(trace.SpaceOcc, addr, 32, false, false)
+		accs, err := m.MapShared(trace.SpaceOcc, addr, 32, false, false, false)
 		if err != nil {
-			t.Fatalf("Map: %v", err)
+			t.Fatalf("MapShared: %v", err)
 		}
 		for _, a := range accs {
 			if a.Mode != dram.ModeLockstep {
@@ -165,18 +165,18 @@ func TestSpatialRowMajorMinimizesRowSpan(t *testing.T) {
 	m := mapperFor(t, nil, cxl.DIMM(0, 0))
 	// A 512 B spatial read under arch-data mapping must touch exactly one
 	// (node, rank, bank, row) tuple when it fits a row segment.
-	accs, err := m.Map(trace.SpaceCandidates, 8192, 512, true, true)
+	accs, err := m.MapShared(trace.SpaceCandidates, 8192, 512, true, true, false)
 	if err != nil {
-		t.Fatalf("Map: %v", err)
+		t.Fatalf("MapShared: %v", err)
 	}
 	if len(accs) != 1 {
 		t.Fatalf("spatial 512 B mapped to %d accesses, want 1 (got %+v)", len(accs), accs)
 	}
 	// The fixed scheme splits the same read into 64 B units across banks.
 	mf := mapperFor(t, func(c *Config) { c.Scheme = SchemeFixed }, cxl.DIMM(0, 0))
-	accsF, err := mf.Map(trace.SpaceCandidates, 8192, 512, true, true)
+	accsF, err := mf.MapShared(trace.SpaceCandidates, 8192, 512, true, true, false)
 	if err != nil {
-		t.Fatalf("Map: %v", err)
+		t.Fatalf("MapShared: %v", err)
 	}
 	if len(accsF) != 512/64 {
 		t.Fatalf("fixed spatial mapped to %d accesses, want %d", len(accsF), 512/64)
@@ -195,9 +195,9 @@ func TestFineGrainedInterleaveSpreadsBanks(t *testing.T) {
 	m := mapperFor(t, nil, cxl.DIMM(0, 0))
 	seen := map[[3]int]bool{}
 	for i := 0; i < 256; i++ {
-		accs, err := m.Map(trace.SpaceOcc, uint64(i)*32, 32, false, true)
+		accs, err := m.MapShared(trace.SpaceOcc, uint64(i)*32, 32, false, true, false)
 		if err != nil {
-			t.Fatalf("Map: %v", err)
+			t.Fatalf("MapShared: %v", err)
 		}
 		for _, a := range accs {
 			seen[[3]int{a.Loc.Rank, a.Loc.Chip, a.Loc.Bank}] = true
@@ -212,9 +212,9 @@ func TestFineGrainedInterleaveSpreadsBanks(t *testing.T) {
 
 func TestMapSplitsStripeBoundary(t *testing.T) {
 	m := mapperFor(t, func(c *Config) { c.StripeBytes = 128 }, cxl.DIMM(0, 0))
-	accs, err := m.Map(trace.SpaceCandidates, 100, 100, true, false)
+	accs, err := m.MapShared(trace.SpaceCandidates, 100, 100, true, false, false)
 	if err != nil {
-		t.Fatalf("Map: %v", err)
+		t.Fatalf("MapShared: %v", err)
 	}
 	var total int
 	for _, a := range accs {
@@ -230,7 +230,7 @@ func TestMapSplitsStripeBoundary(t *testing.T) {
 
 func TestMapZeroSizeRejected(t *testing.T) {
 	m := mapperFor(t, nil, cxl.DIMM(0, 0))
-	if _, err := m.Map(trace.SpaceOcc, 0, 0, false, false); err == nil {
+	if _, err := m.MapShared(trace.SpaceOcc, 0, 0, false, false, false); err == nil {
 		t.Error("zero-size access accepted")
 	}
 }
@@ -244,7 +244,7 @@ func TestMapConservationProperty(t *testing.T) {
 	}
 	f := func(addr uint32, size uint16, spatial, local bool) bool {
 		sz := uint32(size)%2048 + 1
-		accs, err := m.Map(trace.SpaceOcc, uint64(addr), sz, spatial, local)
+		accs, err := m.MapShared(trace.SpaceOcc, uint64(addr), sz, spatial, local, false)
 		if err != nil {
 			return false
 		}
@@ -273,8 +273,8 @@ func TestMapDeterministicProperty(t *testing.T) {
 	}
 	f := func(addr uint32, size uint8, spatial bool) bool {
 		sz := uint32(size) + 1
-		a, err1 := m.Map(trace.SpaceCandidates, uint64(addr), sz, spatial, false)
-		b, err2 := m.Map(trace.SpaceCandidates, uint64(addr), sz, spatial, false)
+		a, err1 := m.MapShared(trace.SpaceCandidates, uint64(addr), sz, spatial, false, false)
+		b, err2 := m.MapShared(trace.SpaceCandidates, uint64(addr), sz, spatial, false, false)
 		if err1 != nil || err2 != nil || len(a) != len(b) {
 			return false
 		}

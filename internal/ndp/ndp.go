@@ -11,10 +11,13 @@
 //
 // Replay is the one task-replay loop over these modules: admission, step
 // compute (including the host-CPU fallback), address mapping and piece
-// fan-out, fault recovery, task spans and the run's totals. The machines in
-// internal/core (BEACON-D/S over the CXL fabric) and internal/baseline
-// (MEDAL/NEST over DDR channels) build the modules and supply only how one
-// placed piece is served over their interconnect.
+// fan-out, fault recovery, task spans and the run's totals. Walker is the
+// one flow walker that serves each placed piece: it walks a static phase
+// table (Route, DRAMRead/DRAMWrite, Atomic) and alone decides which phase
+// boundaries become engine events. The machines in internal/core
+// (BEACON-D/S over the CXL fabric) and internal/baseline (MEDAL/NEST over
+// DDR channels) build the modules and supply only their flow tables and
+// three primitives: a hop path, a DRAM access and the RMW arithmetic.
 package ndp
 
 import (
@@ -128,13 +131,9 @@ func (m *Module) Instrument(ob *obs.Obs) {
 		Stall: func() int64 { return int64(m.peStall) },
 		Wait:  func() int64 { return int64(m.pes.WaitCycles()) },
 	})
-	ac.Track(obs.Meter{
-		Class: obs.ClassAtomic,
-		Name:  m.name,
-		Width: m.cfg.AtomicEngines,
-		Busy:  func() int64 { return int64(m.atomics.BusyCycles()) },
-		Wait:  func() int64 { return int64(m.atomics.WaitCycles()) },
-	})
+	atomic := m.atomics.Meter(obs.ClassAtomic)
+	atomic.Name = m.name
+	ac.Track(atomic)
 }
 
 // SetInjector enables transient-stall injection on this module's PEs.
@@ -159,9 +158,6 @@ func (m *Module) Completed() int { return m.completed }
 
 // PEBusyCycles returns accumulated PE busy time.
 func (m *Module) PEBusyCycles() sim.Cycles { return m.peBusy }
-
-// PEStallCycles returns accumulated fault-stall time on the PE pool.
-func (m *Module) PEStallCycles() sim.Cycles { return m.peStall }
 
 // Admit pops tasks from the backlog while queue capacity remains, invoking
 // start for each. start runs synchronously (it typically issues the task's

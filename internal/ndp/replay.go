@@ -19,14 +19,6 @@ type Node struct {
 	Mapper *memmgmt.Mapper
 }
 
-// Serve carries one placed piece of a step between a compute node's home
-// and the DIMM holding it, invoking cont in an event at the time the data
-// (or acknowledgement) is back at home, or fail on an error. It is the only
-// part of a replay that differs between machines: BEACON serves over the
-// CXL fabric, the DDR baseline over channel buses and the host bridge.
-type Serve func(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedAccess, op trace.Op,
-	fail func(error), cont func(sim.Cycle))
-
 // Totals is what one replay counted.
 type Totals struct {
 	// Cycles is the makespan in DRAM bus cycles.
@@ -46,7 +38,8 @@ type Totals struct {
 // round-robin to the nodes; each node's Task Scheduler keeps a bounded
 // number in flight and admits the next as one retires. A step computes on
 // a PE, maps its access through the node's mapper and hands every placed
-// piece to the machine's Serve; it completes when the last piece is back.
+// piece to the machine's flow Walker; it completes when the last piece is
+// back.
 //
 // With a fault injector attached, a node may fail at task admission: its
 // tasks then migrate to the next surviving node after the failover
@@ -56,11 +49,11 @@ type Replay struct {
 	prefix string
 	engine *sim.Engine
 	nodes  []Node
-	serve  Serve
+	w      *Walker
 	wl     *trace.Workload
 	tot    Totals
 	// err is the first failure; fail records it. fail is built once so
-	// handing it to every served piece allocates nothing.
+	// handing it to every walked piece allocates nothing.
 	err  error
 	fail func(error)
 
@@ -86,11 +79,11 @@ type Replay struct {
 	stepLatency *obs.Histogram
 }
 
-// NewReplay builds the loop over a machine's engine, nodes and serve
-// routine. prefix names the machine family in progress metrics and errors
-// ("core", "ddr").
-func NewReplay(prefix string, engine *sim.Engine, nodes []Node, serve Serve) *Replay {
-	r := &Replay{prefix: prefix, engine: engine, nodes: nodes, serve: serve}
+// NewReplay builds the loop over a machine's nodes and flow walker, driven
+// by the walker's engine. prefix names the machine family in progress
+// metrics and errors ("core", "ddr").
+func NewReplay(prefix string, nodes []Node, w *Walker) *Replay {
+	r := &Replay{prefix: prefix, engine: w.Engine, nodes: nodes, w: w}
 	r.fail = func(err error) {
 		if r.err == nil {
 			r.err = err
@@ -141,13 +134,7 @@ func (r *Replay) Instrument(ob *obs.Obs) {
 		r.taskTracks = append(r.taskTracks, ob.Tracer().Track(n.Module.name+".tasks"))
 	}
 	if r.hostCPU != nil {
-		ob.Accountant().Track(obs.Meter{
-			Class: obs.ClassHostCPU,
-			Name:  r.hostCPU.Name(),
-			Width: r.hostCPU.Width(),
-			Busy:  func() int64 { return int64(r.hostCPU.BusyCycles()) },
-			Wait:  func() int64 { return int64(r.hostCPU.WaitCycles()) },
-		})
+		ob.Accountant().Track(r.hostCPU.Meter(obs.ClassHostCPU))
 	}
 	// Step-completion latency from issue to last returned piece, in cycles.
 	r.stepLatency = reg.Histogram(r.prefix+".step_latency_cycles", obs.ExpBuckets(1, 2, 24))
@@ -257,27 +244,23 @@ func (r *Replay) runTask(node int, task *trace.Task, step int, now sim.Cycle, on
 	}
 	// Issue the pieces when the PE finishes computing; the step completes
 	// when every piece has returned.
-	r.engine.ScheduleAtOrNow(tc, func() {
-		remaining := len(placed)
-		latest := tc
-		pieceDone := func(t sim.Cycle) {
-			if t > latest {
-				latest = t
-			}
-			remaining--
-			if remaining == 0 {
-				r.tot.Steps++
-				r.stepLatency.Observe(float64(latest - now))
-				r.engine.ScheduleAtOrNow(latest, func() { r.runTask(node, task, step+1, latest, onHost) })
-			}
+	remaining, latest := len(placed), tc
+	pieceDone := func(t sim.Cycle) {
+		latest = max(latest, t)
+		if remaining--; remaining == 0 {
+			r.tot.Steps++
+			r.stepLatency.Observe(float64(latest - now))
+			r.engine.ScheduleAtOrNow(latest, func() { r.runTask(node, task, step+1, latest, onHost) })
 		}
+	}
+	r.engine.ScheduleAtOrNow(tc, func() {
 		for _, pa := range placed {
 			if pa.Node == home {
 				r.tot.LocalAccesses++
 			} else {
 				r.tot.RemoteAccesses++
 			}
-			r.serve(tc, home, pa, st.Op, r.fail, pieceDone)
+			r.w.Walk(tc, home, pa, st.Op, r.fail, pieceDone)
 		}
 	})
 }

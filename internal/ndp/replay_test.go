@@ -11,12 +11,11 @@ import (
 	"beacon/internal/trace"
 )
 
-// testReplay builds a replay over n DIMM-homed nodes whose serve routine
-// returns every piece after a fixed latency, or calls fail once failAt
-// pieces have been served (failAt < 0 never fails).
+// testReplay builds a replay over n DIMM-homed nodes whose every flow is
+// one DRAM access that completes after a fixed latency, or fails once
+// failAt pieces have been served (failAt < 0 never fails).
 func testReplay(t *testing.T, n, failAt int) (*Replay, *int) {
 	t.Helper()
-	eng := sim.NewEngine()
 	var nodes []Node
 	for i := 0; i < n; i++ {
 		home := cxl.DIMM(0, i)
@@ -31,16 +30,16 @@ func testReplay(t *testing.T, n, failAt int) (*Replay, *int) {
 		nodes = append(nodes, Node{Module: mod, Home: home, Mapper: mp})
 	}
 	served := 0
-	serve := func(now sim.Cycle, _ cxl.NodeID, _ memmgmt.PlacedAccess, _ trace.Op,
-		fail func(error), cont func(sim.Cycle)) {
+	access := func(now sim.Cycle, _ memmgmt.PlacedAccess, _ bool) (sim.Cycle, error) {
 		served++
 		if served == failAt {
-			fail(errors.New("serve failed"))
-			return
+			return 0, errors.New("serve failed")
 		}
-		eng.ScheduleAtOrNow(now+10, func() { cont(now + 10) })
+		return now + 10, nil
 	}
-	return NewReplay("test", eng, nodes, serve), &served
+	one := [...]Flow{{DRAMRead}, {DRAMRead}, {DRAMRead}}
+	w := &Walker{Engine: sim.NewEngine(), Flows: Flows{Local: one, Remote: one}, Access: access}
+	return NewReplay("test", nodes, w), &served
 }
 
 func testWorkload(tasks int) *trace.Workload {

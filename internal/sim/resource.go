@@ -118,6 +118,16 @@ func (r *Resource) BusyCycles() Cycles { return r.busy }
 // accumulate wait in parallel.
 func (r *Resource) WaitCycles() Cycles { return r.waited }
 
+// Meter returns the resource's cycle account for obs.Accountant under
+// class: its granted busy cycles and the queueing wait behind it.
+func (r *Resource) Meter(class string) obs.Meter {
+	return obs.Meter{
+		Class: class, Name: r.name, Width: r.Width(),
+		Busy: func() int64 { return int64(r.busy) },
+		Wait: func() int64 { return int64(r.waited) },
+	}
+}
+
 // Grants returns the number of Acquire calls served.
 func (r *Resource) Grants() uint64 { return r.grants }
 
@@ -221,6 +231,9 @@ func (p *Pipe) BusyCycles() Cycles { return p.res.BusyCycles() }
 
 // WaitCycles returns the total queueing delay behind the pipe's lanes.
 func (p *Pipe) WaitCycles() Cycles { return p.res.WaitCycles() }
+
+// Meter returns the pipe's lane account (see Resource.Meter).
+func (p *Pipe) Meter(class string) obs.Meter { return p.res.Meter(class) }
 
 // Width returns the number of parallel lanes.
 func (p *Pipe) Width() int { return p.res.Width() }

@@ -8,7 +8,9 @@
 // need: syntax with comments, a *types.Package, and a fully populated
 // *types.Info. Target packages are checked from source; their dependencies
 // are imported from export data, so a whole-module run only parses the
-// module's own files.
+// module's own files. The exception is an external test package: its
+// imports that depend on the package under test are checked from source
+// against it, as the go command recompiles them for the test binary.
 package load
 
 import (
@@ -25,6 +27,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"beacon/tools/beaconlint/analysis"
@@ -108,6 +111,7 @@ type listPackage struct {
 	TestGoFiles  []string
 	XTestGoFiles []string
 	Imports      []string
+	Deps         []string
 	TestImports  []string
 	XTestImports []string
 	Error        *struct{ Err string }
@@ -161,10 +165,12 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 		return nil, err
 	}
 	exports := map[string]string{}
+	listed := map[string]listPackage{}
 	for _, p := range exported {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
+		listed[p.ImportPath] = p
 	}
 
 	imp := newExportImporter(cfg.Fset, exports)
@@ -188,7 +194,8 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 			// resolve that import to the source-checked (test-augmented)
 			// package rather than export data, so exported test helpers
 			// declared in _test.go files are visible.
-			ximp := &overrideImporter{base: imp, override: map[string]*types.Package{t.ImportPath: pkg.Types}}
+			ximp := &testImporter{base: imp, fset: cfg.Fset, listed: listed, under: t.ImportPath,
+				checked: map[string]*types.Package{t.ImportPath: pkg.Types}}
 			xpkg, err := check(cfg.Fset, ximp, t.Dir, t.ImportPath+"_test", t.XTestGoFiles)
 			if err != nil {
 				return nil, err
@@ -273,18 +280,34 @@ func newExportImporter(fset *token.FileSet, exports map[string]string) types.Imp
 	return importer.ForCompiler(fset, "gc", lookup)
 }
 
-// overrideImporter resolves some import paths to already-checked packages
-// and defers the rest to a base importer.
-type overrideImporter struct {
-	base     types.Importer
-	override map[string]*types.Package
+// testImporter resolves an external test package's imports. The package
+// under test resolves to its test-augmented source check. Every other
+// import that depends on it is checked from source against that package,
+// as the go command recompiles it for the test binary; from export data it
+// would carry a second, incompatible copy of the package under test's
+// types. The rest come from the base importer.
+type testImporter struct {
+	base    types.Importer
+	fset    *token.FileSet
+	listed  map[string]listPackage
+	under   string
+	checked map[string]*types.Package
 }
 
-func (o *overrideImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := o.override[path]; ok {
+func (ti *testImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := ti.checked[path]; ok {
 		return pkg, nil
 	}
-	return o.base.Import(path)
+	lp, ok := ti.listed[path]
+	if !ok || !slices.Contains(lp.Deps, ti.under) {
+		return ti.base.Import(path)
+	}
+	pkg, err := check(ti.fset, ti, lp.Dir, path, lp.GoFiles)
+	if err != nil {
+		return nil, err
+	}
+	ti.checked[path] = pkg.Types
+	return pkg.Types, nil
 }
 
 func goList(dir string, flags []string, patterns ...string) ([]listPackage, error) {
