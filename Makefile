@@ -14,13 +14,15 @@ test:
 # orchestrator (root), the worker pool, the observability layer, the fault
 # subsystem, the event kernel they drive, the on-disk workload cache
 # (shared by parallel evaluator jobs), the machines (co-located runs on
-# concurrent daemon workers keep per-run hooks), the daemon's admission
+# concurrent daemon workers keep per-run hooks) and the per-machine
+# request-path slabs they own (the task replay and flow walker, the
+# fabric's route memo, the mappers' piece slices), the daemon's admission
 # queue, and the CLI progress observer. The full tree runs race-free too,
 # but scoping keeps the (~10x slower) instrumented run fast while still
 # covering every goroutine the repository creates. CI's race job runs this
 # target.
 race:
-	$(GO) test -race -timeout 15m . ./internal/runner ./internal/obs ./internal/fault ./internal/sim ./internal/wcache ./internal/core ./internal/server ./internal/cliutil
+	$(GO) test -race -timeout 15m . ./internal/runner ./internal/obs ./internal/fault ./internal/sim ./internal/wcache ./internal/core ./internal/server ./internal/cliutil ./internal/ndp ./internal/baseline ./internal/cxl ./internal/memmgmt
 
 # Trace-pipeline, event-engine and machine-construction benchmarks plus
 # the committed comparison artifacts (BENCH_trace.json: cold build vs

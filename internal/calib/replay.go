@@ -123,15 +123,25 @@ func runPoint(cfg Config, p point) (Curve, error) {
 		}
 	}
 
-	// send walks a fabric path with the event-driven hop walker (see
-	// cxl.Walk).
+	// send walks a fabric path with the event-driven hop walker, a
+	// cxl.Cursor: each hop in an event at the previous hop's delivery,
+	// then calls then at the arrival.
 	send := func(from, to cxl.NodeID, useful int, then func(sim.Cycle)) {
 		hops, wire, err := fab.PathHops(from, to, useful, false, false)
 		if err != nil {
 			fail(err)
 			return
 		}
-		cxl.Walk(eng, hops, wire, eng.Now(), then)
+		c := cxl.NewCursor(hops, wire)
+		var hop func(t sim.Cycle)
+		hop = func(t sim.Cycle) {
+			if d, ok := c.Next(t); ok {
+				eng.ScheduleAtOrNow(d, func() { hop(d) })
+				return
+			}
+			then(t)
+		}
+		hop(eng.Now())
 	}
 
 	// access performs the DRAM access entered at time t (an event time on

@@ -12,6 +12,7 @@ package cxl
 
 import (
 	"fmt"
+	"slices"
 
 	"beacon/internal/fault"
 	"beacon/internal/obs"
@@ -219,6 +220,9 @@ type Fabric struct {
 	// is enabled (lookup only — never iterated).
 	linkFaults map[*sim.Pipe]fault.Component
 	busFaults  map[*sim.Pipe]fault.Component
+	// routes memoizes PathHops' hop sequences, indexed by (from, to,
+	// packer, viaHost); built on first use (see PathHops).
+	routes [][]Hop
 }
 
 // New builds a fabric.
@@ -345,8 +349,9 @@ const (
 	hopPipe
 )
 
-// Hop is one traversal stage of a routed path. A path is walked with Walk,
-// which traverses each hop in an event at the previous hop's delivery time:
+// Hop is one traversal stage of a routed path. A path is walked with a
+// Cursor, which traverses each hop in an event at the previous hop's
+// delivery time:
 // granting calendar slots far in the future would block earlier-time
 // traffic behind idle holes (the calendars are FIFO in call order and do
 // not backfill).
@@ -392,23 +397,54 @@ func (h Hop) Traverse(now sim.Cycle, wire int) sim.Cycle {
 	return t + h.extra
 }
 
-// Walk is the event-driven hop walker: it traverses the first hop at now,
-// inline, and every later hop in an event at the previous hop's delivery,
-// then calls cont with the last delivery time in that event. With no hops
-// it calls cont(now) inline.
-func Walk(eng *sim.Engine, hops []Hop, wire int, now sim.Cycle, cont func(sim.Cycle)) {
-	if len(hops) == 0 {
-		cont(now)
-		return
+// Cursor is the one event-driven hop walker: a position on a path that
+// traverses each hop in an event at the previous hop's delivery. Its
+// holder keeps it by value in an in-flight record and calls Next at the
+// walk's start (inline) and then in an event at each returned delivery
+// time; when Next reports no hop left, the message has arrived at the
+// time passed in.
+type Cursor struct {
+	hops []Hop
+	wire int
+}
+
+// NewCursor starts a walk over hops, moving wire bytes per hop.
+func NewCursor(hops []Hop, wire int) Cursor { return Cursor{hops: hops, wire: wire} }
+
+// Next traverses the next hop at now and returns its delivery time; ok is
+// false when every hop has been traversed.
+func (c *Cursor) Next(now sim.Cycle) (t sim.Cycle, ok bool) {
+	if len(c.hops) == 0 {
+		return now, false
 	}
-	t := hops[0].Traverse(now, wire)
-	eng.ScheduleAtOrNow(t, func() { Walk(eng, hops[1:], wire, t, cont) })
+	t = c.hops[0].Traverse(now, c.wire)
+	c.hops = c.hops[1:]
+	return t, true
+}
+
+// nodeIndex numbers a checked endpoint densely: the host, then the
+// switches, then every DIMM switch-major.
+func (f *Fabric) nodeIndex(n NodeID) int {
+	switch n.Kind {
+	case NodeSwitch:
+		return 1 + n.Switch
+	case NodeDIMM:
+		return 1 + f.cfg.Switches + n.Switch*f.cfg.DIMMsPerSwitch + n.Slot
+	}
+	return 0
 }
 
 // PathHops returns the hop sequence for a message and the wire bytes it
 // occupies per hop (an ideal fabric yields no hops). viaHost forces the
 // Fig. 9 coherence detour with the host turnaround latency. Message-level
-// stats (Messages, UsefulBytes, HostCrossings) are counted here, once.
+// stats (Messages, UsefulBytes, HostCrossings) are counted here, once per
+// call.
+//
+// The hop sequence depends only on the endpoints, viaHost and whether the
+// Data Packer handles the message (packed and under one flit), so it is
+// built on first use of each such route and reused after. The returned
+// slice is shared by every later message on the route: callers must treat
+// it as read-only.
 func (f *Fabric) PathHops(from, to NodeID, useful int, packed, viaHost bool) ([]Hop, int, error) {
 	if err := f.checkNode(from); err != nil {
 		return nil, 0, err
@@ -424,11 +460,35 @@ func (f *Fabric) PathHops(from, to NodeID, useful int, packed, viaHost bool) ([]
 	if f.cfg.Ideal || from == to {
 		return nil, 0, nil
 	}
-	wire := WireBytesFor(useful, packed)
-	var hops []Hop
+	packer := packed && useful < FlitBytes
+	n := 1 + f.cfg.Switches*(1+f.cfg.DIMMsPerSwitch)
+	if f.routes == nil {
+		f.routes = make([][]Hop, n*n*4)
+	}
+	key := ((f.nodeIndex(from)*n+f.nodeIndex(to))*2+b2i(packer))*2 + b2i(viaHost)
+	hops := f.routes[key]
+	if hops == nil {
+		hops = f.buildPath(from, to, packer, viaHost)
+		f.routes[key] = hops
+	}
+	return hops, WireBytesFor(useful, packed), nil
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// buildPath builds the hop sequence between two distinct endpoints; packer
+// puts the source switch's Data Packer first.
+func (f *Fabric) buildPath(from, to NodeID, packer, viaHost bool) []Hop {
+	var buf [10]Hop
+	hops := buf[:0]
 	link := func(p *sim.Pipe) { hops = append(hops, Hop{f: f, pipe: p, kind: hopLink}) }
 	bus := func(s int) { hops = append(hops, Hop{f: f, pipe: f.bus[s], kind: hopBus}) }
-	if packed && useful < FlitBytes {
+	if packer {
 		sw := from.Switch
 		if from.Kind == NodeHost {
 			sw = to.Switch
@@ -466,14 +526,14 @@ func (f *Fabric) PathHops(from, to NodeID, useful int, packed, viaHost bool) ([]
 			hops = append(hops, Hop{f: f, extra: sim.Cycles(f.cfg.HostLatencyCycles), kind: hopLatency})
 		}
 		if to.Kind == NodeHost {
-			return hops, wire, nil
+			return slices.Clone(hops)
 		}
 		link(f.hostLinks[to.Switch].down)
 		bus(to.Switch)
 		cur = Switch(to.Switch)
 	}
 	if to.Kind == NodeSwitch {
-		return hops, wire, nil
+		return slices.Clone(hops)
 	}
 	// Descend to the DIMM. The source-side bus hop already covered in-switch
 	// routing when the message stayed under one switch; a switch-logic
@@ -482,7 +542,7 @@ func (f *Fabric) PathHops(from, to NodeID, useful int, packed, viaHost bool) ([]
 		bus(to.Switch)
 	}
 	link(f.dimmLinks[to.Switch][to.Slot].down)
-	return hops, wire, nil
+	return slices.Clone(hops)
 }
 
 func (f *Fabric) checkNode(n NodeID) error {
@@ -514,7 +574,7 @@ func (f *Fabric) checkNode(n NodeID) error {
 //
 // Synchronous routing reserves downstream hops ahead of time; under load
 // that blocks earlier-time traffic behind idle calendar holes. It is fine
-// for tests and one-shot transfers; timed flows walk PathHops with Walk.
+// for tests and one-shot transfers; timed flows walk PathHops with a Cursor.
 func (f *Fabric) Route(now sim.Cycle, from, to NodeID, useful int, packed, viaHost bool) (sim.Cycle, error) {
 	hops, wire, err := f.PathHops(from, to, useful, packed, viaHost)
 	if err != nil {

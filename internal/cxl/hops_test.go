@@ -1,6 +1,7 @@
 package cxl
 
 import (
+	"reflect"
 	"testing"
 
 	"beacon/internal/sim"
@@ -120,5 +121,94 @@ func TestRouteMatchesPathHops(t *testing.T) {
 	_, d2 := tracePath(t, f2, DIMM(0, 0), DIMM(1, 2), 48, true, false)
 	if d1 != d2 {
 		t.Errorf("Route = %d, hop walk = %d", d1, d2)
+	}
+}
+
+// TestPathHopsMemoMatchesFreshPath checks the route memo on the Table I
+// 2x4 pool and a 4x8 one: for every endpoint pair, packed and unpacked,
+// 16 B and flit-sized payloads, with and without the host detour, the
+// memoized hops equal a freshly built path (queried in two orders, so a
+// key collision would surface), repeated calls share one slice, the wire
+// bytes follow the call's payload, and every call counts the same
+// message-level Stats delta.
+func TestPathHopsMemoMatchesFreshPath(t *testing.T) {
+	for _, shape := range [][2]int{{2, 4}, {4, 8}} {
+		cfg := DefaultConfig()
+		cfg.Switches, cfg.DIMMsPerSwitch = shape[0], shape[1]
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := []NodeID{Host()}
+		for s := 0; s < cfg.Switches; s++ {
+			nodes = append(nodes, Switch(s))
+		}
+		for s := 0; s < cfg.Switches; s++ {
+			for d := 0; d < cfg.DIMMsPerSwitch; d++ {
+				nodes = append(nodes, DIMM(s, d))
+			}
+		}
+		type call struct {
+			from, to        NodeID
+			useful          int
+			packed, viaHost bool
+		}
+		var calls []call
+		for _, from := range nodes {
+			for _, to := range nodes {
+				for _, useful := range []int{16, FlitBytes} {
+					for _, packed := range []bool{false, true} {
+						for _, viaHost := range []bool{false, true} {
+							calls = append(calls, call{from, to, useful, packed, viaHost})
+						}
+					}
+				}
+			}
+		}
+		first := make([][]Hop, len(calls))
+		check := func(i int, c call) {
+			before := f.Stats()
+			hops, wire, err := f.PathHops(c.from, c.to, c.useful, c.packed, c.viaHost)
+			if err != nil {
+				t.Fatalf("%dx%d %v->%v: %v", shape[0], shape[1], c.from, c.to, err)
+			}
+			after := f.Stats()
+			delta := Stats{
+				Messages:      after.Messages - before.Messages,
+				UsefulBytes:   after.UsefulBytes - before.UsefulBytes,
+				HostCrossings: after.HostCrossings - before.HostCrossings,
+			}
+			want := Stats{Messages: 1, UsefulBytes: uint64(c.useful)}
+			if c.viaHost {
+				want.HostCrossings = 1
+			}
+			if delta != want {
+				t.Errorf("%dx%d %+v: stats delta %+v, want %+v", shape[0], shape[1], c, delta, want)
+			}
+			if c.from == c.to {
+				if len(hops) != 0 || wire != 0 {
+					t.Errorf("%+v: same-node path has %d hops, wire %d", c, len(hops), wire)
+				}
+				return
+			}
+			fresh := f.buildPath(c.from, c.to, c.packed && c.useful < FlitBytes, c.viaHost)
+			if !reflect.DeepEqual(hops, fresh) {
+				t.Errorf("%dx%d %+v: memoized hops %v, fresh path %v", shape[0], shape[1], c, hops, fresh)
+			}
+			if wire != WireBytesFor(c.useful, c.packed) {
+				t.Errorf("%+v: wire %d, want %d", c, wire, WireBytesFor(c.useful, c.packed))
+			}
+			if first[i] == nil {
+				first[i] = hops
+			} else if &first[i][0] != &hops[0] {
+				t.Errorf("%+v: repeated call built a new slice", c)
+			}
+		}
+		for i, c := range calls {
+			check(i, c)
+		}
+		for i := len(calls) - 1; i >= 0; i-- {
+			check(i, calls[i])
+		}
 	}
 }

@@ -236,9 +236,11 @@ func NewMapper(cfg Config, home cxl.NodeID) (*Mapper, error) {
 // Home returns the compute node this mapper serves.
 func (m *Mapper) Home() cxl.NodeID { return m.home }
 
-// MapShared resolves one logical step into physical accesses. local pins
-// the access to the node's local set (trace.Workload.LocalSpaces
-// semantics).
+// MapShared resolves one logical step into physical accesses and appends
+// them to dst, returning the extended slice; callers on the request path
+// pass a reused slice truncated to zero length, so mapping allocates
+// nothing once it has grown. local pins the access to the node's local set
+// (trace.Workload.LocalSpaces semantics).
 //
 // With HotLocal set and a CXLG-DIMM home, non-spatial (hot, fine-grained)
 // data maps into the home DIMM itself: the data-migration half of the
@@ -254,9 +256,9 @@ func (m *Mapper) Home() cxl.NodeID { return m.home }
 // must map identically from every home, so it stripes pool-wide regardless
 // of placement locality — two switches atomically updating "counter 0"
 // must serialize at one physical bank.
-func (m *Mapper) MapShared(space trace.Space, addr uint64, size uint32, spatial, local, shared bool) ([]PlacedAccess, error) {
+func (m *Mapper) MapShared(dst []PlacedAccess, space trace.Space, addr uint64, size uint32, spatial, local, shared bool) ([]PlacedAccess, error) {
 	if size == 0 {
-		return nil, fmt.Errorf("memmgmt: zero-size access")
+		return dst, fmt.Errorf("memmgmt: zero-size access")
 	}
 	set := m.dimmSet
 	switch {
@@ -269,7 +271,6 @@ func (m *Mapper) MapShared(space trace.Space, addr uint64, size uint32, spatial,
 	}
 	// Salt the stripe by space so different spaces don't align.
 	salt := uint64(space) * 0x9E3779B9
-	var out []PlacedAccess
 	// Split across stripe boundaries first.
 	for size > 0 {
 		within := addr % m.cfg.StripeBytes
@@ -279,18 +280,14 @@ func (m *Mapper) MapShared(space trace.Space, addr uint64, size uint32, spatial,
 		}
 		stripe := addr/m.cfg.StripeBytes + salt
 		node := set[stripe%uint64(len(set))]
-		pieces, err := m.placeWithin(node, space, addr, int(chunk), spatial)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pieces...)
+		dst = m.placeWithin(dst, node, addr, int(chunk), spatial)
 		addr += chunk
 		size -= uint32(chunk)
 	}
-	return out, nil
+	return dst, nil
 }
 
-// placeWithin maps a chunk inside one DIMM.
+// placeWithin maps a chunk inside one DIMM, appending its pieces to dst.
 //
 // Chip-group width is a *hardware* property: CXLG-DIMMs have per-chip chip
 // select, so their accesses use the configured coalescing group (1 =
@@ -299,7 +296,7 @@ func (m *Mapper) MapShared(space trace.Space, addr uint64, size uint32, spatial,
 // fine-grained objects at the FineUnitBytes granule and lays spatial data
 // row-major; SchemeFixed interleaves everything at 64 B units regardless of
 // data type.
-func (m *Mapper) placeWithin(node cxl.NodeID, space trace.Space, addr uint64, size int, spatial bool) ([]PlacedAccess, error) {
+func (m *Mapper) placeWithin(dst []PlacedAccess, node cxl.NodeID, addr uint64, size int, spatial bool) []PlacedAccess {
 	cfgD := m.cfg.DIMM
 	cxlg := m.cfg.Pool.IsCXLG(node)
 	banks := cfgD.Banks()
@@ -320,7 +317,6 @@ func (m *Mapper) placeWithin(node cxl.NodeID, space trace.Space, addr uint64, si
 	groupsPerRank := cfgD.ChipsPerRank / group
 	rowSegBytes := uint64(group * cfgD.RowBytes)
 
-	var out []PlacedAccess
 	if m.cfg.Scheme == SchemeArchData && spatial {
 		// Row-major placement: consecutive bytes fill one chip-group's row,
 		// then advance bank -> rank -> group. A spatial burst therefore
@@ -336,7 +332,7 @@ func (m *Mapper) placeWithin(node cxl.NodeID, space trace.Space, addr uint64, si
 			bank := int(seg / uint64(groupsPerRank) % uint64(banks))
 			rank := int(seg / uint64(groupsPerRank) / uint64(banks) % uint64(cfgD.Ranks))
 			row := int64(seg / uint64(groupsPerRank) / uint64(banks) / uint64(cfgD.Ranks))
-			out = append(out, PlacedAccess{
+			dst = append(dst, PlacedAccess{
 				Node:  node,
 				Loc:   dram.Loc{Rank: rank, Chip: g * group, Bank: bank, Row: row},
 				Bytes: int(chunk),
@@ -345,7 +341,7 @@ func (m *Mapper) placeWithin(node cxl.NodeID, space trace.Space, addr uint64, si
 			addr += chunk
 			size -= int(chunk)
 		}
-		return out, nil
+		return dst
 	}
 
 	// Interleaved mapping. The unit is the granule at which one object lives
@@ -378,7 +374,7 @@ func (m *Mapper) placeWithin(node cxl.NodeID, space trace.Space, addr uint64, si
 			colsPerRow = 1
 		}
 		row := int64(u / sweep / colsPerRow)
-		out = append(out, PlacedAccess{
+		dst = append(dst, PlacedAccess{
 			Node:  node,
 			Loc:   dram.Loc{Rank: rank, Chip: g * group, Bank: bank, Row: row},
 			Bytes: int(chunk),
@@ -387,5 +383,5 @@ func (m *Mapper) placeWithin(node cxl.NodeID, space trace.Space, addr uint64, si
 		addr += chunk
 		size -= int(chunk)
 	}
-	return out, nil
+	return dst
 }

@@ -1,6 +1,7 @@
 package memmgmt
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -60,7 +61,7 @@ func TestNewMapperValidation(t *testing.T) {
 func TestPlacementLocalKeepsTrafficOnOwnSwitch(t *testing.T) {
 	m := mapperFor(t, nil, cxl.DIMM(1, 0))
 	for addr := uint64(0); addr < 1<<20; addr += 4096 {
-		accs, err := m.MapShared(trace.SpaceOcc, addr, 32, false, false, false)
+		accs, err := m.MapShared(nil, trace.SpaceOcc, addr, 32, false, false, false)
 		if err != nil {
 			t.Fatalf("MapShared: %v", err)
 		}
@@ -76,7 +77,7 @@ func TestPlacementGlobalSpreadsAcrossPool(t *testing.T) {
 	m := mapperFor(t, func(c *Config) { c.PlacementLocal = false; c.HotLocal = false }, cxl.DIMM(0, 0))
 	seen := map[cxl.NodeID]int{}
 	for addr := uint64(0); addr < 1<<20; addr += 4096 {
-		accs, err := m.MapShared(trace.SpaceOcc, addr, 32, false, false, false)
+		accs, err := m.MapShared(nil, trace.SpaceOcc, addr, 32, false, false, false)
 		if err != nil {
 			t.Fatalf("MapShared: %v", err)
 		}
@@ -93,7 +94,7 @@ func TestLocalSpacesPinToHome(t *testing.T) {
 	home := cxl.DIMM(0, 0)
 	m := mapperFor(t, nil, home)
 	for addr := uint64(0); addr < 1<<18; addr += 999 {
-		accs, err := m.MapShared(trace.SpaceBloom, addr, 1, false, true, false)
+		accs, err := m.MapShared(nil, trace.SpaceBloom, addr, 1, false, true, false)
 		if err != nil {
 			t.Fatalf("MapShared: %v", err)
 		}
@@ -106,7 +107,7 @@ func TestLocalSpacesPinToHome(t *testing.T) {
 	// Switch-homed mapper pins to its DIMM set instead.
 	ms := mapperFor(t, nil, cxl.Switch(1))
 	for addr := uint64(0); addr < 1<<18; addr += 997 {
-		accs, err := ms.MapShared(trace.SpaceBloom, addr, 1, false, true, false)
+		accs, err := ms.MapShared(nil, trace.SpaceBloom, addr, 1, false, true, false)
 		if err != nil {
 			t.Fatalf("MapShared: %v", err)
 		}
@@ -121,7 +122,7 @@ func TestLocalSpacesPinToHome(t *testing.T) {
 func TestCXLGGetsFineGrainedModes(t *testing.T) {
 	m := mapperFor(t, nil, cxl.DIMM(0, 0))
 	// Slot 0 is CXLG: fine-grained access must be coalesced with group 8.
-	accs, err := m.MapShared(trace.SpaceBloom, 64, 1, false, true, false) // pinned to home = slot 0
+	accs, err := m.MapShared(nil, trace.SpaceBloom, 64, 1, false, true, false) // pinned to home = slot 0
 	if err != nil {
 		t.Fatalf("MapShared: %v", err)
 	}
@@ -132,7 +133,7 @@ func TestCXLGGetsFineGrainedModes(t *testing.T) {
 	}
 	// With group 1, mode is per-chip.
 	m1 := mapperFor(t, func(c *Config) { c.CoalesceGroup = 1 }, cxl.DIMM(0, 0))
-	accs, err = m1.MapShared(trace.SpaceBloom, 64, 1, false, true, false)
+	accs, err = m1.MapShared(nil, trace.SpaceBloom, 64, 1, false, true, false)
 	if err != nil {
 		t.Fatalf("MapShared: %v", err)
 	}
@@ -148,7 +149,7 @@ func TestUnmodifiedDIMMsAreLockstep(t *testing.T) {
 	// scheme (no per-chip CS on unmodified DIMMs).
 	m := mapperFor(t, func(c *Config) { c.Pool.CXLGSlots = 0 }, cxl.Switch(0))
 	for addr := uint64(0); addr < 1<<16; addr += 1024 {
-		accs, err := m.MapShared(trace.SpaceOcc, addr, 32, false, false, false)
+		accs, err := m.MapShared(nil, trace.SpaceOcc, addr, 32, false, false, false)
 		if err != nil {
 			t.Fatalf("MapShared: %v", err)
 		}
@@ -165,7 +166,7 @@ func TestSpatialRowMajorMinimizesRowSpan(t *testing.T) {
 	m := mapperFor(t, nil, cxl.DIMM(0, 0))
 	// A 512 B spatial read under arch-data mapping must touch exactly one
 	// (node, rank, bank, row) tuple when it fits a row segment.
-	accs, err := m.MapShared(trace.SpaceCandidates, 8192, 512, true, true, false)
+	accs, err := m.MapShared(nil, trace.SpaceCandidates, 8192, 512, true, true, false)
 	if err != nil {
 		t.Fatalf("MapShared: %v", err)
 	}
@@ -174,7 +175,7 @@ func TestSpatialRowMajorMinimizesRowSpan(t *testing.T) {
 	}
 	// The fixed scheme splits the same read into 64 B units across banks.
 	mf := mapperFor(t, func(c *Config) { c.Scheme = SchemeFixed }, cxl.DIMM(0, 0))
-	accsF, err := mf.MapShared(trace.SpaceCandidates, 8192, 512, true, true, false)
+	accsF, err := mf.MapShared(nil, trace.SpaceCandidates, 8192, 512, true, true, false)
 	if err != nil {
 		t.Fatalf("MapShared: %v", err)
 	}
@@ -195,7 +196,7 @@ func TestFineGrainedInterleaveSpreadsBanks(t *testing.T) {
 	m := mapperFor(t, nil, cxl.DIMM(0, 0))
 	seen := map[[3]int]bool{}
 	for i := 0; i < 256; i++ {
-		accs, err := m.MapShared(trace.SpaceOcc, uint64(i)*32, 32, false, true, false)
+		accs, err := m.MapShared(nil, trace.SpaceOcc, uint64(i)*32, 32, false, true, false)
 		if err != nil {
 			t.Fatalf("MapShared: %v", err)
 		}
@@ -212,7 +213,7 @@ func TestFineGrainedInterleaveSpreadsBanks(t *testing.T) {
 
 func TestMapSplitsStripeBoundary(t *testing.T) {
 	m := mapperFor(t, func(c *Config) { c.StripeBytes = 128 }, cxl.DIMM(0, 0))
-	accs, err := m.MapShared(trace.SpaceCandidates, 100, 100, true, false, false)
+	accs, err := m.MapShared(nil, trace.SpaceCandidates, 100, 100, true, false, false)
 	if err != nil {
 		t.Fatalf("MapShared: %v", err)
 	}
@@ -230,7 +231,7 @@ func TestMapSplitsStripeBoundary(t *testing.T) {
 
 func TestMapZeroSizeRejected(t *testing.T) {
 	m := mapperFor(t, nil, cxl.DIMM(0, 0))
-	if _, err := m.MapShared(trace.SpaceOcc, 0, 0, false, false, false); err == nil {
+	if _, err := m.MapShared(nil, trace.SpaceOcc, 0, 0, false, false, false); err == nil {
 		t.Error("zero-size access accepted")
 	}
 }
@@ -244,7 +245,7 @@ func TestMapConservationProperty(t *testing.T) {
 	}
 	f := func(addr uint32, size uint16, spatial, local bool) bool {
 		sz := uint32(size)%2048 + 1
-		accs, err := m.MapShared(trace.SpaceOcc, uint64(addr), sz, spatial, local, false)
+		accs, err := m.MapShared(nil, trace.SpaceOcc, uint64(addr), sz, spatial, local, false)
 		if err != nil {
 			return false
 		}
@@ -273,8 +274,8 @@ func TestMapDeterministicProperty(t *testing.T) {
 	}
 	f := func(addr uint32, size uint8, spatial bool) bool {
 		sz := uint32(size) + 1
-		a, err1 := m.MapShared(trace.SpaceCandidates, uint64(addr), sz, spatial, false, false)
-		b, err2 := m.MapShared(trace.SpaceCandidates, uint64(addr), sz, spatial, false, false)
+		a, err1 := m.MapShared(nil, trace.SpaceCandidates, uint64(addr), sz, spatial, false, false)
+		b, err2 := m.MapShared(nil, trace.SpaceCandidates, uint64(addr), sz, spatial, false, false)
 		if err1 != nil || err2 != nil || len(a) != len(b) {
 			return false
 		}
@@ -287,6 +288,33 @@ func TestMapDeterministicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: MapShared appends to the caller's slice — the prefix stays and
+// the suffix equals a mapping into nil — and reusing a truncated slice
+// allocates nothing.
+func TestMapSharedAppendsProperty(t *testing.T) {
+	m, err := NewMapper(DefaultConfig(), cxl.Switch(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := PlacedAccess{Node: cxl.DIMM(0, 3), Bytes: 7}
+	f := func(addr uint32, size uint16, spatial bool) bool {
+		sz := uint32(size)%9000 + 1
+		want, err1 := m.MapShared(nil, trace.SpaceCandidates, uint64(addr), sz, spatial, false, false)
+		got, err2 := m.MapShared([]PlacedAccess{prefix}, trace.SpaceCandidates, uint64(addr), sz, spatial, false, false)
+		return err1 == nil && err2 == nil && reflect.DeepEqual(got, append([]PlacedAccess{prefix}, want...))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	buf, _ := m.MapShared(nil, trace.SpaceCandidates, 0, 9000, false, false, false)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf, _ = m.MapShared(buf[:0], trace.SpaceCandidates, 4096, 9000, false, false, false)
+	})
+	if allocs != 0 {
+		t.Errorf("mapping into a reused slice allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -82,20 +82,22 @@ func (f *fake) walker(flows ndp.Flows) *ndp.Walker {
 }
 
 // walkOne serves one 32-byte piece on target from home in an event at
-// cycle 0 and returns the phase log, ending in "done" or "fail <err>".
+// cycle 0 and returns the phase log, ending in "done" or "fail <err>". It
+// also checks that the walk, finished or failed, released its record.
 func walkOne(t *testing.T, f *fake, flows ndp.Flows, home, target cxl.NodeID, op trace.Op) []string {
 	t.Helper()
 	f.eng = sim.NewEngine()
 	f.names = map[cxl.NodeID]string{target: "target", cxl.Switch(target.Switch): "switch", home: "home"}
 	w := f.walker(flows)
+	w.Done = func(_ int32, at sim.Cycle) { f.note("done @%d", at) }
+	w.Fail = func(_ int32, err error) { f.note("fail %v @%d", err, f.eng.Now()) }
 	pa := memmgmt.PlacedAccess{Node: target, Bytes: 32}
-	f.eng.Schedule(0, func() {
-		w.Walk(0, home, pa, op,
-			func(err error) { f.note("fail %v @%d", err, f.eng.Now()) },
-			func(at sim.Cycle) { f.note("done @%d", at) })
-	})
+	f.eng.Schedule(0, func() { w.Walk(0, home, pa, op, 0) })
 	if _, err := f.eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if slab, free := ndp.WalkRecords(w); slab != 1 || free != 1 {
+		t.Errorf("walker slab holds %d records, %d free: want the one record released", slab, free)
 	}
 	return f.log
 }
@@ -195,5 +197,93 @@ func TestWalkerFailsOnce(t *testing.T) {
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s:\n got %q\nwant %q", c.name, got, c.want)
 		}
+	}
+}
+
+// TestWalkerInterleavedTags starts overlapping walks, local and remote, of
+// every op and checks that each reports to its own tag exactly once, at
+// the time it would take alone, and that the slab grows only to the peak
+// number in flight and ends with every record free.
+func TestWalkerInterleavedTags(t *testing.T) {
+	f := &fake{eng: sim.NewEngine()}
+	home := cxl.DIMM(0, 0)
+	f.names = map[cxl.NodeID]string{}
+	w := f.walker(core.Flows)
+	// Alone, each piece takes its flow's length from TestWalkerEventSeparation.
+	alone := map[trace.Op][2]sim.Cycle{ // [local, remote]
+		trace.OpRead: {20, 40}, trace.OpWrite: {20, 40}, trace.OpAtomicRMW: {43, 93},
+	}
+	const walks = 24
+	var want [walks]sim.Cycle
+	got := map[int32][]sim.Cycle{}
+	w.Done = func(tag int32, at sim.Cycle) { got[tag] = append(got[tag], at) }
+	w.Fail = func(tag int32, err error) { t.Errorf("tag %d failed: %v", tag, err) }
+	for i := 0; i < walks; i++ {
+		tag, start := int32(100+i), sim.Cycle(3*i)
+		op := trace.Op(i % 3)
+		target, remote := home, i%2
+		if remote == 1 {
+			target = cxl.DIMM(1, 1)
+		}
+		want[i] = start + alone[op][remote]
+		pa := memmgmt.PlacedAccess{Node: target, Bytes: 32}
+		f.eng.ScheduleAt(start, func() { w.Walk(start, home, pa, op, tag) })
+	}
+	if _, err := f.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, at := range want {
+		tag := int32(100 + i)
+		if g := got[tag]; len(g) != 1 || g[0] != at {
+			t.Errorf("tag %d reported %v, want once at %d", tag, g, at)
+		}
+	}
+	if len(got) != walks {
+		t.Errorf("%d tags reported, want %d", len(got), walks)
+	}
+	slab, free := ndp.WalkRecords(w)
+	if slab != free || slab < 2 || slab >= walks {
+		t.Errorf("slab holds %d records, %d free: want 2..%d, all free", slab, free, walks-1)
+	}
+}
+
+// TestWalkerReusesOneRecord checks that 1,000 sequential walks of every
+// op, local and remote, each started from the previous one's report,
+// reuse one record. (walkOne checks that a failing Path, a failing Access
+// and a retry that then succeeds each release theirs.)
+func TestWalkerReusesOneRecord(t *testing.T) {
+	f := &fake{eng: sim.NewEngine(), names: map[cxl.NodeID]string{}}
+	w := f.walker(core.Flows)
+	home := cxl.DIMM(0, 0)
+	const walks = 1000
+	done := 0
+	var next func(t sim.Cycle)
+	next = func(t sim.Cycle) {
+		if done == walks {
+			return
+		}
+		target := home
+		if done%2 == 1 {
+			target = cxl.DIMM(1, 1)
+		}
+		w.Walk(t, home, memmgmt.PlacedAccess{Node: target, Bytes: 32}, trace.Op(done%3), int32(done))
+	}
+	w.Done = func(tag int32, at sim.Cycle) {
+		if int(tag) != done {
+			t.Fatalf("walk %d reported tag %d", done, tag)
+		}
+		done++
+		next(at)
+	}
+	w.Fail = func(_ int32, err error) { t.Fatal(err) }
+	f.eng.Schedule(0, func() { next(0) })
+	if _, err := f.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if done != walks {
+		t.Fatalf("%d walks done, want %d", done, walks)
+	}
+	if slab, free := ndp.WalkRecords(w); slab != 1 || free != 1 {
+		t.Errorf("after %d sequential walks the slab holds %d records, %d free; want 1, 1", walks, slab, free)
 	}
 }

@@ -18,6 +18,11 @@
 // (BEACON-D/S over the CXL fabric) and internal/baseline (MEDAL/NEST over
 // DDR channels) build the modules and supply only their flow tables and
 // three primitives: a hop path, a DRAM access and the RMW arithmetic.
+//
+// Neither loop keeps continuation closures: a task in flight is a record
+// in the replay's slab, a piece in flight a record in the walker's, and
+// every phase boundary is a typed engine event (sim.Engine.Post) carrying
+// the record's index to a handler bound once per machine.
 package ndp
 
 import (

@@ -52,10 +52,18 @@ type Replay struct {
 	w      *Walker
 	wl     *trace.Workload
 	tot    Totals
-	// err is the first failure; fail records it. fail is built once so
-	// handing it to every walked piece allocates nothing.
-	err  error
-	fail func(error)
+	// err is the first failure; fail records it.
+	err error
+
+	// tasks holds the admitted tasks in flight, one record per task
+	// reused across its steps; placed is the scratch slice each step's
+	// pieces are mapped into.
+	tasks  slab[taskRun]
+	placed []memmgmt.PlacedAccess
+	// start[node] is node's admission callback and onAdmit, onIssue and
+	// onStep the event handlers: all bound once, in NewReplay.
+	start                    []func(*trace.Task)
+	onAdmit, onIssue, onStep sim.Handler
 
 	// OnTaskEnd, when non-nil, receives every task's identity and
 	// completion time. It belongs to one replay, so concurrent runs never
@@ -71,25 +79,49 @@ type Replay struct {
 	dead      []bool
 	hostCPU   *sim.Resource
 
-	// Observability (nil when disabled): per-node task tracks, each
-	// in-flight task's start, and the step-completion latency histogram.
+	// Observability (nil when disabled): per-node task tracks and the
+	// step-completion latency histogram.
 	ob          *obs.Obs
 	taskTracks  []obs.Track
-	taskStart   map[*trace.Task]sim.Cycle
 	stepLatency *obs.Histogram
 }
 
+// taskRun is one admitted task in flight: where it runs, when it started,
+// and the current step's state. The step was issued at issue, its pieces
+// go out from home when the PE finishes at tc, and it completes when the
+// last of remaining pieces is back, at latest.
+type taskRun struct {
+	task      *trace.Task
+	node      int
+	onHost    bool
+	start     sim.Cycle
+	step      int
+	issue, tc sim.Cycle
+	home      cxl.NodeID
+	remaining int
+	latest    sim.Cycle
+}
+
 // NewReplay builds the loop over a machine's nodes and flow walker, driven
-// by the walker's engine. prefix names the machine family in progress
-// metrics and errors ("core", "ddr").
+// by the walker's engine, and binds the walker's Done and Fail to it.
+// prefix names the machine family in progress metrics and errors ("core",
+// "ddr").
 func NewReplay(prefix string, nodes []Node, w *Walker) *Replay {
 	r := &Replay{prefix: prefix, engine: w.Engine, nodes: nodes, w: w}
-	r.fail = func(err error) {
-		if r.err == nil {
-			r.err = err
-		}
+	r.start = make([]func(*trace.Task), len(nodes))
+	for node := range nodes {
+		r.start[node] = func(task *trace.Task) { r.begin(node, task, r.engine.Now(), false) }
 	}
+	r.onAdmit, r.onIssue, r.onStep = r.admitDue, r.issue, r.stepDone
+	w.Done, w.Fail = r.pieceDone, r.pieceFailed
 	return r
+}
+
+// fail records the run's first error.
+func (r *Replay) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
 }
 
 // SetInjector enables transient PE stalls on every node and the
@@ -150,14 +182,12 @@ func (r *Replay) Run(wl *trace.Workload) (Totals, error) {
 		// Drive registry snapshots off the clock's advance: no events are
 		// scheduled, so timing is untouched.
 		r.engine.OnAdvance = func(now sim.Cycle) { r.ob.MaybeSample(int64(now)) }
-		r.taskStart = make(map[*trace.Task]sim.Cycle, len(wl.Tasks))
 	}
 	for i := range wl.Tasks {
 		r.nodes[i%len(r.nodes)].Module.Enqueue(&wl.Tasks[i])
 	}
 	for node := range r.nodes {
-		node := node
-		r.engine.Schedule(0, func() { r.admit(node) })
+		r.engine.Post(0, r.onAdmit, int32(node))
 	}
 	end, err := r.engine.Run()
 	if err != nil {
@@ -180,36 +210,43 @@ func (r *Replay) Run(wl *trace.Workload) (Totals, error) {
 }
 
 // admit starts the tasks node's scheduler has room for.
-func (r *Replay) admit(node int) {
-	r.nodes[node].Module.Admit(func(task *trace.Task) {
-		r.runTask(node, task, 0, r.engine.Now(), false)
-	})
-}
+func (r *Replay) admit(node int) { r.nodes[node].Module.Admit(r.start[node]) }
+
+// admitDue is the run's opening admission on a node.
+func (r *Replay) admitDue(node int32) { r.admit(int(node)) }
 
 // retire frees a scheduler slot on node and starts the task it admits.
-func (r *Replay) retire(node int) {
-	r.nodes[node].Module.Complete(func(task *trace.Task) {
-		r.runTask(node, task, 0, r.engine.Now(), false)
-	})
-}
+func (r *Replay) retire(node int) { r.nodes[node].Module.Complete(r.start[node]) }
 
-// runTask issues step `step` of task at now. onHost marks a task that fell
-// back to the host CPU after every NDP unit failed.
-func (r *Replay) runTask(node int, task *trace.Task, step int, now sim.Cycle, onHost bool) {
+// begin starts task on node at now in a fresh record. onHost marks a task
+// that fell back to the host CPU after every NDP unit failed.
+func (r *Replay) begin(node int, task *trace.Task, now sim.Cycle, onHost bool) {
 	if r.err != nil {
 		return
 	}
-	if step == 0 && r.inj != nil && !onHost && r.failover(node, task, now) {
+	if r.inj != nil && !onHost && r.failover(node, task, now) {
 		return
 	}
-	if r.taskStart != nil && step == 0 {
-		r.taskStart[task] = now
+	idx := r.tasks.get()
+	r.tasks.recs[idx] = taskRun{task: task, node: node, onHost: onHost, start: now}
+	r.runStep(idx, now)
+}
+
+// runStep issues record idx's current step at now, or retires the task
+// after its last step.
+func (r *Replay) runStep(idx int32, now sim.Cycle) {
+	if r.err != nil {
+		return
 	}
-	if step >= len(task.Steps) {
+	rec := &r.tasks.recs[idx]
+	task, node := rec.task, rec.node
+	if rec.step >= len(task.Steps) {
 		r.tot.Tasks++
-		if r.taskStart != nil {
-			r.ob.Tracer().Span(r.taskTracks[node], "task", int64(r.taskStart[task]), int64(now))
+		if r.ob != nil {
+			r.ob.Tracer().Span(r.taskTracks[node], "task", int64(rec.start), int64(now))
 		}
+		onHost := rec.onHost
+		r.tasks.put(idx)
 		if r.OnTaskEnd != nil {
 			r.OnTaskEnd(task, now)
 		}
@@ -219,13 +256,13 @@ func (r *Replay) runTask(node int, task *trace.Task, step int, now sim.Cycle, on
 		}
 		return
 	}
-	st := task.Steps[step]
+	st := task.Steps[rec.step]
 	n := r.nodes[node]
 	// PE compute preceding the access: the full engine latency for a new
 	// logical operation, one pipeline cycle for a continuation access.
 	var tc sim.Cycle
 	home := n.Home
-	if onHost {
+	if rec.onHost {
 		// Degraded software path: a host CPU thread services the step with
 		// the per-step fallback penalty, and reaches the data (still placed
 		// for the failed node) across the fabric.
@@ -234,35 +271,60 @@ func (r *Replay) runTask(node int, task *trace.Task, step int, now sim.Cycle, on
 	} else {
 		tc = n.Module.Compute(now, task.Engine, st)
 	}
+	// Issue the pieces when the PE finishes computing; the step completes
+	// when every piece has returned.
+	rec.issue, rec.tc, rec.home, rec.latest = now, tc, home, tc
+	r.engine.Post(tc, r.onIssue, idx)
+}
+
+// issue maps record idx's step through its node's mapper and hands the
+// placed pieces to the walker, tagged with idx. Mapping is a pure
+// function of the step, so mapping when the pieces go out rather than
+// when the step starts lets every step share one scratch slice: pieces
+// only ever go out from an event, never inside another step's fan-out.
+func (r *Replay) issue(idx int32) {
+	rec := &r.tasks.recs[idx]
+	st := &rec.task.Steps[rec.step]
 	local := r.wl.LocalSpaces[st.Space]
 	// Non-replicated atomic targets are logically one copy pool-wide.
 	shared := st.Op == trace.OpAtomicRMW && !local
-	placed, err := n.Mapper.MapShared(st.Space, st.Addr, st.Size, st.Spatial, local, shared)
+	placed, err := r.nodes[rec.node].Mapper.MapShared(r.placed[:0], st.Space, st.Addr, st.Size, st.Spatial, local, shared)
+	r.placed = placed
 	if err != nil {
 		r.fail(err)
 		return
 	}
-	// Issue the pieces when the PE finishes computing; the step completes
-	// when every piece has returned.
-	remaining, latest := len(placed), tc
-	pieceDone := func(t sim.Cycle) {
-		latest = max(latest, t)
-		if remaining--; remaining == 0 {
-			r.tot.Steps++
-			r.stepLatency.Observe(float64(latest - now))
-			r.engine.ScheduleAtOrNow(latest, func() { r.runTask(node, task, step+1, latest, onHost) })
+	rec.remaining = len(placed)
+	for _, pa := range placed {
+		if pa.Node == rec.home {
+			r.tot.LocalAccesses++
+		} else {
+			r.tot.RemoteAccesses++
 		}
+		r.w.Walk(rec.tc, rec.home, pa, st.Op, idx)
 	}
-	r.engine.ScheduleAtOrNow(tc, func() {
-		for _, pa := range placed {
-			if pa.Node == home {
-				r.tot.LocalAccesses++
-			} else {
-				r.tot.RemoteAccesses++
-			}
-			r.w.Walk(tc, home, pa, st.Op, r.fail, pieceDone)
-		}
-	})
+}
+
+// pieceDone is the walker's Done: a piece of record tag's step is back at
+// t, and the last one completes the step in an event at the latest return.
+func (r *Replay) pieceDone(tag int32, t sim.Cycle) {
+	rec := &r.tasks.recs[tag]
+	rec.latest = max(rec.latest, t)
+	if rec.remaining--; rec.remaining == 0 {
+		r.tot.Steps++
+		r.stepLatency.Observe(float64(rec.latest - rec.issue))
+		r.engine.Post(rec.latest, r.onStep, tag)
+	}
+}
+
+// pieceFailed is the walker's Fail.
+func (r *Replay) pieceFailed(_ int32, err error) { r.fail(err) }
+
+// stepDone moves record idx on to its next step.
+func (r *Replay) stepDone(idx int32) {
+	rec := &r.tasks.recs[idx]
+	rec.step++
+	r.runStep(idx, rec.latest)
 }
 
 // failover runs the unit-failure check at task admission and reports
@@ -284,7 +346,7 @@ func (r *Replay) failover(node int, task *trace.Task, now sim.Cycle) bool {
 		})
 	} else {
 		r.inj.CountHostFallback(now)
-		r.engine.ScheduleAtOrNow(at, func() { r.runTask(node, task, 0, r.engine.Now(), true) })
+		r.engine.ScheduleAtOrNow(at, func() { r.begin(node, task, r.engine.Now(), true) })
 	}
 	// Free the dead node's scheduler slot so its backlog drains (each
 	// drained task migrates in turn); via an event so the drain stays

@@ -53,15 +53,18 @@ const (
 type calEvent struct {
 	at  Cycle
 	seq uint64
-	fn  func()
+	act action
 }
 
-// calSlot is one bucketed event. Buckets keep seq order by list position,
-// so the slot needs no seq; next is the 1-based slab index of the
-// following event in the same bucket (or on the free list), 0 ending it.
+// calSlot is one bucketed event, its action flattened so the slot packs
+// into 32 bytes. Buckets keep seq order by list position, so the slot
+// needs no seq; next is the 1-based slab index of the following event in
+// the same bucket (or on the free list), 0 ending it.
 type calSlot struct {
 	at   Cycle
 	fn   func()
+	h    Handler
+	arg  int32
 	next int32
 }
 
@@ -106,11 +109,11 @@ func newCalendarScheduler() *calendarScheduler {
 	}
 }
 
-func (c *calendarScheduler) schedule(at Cycle, seq uint64, fn func()) {
+func (c *calendarScheduler) schedule(at Cycle, seq uint64, a action) {
 	if at < c.horizon {
-		c.bucket(at, fn)
+		c.bucket(at, a)
 	} else {
-		c.overflowPush(calEvent{at: at, seq: seq, fn: fn})
+		c.overflowPush(calEvent{at: at, seq: seq, act: a})
 	}
 	if c.headValid && at < c.headAt {
 		c.headAt = at
@@ -119,13 +122,14 @@ func (c *calendarScheduler) schedule(at Cycle, seq uint64, fn func()) {
 
 // bucket appends a window event to the tail of its cycle's bucket, in a
 // free slot when one is left over from a dispatched event.
-func (c *calendarScheduler) bucket(at Cycle, fn func()) {
+func (c *calendarScheduler) bucket(at Cycle, a action) {
+	slot := calSlot{at: at, fn: a.fn, h: a.h, arg: a.arg}
 	idx := c.free
 	if idx != 0 {
 		c.free = c.slab[idx-1].next
-		c.slab[idx-1] = calSlot{at: at, fn: fn}
+		c.slab[idx-1] = slot
 	} else {
-		c.slab = append(c.slab, calSlot{at: at, fn: fn})
+		c.slab = append(c.slab, slot)
 		idx = int32(len(c.slab))
 	}
 	i := int(at & calMask)
@@ -144,10 +148,10 @@ func (c *calendarScheduler) peek() (Cycle, bool) {
 	return c.headTime()
 }
 
-func (c *calendarScheduler) pop() (Cycle, func(), bool) {
+func (c *calendarScheduler) pop() (Cycle, action, bool) {
 	at, ok := c.headTime()
 	if !ok {
-		return 0, nil, false
+		return 0, action{}, false
 	}
 	if !c.open {
 		// A new batch begins: commit the cursor to its cycle, slide the
@@ -167,14 +171,14 @@ func (c *calendarScheduler) pop() (Cycle, func(), bool) {
 	if s.at != c.cur {
 		panic(fmt.Sprintf("sim: calendar bucket corrupt: event at %d in bucket for cycle %d", s.at, c.cur))
 	}
-	fn := s.fn
+	a := action{fn: s.fn, h: s.h, arg: s.arg}
 	b.head = s.next
 	// Release the slot: dropping the fn pointer lets the closure be
 	// collected while the slot waits on the free list.
 	*s = calSlot{next: c.free}
 	c.free = idx
 	c.inWindow--
-	return at, fn, true
+	return at, a, true
 }
 
 func (c *calendarScheduler) len() int { return c.inWindow + len(c.overflow) }
@@ -241,7 +245,7 @@ func (c *calendarScheduler) advanceHorizon() {
 	c.horizon = target
 	for len(c.overflow) > 0 && c.overflow[0].at < target {
 		ev := c.overflowPop()
-		c.bucket(ev.at, ev.fn)
+		c.bucket(ev.at, ev.act)
 	}
 }
 

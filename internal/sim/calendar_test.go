@@ -6,20 +6,23 @@ import "testing"
 // hop draws its stride from rng: a quarter are same-cycle reschedules
 // (appended to the batch being dispatched), most are short in-window hops,
 // and every 32nd overshoots the wheel into the overflow tier, to migrate
-// back as the window slides. visit, when non-nil, runs after every
-// schedule. The hop closure is built once, so a run allocates nothing of
-// its own.
+// back as the window slides. Every other hop is a handler event, so
+// closure and typed events share the buckets. visit, when non-nil, runs
+// after every schedule. The hop closure and handler are built once, so a
+// run allocates nothing of its own.
 type slabChurn struct {
 	e         *Engine
 	rng       *RNG
 	remaining int
 	visit     func(stride Cycles)
 	hop       func()
+	fire      Handler
 }
 
 func newSlabChurn(e *Engine, rng *RNG, visit func(stride Cycles)) *slabChurn {
 	c := &slabChurn{e: e, rng: rng, visit: visit}
 	c.hop = c.step
+	c.fire = func(int32) { c.step() }
 	return c
 }
 
@@ -45,7 +48,11 @@ func (c *slabChurn) step() {
 	default:
 		stride = Cycles(1 + c.rng.Intn(3000))
 	}
-	c.e.Schedule(stride, c.hop)
+	if c.remaining%2 == 0 {
+		c.e.Post(c.e.Now()+stride, c.fire, 0)
+	} else {
+		c.e.Schedule(stride, c.hop)
+	}
 	if c.visit != nil {
 		c.visit(stride)
 	}
@@ -110,8 +117,8 @@ func TestCalendarSlabTracksPeakPending(t *testing.T) {
 }
 
 // TestCalendarSteadyStateAllocFree checks that a warmed-up engine dispatches
-// a full churn run — wheel wraps, same-cycle batches, overflow round trips
-// — without a single heap allocation: slots, bucket lists and the overflow
+// a full churn run — closure and handler events, wheel wraps, same-cycle
+// batches, overflow round trips — without a single heap allocation: slots, bucket lists and the overflow
 // heap all reuse the capacity Reset retains.
 func TestCalendarSteadyStateAllocFree(t *testing.T) {
 	e := newEngine(calendarQueue())

@@ -31,7 +31,7 @@ var (
 // The interpretation is a pure function of (queue, script); the
 // differential suite asserts the record is independent of the queue.
 //
-// Script encoding: a sequence of instructions, each an opcode byte (mod 10)
+// Script encoding: a sequence of instructions, each an opcode byte (mod 13)
 // followed by up to two u16 little-endian operands (missing bytes read as
 // zero; interpretation stops when the script is exhausted):
 //
@@ -46,6 +46,16 @@ var (
 //	7: MaxEvents = Executed() + a%64 + 1 (tight livelock bound)
 //	8: Reset()
 //	9: schedule one event at Never
+//	10: post one handler event at now + (a % 3000) - 1000 (a past time
+//	    runs at now)
+//	11: on one cycle (a % 500 ahead), alternate (b%4 + 1) closure events
+//	    with as many handler events
+//	12: post a re-entrant handler chain: the handler re-posts itself b%3
+//	    times at (a % 200) cycle strides, logging each hop
+//
+// Handler events go through two handlers bound once per script, the way a
+// timing model binds one per event kind, and carry the record index as
+// their argument.
 func runScript(newQueue func() scheduler, script []byte) []string {
 	var log []string
 	e := newEngine(newQueue())
@@ -76,13 +86,37 @@ func runScript(newQueue func() scheduler, script []byte) []string {
 			log = append(log, fmt.Sprintf("ev#%d@%d", id, e.Now()))
 		}
 	}
+	logHandler := Handler(func(id int32) {
+		log = append(log, fmt.Sprintf("h#%d@%d", id, e.Now()))
+	})
+	// chains is the handler chains' record slab: each record's id,
+	// stride and hops left.
+	type chainRec struct {
+		id        int
+		stride    Cycles
+		remaining int
+	}
+	var chains []chainRec
+	var chainHandler Handler
+	chainHandler = func(i int32) {
+		c := &chains[i]
+		log = append(log, fmt.Sprintf("hchain#%d[%d]@%d", c.id, c.remaining, e.Now()))
+		if c.remaining > 0 {
+			c.remaining--
+			e.Post(e.Now()+c.stride, chainHandler, i)
+		}
+	}
+	post := func(at Cycle) {
+		e.Post(at, logHandler, int32(nextID))
+		nextID++
+	}
 
 	for {
 		op, ok := next()
 		if !ok {
 			break
 		}
-		switch op % 10 {
+		switch op % 13 {
 		case 0:
 			e.Schedule(Cycles(operand()%3000), mkEvent())
 		case 1:
@@ -132,6 +166,20 @@ func runScript(newQueue func() scheduler, script []byte) []string {
 			log = append(log, "reset")
 		case 9:
 			e.ScheduleAt(Never, mkEvent())
+		case 10:
+			post(e.Now() + Cycle(operand()%3000) - 1000)
+		case 11:
+			at := e.Now() + Cycle(operand()%500)
+			n := int(operand()%4) + 1
+			for i := 0; i < n; i++ {
+				e.ScheduleAt(at, mkEvent())
+				post(at)
+			}
+		case 12:
+			stride := Cycles(operand() % 200)
+			chains = append(chains, chainRec{id: nextID, stride: stride, remaining: int(operand() % 3)})
+			nextID++
+			e.Post(e.Now()+stride, chainHandler, int32(len(chains)-1))
 		}
 	}
 	now, err := e.Run()
@@ -266,6 +314,32 @@ var scriptedCases = []struct {
 		op(5, 50),
 		op(8),
 		op(2, 25, 2), op(6),
+	)},
+	{"handler_events", script(
+		op(10, 1100), // +100
+		op(0, 100),   // a closure event on the same cycle, after it
+		op(10, 400),  // in the past: runs at now
+		op(10, 2999), // +1999
+	)},
+	{"handlers_mixed_with_closures_on_one_cycle", script(
+		op(11, 40, 3), // 4 closure + 4 handler events, alternating, at +40
+		op(2, 40, 1),  // 2 more closure events at +40
+		op(11, 40, 0), // one more pair
+	)},
+	{"reentrant_handler_chains", script(
+		op(12, 30, 2),
+		op(3, 30, 2), // a closure chain on the same strides interleaves
+		op(12, 30, 2),
+		op(12, 0, 2), // zero stride: re-posts onto the batch being dispatched
+		op(5, 45),    // stop mid-chain and resume
+		op(10, 1000),
+	)},
+	{"handler_events_across_reset_and_abort", script(
+		op(12, 10, 2), op(11, 5, 1),
+		op(7, 2), // allow 3 more events: aborts mid-chain
+		op(6),
+		op(8), // reset clears the error and the pending handlers
+		op(12, 20, 1), op(6),
 	)},
 	{"mixed_stress", script(
 		op(2, 100, 3), op(3, 33, 2), op(1, 700), op(0, 0),

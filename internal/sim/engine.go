@@ -1,7 +1,8 @@
 // Package sim provides the discrete-event simulation kernel used by every
 // timing model in this repository. Time advances in integer DRAM bus cycles;
-// components schedule closures on a shared engine and model contention with
-// resource calendars (see resource.go).
+// components post typed events (a Handler bound once plus an int32
+// argument) or, on cold paths, schedule closures on a shared engine, and
+// model contention with resource calendars (see resource.go).
 //
 // The kernel is deliberately small: a pending-event queue with deterministic
 // tie-breaking, a clock, and a handful of queueing primitives. Determinism is
@@ -30,6 +31,28 @@ const (
 	// Never is a sentinel "unreachable" time.
 	Never Cycle = 1<<62 - 1
 )
+
+// Handler is a typed event target. A model binds one per event kind once,
+// typically a method value on machine-wide state, and posts events that
+// carry only an int32 argument, typically the index of an in-flight record
+// in the model's slab, so neither posting nor dispatching allocates.
+type Handler func(arg int32)
+
+// action is what an event runs: a closure (Schedule, ScheduleAt,
+// ScheduleAtOrNow) or a typed handler with its argument (Post).
+type action struct {
+	fn  func()
+	h   Handler
+	arg int32
+}
+
+func (a action) run() {
+	if a.h != nil {
+		a.h(a.arg)
+		return
+	}
+	a.fn()
+}
 
 // Engine is a single-threaded discrete-event simulator.
 // The zero value is not usable; call NewEngine (use is enforced: scheduling
@@ -104,7 +127,28 @@ func (e *Engine) Schedule(delay Cycles, fn func()) {
 // recorded — a past-time violation or a MaxEvents abort — every subsequent
 // event is rejected too, until Reset: the timeline is already corrupt and
 // must not keep growing.
-func (e *Engine) ScheduleAt(at Cycle, fn func()) {
+func (e *Engine) ScheduleAt(at Cycle, fn func()) { e.schedule(at, action{fn: fn}) }
+
+// ScheduleAtOrNow runs fn at absolute time at, or at Now when at has
+// already passed. It is Post for cold paths that need a closure.
+func (e *Engine) ScheduleAtOrNow(at Cycle, fn func()) {
+	e.ScheduleAt(max(at, e.now), fn)
+}
+
+// Post runs h(arg) at absolute time at, or at Now when at has already
+// passed. The timing models route every multi-cycle phase boundary
+// through it so that calendar reservations are made in (near) time order:
+// reserving a far-future slot from an early event would block
+// earlier-time requests behind it and destroy the queues'
+// work-conserving behaviour. Posted and scheduled events share one
+// timeline and one (at, seq) order.
+func (e *Engine) Post(at Cycle, h Handler, arg int32) {
+	e.schedule(max(at, e.now), action{h: h, arg: arg})
+}
+
+// schedule enqueues a at absolute time at, enforcing ScheduleAt's
+// past-time and sticky-error rules.
+func (e *Engine) schedule(at Cycle, a action) {
 	e.mustInit()
 	if e.err != nil {
 		return
@@ -113,21 +157,8 @@ func (e *Engine) ScheduleAt(at Cycle, fn func()) {
 		e.err = fmt.Errorf("sim: schedule in the past: at=%d now=%d", at, e.now)
 		return
 	}
-	e.sched.schedule(at, e.seq, fn)
+	e.sched.schedule(at, e.seq, a)
 	e.seq++
-}
-
-// ScheduleAtOrNow runs fn at absolute time at, or at Now when at has
-// already passed. The timing models route every multi-cycle phase boundary
-// through it so that calendar reservations are made in (near) time order:
-// reserving a far-future slot from an early event would block
-// earlier-time requests behind it and destroy the queues'
-// work-conserving behaviour.
-func (e *Engine) ScheduleAtOrNow(at Cycle, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	e.ScheduleAt(at, fn)
 }
 
 // Err returns the first violation recorded, if any.
@@ -150,7 +181,7 @@ func (e *Engine) Reset() {
 // dispatch pops and runs one event, advancing the clock (and firing
 // OnAdvance) when the event begins a new cycle. It returns false when the
 // run must abort on a MaxEvents livelock.
-func (e *Engine) dispatch(at Cycle, fn func()) bool {
+func (e *Engine) dispatch(at Cycle, a action) bool {
 	if at != e.now {
 		if e.OnAdvance != nil {
 			e.OnAdvance(at)
@@ -162,7 +193,7 @@ func (e *Engine) dispatch(at Cycle, fn func()) bool {
 		e.err = fmt.Errorf("sim: exceeded MaxEvents=%d at cycle %d (livelock?)", e.MaxEvents, e.now)
 		return false
 	}
-	fn()
+	a.run()
 	return true
 }
 
@@ -176,8 +207,8 @@ func (e *Engine) Run() (Cycle, error) {
 		if e.err != nil {
 			return e.now, e.err
 		}
-		at, fn, _ := e.sched.pop()
-		if !e.dispatch(at, fn) {
+		at, a, _ := e.sched.pop()
+		if !e.dispatch(at, a) {
 			return e.now, e.err
 		}
 	}
@@ -198,8 +229,8 @@ func (e *Engine) RunUntil(deadline Cycle) (Cycle, error) {
 		if e.err != nil {
 			return e.now, e.err
 		}
-		at, fn, _ := e.sched.pop()
-		if !e.dispatch(at, fn) {
+		at, a, _ := e.sched.pop()
+		if !e.dispatch(at, a) {
 			return e.now, e.err
 		}
 	}

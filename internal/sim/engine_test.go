@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -77,6 +79,30 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 		}
 	}()
 	NewEngine().Schedule(-1, func() {}) //beaconlint:allow cycleclock this test asserts the negative-delay panic path
+}
+
+// TestEnginePostRunsPastTimesNow checks the typed-event contract: a post
+// for a past time runs at Now without recording an error, the handler
+// receives its argument, and posted and scheduled events dispatch in one
+// (at, seq) order.
+func TestEnginePostRunsPastTimesNow(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	h := Handler(func(arg int32) { got = append(got, fmt.Sprintf("h%d@%d", arg, e.Now())) })
+	e.Schedule(10, func() {
+		got = append(got, fmt.Sprintf("c@%d", e.Now()))
+		e.Post(3, h, 1) // past: runs at 10, after this event
+		e.ScheduleAt(10, func() { got = append(got, fmt.Sprintf("c2@%d", e.Now())) })
+		e.Post(12, h, 2)
+	})
+	e.Post(12, h, 0) // posted before #2, so it runs first at 12
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"c@10", "h1@10", "c2@10", "h0@12", "h2@12"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("dispatch order %q, want %q", got, want)
+	}
 }
 
 // Regression: an event scheduled in the past must be rejected — dropped and

@@ -14,7 +14,7 @@ type heapScheduler struct {
 type event struct {
 	at  Cycle
 	seq uint64 // insertion order; breaks ties deterministically
-	fn  func()
+	act action
 }
 
 type eventHeap []*event
@@ -37,8 +37,8 @@ func (h *eventHeap) Pop() any {
 	return ev
 }
 
-func (h *heapScheduler) schedule(at Cycle, seq uint64, fn func()) {
-	heap.Push(&h.events, &event{at: at, seq: seq, fn: fn})
+func (h *heapScheduler) schedule(at Cycle, seq uint64, a action) {
+	heap.Push(&h.events, &event{at: at, seq: seq, act: a})
 }
 
 func (h *heapScheduler) peek() (Cycle, bool) {
@@ -48,12 +48,12 @@ func (h *heapScheduler) peek() (Cycle, bool) {
 	return h.events[0].at, true
 }
 
-func (h *heapScheduler) pop() (Cycle, func(), bool) {
+func (h *heapScheduler) pop() (Cycle, action, bool) {
 	if len(h.events) == 0 {
-		return 0, nil, false
+		return 0, action{}, false
 	}
 	ev := heap.Pop(&h.events).(*event)
-	return ev.at, ev.fn, true
+	return ev.at, ev.act, true
 }
 
 func (h *heapScheduler) len() int { return len(h.events) }

@@ -156,7 +156,8 @@ func callSink(pass *analysis.Pass, call *ast.CallExpr, lo, hi token.Pos) string 
 	// Simulator scheduling: event insertion order is tie-break order.
 	if analysis.IsMethod(fn, "beacon/internal/sim", "Engine", "Schedule") ||
 		analysis.IsMethod(fn, "beacon/internal/sim", "Engine", "ScheduleAt") ||
-		analysis.IsMethod(fn, "beacon/internal/sim", "Engine", "ScheduleAtOrNow") {
+		analysis.IsMethod(fn, "beacon/internal/sim", "Engine", "ScheduleAtOrNow") ||
+		analysis.IsMethod(fn, "beacon/internal/sim", "Engine", "Post") {
 		return "sim.Engine event scheduling"
 	}
 	// Observability emission: metric/trace record order reaches output.

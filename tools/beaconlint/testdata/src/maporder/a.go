@@ -68,6 +68,12 @@ func scheduleAtOrNow(e *sim.Engine, m map[string]int) {
 	}
 }
 
+func post(e *sim.Engine, h sim.Handler, m map[string]int) {
+	for _, v := range m { // want `map iteration with order-dependent effect \(sim\.Engine event scheduling\)`
+		e.Post(sim.Cycle(v), h, 0)
+	}
+}
+
 func metrics(o *obs.Obs, m map[string]int) {
 	c := o.Registry().Counter("x")
 	for range m { // want `map iteration with order-dependent effect \(obs metric/trace emission\)`
