@@ -13,7 +13,9 @@
 package genome
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 
 	"beacon/internal/sim"
@@ -108,6 +110,25 @@ func (s *Sequence) Set(i int, b Base) {
 	s.data[i>>2] = s.data[i>>2]&^(3<<shift) | byte(b&3)<<shift
 }
 
+// Word returns the 32 bases at positions i..i+31 packed 2 bits each, base
+// i in the low two bits: the word-level view the pre-alignment filter XORs
+// a read against. Positions outside [0, Len) read as A (0).
+func (s *Sequence) Word(i int) uint64 {
+	q, r := i>>2, uint(i&3)<<1
+	if i >= 0 && i+32 <= s.n && q+9 <= len(s.data) {
+		d := s.data[q : q+9]
+		// r == 0 shifts the ninth byte out entirely (a Go shift by 64 is 0).
+		return binary.LittleEndian.Uint64(d)>>r | uint64(d[8])<<(64-r)
+	}
+	var w uint64
+	for j := 0; j < 32; j++ {
+		if p := i + j; p >= 0 && p < s.n {
+			w |= uint64(s.At(p)) << (2 * j)
+		}
+	}
+	return w
+}
+
 // Slice returns a copy of positions [from, to).
 func (s *Sequence) Slice(from, to int) *Sequence {
 	if from < 0 || to > s.n || from > to {
@@ -152,8 +173,8 @@ func (s *Sequence) Equal(o *Sequence) bool {
 	return true
 }
 
-// Bases returns the sequence as an unpacked []Base. The FM-index builder
-// wants random access without bit twiddling.
+// Bases returns the sequence as an unpacked []Base, for callers that edit
+// a sequence base by base (the pre-alignment tests' indel scripts).
 func (s *Sequence) Bases() []Base {
 	out := make([]Base, s.n)
 	for i := range out {
@@ -195,6 +216,10 @@ func DefaultSyntheticConfig(length int, seed uint64) SyntheticConfig {
 	}
 }
 
+// synthBases maps Synthesize's two draws (bit 1: G/C, bit 0: the lower
+// half of the second draw) to a base.
+var synthBases = [4]Base{T, A, C, G}
+
 // Synthesize generates a deterministic synthetic genome.
 func Synthesize(cfg SyntheticConfig) (*Sequence, error) {
 	if cfg.Length <= 0 {
@@ -208,20 +233,23 @@ func Synthesize(cfg SyntheticConfig) (*Sequence, error) {
 	}
 	rng := sim.NewRNG(cfg.Seed)
 	seq := NewSequence(cfg.Length)
-	randBase := func() Base {
-		if rng.Float64() < cfg.GCContent {
-			if rng.Float64() < 0.5 {
-				return G
-			}
-			return C
+	// Each base takes two draws, each tested like rng.Float64() < p, which
+	// is x/2^53 < p for the draw's top 53 bits x. For an integer x that
+	// holds exactly when x < ceil(p*2^53), and p*2^53 is exact in float64.
+	gc := uint64(math.Ceil(cfg.GCContent * (1 << 53)))
+	const half = 1 << 52 // ceil(0.5 * 2^53)
+	for i := 0; i < cfg.Length; i += 4 {
+		var packed byte
+		for j := 0; j < 4 && i+j < cfg.Length; j++ {
+			// The first draw picks G/C over A/T, the second the base within
+			// the pair. x and the threshold are at most 2^53, so x-t wraps
+			// (sets bit 63) exactly when x < t: the random outcomes never
+			// reach the branch predictor.
+			gcBit := (rng.Uint64()>>11 - gc) >> 63
+			halfBit := (rng.Uint64()>>11 - half) >> 63
+			packed |= byte(synthBases[gcBit<<1|halfBit]) << (2 * j)
 		}
-		if rng.Float64() < 0.5 {
-			return A
-		}
-		return T
-	}
-	for i := 0; i < cfg.Length; i++ {
-		seq.Set(i, randBase())
+		seq.data[i>>2] = packed
 	}
 	// Paste repeat blocks: pick a source window, copy it to a destination
 	// window, until the requested fraction of bases has been overwritten.

@@ -1,6 +1,7 @@
 package genome
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -312,6 +313,118 @@ func TestBaseComplement(t *testing.T) {
 	for _, p := range pairs {
 		if p.b.Complement() != p.want {
 			t.Errorf("complement(%c) = %c, want %c", p.b.Char(), p.b.Complement().Char(), p.want.Char())
+		}
+	}
+}
+
+// synthesizeReference is Synthesize as first written: one closure call per
+// base drawing through rng.Float64, stored with a read-modify-write Set.
+// The packed generator must match it base for base.
+func synthesizeReference(cfg SyntheticConfig) *Sequence {
+	rng := sim.NewRNG(cfg.Seed)
+	seq := NewSequence(cfg.Length)
+	randBase := func() Base {
+		if rng.Float64() < cfg.GCContent {
+			if rng.Float64() < 0.5 {
+				return G
+			}
+			return C
+		}
+		if rng.Float64() < 0.5 {
+			return A
+		}
+		return T
+	}
+	for i := 0; i < cfg.Length; i++ {
+		seq.Set(i, randBase())
+	}
+	if cfg.RepeatFraction > 0 && cfg.RepeatLen > 0 && cfg.Length > 2*cfg.RepeatLen {
+		target := int(float64(cfg.Length) * cfg.RepeatFraction)
+		covered := 0
+		for covered < target {
+			src := rng.Intn(cfg.Length - cfg.RepeatLen)
+			dst := rng.Intn(cfg.Length - cfg.RepeatLen)
+			for j := 0; j < cfg.RepeatLen; j++ {
+				seq.Set(dst+j, seq.At(src+j))
+			}
+			covered += cfg.RepeatLen
+		}
+	}
+	return seq
+}
+
+// TestSynthesizeMatchesFloatReference covers GC contents whose p*2^53 is an
+// integer (0.5, 0.25) and ones whose is not (0.41, 0.3, 0.1), odd lengths
+// that end mid-byte, repeat blocks shorter than a word and none at all.
+func TestSynthesizeMatchesFloatReference(t *testing.T) {
+	for _, gc := range []float64{0.5, 0.25, 0.41, 0.3, 0.1, 1e-9, 0.999999} {
+		for _, n := range []int{1, 3, 4, 37, 1001, 20_000} {
+			for _, rep := range []struct {
+				frac float64
+				len  int
+			}{{0, 0}, {0.35, 300}, {0.5, 7}} {
+				cfg := SyntheticConfig{Length: n, Seed: uint64(n) * 31, RepeatFraction: rep.frac, RepeatLen: rep.len, GCContent: gc}
+				got, err := Synthesize(cfg)
+				if err != nil {
+					t.Fatalf("%+v: %v", cfg, err)
+				}
+				if want := synthesizeReference(cfg); !got.Equal(want) {
+					t.Fatalf("%+v: packed generator diverged from the Float64 reference", cfg)
+				}
+			}
+		}
+	}
+}
+
+// TestGCThresholdExact pins the integer test Synthesize uses in place of
+// rng.Float64() < p at the draws either side of the threshold, where a
+// rounding slip would show.
+func TestGCThresholdExact(t *testing.T) {
+	for _, p := range []float64{0.5, 0.41, 0.3, 0.1, 1e-300, 1 - 1.0/(1<<53), 0.7} {
+		th := uint64(math.Ceil(p * (1 << 53)))
+		for x := th - 2; x <= th+2; x++ {
+			if x >= 1<<53 {
+				continue
+			}
+			if float64(x)/(1<<53) < p != (x < th) {
+				t.Errorf("p=%v x=%d: float and integer tests disagree", p, x)
+			}
+			if x < th != ((x-th)>>63 == 1) {
+				t.Errorf("p=%v x=%d: wrap test disagrees with x < threshold", p, x)
+			}
+		}
+	}
+}
+
+func TestWordMatchesAt(t *testing.T) {
+	rng := sim.NewRNG(5)
+	for _, n := range []int{0, 1, 31, 32, 33, 64, 100, 131} {
+		seq := NewSequence(n)
+		for i := 0; i < n; i++ {
+			seq.Set(i, Base(rng.Intn(4)))
+		}
+		for i := -40; i <= n+4; i++ {
+			w := seq.Word(i)
+			for j := 0; j < 32; j++ {
+				want := A
+				if p := i + j; p >= 0 && p < n {
+					want = seq.At(p)
+				}
+				if got := Base(w >> (2 * j) & 3); got != want {
+					t.Fatalf("n=%d Word(%d) base %d = %v, want %v", n, i, j, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSynthesize generates the Pt stand-in at the scale the build
+// benchmarks use.
+func BenchmarkSynthesize(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := SpeciesGenome(PinusTaeda, 8_000); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
