@@ -12,7 +12,6 @@ package hashindex
 
 import (
 	"fmt"
-	"sort"
 
 	"beacon/internal/genome"
 	"beacon/internal/trace"
@@ -49,11 +48,9 @@ type Index struct {
 	cfg     Config
 	buckets int
 	// dir maps bucket -> slice indices into cands.
-	dirOff   []uint32
-	dirCnt   []uint32
-	cands    []candidate
-	refLen   int
-	numKmers int
+	dirOff []uint32
+	dirCnt []uint32
+	cands  []candidate
 }
 
 type candidate struct {
@@ -92,28 +89,51 @@ func Build(ref *genome.Sequence, cfg Config) (*Index, error) {
 			buckets *= 2
 		}
 	}
-	idx := &Index{cfg: cfg, buckets: buckets, refLen: ref.Len(), numKmers: n}
-
-	type entry struct {
-		bucket int
-		cand   candidate
+	idx := &Index{
+		cfg: cfg, buckets: buckets,
+		dirOff: make([]uint32, buckets),
+		dirCnt: make([]uint32, buckets),
+		cands:  make([]candidate, n),
 	}
-	entries := make([]entry, 0, n)
-	for i := 0; i+cfg.K <= ref.Len(); i += cfg.Stride {
-		m := genome.KmerAt(ref, i, cfg.K)
-		entries = append(entries, entry{bucket: hashKmer(m, buckets), cand: candidate{kmer: m, pos: int32(i)}})
-	}
-	sort.SliceStable(entries, func(a, b int) bool { return entries[a].bucket < entries[b].bucket })
 
-	idx.dirOff = make([]uint32, buckets)
-	idx.dirCnt = make([]uint32, buckets)
-	idx.cands = make([]candidate, len(entries))
-	for i, e := range entries {
-		idx.cands[i] = e.cand
-		if idx.dirCnt[e.bucket] == 0 {
-			idx.dirOff[e.bucket] = uint32(i)
+	// Counting sort by bucket. Pass 1 rolls the k-mer one base at a time,
+	// keeps every stride-th one with its bucket, and counts per bucket; a
+	// prefix sum over the non-empty buckets gives their offsets; pass 2
+	// scatters the candidates. Positions are scattered in increasing
+	// order, so each bucket lists its candidates by position, exactly as a
+	// stable sort by bucket would.
+	mask := ^genome.Kmer(0)
+	if cfg.K < 32 {
+		mask = genome.Kmer(1)<<(2*cfg.K) - 1
+	}
+	kmers := make([]genome.Kmer, 0, n)
+	bkts := make([]uint32, 0, n)
+	var m genome.Kmer
+	for i := 0; i < ref.Len(); i++ {
+		m = (m<<2 | genome.Kmer(ref.At(i))) & mask
+		if start := i - cfg.K + 1; start >= 0 && start%cfg.Stride == 0 {
+			b := hashKmer(m, buckets)
+			kmers = append(kmers, m)
+			bkts = append(bkts, uint32(b))
+			idx.dirCnt[b]++
 		}
-		idx.dirCnt[e.bucket]++
+	}
+	var off uint32
+	for b, c := range idx.dirCnt {
+		if c > 0 {
+			idx.dirOff[b] = off
+			off += c
+		}
+	}
+	// Scatter with dirOff as the fill cursor, then rewind it.
+	for j, b := range bkts {
+		idx.cands[idx.dirOff[b]] = candidate{kmer: kmers[j], pos: int32(j * cfg.Stride)}
+		idx.dirOff[b]++
+	}
+	for b, c := range idx.dirCnt {
+		if c > 0 {
+			idx.dirOff[b] -= c
+		}
 	}
 	return idx, nil
 }
