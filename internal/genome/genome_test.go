@@ -422,7 +422,8 @@ func TestWordMatchesAt(t *testing.T) {
 // benchmarks use.
 func BenchmarkSynthesize(b *testing.B) {
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := SpeciesGenome(PinusTaeda, 8_000); err != nil {
 			b.Fatal(err)
 		}

@@ -183,7 +183,8 @@ func BenchmarkHashBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := Build(ref, DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}

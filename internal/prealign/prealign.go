@@ -43,30 +43,57 @@ func DefaultConfig() Config {
 }
 
 // Filter decides whether the read may align to ref[refPos:] within
-// cfg.MaxEdits edits. It returns the estimated (lower-bound) mismatch count
-// and the accept decision.
+// maxEdits edits. It returns the estimated (lower-bound) mismatch count
+// and the accept decision. FilterReads runs the same test with its scratch
+// reused across candidates.
 func Filter(read *genome.Sequence, ref *genome.Sequence, refPos int, maxEdits int) (int, bool) {
-	l := read.Len()
+	var f filter
+	f.setRead(read)
+	return f.run(ref, refPos, maxEdits)
+}
+
+// filter is the scratch of one pre-alignment test, reused across the
+// candidates of a read and across reads.
+type filter struct {
+	n    int      // read length
+	read []uint64 // the read, 32 bases a word (genome.Sequence.Word)
+	// masks holds the neighborhood map: bit i%32 of masks[(i/32)*numDiag+di]
+	// is set when read column i mismatches on diagonal di.
+	masks    []uint32
+	dp, next []int
+}
+
+// setRead packs the read into words once for all its candidates.
+func (f *filter) setRead(read *genome.Sequence) {
+	f.n = read.Len()
+	f.read = f.read[:0]
+	for i := 0; i < f.n; i += 32 {
+		f.read = append(f.read, read.Word(i))
+	}
+}
+
+// run tests the packed read against ref[refPos:] (see Filter).
+func (f *filter) run(ref *genome.Sequence, refPos int, maxEdits int) (int, bool) {
+	l := f.n
 	if l == 0 {
 		return 0, true
 	}
 	e := maxEdits
 	numDiag := 2*e + 1
+	words := len(f.read)
+	f.masks = resize(f.masks, words*numDiag)
+	f.dp = resize(f.dp, numDiag)
+	f.next = resize(f.next, numDiag)
 	// Build the neighborhood map: diag d in [-e, +e] compares read[i] with
-	// ref[refPos+i+d]. Out-of-range reference positions count as mismatches.
-	diags := make([][]bool, numDiag)
+	// ref[refPos+i+d], 32 columns per XOR. Out-of-range reference positions
+	// count as mismatches.
 	for di := 0; di < numDiag; di++ {
-		d := di - e
-		v := make([]bool, l) // true = mismatch
-		for i := 0; i < l; i++ {
-			rp := refPos + i + d
-			if rp < 0 || rp >= ref.Len() {
-				v[i] = true
-				continue
-			}
-			v[i] = read.At(i) != ref.At(rp)
+		start := refPos + di - e // reference position of read column 0
+		lo, hi := max(0, -start), min(l, ref.Len()-start)
+		for w := 0; w < words; w++ {
+			x := f.read[w] ^ ref.Word(start+32*w)
+			f.masks[w*numDiag+di] = mismatchBits(x) | ^columnRange(lo, hi, 32*w)
 		}
-		diags[di] = v
 	}
 	// Min-cost diagonal walk: dp[di] is the cheapest way to consume read
 	// columns 0..i ending on diagonal di, paying 1 per mismatch bit and 1
@@ -78,35 +105,27 @@ func Filter(read *genome.Sequence, ref *genome.Sequence, refPos int, maxEdits in
 	// insertions pay the upward switch. The result is therefore a true lower
 	// bound of the banded edit distance.
 	const inf = 1 << 30
-	dp := make([]int, numDiag)
-	next := make([]int, numDiag)
+	dp, next := f.dp, f.next
 	for di := range dp {
-		if diags[di][0] {
-			dp[di] = 1
-		}
+		dp[di] = int(f.masks[di] & 1)
 	}
 	for i := 1; i < l; i++ {
 		// Asymmetric distance transform:
-		// reach[di] = min(min_{dj>=di} dp[dj], min_{dj<di} dp[dj] + (di-dj)).
-		for di := 0; di < numDiag; di++ {
-			next[di] = dp[di]
-			if di > 0 && next[di-1]+1 < next[di] {
-				next[di] = next[di-1] + 1
-			}
+		// reach[di] = min(min_{dj>=di} dp[dj], min_{dj<di} dp[dj] + (di-dj)),
+		// a forward pass for the upward switches, then a backward running
+		// minimum for the free downward ones, adding column i's bits.
+		next[0] = dp[0]
+		for di := 1; di < numDiag; di++ {
+			next[di] = min(dp[di], next[di-1]+1)
 		}
-		for di := numDiag - 2; di >= 0; di-- {
-			if next[di+1] < next[di] {
-				next[di] = next[di+1]
-			}
-		}
-		low := inf
-		for di := 0; di < numDiag; di++ {
-			if diags[di][i] {
-				next[di]++
-			}
-			if next[di] < low {
-				low = next[di]
-			}
+		col := f.masks[(i>>5)*numDiag:][:numDiag]
+		shift := uint(i & 31)
+		low, carry := inf, inf
+		for di := numDiag - 1; di >= 0; di-- {
+			carry = min(carry, next[di])
+			v := carry + int(col[di]>>shift&1)
+			next[di] = v
+			low = min(low, v)
 		}
 		dp, next = next, dp
 		if low > maxEdits {
@@ -117,12 +136,40 @@ func Filter(read *genome.Sequence, ref *genome.Sequence, refPos int, maxEdits in
 		}
 	}
 	mismatches := inf
-	for di := 0; di < numDiag; di++ {
-		if dp[di] < mismatches {
-			mismatches = dp[di]
-		}
+	for _, v := range dp {
+		mismatches = min(mismatches, v)
 	}
 	return mismatches, mismatches <= maxEdits
+}
+
+// mismatchBits folds the XOR of two packed 32-base words to one bit per
+// base: bit j is set when base j differs.
+func mismatchBits(x uint64) uint32 {
+	x = (x | x>>1) & 0x5555555555555555
+	x = (x | x>>1) & 0x3333333333333333
+	x = (x | x>>2) & 0x0F0F0F0F0F0F0F0F
+	x = (x | x>>4) & 0x00FF00FF00FF00FF
+	x = (x | x>>8) & 0x0000FFFF0000FFFF
+	x = (x | x>>16) & 0x00000000FFFFFFFF
+	return uint32(x)
+}
+
+// columnRange returns the columns of [lo, hi) that fall in the 32-column
+// word starting at base, as bits relative to base.
+func columnRange(lo, hi, base int) uint32 {
+	a, b := min(max(lo-base, 0), 32), min(max(hi-base, 0), 32)
+	if a >= b {
+		return 0
+	}
+	return uint32((uint64(1)<<b - 1) &^ (uint64(1)<<a - 1))
+}
+
+// resize returns s with length n, reusing its backing array when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // EditDistance computes the banded Levenshtein distance between a and b,
@@ -225,9 +272,13 @@ func FilterReads(ref *genome.Sequence, reads []genome.Read, cfg Config, seed uin
 	}
 	b.SetSpaceBytes(trace.SpaceReads, readBytes)
 
+	var f filter
+	cands := make([]Candidate, len(reads)*cfg.Candidates)
 	var readOff uint64
 	for ri := range reads {
 		read := reads[ri].Seq
+		f.setRead(read)
+		results[ri].Candidates = cands[ri*cfg.Candidates : (ri+1)*cfg.Candidates]
 		b.BeginTask(trace.EnginePreAlign)
 		rb := uint32((read.Len() + 3) / 4)
 		b.Step(trace.Step{
@@ -256,8 +307,8 @@ func FilterReads(ref *genome.Sequence, reads []genome.Read, cfg Config, seed uin
 				Op: trace.OpRead, Space: trace.SpaceReference,
 				Addr: uint64(lo / 4), Size: uint32((hi-lo+3)/4 + 1), Spatial: true,
 			})
-			mm, ok := Filter(read, ref, pos, cfg.MaxEdits)
-			results[ri].Candidates = append(results[ri].Candidates, Candidate{RefPos: pos, Accepted: ok, Mismatch: mm})
+			mm, ok := f.run(ref, pos, cfg.MaxEdits)
+			results[ri].Candidates[ci] = Candidate{RefPos: pos, Accepted: ok, Mismatch: mm}
 		}
 		b.EndTask()
 	}

@@ -219,10 +219,3 @@ func TestFilterReadsValidation(t *testing.T) {
 		t.Error("empty reads accepted")
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
