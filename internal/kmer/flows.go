@@ -29,6 +29,48 @@ func kmerHash(m genome.Kmer) uint64 {
 	return z
 }
 
+// kmerStream holds every read's canonical k-mers back to back, computed
+// once and read by both counting passes and the trace emission: read ri's
+// are kmers[off[ri]:off[ri+1]].
+type kmerStream struct {
+	kmers []genome.Kmer
+	off   []int
+}
+
+func newKmerStream(reads []genome.Read, k int, instances uint64) *kmerStream {
+	s := &kmerStream{kmers: make([]genome.Kmer, 0, instances), off: make([]int, 1, len(reads)+1)}
+	for i := range reads {
+		s.kmers = appendCanonical(s.kmers, reads[i].Seq, k)
+		s.off = append(s.off, len(s.kmers))
+	}
+	return s
+}
+
+// read returns read ri's canonical k-mers in position order.
+func (s *kmerStream) read(ri int) []genome.Kmer { return s.kmers[s.off[ri]:s.off[ri+1]] }
+
+// appendCanonical appends the canonical k-mer at each position of seq to
+// dst in one rolling pass: the forward k-mer shifts each base in at the
+// low end, its reverse complement shifts the complement in at the high
+// end, and the smaller of the two is canonical (genome.Kmer.Canonical).
+func appendCanonical(dst []genome.Kmer, seq *genome.Sequence, k int) []genome.Kmer {
+	mask := ^genome.Kmer(0)
+	if k < 32 {
+		mask = genome.Kmer(1)<<(2*k) - 1
+	}
+	top := uint(2 * (k - 1))
+	var fwd, rev genome.Kmer
+	for i := 0; i < seq.Len(); i++ {
+		b := genome.Kmer(seq.At(i))
+		fwd = (fwd<<2 | b) & mask
+		rev = rev>>2 | (3-b)<<top
+		if i >= k-1 {
+			dst = append(dst, min(fwd, rev))
+		}
+	}
+	return dst
+}
+
 // filterGeometry sizes the Bloom filter for the input.
 func filterGeometry(reads []genome.Read, cfg Config) (instances uint64, counters uint64) {
 	for i := range reads {
@@ -72,7 +114,7 @@ func CountMultiPass(reads []genome.Read, cfg Config, parts int, name string) (*F
 	if len(reads) == 0 {
 		return nil, fmt.Errorf("kmer: no reads")
 	}
-	_, counters := filterGeometry(reads, cfg)
+	instances, counters := filterGeometry(reads, cfg)
 	// Each part gets a full-size filter (NEST replicates the global filter).
 	locals := make([]*CountingBloom, parts)
 	for i := range locals {
@@ -85,12 +127,11 @@ func CountMultiPass(reads []genome.Read, cfg Config, parts int, name string) (*F
 
 	// Pass 1 (functional): build local filters, reads partitioned
 	// round-robin across parts.
-	k := cfg.K
+	stream := newKmerStream(reads, cfg.K, instances)
 	for ri := range reads {
-		seq := reads[ri].Seq
 		f := locals[ri%parts]
-		for j := 0; j+k <= seq.Len(); j++ {
-			f.Add(uint64(genome.KmerAt(seq, j, k).Canonical(k)))
+		for _, m := range stream.read(ri) {
+			f.Add(uint64(m))
 		}
 	}
 	// Merge into the global filter.
@@ -102,19 +143,15 @@ func CountMultiPass(reads []genome.Read, cfg Config, parts int, name string) (*F
 	}
 	// Pass 2 (functional): exact counting of filter-passing k-mers.
 	table := Counts{}
-	for ri := range reads {
-		seq := reads[ri].Seq
-		for j := 0; j+k <= seq.Len(); j++ {
-			m := genome.KmerAt(seq, j, k).Canonical(k)
-			if global.Estimate(uint64(m)) >= 2 {
-				table[m]++
-			}
+	for _, m := range stream.kmers {
+		if global.Estimate(uint64(m)) >= 2 {
+			table[m]++
 		}
 	}
 
 	res := &FlowResult{Counts: table, FilterBytes: global.Bytes()}
 	res.TableBytes = tableCapacity(len(table)) * uint64(cfg.CounterEntryBytes)
-	wl, err := emitCountingTrace(reads, cfg, name, global, table, res, true)
+	wl, err := emitCountingTrace(reads, stream, cfg, name, global, table, res, true)
 	if err != nil {
 		return nil, err
 	}
@@ -134,20 +171,16 @@ func CountSinglePass(reads []genome.Read, cfg Config, name string) (*FlowResult,
 	if len(reads) == 0 {
 		return nil, fmt.Errorf("kmer: no reads")
 	}
-	_, counters := filterGeometry(reads, cfg)
+	instances, counters := filterGeometry(reads, cfg)
 	filter, err := NewCountingBloom(counters, cfg.Hashes)
 	if err != nil {
 		return nil, err
 	}
-	k := cfg.K
+	stream := newKmerStream(reads, cfg.K, instances)
 	raw := map[genome.Kmer]uint32{}
-	for ri := range reads {
-		seq := reads[ri].Seq
-		for j := 0; j+k <= seq.Len(); j++ {
-			m := genome.KmerAt(seq, j, k).Canonical(k)
-			if filter.Add(uint64(m)) >= 1 {
-				raw[m]++
-			}
+	for _, m := range stream.kmers {
+		if filter.Add(uint64(m)) >= 1 {
+			raw[m]++
 		}
 	}
 	table := Counts{}
@@ -156,7 +189,7 @@ func CountSinglePass(reads []genome.Read, cfg Config, name string) (*FlowResult,
 	}
 	res := &FlowResult{Counts: table, FilterBytes: filter.Bytes()}
 	res.TableBytes = tableCapacity(len(table)) * uint64(cfg.CounterEntryBytes)
-	wl, err := emitCountingTrace(reads, cfg, name, filter, table, res, false)
+	wl, err := emitCountingTrace(reads, stream, cfg, name, filter, table, res, false)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +201,7 @@ func CountSinglePass(reads []genome.Read, cfg Config, name string) (*FlowResult,
 // selects the NEST two-pass shape (local filter spaces, explicit second
 // input pass, merge traffic); otherwise the single-pass shape (shared
 // spaces, atomic RMW everywhere).
-func emitCountingTrace(reads []genome.Read, cfg Config, name string,
+func emitCountingTrace(reads []genome.Read, stream *kmerStream, cfg Config, name string,
 	filter *CountingBloom, table Counts, res *FlowResult, multiPass bool) (*trace.Workload, error) {
 
 	b := trace.NewBuilder(name)
@@ -198,9 +231,9 @@ func emitCountingTrace(reads []genome.Read, cfg Config, name string,
 	emitPass := func(second bool) {
 		var readOff uint64
 		for ri := range reads {
-			seq := reads[ri].Seq
-			rb := uint32((seq.Len() + 3) / 4)
-			nk := seq.Len() - k + 1
+			rb := uint32((reads[ri].Seq.Len() + 3) / 4)
+			kmers := stream.read(ri)
+			nk := len(kmers)
 			var buf [8]uint64
 			// Batch KmersPerTask consecutive k-mers into one task; each
 			// batch streams its slice of the read, then probes the filter.
@@ -215,8 +248,7 @@ func emitCountingTrace(reads []genome.Read, cfg Config, name string,
 					Op: trace.OpRead, Space: trace.SpaceReads,
 					Addr: readOff + uint64(base/4), Size: sliceBytes + 1, Spatial: true, Light: true,
 				})
-				for j := base; j < end; j++ {
-					m := genome.KmerAt(seq, j, k).Canonical(k)
+				for _, m := range kmers[base:end] {
 					op := trace.OpAtomicRMW // filter updates are increments
 					if second {
 						op = trace.OpRead // pass 2 only reads the filter

@@ -19,6 +19,7 @@
 package kmer
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"beacon/internal/genome"
@@ -133,14 +134,30 @@ func (b *CountingBloom) Merge(o *CountingBloom) error {
 		return fmt.Errorf("kmer: merging incompatible filters (%d/%d vs %d/%d counters/hashes)",
 			b.m, b.hashes, o.m, o.hashes)
 	}
-	for slot := uint64(0); slot < b.m; slot++ {
-		sum := int(b.get(slot)) + int(o.get(slot))
-		if sum > 15 {
-			sum = 15
-		}
-		b.set(slot, byte(sum))
+	// Sixteen counters per uint64, then the odd tail bytes. Nibbles past
+	// the last counter are never set, so they stay 0 + 0.
+	dst, src := b.counters, o.counters
+	for len(dst) >= 8 {
+		x := mergeNibbles(binary.LittleEndian.Uint64(dst), binary.LittleEndian.Uint64(src))
+		binary.LittleEndian.PutUint64(dst, x)
+		dst, src = dst[8:], src[8:]
+	}
+	for i := range dst {
+		dst[i] = byte(mergeNibbles(uint64(dst[i]), uint64(src[i])))
 	}
 	return nil
+}
+
+// mergeNibbles adds the 4-bit counters of a and b lane by lane, saturating
+// at 15. The low three bits of each lane add without carrying out of it;
+// the top bit then either fits or overflows, and overflowing lanes are set
+// to 15.
+func mergeNibbles(a, b uint64) uint64 {
+	const low3, top = 0x7777777777777777, 0x8888888888888888
+	t := a&low3 + b&low3
+	sum := t ^ (a^b)&top
+	over := (a&b | (a|b)&t) & top
+	return sum | (over>>3)*0xF
 }
 
 // Config parameterizes the counting workload.
