@@ -38,7 +38,6 @@ type Index struct {
 	saMarked []bool
 	saRowPos map[int32]int32 // marked row -> suffix position
 	saCount  int             // number of sampled entries
-	full     []int32         // full suffix array kept for verification helpers
 }
 
 // SASampleDefault is the default suffix-array sampling stride.
@@ -67,7 +66,7 @@ func BuildSampled(ref *genome.Sequence, saSample int) (*Index, error) {
 	sa := sais(text, 5)
 	n := nRef + 1
 
-	idx := &Index{n: n, saSample: saSample, full: sa}
+	idx := &Index{n: n, saSample: saSample}
 
 	// C array: number of characters strictly smaller than c.
 	var counts [5]int32

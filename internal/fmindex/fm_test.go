@@ -252,7 +252,7 @@ func TestOccConsistency(t *testing.T) {
 func TestOccMatchesNaive(t *testing.T) {
 	g, _ := genome.Synthesize(genome.DefaultSyntheticConfig(300, 8))
 	idx, _ := Build(g)
-	// Reconstruct BWT naively from the full SA.
+	// Count occurrences naively over the stored BWT.
 	n := idx.Len()
 	bwt := make([]int32, n)
 	for i := 0; i < n; i++ {
