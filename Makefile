@@ -24,14 +24,16 @@ test:
 race:
 	$(GO) test -race -timeout 15m . ./internal/runner ./internal/obs ./internal/fault ./internal/sim ./internal/wcache ./internal/core ./internal/server ./internal/cliutil ./internal/ndp ./internal/baseline ./internal/cxl ./internal/memmgmt
 
-# Trace-pipeline, event-engine and machine-construction benchmarks plus
-# the committed comparison artifacts (BENCH_trace.json: cold build vs
-# cache-hit construction; BENCH_engine.json: calendar-queue vs heap
-# scheduling, measured in internal/sim where the heap is reachable).
-# BenchmarkNewMachine reports the Table I machine's construction cost and
-# allocation count, paid once per simulation.
+# Trace-pipeline, build-kernel, event-engine and machine-construction
+# benchmarks plus the committed comparison artifacts (BENCH_trace.json:
+# cold build vs cache-hit construction; BENCH_engine.json: calendar-queue
+# vs heap scheduling, measured in internal/sim where the heap is
+# reachable). The kernel benchmarks time one cold build's genome
+# synthesis, hash-index build, pre-alignment filtering and multi-pass
+# k-mer counting. BenchmarkNewMachine reports the Table I machine's
+# construction cost and allocation count, paid once per simulation.
 bench:
-	$(GO) test -run=NONE -bench='BenchmarkWorkload|BenchmarkEncodeWorkload|BenchmarkDecodeWorkload|BenchmarkBuilder|BenchmarkEngineChurn' -benchtime=1x . ./internal/trace ./internal/sim
+	$(GO) test -run=NONE -bench='BenchmarkWorkload|BenchmarkEncodeWorkload|BenchmarkDecodeWorkload|BenchmarkBuilder|BenchmarkEngineChurn|BenchmarkHashBuild|BenchmarkFilterReads|BenchmarkCountMultiPass|BenchmarkSynthesize' -benchtime=1x . ./internal/trace ./internal/sim ./internal/hashindex ./internal/prealign ./internal/kmer ./internal/genome
 	$(GO) test -run=NONE -bench=BenchmarkNewMachine -benchmem ./internal/core
 	BEACON_BENCH_TRACE=BENCH_trace.json $(GO) test -run TestBenchTraceArtifact -v .
 	BEACON_BENCH_ENGINE=$(CURDIR)/BENCH_engine.json $(GO) test -run TestBenchEngineArtifact -v ./internal/sim

@@ -359,8 +359,9 @@ func NewKmerCountingWorkload(cfg WorkloadConfig) (*Workload, error) {
 
 // NewPreAlignmentWorkload builds the pre-alignment filtering workload
 // (Shouji-style; Fig. 16). The filter's leniency (no false rejections) is
-// property-tested in the prealign package; here the workload records the
-// accept/reject decisions it was built from.
+// property-tested in the prealign package. The trace records the accesses
+// of every candidate test; the accept/reject decisions themselves are
+// discarded, since no timing model reads them.
 func NewPreAlignmentWorkload(cfg WorkloadConfig) (*Workload, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
