@@ -216,6 +216,12 @@ func DefaultSyntheticConfig(length int, seed uint64) SyntheticConfig {
 	}
 }
 
+// drawThreshold returns t such that rng.Float64() < p holds exactly when
+// the same draw's top 53 bits x satisfy x < t. Float64 is x/2^53, and for
+// an integer x, x/2^53 < p exactly when x < ceil(p*2^53); p*2^53 is exact
+// in float64.
+func drawThreshold(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
 // synthBases maps Synthesize's two draws (bit 1: G/C, bit 0: the lower
 // half of the second draw) to a base.
 var synthBases = [4]Base{T, A, C, G}
@@ -233,11 +239,7 @@ func Synthesize(cfg SyntheticConfig) (*Sequence, error) {
 	}
 	rng := sim.NewRNG(cfg.Seed)
 	seq := NewSequence(cfg.Length)
-	// Each base takes two draws, each tested like rng.Float64() < p, which
-	// is x/2^53 < p for the draw's top 53 bits x. For an integer x that
-	// holds exactly when x < ceil(p*2^53), and p*2^53 is exact in float64.
-	gc := uint64(math.Ceil(cfg.GCContent * (1 << 53)))
-	const half = 1 << 52 // ceil(0.5 * 2^53)
+	gc, half := drawThreshold(cfg.GCContent), drawThreshold(0.5)
 	for i := 0; i < cfg.Length; i += 4 {
 		var packed byte
 		for j := 0; j < 4 && i+j < cfg.Length; j++ {

@@ -1,7 +1,6 @@
 package genome
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -376,12 +375,12 @@ func TestSynthesizeMatchesFloatReference(t *testing.T) {
 	}
 }
 
-// TestGCThresholdExact pins the integer test Synthesize uses in place of
-// rng.Float64() < p at the draws either side of the threshold, where a
-// rounding slip would show.
+// TestGCThresholdExact pins drawThreshold, the integer test Synthesize
+// uses in place of rng.Float64() < p, at the draws either side of the
+// threshold, where a rounding slip would show.
 func TestGCThresholdExact(t *testing.T) {
 	for _, p := range []float64{0.5, 0.41, 0.3, 0.1, 1e-300, 1 - 1.0/(1<<53), 0.7} {
-		th := uint64(math.Ceil(p * (1 << 53)))
+		th := drawThreshold(p)
 		for x := th - 2; x <= th+2; x++ {
 			if x >= 1<<53 {
 				continue

@@ -134,22 +134,7 @@ func FuzzBuildMatchesReference(f *testing.F) {
 		for i, b := range refRaw {
 			ref.Set(i, genome.Base(b&3))
 		}
-		idx, err := Build(ref, cfg)
-		if err != nil {
-			t.Fatalf("Build(len=%d, %+v): %v", ref.Len(), cfg, err)
-		}
-		dirOff, dirCnt, cands := referenceBuild(ref, cfg, idx.buckets)
-		if !slices.Equal(idx.cands, cands) {
-			t.Fatalf("%+v: candidates differ from the stable-sort reference", cfg)
-		}
-		if !slices.Equal(idx.dirCnt, dirCnt) {
-			t.Fatalf("%+v: bucket counts differ from the stable-sort reference", cfg)
-		}
-		for b, c := range dirCnt {
-			if c > 0 && idx.dirOff[b] != dirOff[b] {
-				t.Fatalf("%+v: bucket %d offset %d, reference %d", cfg, b, idx.dirOff[b], dirOff[b])
-			}
-		}
+		matchReference(t, ref, cfg)
 	})
 }
 
@@ -159,18 +144,29 @@ func TestBuildMatchesReferenceOnGenome(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{DefaultConfig(), {K: 32, Stride: 1, MaxHits: 4}, {K: 7, Stride: 3, MaxHits: 4, Buckets: 1000}} {
-		idx, err := Build(ref, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dirOff, dirCnt, cands := referenceBuild(ref, cfg, idx.buckets)
-		if !slices.Equal(idx.cands, cands) || !slices.Equal(idx.dirCnt, dirCnt) {
-			t.Fatalf("%+v: index differs from the stable-sort reference", cfg)
-		}
-		for b, c := range dirCnt {
-			if c > 0 && idx.dirOff[b] != dirOff[b] {
-				t.Fatalf("%+v: bucket %d offset %d, reference %d", cfg, b, idx.dirOff[b], dirOff[b])
-			}
+		matchReference(t, ref, cfg)
+	}
+}
+
+// matchReference builds the index and compares it with referenceBuild:
+// identical candidates and per-bucket counts, and the same offset for
+// every non-empty bucket.
+func matchReference(t *testing.T, ref *genome.Sequence, cfg Config) {
+	t.Helper()
+	idx, err := Build(ref, cfg)
+	if err != nil {
+		t.Fatalf("Build(len=%d, %+v): %v", ref.Len(), cfg, err)
+	}
+	dirOff, dirCnt, cands := referenceBuild(ref, cfg, idx.buckets)
+	if !slices.Equal(idx.cands, cands) {
+		t.Fatalf("%+v: candidates differ from the stable-sort reference", cfg)
+	}
+	if !slices.Equal(idx.dirCnt, dirCnt) {
+		t.Fatalf("%+v: bucket counts differ from the stable-sort reference", cfg)
+	}
+	for b, c := range dirCnt {
+		if c > 0 && idx.dirOff[b] != dirOff[b] {
+			t.Fatalf("%+v: bucket %d offset %d, reference %d", cfg, b, idx.dirOff[b], dirOff[b])
 		}
 	}
 }

@@ -278,7 +278,7 @@ func FilterReads(ref *genome.Sequence, reads []genome.Read, cfg Config, seed uin
 	for ri := range reads {
 		read := reads[ri].Seq
 		f.setRead(read)
-		results[ri].Candidates = cands[ri*cfg.Candidates : (ri+1)*cfg.Candidates]
+		results[ri].Candidates = cands[ri*cfg.Candidates : (ri+1)*cfg.Candidates : (ri+1)*cfg.Candidates]
 		b.BeginTask(trace.EnginePreAlign)
 		rb := uint32((read.Len() + 3) / 4)
 		b.Step(trace.Step{
