@@ -143,7 +143,12 @@ func TestBuildMatchesReferenceOnGenome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []Config{DefaultConfig(), {K: 32, Stride: 1, MaxHits: 4}, {K: 7, Stride: 3, MaxHits: 4, Buckets: 1000}} {
+	for _, cfg := range []Config{
+		DefaultConfig(),
+		{K: 32, Stride: 1, MaxHits: 4},
+		{K: 31, Stride: 2, MaxHits: 4},
+		{K: 7, Stride: 3, MaxHits: 4, Buckets: 1000},
+	} {
 		matchReference(t, ref, cfg)
 	}
 }
