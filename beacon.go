@@ -204,9 +204,11 @@ type Workload struct {
 	Tasks, Steps int
 	// FootprintBytes is the total simulated-memory footprint.
 	FootprintBytes uint64
-	// Verified reports that the functional output passed its check
-	// (seeding hits verified against the reference, counts against the
-	// exact counter, filter decisions against the DP aligner).
+	// Verified reports that the functional output passed its check at
+	// build time: seeding hits against the reference, counts against the
+	// exact counter. Pre-alignment has no build-time check and is always
+	// true; its no-false-reject property is checked by the prealign tests
+	// against EditDistance instead.
 	Verified bool
 
 	tr *trace.Workload

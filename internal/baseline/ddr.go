@@ -243,14 +243,13 @@ func (m *DDRMachine) instrument(ob *obs.Obs) {
 		}
 	}
 	m.rp.Instrument(ob)
-	// Channel buses and the host bridge account their cycles through the
-	// Accountant (util.* gauges), replacing the old ad-hoc ddr.*.busy_cycles
-	// gauges with the same polled counters plus queueing wait.
+	// Channel buses and the host bridge account their cycles through
+	// Obs.Track (util.* gauges): the pipes' polled busy counters plus
+	// queueing wait.
 	tr := ob.Tracer()
-	ac := ob.Accountant()
 	pipe := func(p *sim.Pipe, class string) {
 		p.Instrument(tr, "xfer")
-		ac.Track(p.Meter(class))
+		ob.Track(p.Meter(class))
 	}
 	for _, bus := range m.chanBus {
 		pipe(bus, obs.ClassBus)

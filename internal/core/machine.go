@@ -151,10 +151,9 @@ func (m *Machine) instrument(ob *obs.Obs) {
 		}
 	}
 	m.rp.Instrument(ob)
-	ac := ob.Accountant()
 	for _, a := range m.atomics {
 		a.Instrument(ob.Tracer(), "rmw")
-		ac.Track(a.Meter(obs.ClassAtomic))
+		ob.Track(a.Meter(obs.ClassAtomic))
 	}
 	m.inj.Instrument(ob)
 }

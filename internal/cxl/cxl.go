@@ -297,16 +297,13 @@ func (f *Fabric) Instrument(ob *obs.Obs) {
 	reg.Gauge("cxl.host_crossings", func() float64 { return float64(f.stats.HostCrossings) })
 	reg.Gauge("cxl.switch_bus_bytes", func() float64 { return float64(f.stats.SwitchBusBytes) })
 	reg.Gauge("cxl.messages", func() float64 { return float64(f.stats.Messages) })
-	// Per-pipe accounting rides the Accountant: each link direction,
-	// switch-bus and packer registers a span polling the pipe's own lane
-	// calendar (busy + queueing wait), which both replaces the old ad-hoc
-	// cxl.<pipe>.busy_cycles gauges with util.* ones and feeds bottleneck
-	// attribution.
-	ac := ob.Accountant()
+	// Per-pipe accounting rides Obs.Track: each link direction, switch-bus
+	// and packer registers util.* gauges polling the pipe's own lane
+	// calendar (busy + queueing wait), which feed bottleneck attribution.
 	pipe := func(p *sim.Pipe, class string) {
 		p.Instrument(tr, "xfer")
 		reg.Gauge("cxl."+p.Name()+".bytes_moved", func() float64 { return float64(p.BytesMoved()) })
-		ac.Track(p.Meter(class))
+		ob.Track(p.Meter(class))
 	}
 	for s := range f.hostLinks {
 		pipe(f.hostLinks[s].up, obs.ClassLink)

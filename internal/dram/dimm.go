@@ -68,7 +68,7 @@ type Stats struct {
 	PerChipAccesses  []uint64
 	// BusyCyclesByChips is the aggregate chip data-bus busy time: burst
 	// cycles summed over every chip that served each access. This is the
-	// DIMM's "busy" series in cycle accounting (see obs.Accountant).
+	// DIMM's "busy" series in cycle accounting (see obs.Meter).
 	BusyCyclesByChips sim.Cycles
 	// FAWStallCycles is the total delay tFAW imposed on access starts;
 	// RefreshStallCycles the total tRFC charged by lazy refresh
@@ -231,7 +231,7 @@ func (d *DIMM) Instrument(ob *obs.Obs) {
 	// Cycle accounting: the chip data buses are the DIMM's capacity. Busy
 	// and stall poll the stats counters above — one source of truth — and
 	// wait sums the queueing delay behind every chip calendar.
-	ob.Accountant().Track(obs.Meter{
+	ob.Track(obs.Meter{
 		Class: obs.ClassDIMM,
 		Name:  d.name,
 		Width: d.cfg.Ranks * d.cfg.ChipsPerRank,

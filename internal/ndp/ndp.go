@@ -123,12 +123,10 @@ func (m *Module) Instrument(ob *obs.Obs) {
 	reg.Gauge(prefix+"admitted", func() float64 { return float64(m.admitted) })
 	reg.Gauge(prefix+"completed", func() float64 { return float64(m.completed) })
 	// Cycle accounting: compute vs fault-stall vs idle for the PE pool,
-	// plus the atomic bank's occupancy. The spans poll the module's own
-	// counters (peBusy/peStall and the calendars' busy cycles), which stay
-	// the single source of truth; the util.* gauges they register replace
-	// the old ad-hoc pe_busy_cycles gauge.
-	ac := ob.Accountant()
-	ac.Track(obs.Meter{
+	// plus the atomic bank's occupancy. The util.* gauges poll the module's
+	// own counters (peBusy/peStall and the calendars' busy cycles), which
+	// stay the single source of truth.
+	ob.Track(obs.Meter{
 		Class: obs.ClassPE,
 		Name:  m.name,
 		Width: m.cfg.PEs,
@@ -138,7 +136,7 @@ func (m *Module) Instrument(ob *obs.Obs) {
 	})
 	atomic := m.atomics.Meter(obs.ClassAtomic)
 	atomic.Name = m.name
-	ac.Track(atomic)
+	ob.Track(atomic)
 }
 
 // SetInjector enables transient-stall injection on this module's PEs.

@@ -166,7 +166,7 @@ func (r *Replay) Instrument(ob *obs.Obs) {
 		r.taskTracks = append(r.taskTracks, ob.Tracer().Track(n.Module.name+".tasks"))
 	}
 	if r.hostCPU != nil {
-		ob.Accountant().Track(r.hostCPU.Meter(obs.ClassHostCPU))
+		ob.Track(r.hostCPU.Meter(obs.ClassHostCPU))
 	}
 	// Step-completion latency from issue to last returned piece, in cycles.
 	r.stepLatency = reg.Histogram(r.prefix+".step_latency_cycles", obs.ExpBuckets(1, 2, 24))

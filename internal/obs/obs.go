@@ -21,10 +21,6 @@ type Obs struct {
 	Metrics *Registry
 	// Trace is the simulation's timeline tracer.
 	Trace *Tracer
-	// Acct is the cycle accountant: per-resource busy/stall/wait spans
-	// mirrored into Metrics as util.* gauges. Lazily created by
-	// Accountant() when unset, so literal-constructed Obs values work too.
-	Acct *Accountant
 	// SampleEvery is the snapshot interval in simulated cycles; 0 records
 	// only the final snapshot (taken by the machine at end of run).
 	SampleEvery int64
@@ -34,9 +30,7 @@ type Obs struct {
 
 // New returns an enabled Obs with a fresh registry and tracer.
 func New(label string) *Obs {
-	o := &Obs{Label: label, Metrics: NewRegistry(), Trace: NewTracer()}
-	o.Acct = newAccountant(o.Metrics)
-	return o
+	return &Obs{Label: label, Metrics: NewRegistry(), Trace: NewTracer()}
 }
 
 // Registry returns the metrics registry (nil when disabled).
@@ -53,19 +47,6 @@ func (o *Obs) Tracer() *Tracer {
 		return nil
 	}
 	return o.Trace
-}
-
-// Accountant returns the cycle accountant (nil when disabled), creating
-// it on first use for Obs values built as literals. Components register
-// their spans on it from their single-goroutine construction path.
-func (o *Obs) Accountant() *Accountant {
-	if o == nil {
-		return nil
-	}
-	if o.Acct == nil {
-		o.Acct = newAccountant(o.Metrics)
-	}
-	return o.Acct
 }
 
 // MaybeSample snapshots the registry when the clock has crossed the next
@@ -123,7 +104,6 @@ func (c *Collection) New(label string) *Obs {
 		Trace:       NewTracerCap(c.TraceCap),
 		SampleEvery: c.SampleEvery,
 	}
-	o.Acct = newAccountant(o.Metrics)
 	// Truncation must never be silent: the cap's overflow count rides
 	// along in the job's own metrics.
 	o.Metrics.Gauge("obs.trace_dropped", func() float64 { return float64(o.Trace.Dropped()) })

@@ -23,7 +23,7 @@ func buildCollection() *Collection {
 	h.Observe(5)
 	h.Observe(50)
 	h.Observe(500)
-	ob.Accountant().Track(Meter{
+	ob.Track(Meter{
 		Class: ClassLink, Name: "host-s0.up", Width: 1,
 		Busy: func() int64 { return 800 },
 		Wait: func() int64 { return 60 },

@@ -5,12 +5,12 @@ import (
 	"strings"
 )
 
-// This file turns the Accountant's util.* gauge series back into
+// This file turns Obs.Track's util.* gauge series back into
 // utilization numbers and bottleneck rankings. It works on snapshots
 // alone, so it applies equally to a live Registry and to a metrics
 // artifact loaded from disk (cmd/beaconprof).
 
-// utilPrefix is the metric namespace the Accountant writes and NewProfile
+// utilPrefix is the metric namespace Obs.Track writes and NewProfile
 // parses.
 const utilPrefix = "util."
 
@@ -74,16 +74,6 @@ type Profile struct {
 	// pairs; the first window starts at cycle 0). Runs sampled only at
 	// the end have a single window equal to Run.
 	Windows []Window
-
-	// snaps retains the cumulative series for Between.
-	snaps []Snapshot
-}
-
-// Phase names a time interval — typically lifted from a tracer span — for
-// phase-level attribution via Profile.Between.
-type Phase struct {
-	Name     string
-	From, To int64
 }
 
 // NewProfile parses the util.* metrics out of a snapshot series. Snapshots
@@ -93,7 +83,6 @@ func NewProfile(snaps []Snapshot) Profile {
 	if len(snaps) == 0 {
 		return p
 	}
-	p.snaps = snaps
 	last := snaps[len(snaps)-1]
 	p.Run = attributeDelta(Snapshot{}, last)
 	prev := Snapshot{}
@@ -107,30 +96,6 @@ func NewProfile(snaps []Snapshot) Profile {
 		prev = s
 	}
 	return p
-}
-
-// Between attributes the sub-interval [from, to) using the nearest
-// enclosing snapshots: the last snapshot at or before from (or the run
-// start) and the first snapshot at or after to (or the run end). The
-// returned window reports the snapshot-quantized bounds actually used,
-// so a phase shorter than the sampling interval degrades gracefully to
-// its enclosing windows rather than fabricating sub-sample precision.
-func (p Profile) Between(from, to int64) Window {
-	var lo, hi Snapshot
-	hiSet := false
-	for _, s := range p.snaps {
-		if s.Cycle <= from {
-			lo = s
-		}
-		if s.Cycle >= to && !hiSet {
-			hi = s
-			hiSet = true
-		}
-	}
-	if !hiSet && len(p.snaps) > 0 {
-		hi = p.snaps[len(p.snaps)-1]
-	}
-	return attributeDelta(lo, hi)
 }
 
 // ClassTotals aggregates the whole-run usage per class: summed cycles,

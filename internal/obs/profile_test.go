@@ -72,38 +72,6 @@ func TestNewProfileWindows(t *testing.T) {
 	}
 }
 
-func TestProfileBetweenQuantizes(t *testing.T) {
-	p := NewProfile([]Snapshot{
-		snap(100, 100, 0, 10),
-		snap(200, 200, 0, 20),
-		snap(300, 500, 0, 30),
-	})
-	// [150, 250) has no exact snapshots: quantize out to [100, 300).
-	w := p.Between(150, 250)
-	if w.From != 100 || w.To != 300 {
-		t.Fatalf("between = [%d,%d), want snapshot-quantized [100,300)", w.From, w.To)
-	}
-	var dimm Usage
-	for _, r := range w.Ranked {
-		if r.Class == ClassDIMM {
-			dimm = r
-		}
-	}
-	if dimm.Busy != 400 {
-		t.Fatalf("dimm busy delta = %g, want 400", dimm.Busy)
-	}
-	// A phase before the first snapshot starts from the zero snapshot.
-	w = p.Between(0, 50)
-	if w.From != 0 || w.To != 100 {
-		t.Fatalf("early between = [%d,%d), want [0,100)", w.From, w.To)
-	}
-	// A phase past the last snapshot clamps to the run end.
-	w = p.Between(250, 10_000)
-	if w.To != 300 {
-		t.Fatalf("late between To = %d, want clamp to 300", w.To)
-	}
-}
-
 func TestProfileClassTotals(t *testing.T) {
 	p := NewProfile([]Snapshot{{Cycle: 100, Values: map[string]float64{
 		"util.dimm.a.width":       2,
@@ -133,9 +101,6 @@ func TestProfileEmpty(t *testing.T) {
 	}
 	if _, ok := p.Run.Critical(); ok {
 		t.Fatal("empty profile must have no critical resource")
-	}
-	if got := p.Between(0, 10); len(got.Ranked) != 0 {
-		t.Fatal("Between on empty profile must be empty")
 	}
 }
 

@@ -45,42 +45,46 @@ func TestBuildInfoStringFormats(t *testing.T) {
 	}
 }
 
-// TestTracerSpans covers Spans(): duration events only, track-name
-// resolution, and interplay with the event cap.
+// TestTracerSpans covers span recording: spans and instants both count
+// as events, each span reaches the export on its own track with its
+// bounds, and under the event cap only the retained prefix is exported.
 func TestTracerSpans(t *testing.T) {
 	tr := NewTracer()
 	core := tr.Track("core")
 	ndp := tr.Track("ndp")
 	tr.Span(core, "phase.build", 0, 100)
 	tr.Instant(core, "marker", 50)
-	tr.Value(ndp, "backlog", 60, 12)
 	tr.Span(ndp, "phase.seed", 100, 400)
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d, want 2 (instants and values skipped)", len(spans))
+	if tr.Events() != 3 || tr.Dropped() != 0 {
+		t.Fatalf("events/dropped = %d/%d, want 3/0", tr.Events(), tr.Dropped())
 	}
-	if spans[0] != (SpanEvent{Track: "core", Name: "phase.build", Start: 0, End: 100}) {
-		t.Fatalf("span 0 = %+v", spans[0])
+	var b strings.Builder
+	if err := tr.WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
 	}
-	if spans[1] != (SpanEvent{Track: "ndp", Name: "phase.seed", Start: 100, End: 400}) {
-		t.Fatalf("span 1 = %+v", spans[1])
+	for _, want := range []string{
+		`{"name":"phase.build","ph":"X","ts":0,"dur":100,"pid":1,"tid":0}`,
+		`{"name":"phase.seed","ph":"X","ts":100,"dur":300,"pid":1,"tid":1}`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("trace missing %s:\n%s", want, b.String())
+		}
 	}
 
-	// Under a cap, Spans reflects only the retained prefix.
+	// Under a cap, only the retained prefix is exported.
 	capped := NewTracerCap(2)
 	tk := capped.Track("t")
 	capped.Span(tk, "a", 0, 1)
 	capped.Span(tk, "b", 1, 2)
 	capped.Span(tk, "c", 2, 3) // dropped
-	if got := capped.Spans(); len(got) != 2 || got[1].Name != "b" {
-		t.Fatalf("capped spans = %+v", got)
+	if capped.Events() != 2 || capped.Dropped() != 1 {
+		t.Fatalf("capped events/dropped = %d/%d, want 2/1", capped.Events(), capped.Dropped())
 	}
-	if capped.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", capped.Dropped())
+	b.Reset()
+	if err := capped.WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
 	}
-
-	var nilTr *Tracer
-	if nilTr.Spans() != nil {
-		t.Fatal("nil tracer must return nil spans")
+	if !strings.Contains(b.String(), `"name":"b"`) || strings.Contains(b.String(), `"name":"c"`) {
+		t.Fatalf("capped trace must keep b and drop c:\n%s", b.String())
 	}
 }

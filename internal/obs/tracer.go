@@ -15,7 +15,6 @@ type Track int
 const (
 	phComplete = "X" // span with duration
 	phInstant  = "i" // point event
-	phCounter  = "C" // sampled counter
 )
 
 // traceEvent is one recorded timeline entry. Times are simulated DRAM bus
@@ -27,7 +26,6 @@ type traceEvent struct {
 	name  string
 	start int64
 	dur   int64
-	value float64
 }
 
 // Tracer records component activity spans in simulated time and exports
@@ -110,14 +108,6 @@ func (t *Tracer) Instant(track Track, name string, at int64) {
 	t.record(traceEvent{ph: phInstant, track: track, name: name, start: at})
 }
 
-// Value records a counter sample (rendered as a filled graph row).
-func (t *Tracer) Value(track Track, name string, at int64, v float64) {
-	if t == nil {
-		return
-	}
-	t.record(traceEvent{ph: phCounter, track: track, name: name, start: at, value: v})
-}
-
 // Events returns the number of recorded events.
 func (t *Tracer) Events() int {
 	if t == nil {
@@ -126,40 +116,6 @@ func (t *Tracer) Events() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.events)
-}
-
-// SpanEvent is one recorded activity interval, as returned by Spans.
-type SpanEvent struct {
-	// Track is the track name the span was recorded on.
-	Track string
-	// Name is the span name.
-	Name string
-	// Start and End bound the interval in simulated cycles.
-	Start, End int64
-}
-
-// Spans returns the recorded duration events in record order — the raw
-// material for phase-level attribution (see Profile.Between) and for
-// tests asserting on cap/truncation behaviour. Instant and counter
-// events are skipped.
-func (t *Tracer) Spans() []SpanEvent {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []SpanEvent
-	for _, ev := range t.events {
-		if ev.ph != phComplete {
-			continue
-		}
-		name := ""
-		if int(ev.track) < len(t.tracks) {
-			name = t.tracks[ev.track]
-		}
-		out = append(out, SpanEvent{Track: name, Name: ev.name, Start: ev.start, End: ev.start + ev.dur})
-	}
-	return out
 }
 
 // Dropped returns how many events the cap discarded.
@@ -175,8 +131,7 @@ func (t *Tracer) Dropped() uint64 {
 // Chrome trace_event JSON shapes. Field order is fixed by the struct, so
 // serialized output is deterministic.
 type chromeArgs struct {
-	Name  string   `json:"name,omitempty"`
-	Value *float64 `json:"value,omitempty"`
+	Name string `json:"name,omitempty"`
 }
 
 type chromeEvent struct {
@@ -221,9 +176,6 @@ func (t *Tracer) chromeEvents(pid int) []chromeEvent {
 			ce.Dur = &dur
 		case phInstant:
 			ce.S = "t" // thread-scoped instant
-		case phCounter:
-			v := ev.value
-			ce.Args = &chromeArgs{Value: &v}
 		}
 		out = append(out, ce)
 	}

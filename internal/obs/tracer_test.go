@@ -13,7 +13,6 @@ func TestTracerNilSafety(t *testing.T) {
 	}
 	tr.Span(0, "s", 1, 2)
 	tr.Instant(0, "i", 1)
-	tr.Value(0, "v", 1, 3)
 	if tr.Events() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer must record nothing")
 	}
@@ -68,7 +67,6 @@ func TestChromeTraceGolden(t *testing.T) {
 	pes := tr.Track("pes")
 	tr.Span(bus, "xfer", 0, 64)
 	tr.Instant(pes, "task-done", 100)
-	tr.Value(bus, "depth", 128, 3.5)
 
 	var b strings.Builder
 	if err := tr.WriteChromeTrace(&b); err != nil {
@@ -78,8 +76,7 @@ func TestChromeTraceGolden(t *testing.T) {
 		`{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"bus"}},` +
 		`{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":1,"args":{"name":"pes"}},` +
 		`{"name":"xfer","ph":"X","ts":0,"dur":64,"pid":1,"tid":0},` +
-		`{"name":"task-done","ph":"i","ts":100,"pid":1,"tid":1,"s":"t"},` +
-		`{"name":"depth","ph":"C","ts":128,"pid":1,"tid":0,"args":{"value":3.5}}],` +
+		`{"name":"task-done","ph":"i","ts":100,"pid":1,"tid":1,"s":"t"}],` +
 		`"displayTimeUnit":"ns",` +
 		`"otherData":{"time_unit":"DRAM bus cycles (1 cycle = 1.25 ns)"}}` + "\n"
 	if b.String() != want {

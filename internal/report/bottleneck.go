@@ -7,10 +7,10 @@ import (
 )
 
 // This file renders the obs package's utilization profiles (cycle
-// accounting per resource, see obs.Accountant / obs.NewProfile) as the
+// accounting per resource, see obs.Obs.Track / obs.NewProfile) as the
 // text tables cmd/beaconprof and cmd/beaconbench print: per-resource
-// occupancy rankings, per-class rollups, the per-window critical-resource
-// timeline, and per-phase attribution.
+// occupancy rankings, per-class rollups and the per-window
+// critical-resource timeline.
 
 // formatCycles renders a cycle count compactly (1.25 ns cycles).
 func formatCycles(v float64) string {
@@ -127,30 +127,6 @@ func WindowTable(title string, p obs.Profile, max int) string {
 	}
 	if stride > 1 {
 		t.AddRow("...", fmt.Sprintf("(every %d of %d windows)", stride, len(ws)))
-	}
-	return t.String()
-}
-
-// PhaseTable attributes each named phase (typically lifted from tracer
-// spans) to its critical resource via Profile.Between. The reported bounds
-// are the snapshot-quantized ones actually attributed, which may be wider
-// than the phase when the sampling interval is coarse.
-func PhaseTable(title string, p obs.Profile, phases []obs.Phase) string {
-	t := NewTable(title, "phase", "window", "critical", "occupancy", "stall")
-	for _, ph := range phases {
-		w := p.Between(ph.From, ph.To)
-		u, ok := w.Critical()
-		if !ok {
-			t.AddRow(ph.Name, fmt.Sprintf("[%d,%d)", w.From, w.To), "-")
-			continue
-		}
-		t.AddRow(
-			ph.Name,
-			fmt.Sprintf("[%d,%d)", w.From, w.To),
-			u.Class+" "+u.Name,
-			FormatPercent(u.Occupancy(w.Span())),
-			FormatPercent(u.Occupancy(w.Span())-u.BusyFraction(w.Span())),
-		)
 	}
 	return t.String()
 }

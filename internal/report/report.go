@@ -32,25 +32,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted values: each value is rendered with %v
-// for strings and %.2f for floats.
-func (t *Table) AddRowf(cells ...any) {
-	out := make([]string, 0, len(cells))
-	for _, c := range cells {
-		switch v := c.(type) {
-		case string:
-			out = append(out, v)
-		case float64:
-			out = append(out, FormatRatio(v))
-		case float32:
-			out = append(out, FormatRatio(float64(v)))
-		default:
-			out = append(out, fmt.Sprintf("%v", v))
-		}
-	}
-	t.AddRow(out...)
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.headers))

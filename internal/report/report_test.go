@@ -72,16 +72,6 @@ func TestColumnAlignment(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	t.Parallel()
-	tb := NewTable("", "s", "f", "i")
-	tb.AddRowf("str", 1.5, 42)
-	out := tb.String()
-	if !strings.Contains(out, "str") || !strings.Contains(out, "1.500x") || !strings.Contains(out, "42") {
-		t.Errorf("AddRowf output = %q", out)
-	}
-}
-
 func TestFormatRatio(t *testing.T) {
 	t.Parallel()
 	cases := []struct {

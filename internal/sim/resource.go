@@ -118,7 +118,7 @@ func (r *Resource) BusyCycles() Cycles { return r.busy }
 // accumulate wait in parallel.
 func (r *Resource) WaitCycles() Cycles { return r.waited }
 
-// Meter returns the resource's cycle account for obs.Accountant under
+// Meter returns the resource's cycle account for obs.Obs.Track under
 // class: its granted busy cycles and the queueing wait behind it.
 func (r *Resource) Meter(class string) obs.Meter {
 	return obs.Meter{

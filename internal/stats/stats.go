@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // GeoMean returns the geometric mean of xs. It returns an error if xs is
@@ -72,30 +71,6 @@ func CoefVar(xs []float64) float64 {
 		return 0
 	}
 	return StdDev(xs) / m
-}
-
-// Percentile returns the p-th percentile (0..100) using nearest-rank on a
-// copy of xs. It returns 0 for empty input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(s) {
-		rank = len(s) - 1
-	}
-	return s[rank]
 }
 
 // Speedup returns base/new — how many times faster `new` is than `base`

@@ -101,34 +101,6 @@ func TestCoefVar(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	t.Parallel()
-	xs := []float64{5, 1, 3, 2, 4}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile != 0")
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("p0 = %g", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Errorf("p100 = %g", got)
-	}
-	if got := Percentile(xs, 60); got != 3 {
-		t.Errorf("p60 = %g", got)
-	}
-	// Out-of-range p clamps.
-	if got := Percentile(xs, -5); got != 1 {
-		t.Errorf("p-5 = %g", got)
-	}
-	if got := Percentile(xs, 200); got != 5 {
-		t.Errorf("p200 = %g", got)
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("Percentile mutated input")
-	}
-}
-
 func TestSpeedup(t *testing.T) {
 	t.Parallel()
 	if !almost(Speedup(10, 2), 5) {
