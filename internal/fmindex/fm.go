@@ -136,9 +136,6 @@ func (x *Index) OccBytes() uint64 { return uint64(len(x.blocks)) * BlockBytes }
 // SABytes returns the sampled suffix array footprint in bytes (4 B entries).
 func (x *Index) SABytes() uint64 { return uint64(x.saCount)*4 + 8 }
 
-// SASample returns the SA sampling stride.
-func (x *Index) SASample() int { return x.saSample }
-
 // BlockIndex returns the Occ block holding BWT position i — the address the
 // accelerator fetches to compute occ at i.
 func BlockIndex(i int32) int32 { return i / blockSpan }

@@ -49,14 +49,8 @@ func NewCountingBloom(minCounters uint64, hashes int) (*CountingBloom, error) {
 	return &CountingBloom{counters: make([]byte, m/2+1), m: m, hashes: hashes}, nil
 }
 
-// Counters returns the number of 4-bit counters.
-func (b *CountingBloom) Counters() uint64 { return b.m }
-
 // Bytes returns the filter footprint in bytes.
 func (b *CountingBloom) Bytes() uint64 { return uint64(len(b.counters)) }
-
-// Hashes returns the number of hash functions.
-func (b *CountingBloom) Hashes() int { return b.hashes }
 
 // slots returns the counter indices probed for key.
 func (b *CountingBloom) slots(key uint64, out []uint64) []uint64 {

@@ -92,7 +92,7 @@ func walkOne(t *testing.T, f *fake, flows ndp.Flows, home, target cxl.NodeID, op
 	w.Done = func(_ int32, at sim.Cycle) { f.note("done @%d", at) }
 	w.Fail = func(_ int32, err error) { f.note("fail %v @%d", err, f.eng.Now()) }
 	pa := memmgmt.PlacedAccess{Node: target, Bytes: 32}
-	f.eng.Schedule(0, func() { w.Walk(0, home, pa, op, 0) })
+	f.eng.ScheduleAt(f.eng.Now(), func() { w.Walk(0, home, pa, op, 0) })
 	if _, err := f.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestWalkerReusesOneRecord(t *testing.T) {
 		next(at)
 	}
 	w.Fail = func(_ int32, err error) { t.Fatal(err) }
-	f.eng.Schedule(0, func() { next(0) })
+	f.eng.ScheduleAt(f.eng.Now(), func() { next(0) })
 	if _, err := f.eng.Run(); err != nil {
 		t.Fatal(err)
 	}

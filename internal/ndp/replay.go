@@ -351,7 +351,7 @@ func (r *Replay) failover(node int, task *trace.Task, now sim.Cycle) bool {
 	// Free the dead node's scheduler slot so its backlog drains (each
 	// drained task migrates in turn); via an event so the drain stays
 	// iterative rather than recursive.
-	r.engine.Schedule(0, func() {
+	r.engine.ScheduleAt(r.engine.Now(), func() {
 		if r.err == nil {
 			r.retire(node)
 		}

@@ -45,10 +45,10 @@ func runEngineChurn(tb testing.TB, newQueue func() scheduler, events int) {
 		if remaining%64 == 0 {
 			stride = Cycles(100_000 + rng.Intn(1<<20))
 		}
-		e.Schedule(stride, step)
+		e.ScheduleAt(e.Now()+stride, step)
 	}
 	for i := 0; i < benchEngineActors && i < events; i++ {
-		e.Schedule(Cycles(rng.Intn(512)), step)
+		e.ScheduleAt(e.Now()+Cycles(rng.Intn(512)), step)
 	}
 	if _, err := e.Run(); err != nil {
 		tb.Fatal(err)

@@ -30,9 +30,7 @@ import (
 //     clock equals or exceeds it, so no future schedule can target an
 //     earlier cycle (past-time schedules are rejected before they reach the
 //     scheduler). cur therefore only advances in pop, when a new batch
-//     actually begins — peeking must not move it, because an Engine that
-//     stopped at a RunUntil deadline may still schedule events between the
-//     current clock and the next pending event.
+//     actually begins.
 //   - every bucketed event has at in [cur, horizon); every overflow event
 //     has at >= horizon; and horizon <= cur + calWindow, so two bucketed
 //     events can only share a bucket index by having the same cycle.
@@ -95,8 +93,8 @@ type calendarScheduler struct {
 	horizon Cycle
 	// overflow holds events at or beyond horizon, ordered by (at, seq).
 	overflow []calEvent
-	// headAt caches the earliest pending time while headValid, so the
-	// occupancy scan runs once per batch rather than once per peek.
+	// headAt caches the earliest pending time while headValid (see
+	// headTime).
 	headAt    Cycle
 	headValid bool
 }
@@ -142,10 +140,6 @@ func (c *calendarScheduler) bucket(at Cycle, a action) {
 	}
 	b.tail = idx
 	c.inWindow++
-}
-
-func (c *calendarScheduler) peek() (Cycle, bool) {
-	return c.headTime()
 }
 
 func (c *calendarScheduler) pop() (Cycle, action, bool) {
@@ -247,21 +241,6 @@ func (c *calendarScheduler) advanceHorizon() {
 		ev := c.overflowPop()
 		c.bucket(ev.at, ev.act)
 	}
-}
-
-func (c *calendarScheduler) reset() {
-	clear(c.slab)
-	c.slab = c.slab[:0]
-	c.free = 0
-	clear(c.buckets)
-	clear(c.occ)
-	clear(c.overflow)
-	c.overflow = c.overflow[:0]
-	c.inWindow = 0
-	c.cur = 0
-	c.open = false
-	c.horizon = calWindow
-	c.headValid = false
 }
 
 // The overflow tier is a hand-rolled value min-heap ordered by (at, seq).

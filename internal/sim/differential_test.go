@@ -6,8 +6,8 @@ package sim
 // queue; the heap stays compiled in as the reference implementation,
 // reached through the unexported newEngine. This file drives both through
 // identical scripted workloads — same-cycle ties, re-entrant scheduling
-// from inside events, RunUntil resume boundaries, MaxEvents aborts,
-// past-schedule violations, far-future (overflow-tier) events, and Reset —
+// from inside events, schedules that resume a drained timeline, MaxEvents
+// aborts, past-schedule violations and far-future (overflow-tier) events —
 // and asserts the full observable record is identical:
 // dispatch order, OnAdvance timestamps, clock values, counters, and errors.
 //
@@ -31,7 +31,7 @@ var (
 // The interpretation is a pure function of (queue, script); the
 // differential suite asserts the record is independent of the queue.
 //
-// Script encoding: a sequence of instructions, each an opcode byte (mod 13)
+// Script encoding: a sequence of instructions, each an opcode byte (mod 11)
 // followed by up to two u16 little-endian operands (missing bytes read as
 // zero; interpretation stops when the script is exhausted):
 //
@@ -41,16 +41,14 @@ var (
 //	3: schedule a re-entrant chain: the event reschedules itself b%3 times
 //	   at (a % 200) cycle strides, logging each hop
 //	4: schedule an event that commits a past-schedule violation when it runs
-//	5: RunUntil(now + a % 5000)
-//	6: Run() — drain
-//	7: MaxEvents = Executed() + a%64 + 1 (tight livelock bound)
-//	8: Reset()
-//	9: schedule one event at Never
-//	10: post one handler event at now + (a % 3000) - 1000 (a past time
-//	    runs at now)
-//	11: on one cycle (a % 500 ahead), alternate (b%4 + 1) closure events
-//	    with as many handler events
-//	12: post a re-entrant handler chain: the handler re-posts itself b%3
+//	5: Run() — drain; later instructions continue the same timeline
+//	6: MaxEvents = Executed() + a%64 + 1 (tight livelock bound)
+//	7: schedule one event at Never
+//	8: post one handler event at now + (a % 3000) - 1000 (a past time
+//	   runs at now)
+//	9: on one cycle (a % 500 ahead), alternate (b%4 + 1) closure events
+//	   with as many handler events
+//	10: post a re-entrant handler chain: the handler re-posts itself b%3
 //	    times at (a % 200) cycle strides, logging each hop
 //
 // Handler events go through two handlers bound once per script, the way a
@@ -116,16 +114,16 @@ func runScript(newQueue func() scheduler, script []byte) []string {
 		if !ok {
 			break
 		}
-		switch op % 13 {
+		switch op % 11 {
 		case 0:
-			e.Schedule(Cycles(operand()%3000), mkEvent())
+			e.ScheduleAt(e.Now()+Cycles(operand()%3000), mkEvent())
 		case 1:
 			e.ScheduleAt(e.Now()+Cycle(operand())*17, mkEvent())
 		case 2:
 			d := Cycles(operand() % 500)
 			n := int(operand()%4) + 1
 			for i := 0; i < n; i++ {
-				e.Schedule(d, mkEvent())
+				e.ScheduleAt(e.Now()+d, mkEvent())
 			}
 		case 3:
 			stride := Cycles(operand() % 200)
@@ -137,45 +135,39 @@ func runScript(newQueue func() scheduler, script []byte) []string {
 				return func() {
 					log = append(log, fmt.Sprintf("chain#%d[%d]@%d", id, remaining, e.Now()))
 					if remaining > 0 {
-						e.Schedule(stride, chain(remaining-1))
+						e.ScheduleAt(e.Now()+stride, chain(remaining-1))
 					}
 				}
 			}
-			e.Schedule(stride, chain(hops))
+			e.ScheduleAt(e.Now()+stride, chain(hops))
 		case 4:
 			d := Cycles(operand() % 300)
 			id := nextID
 			nextID++
-			e.Schedule(d, func() {
+			e.ScheduleAt(e.Now()+d, func() {
 				log = append(log, fmt.Sprintf("violate#%d@%d", id, e.Now()))
 				e.ScheduleAt(e.Now()-1, func() {
 					log = append(log, "PAST EVENT RAN (must never appear)")
 				})
 			})
 		case 5:
-			now, err := e.RunUntil(e.Now() + Cycle(operand()%5000))
-			log = append(log, fmt.Sprintf("rununtil now=%d executed=%d pending=%d err=%v", now, e.Executed(), e.Pending(), err))
-		case 6:
 			now, err := e.Run()
 			log = append(log, fmt.Sprintf("run now=%d executed=%d pending=%d err=%v", now, e.Executed(), e.Pending(), err))
-		case 7:
+		case 6:
 			e.MaxEvents = e.Executed() + uint64(operand()%64) + 1
 			log = append(log, fmt.Sprintf("maxevents=%d", e.MaxEvents))
-		case 8:
-			e.Reset()
-			log = append(log, "reset")
-		case 9:
+		case 7:
 			e.ScheduleAt(Never, mkEvent())
-		case 10:
+		case 8:
 			post(e.Now() + Cycle(operand()%3000) - 1000)
-		case 11:
+		case 9:
 			at := e.Now() + Cycle(operand()%500)
 			n := int(operand()%4) + 1
 			for i := 0; i < n; i++ {
 				e.ScheduleAt(at, mkEvent())
 				post(at)
 			}
-		case 12:
+		case 10:
 			stride := Cycles(operand() % 200)
 			chains = append(chains, chainRec{id: nextID, stride: stride, remaining: int(operand() % 3)})
 			nextID++
@@ -262,17 +254,19 @@ var scriptedCases = []struct {
 		op(3, 7, 1),
 		op(0, 40),
 	)},
-	{"rununtil_resume_boundaries", script(
-		op(0, 10), op(0, 20), op(0, 20), op(0, 2999),
-		op(5, 20),   // stop exactly on a tie cycle
-		op(0, 25),   // schedule from the resume point
-		op(5, 0),    // zero-width window
-		op(5, 4999), // drain the tail, clock jumps to deadline
+	{"run_resume_boundaries", script(
+		op(0, 10), op(0, 20), op(0, 20),
+		op(5),       // drain: the run ends on a tie cycle
+		op(0, 0),    // schedule onto that closed batch's cycle
+		op(2, 0, 1), // two more ties there
+		op(0, 25),   // and one from the resume point
+		op(5),
+		op(0, 2999), // a second resume, near the window's edge
 	)},
-	{"rununtil_past_drained_queue", script(
+	{"run_continues_drained_timeline", script(
 		op(0, 5),
-		op(5, 4000), // queue drains, clock jumps to deadline
-		op(0, 100),  // continue the timeline after the jump
+		op(5),      // queue drains at cycle 5
+		op(0, 100), // continue the timeline from the final cycle
 	)},
 	{"overflow_tier", script(
 		op(1, 1000), // +17000: beyond the calendar window
@@ -285,70 +279,68 @@ var scriptedCases = []struct {
 		op(0, 2900),
 		op(0, 2900), // near events pull the window forward past the far one
 	)},
-	{"never_sentinel", script(op(9), op(0, 10), op(5, 4000))},
+	{"never_sentinel", script(op(7), op(0, 10), op(5))},
 	{"maxevents_abort", script(
-		op(7, 3),     // allow 4 more events
+		op(6, 3),     // allow 4 more events
 		op(2, 10, 3), // 4 events at +10
 		op(2, 20, 3), // 4 more at +20: the run aborts mid-way
-		op(6),
+		op(5),
 		op(0, 5), // rejected: error is sticky
 	)},
 	{"past_schedule_violation", script(
 		op(0, 10),
 		op(4, 50), // violates at cycle 50
 		op(0, 90), // never runs: violation aborts and rejects
-		op(6),
+		op(5),
 	)},
-	{"reset_restarts_timeline", script(
-		op(0, 30), op(6), // drain at cycle 30
-		op(8),            // reset: clock back to 0
-		op(0, 10), op(6), // a fresh timeline
+	{"resume_after_overflow_drain", script(
+		op(1, 1000), op(5), // drain through the overflow tier to 17000
+		op(0, 10),  // a near event on the slid window
+		op(1, 600), // and one past its far edge
+		op(5),
 	)},
-	{"reset_clears_violation", script(
-		op(4, 20), op(6), // violation recorded
-		op(8),
-		op(0, 15), op(6),
+	{"violation_sticky_across_runs", script(
+		op(4, 20), op(5), // violation recorded
+		op(0, 15), op(5), // rejected; the second run reports it again
 	)},
-	{"reset_with_pending_events", script(
-		op(0, 100), op(1, 2000), op(9), // bucketed, overflow and Never pending
-		op(5, 50),
-		op(8),
-		op(2, 25, 2), op(6),
+	{"drain_with_every_tier_pending", script(
+		op(0, 100), op(1, 2000), op(2, 25, 2), // bucketed and overflow pending
+		op(5),
+		op(1, 2000), op(0, 25), op(7), // overflow, bucketed and Never pending
 	)},
 	{"handler_events", script(
-		op(10, 1100), // +100
-		op(0, 100),   // a closure event on the same cycle, after it
-		op(10, 400),  // in the past: runs at now
-		op(10, 2999), // +1999
+		op(8, 1100), // +100
+		op(0, 100),  // a closure event on the same cycle, after it
+		op(8, 400),  // in the past: runs at now
+		op(8, 2999), // +1999
 	)},
 	{"handlers_mixed_with_closures_on_one_cycle", script(
-		op(11, 40, 3), // 4 closure + 4 handler events, alternating, at +40
-		op(2, 40, 1),  // 2 more closure events at +40
-		op(11, 40, 0), // one more pair
+		op(9, 40, 3), // 4 closure + 4 handler events, alternating, at +40
+		op(2, 40, 1), // 2 more closure events at +40
+		op(9, 40, 0), // one more pair
 	)},
 	{"reentrant_handler_chains", script(
-		op(12, 30, 2),
+		op(10, 30, 2),
 		op(3, 30, 2), // a closure chain on the same strides interleaves
-		op(12, 30, 2),
-		op(12, 0, 2), // zero stride: re-posts onto the batch being dispatched
-		op(5, 45),    // stop mid-chain and resume
-		op(10, 1000),
+		op(10, 30, 2),
+		op(10, 0, 2), // zero stride: re-posts onto the batch being dispatched
+		op(5),        // drain, then resume with a post from the final cycle
+		op(8, 1000),
 	)},
-	{"handler_events_across_reset_and_abort", script(
-		op(12, 10, 2), op(11, 5, 1),
-		op(7, 2), // allow 3 more events: aborts mid-chain
-		op(6),
-		op(8), // reset clears the error and the pending handlers
-		op(12, 20, 1), op(6),
+	{"handler_events_across_abort", script(
+		op(10, 10, 2), op(9, 5, 1),
+		op(6, 2), // allow 3 more events: aborts mid-chain
+		op(5),
+		op(10, 20, 1), op(8, 1000), // rejected: the error is sticky
 	)},
 	{"mixed_stress", script(
 		op(2, 100, 3), op(3, 33, 2), op(1, 700), op(0, 0),
-		op(5, 150),
-		op(2, 100, 1), op(3, 5, 2), op(9),
-		op(5, 3000),
-		op(7, 40),
-		op(1, 200), op(2, 60, 3), op(0, 4),
-		op(6),
+		op(5),
+		op(2, 100, 1), op(3, 5, 2),
+		op(5),
+		op(6, 40),
+		op(1, 200), op(2, 60, 3), op(0, 4), op(7),
+		op(5),
 	)},
 }
 

@@ -38,8 +38,8 @@ const (
 // in the model's slab, so neither posting nor dispatching allocates.
 type Handler func(arg int32)
 
-// action is what an event runs: a closure (Schedule, ScheduleAt,
-// ScheduleAtOrNow) or a typed handler with its argument (Post).
+// action is what an event runs: a closure (ScheduleAt, ScheduleAtOrNow)
+// or a typed handler with its argument (Post).
 type action struct {
 	fn  func()
 	h   Handler
@@ -54,10 +54,11 @@ func (a action) run() {
 	a.fn()
 }
 
-// Engine is a single-threaded discrete-event simulator.
+// Engine is a single-threaded discrete-event simulator over one timeline.
 // The zero value is not usable; call NewEngine (use is enforced: scheduling
 // on a zero-value Engine panics with a diagnostic rather than corrupting
-// silently).
+// silently). An engine is single-use: Run drains it, and a later Run
+// continues the same timeline from its final cycle.
 type Engine struct {
 	now   Cycle
 	seq   uint64
@@ -69,16 +70,15 @@ type Engine struct {
 	// events. It is a safety net against livelocked models.
 	MaxEvents uint64
 	// OnAdvance, when non-nil, is invoked each time the clock advances to a
-	// new value, before that time's events run (and for RunUntil's final
-	// jump to the deadline after the queue drains). It is an observation
-	// hook (metrics sampling drives it); it must not schedule events or
-	// mutate model state — the kernel's determinism contract assumes runs
-	// with and without the hook are byte-identical.
+	// new value, before that time's events run. It is an observation hook
+	// (metrics sampling drives it); it must not schedule events or mutate
+	// model state — the kernel's determinism contract assumes runs with and
+	// without the hook are byte-identical.
 	OnAdvance func(now Cycle)
 	// err records the first violation (an event scheduled in the past, or a
-	// MaxEvents livelock abort); Run/RunUntil surface it instead of
-	// executing on a corrupted timeline, and Schedule/ScheduleAt reject new
-	// events until Reset.
+	// MaxEvents livelock abort); Run surfaces it instead of executing on a
+	// corrupted timeline, and every later schedule is rejected: the error
+	// stays for the engine's lifetime.
 	err error
 }
 
@@ -112,21 +112,12 @@ func (e *Engine) Pending() int {
 	return e.sched.len()
 }
 
-// Schedule runs fn after delay cycles. A negative delay is an error in the
-// model; it panics because it indicates a bug, not a recoverable condition.
-func (e *Engine) Schedule(delay Cycles, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	e.ScheduleAt(e.now+delay, fn)
-}
-
 // ScheduleAt runs fn at absolute time at (>= Now). An event in the past is
 // a model bug: it is rejected (dropped, never reordered onto the timeline)
-// and recorded as an error that Run/RunUntil return. Once an error has been
+// and recorded as an error that Run returns. Once an error has been
 // recorded — a past-time violation or a MaxEvents abort — every subsequent
-// event is rejected too, until Reset: the timeline is already corrupt and
-// must not keep growing.
+// event is rejected too: the timeline is already corrupt and must not keep
+// growing.
 func (e *Engine) ScheduleAt(at Cycle, fn func()) { e.schedule(at, action{fn: fn}) }
 
 // ScheduleAtOrNow runs fn at absolute time at, or at Now when at has
@@ -161,84 +152,28 @@ func (e *Engine) schedule(at Cycle, a action) {
 	e.seq++
 }
 
-// Err returns the first violation recorded, if any.
-func (e *Engine) Err() error { return e.err }
-
-// Reset returns the engine to its initial state: clock at 0, no pending
-// events, counters zeroed, any recorded violation cleared. A drained engine
-// must be Reset before reuse — without it, new events would silently
-// continue the old timeline from its final cycle. MaxEvents and OnAdvance
-// are configuration, not run state, and are preserved.
-func (e *Engine) Reset() {
-	e.mustInit()
-	e.sched.reset()
-	e.now = 0
-	e.seq = 0
-	e.executed = 0
-	e.err = nil
-}
-
-// dispatch pops and runs one event, advancing the clock (and firing
-// OnAdvance) when the event begins a new cycle. It returns false when the
-// run must abort on a MaxEvents livelock.
-func (e *Engine) dispatch(at Cycle, a action) bool {
-	if at != e.now {
-		if e.OnAdvance != nil {
-			e.OnAdvance(at)
-		}
-		e.now = at
-	}
-	e.executed++
-	if e.MaxEvents != 0 && e.executed > e.MaxEvents {
-		e.err = fmt.Errorf("sim: exceeded MaxEvents=%d at cycle %d (livelock?)", e.MaxEvents, e.now)
-		return false
-	}
-	a.run()
-	return true
-}
-
 // Run drains the pending-event queue until it is empty, returning the final
-// time. If MaxEvents is exceeded, Run returns an error describing the
-// livelock; a past-time scheduling violation (see ScheduleAt) also aborts
-// the run.
+// time. Each event that begins a new cycle advances the clock and fires
+// OnAdvance first. If MaxEvents is exceeded, Run returns an error
+// describing the livelock; a past-time scheduling violation (see
+// ScheduleAt) also aborts the run. Events scheduled after Run returns
+// continue the same timeline, and a later Run drains them.
 func (e *Engine) Run() (Cycle, error) {
 	e.mustInit()
-	for e.sched.len() > 0 {
-		if e.err != nil {
-			return e.now, e.err
-		}
+	for e.err == nil && e.sched.len() > 0 {
 		at, a, _ := e.sched.pop()
-		if !e.dispatch(at, a) {
-			return e.now, e.err
+		if at != e.now {
+			if e.OnAdvance != nil {
+				e.OnAdvance(at)
+			}
+			e.now = at
 		}
-	}
-	return e.now, e.err
-}
-
-// RunUntil processes events with at <= deadline. Remaining events stay
-// queued and the clock stops at min(deadline, last event time): when the
-// queue drains early the clock jumps forward to the deadline, firing
-// OnAdvance for that final advance so samplers observe the tail window.
-func (e *Engine) RunUntil(deadline Cycle) (Cycle, error) {
-	e.mustInit()
-	for {
-		at, ok := e.sched.peek()
-		if !ok || at > deadline {
+		e.executed++
+		if e.MaxEvents != 0 && e.executed > e.MaxEvents {
+			e.err = fmt.Errorf("sim: exceeded MaxEvents=%d at cycle %d (livelock?)", e.MaxEvents, e.now)
 			break
 		}
-		if e.err != nil {
-			return e.now, e.err
-		}
-		at, a, _ := e.sched.pop()
-		if !e.dispatch(at, a) {
-			return e.now, e.err
-		}
-	}
-	if e.err == nil && e.now < deadline && e.sched.len() == 0 {
-		if e.OnAdvance != nil {
-			e.OnAdvance(deadline)
-		}
-		e.now = deadline
+		a.run()
 	}
 	return e.now, e.err
 }

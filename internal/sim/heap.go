@@ -41,13 +41,6 @@ func (h *heapScheduler) schedule(at Cycle, seq uint64, a action) {
 	heap.Push(&h.events, &event{at: at, seq: seq, act: a})
 }
 
-func (h *heapScheduler) peek() (Cycle, bool) {
-	if len(h.events) == 0 {
-		return 0, false
-	}
-	return h.events[0].at, true
-}
-
 func (h *heapScheduler) pop() (Cycle, action, bool) {
 	if len(h.events) == 0 {
 		return 0, action{}, false
@@ -57,7 +50,3 @@ func (h *heapScheduler) pop() (Cycle, action, bool) {
 }
 
 func (h *heapScheduler) len() int { return len(h.events) }
-
-func (h *heapScheduler) reset() {
-	h.events = nil
-}

@@ -28,12 +28,8 @@ package sim
 type scheduler interface {
 	// schedule inserts an event. seq values arrive strictly increasing.
 	schedule(at Cycle, seq uint64, a action)
-	// peek returns the time of the earliest pending event.
-	peek() (Cycle, bool)
 	// pop removes and returns the earliest pending event.
 	pop() (Cycle, action, bool)
 	// len returns the number of pending events.
 	len() int
-	// reset discards all pending events, retaining internal capacity.
-	reset()
 }

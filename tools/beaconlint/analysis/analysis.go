@@ -34,9 +34,8 @@ type Analyzer struct {
 
 // FactStore is the cross-package fact plumbing the driver may supply.
 // Facts attach analyzer knowledge to package-level objects and survive
-// package boundaries: the standalone driver shares one store across a
-// dependency-ordered run, the unitchecker driver serializes it through go
-// vet's .vetx files. The canonical implementation is dataflow.Store.
+// package boundaries: the driver shares one store across a
+// dependency-ordered run. The canonical implementation is dataflow.Store.
 type FactStore interface {
 	// ExportFact records fact (a JSON-encodable value) for obj under the
 	// analyzer's namespace.

@@ -5,7 +5,6 @@ import (
 	"beacon/tools/beaconlint/analysis"
 	"beacon/tools/beaconlint/analyzers/cycleclock"
 	"beacon/tools/beaconlint/analyzers/errwrap"
-	"beacon/tools/beaconlint/analyzers/floatacc"
 	"beacon/tools/beaconlint/analyzers/goroutinescope"
 	"beacon/tools/beaconlint/analyzers/maporder"
 	"beacon/tools/beaconlint/analyzers/metricname"
@@ -19,7 +18,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		cycleclock.Analyzer,
 		errwrap.Analyzer,
-		floatacc.Analyzer,
 		goroutinescope.Analyzer,
 		maporder.Analyzer,
 		metricname.Analyzer,

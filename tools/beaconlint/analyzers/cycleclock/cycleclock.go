@@ -1,16 +1,15 @@
 // Package cycleclock enforces the simulator kernel's scheduling contract
 // at call sites.
 //
-// PR 3 made sim.Engine reject events scheduled in the past: ScheduleAt
-// records the violation and Run/RunUntil return it instead of executing on
-// a corrupted timeline. That protection only works if callers look at the
-// returned error. This analyzer closes both gaps statically:
+// sim.Engine rejects events scheduled in the past: ScheduleAt records the
+// violation and Run returns it instead of executing on a corrupted
+// timeline. That protection only works if callers look at the returned
+// error and the engine was built with its pending-event queue. This
+// analyzer checks both statically:
 //
-//   - a constant negative delay passed to Engine.Schedule is reported at
-//     the call (it would panic at runtime — catch it at compile time);
-//   - the error result of Engine.Run / Engine.RunUntil must not be
-//     discarded, neither by an expression statement nor by assigning the
-//     error position to the blank identifier;
+//   - the error result of Engine.Run must not be discarded, neither by an
+//     expression statement nor by assigning the error position to the
+//     blank identifier;
 //   - a zero-value sim.Engine must not be constructed outside package sim
 //     (composite literal, new(), a value-typed variable or struct field):
 //     the zero value has no pending-event queue and panics on first use —
@@ -19,7 +18,6 @@ package cycleclock
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 
@@ -29,7 +27,7 @@ import (
 // Analyzer is the cycleclock analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "cycleclock",
-	Doc:  "require non-negative sim.Engine delays, checked Run/RunUntil errors, and NewEngine-built engines",
+	Doc:  "require checked sim.Engine.Run errors and NewEngine-built engines",
 	Run:  run,
 }
 
@@ -45,13 +43,6 @@ func run(pass *analysis.Pass) error {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				fn := analysis.CalleeFunc(info, n)
-				if analysis.IsMethod(fn, simPkg, "Engine", "Schedule") && len(n.Args) >= 1 {
-					if tv, ok := info.Types[n.Args[0]]; ok && tv.Value != nil &&
-						tv.Value.Kind() == constant.Int && constant.Sign(tv.Value) < 0 {
-						pass.Reportf(n.Args[0].Pos(), "negative delay %s passed to (*sim.Engine).Schedule; delays are relative cycles and must be >= 0", tv.Value)
-					}
-				}
 				if !inSim && len(n.Args) == 1 {
 					if b, ok := analysis.Callee(info, n).(*types.Builtin); ok && b.Name() == "new" {
 						if tv, ok := info.Types[n.Args[0]]; ok && isEngine(tv.Type) {
@@ -79,28 +70,18 @@ func run(pass *analysis.Pass) error {
 					}
 				}
 			case *ast.ExprStmt:
-				if fn, call := runCall(pass, n.X); fn != "" {
-					pass.Reportf(call.Pos(), "error result of (*sim.Engine).%s discarded; a dropped past-cycle violation corrupts the timeline silently", fn)
-				}
+				reportDropped(pass, n.X)
 			case *ast.GoStmt:
-				if fn, call := runCall(pass, n.Call); fn != "" {
-					pass.Reportf(call.Pos(), "error result of (*sim.Engine).%s discarded; a dropped past-cycle violation corrupts the timeline silently", fn)
-				}
+				reportDropped(pass, n.Call)
 			case *ast.DeferStmt:
-				if fn, call := runCall(pass, n.Call); fn != "" {
-					pass.Reportf(call.Pos(), "error result of (*sim.Engine).%s discarded; a dropped past-cycle violation corrupts the timeline silently", fn)
-				}
+				reportDropped(pass, n.Call)
 			case *ast.AssignStmt:
 				// cycles, _ := eng.Run() — the error position is blanked.
-				if len(n.Rhs) != 1 || len(n.Lhs) != 2 {
-					return true
-				}
-				fn, call := runCall(pass, n.Rhs[0])
-				if fn == "" {
+				if len(n.Rhs) != 1 || len(n.Lhs) != 2 || !isRunCall(pass, n.Rhs[0]) {
 					return true
 				}
 				if id, ok := n.Lhs[1].(*ast.Ident); ok && id.Name == "_" {
-					pass.Reportf(call.Pos(), "error result of (*sim.Engine).%s assigned to the blank identifier; check it", fn)
+					pass.Reportf(n.Rhs[0].Pos(), "error result of (*sim.Engine).Run assigned to the blank identifier; check it")
 				}
 			}
 			return true
@@ -120,18 +101,16 @@ func isEngine(t types.Type) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == simPkg && obj.Name() == "Engine"
 }
 
-// runCall reports whether expr is a call to Engine.Run or Engine.RunUntil,
-// returning the method name and the call.
-func runCall(pass *analysis.Pass, expr ast.Expr) (string, *ast.CallExpr) {
+// reportDropped reports expr when it is an Engine.Run call whose results
+// the enclosing statement throws away.
+func reportDropped(pass *analysis.Pass, expr ast.Expr) {
+	if isRunCall(pass, expr) {
+		pass.Reportf(expr.Pos(), "error result of (*sim.Engine).Run discarded; a dropped past-cycle violation corrupts the timeline silently")
+	}
+}
+
+// isRunCall reports whether expr is a call to Engine.Run.
+func isRunCall(pass *analysis.Pass, expr ast.Expr) bool {
 	call, ok := ast.Unparen(expr).(*ast.CallExpr)
-	if !ok {
-		return "", nil
-	}
-	fn := analysis.CalleeFunc(pass.TypesInfo, call)
-	for _, name := range []string{"Run", "RunUntil"} {
-		if analysis.IsMethod(fn, simPkg, "Engine", name) {
-			return name, call
-		}
-	}
-	return "", nil
+	return ok && analysis.IsMethod(analysis.CalleeFunc(pass.TypesInfo, call), simPkg, "Engine", "Run")
 }

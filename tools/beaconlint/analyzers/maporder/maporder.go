@@ -4,14 +4,18 @@
 // Go randomizes map iteration order per run, so any observable effect
 // produced inside such a loop — appending to a slice that outlives the
 // loop, writing to an io.Writer, emitting obs metrics or trace events,
-// scheduling simulator events, or failing a test — varies between runs.
-// In this repository that is not a style nit: byte-identical output is the
-// simulator's correctness contract.
+// scheduling simulator events, failing a test, or accumulating into a
+// float that outlives the loop — varies between runs. In this repository
+// that is not a style nit: byte-identical output is the simulator's
+// correctness contract. Float `+=`/`-=`/`*=` is order-dependent because
+// float arithmetic is not associative: (a+b)+c and a+(b+c) can differ in
+// the last ulp.
 //
 // The canonical fix is to extract the keys, sort them, and range over the
 // sorted slice. The analyzer recognizes that exact idiom and does not flag
 // a map range whose only effect is collecting keys/values into a slice
-// that is sorted immediately after the loop.
+// that is sorted immediately after the loop. Sorting after the loop never
+// excuses a float accumulation: the sum is already taken in map order.
 package maporder
 
 import (
@@ -41,12 +45,19 @@ var testingMethods = map[string]bool{
 // obsEmitMethods are the beacon/internal/obs methods (keyed Type.Method)
 // that record into an ordered stream: counters, histogram samples, trace
 // events, snapshots. Read-only accessors (Counter.Value, Histogram.Sum,
-// ...) are order-independent and deliberately not listed.
+// ...) are order-independent and deliberately not listed. A test resolves
+// every key against the real package, so renaming or deleting a method
+// fails that test instead of silently dropping a sink.
 var obsEmitMethods = map[string]bool{
 	"Counter.Add": true, "Counter.Inc": true, "Histogram.Observe": true,
 	"Registry.Snapshot": true, "Obs.Sample": true, "Obs.MaybeSample": true,
-	"Tracer.Span": true, "Tracer.Instant": true, "Tracer.Value": true, "Tracer.Track": true,
+	"Tracer.Span": true, "Tracer.Instant": true, "Tracer.Track": true,
 }
+
+// engineSchedulingMethods are the beacon/internal/sim Engine methods that
+// insert events: insertion order is the tie-break order within a cycle.
+// The same test resolves them against the real Engine.
+var engineSchedulingMethods = []string{"ScheduleAt", "ScheduleAtOrNow", "Post"}
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
@@ -101,7 +112,8 @@ func checkRange(pass *analysis.Pass, rng *ast.RangeStmt, enclosing []ast.Stmt) {
 		return
 	}
 	// Sorted-key collection idiom: every sink is an append, and every
-	// append target is sorted right after the loop.
+	// append target is sorted right after the loop. Any other sink, a
+	// float accumulation included, keeps the diagnostic.
 	if len(appendTargets) == len(sinks) && allSortedAfter(pass, rng, enclosing, appendTargets) {
 		return
 	}
@@ -117,6 +129,9 @@ func findSinks(pass *analysis.Pass, rng *ast.RangeStmt) (sinks []string, appendT
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
+			if floatAccumulates(info, n, lo, hi) {
+				sinks = append(sinks, "float accumulation into a variable declared outside the loop")
+			}
 			for i, rhs := range n.Rhs {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 				if !ok {
@@ -154,11 +169,10 @@ func callSink(pass *analysis.Pass, call *ast.CallExpr, lo, hi token.Pos) string 
 		return ""
 	}
 	// Simulator scheduling: event insertion order is tie-break order.
-	if analysis.IsMethod(fn, "beacon/internal/sim", "Engine", "Schedule") ||
-		analysis.IsMethod(fn, "beacon/internal/sim", "Engine", "ScheduleAt") ||
-		analysis.IsMethod(fn, "beacon/internal/sim", "Engine", "ScheduleAtOrNow") ||
-		analysis.IsMethod(fn, "beacon/internal/sim", "Engine", "Post") {
-		return "sim.Engine event scheduling"
+	for _, name := range engineSchedulingMethods {
+		if analysis.IsMethod(fn, "beacon/internal/sim", "Engine", name) {
+			return "sim.Engine event scheduling"
+		}
 	}
 	// Observability emission: metric/trace record order reaches output.
 	if named := analysis.RecvNamed(fn); named != nil {
@@ -185,6 +199,31 @@ func callSink(pass *analysis.Pass, call *ast.CallExpr, lo, hi token.Pos) string 
 		}
 	}
 	return ""
+}
+
+// floatAccumulates reports whether as is a float `+=`, `-=` or `*=` whose
+// target is not a variable declared within [lo, hi] (loop-local scratch
+// sums restart every iteration and are harmless).
+func floatAccumulates(info *types.Info, as *ast.AssignStmt, lo, hi token.Pos) bool {
+	switch as.Tok {
+	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN:
+	default:
+		return false
+	}
+	for _, lhs := range as.Lhs {
+		t := info.TypeOf(lhs)
+		if t == nil {
+			continue
+		}
+		basic, ok := t.Underlying().(*types.Basic)
+		if !ok || basic.Info()&types.IsFloat == 0 {
+			continue
+		}
+		if !declaredInside(info, lhs, lo, hi) {
+			return true
+		}
+	}
+	return false
 }
 
 func recvExpr(call *ast.CallExpr) ast.Expr {

@@ -12,8 +12,9 @@
 //     seeded global generator) and crypto/rand reads;
 //   - process-identity entropy: os.Getpid, os.Getppid;
 //   - ambient process environment: os.UserCacheDir, os.UserConfigDir,
-//     os.UserHomeDir, os.TempDir, os.Hostname, os.Environ — machine-local
-//     state that varies across hosts and users. The workload cache's
+//     os.UserHomeDir, os.TempDir, os.Hostname, os.Environ, os.Getenv,
+//     os.LookupEnv — machine-local state that varies across hosts and
+//     users (seedflow already treats os.Getenv as an ambient seed). The workload cache's
 //     default-directory lookup is the sanctioned, annotated exception
 //     (cache entries are content-addressed, so location never reaches
 //     results).
@@ -54,6 +55,7 @@ var osFuncs = map[string]bool{"Getpid": true, "Getppid": true}
 var osEnvFuncs = map[string]bool{
 	"UserCacheDir": true, "UserConfigDir": true, "UserHomeDir": true,
 	"TempDir": true, "Hostname": true, "Environ": true,
+	"Getenv": true, "LookupEnv": true,
 }
 
 func run(pass *analysis.Pass) error {

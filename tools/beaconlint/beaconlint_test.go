@@ -9,7 +9,6 @@ import (
 	"beacon/tools/beaconlint/analyzers"
 	"beacon/tools/beaconlint/analyzers/cycleclock"
 	"beacon/tools/beaconlint/analyzers/errwrap"
-	"beacon/tools/beaconlint/analyzers/floatacc"
 	"beacon/tools/beaconlint/analyzers/goroutinescope"
 	"beacon/tools/beaconlint/analyzers/maporder"
 	"beacon/tools/beaconlint/analyzers/metricname"
@@ -34,14 +33,15 @@ func TestAnalyzers(t *testing.T) {
 		{"nodeterminism_main", "beacon/fixtures/ndmain", []*analysis.Analyzer{nodeterminism.Analyzer}, false},
 		// Order-dependent effects under map ranges, and the exemptions.
 		{"maporder", "beacon/fixtures/mapord", []*analysis.Analyzer{maporder.Analyzer}, false},
+		// Float accumulation: maporder's float sink under map ranges and
+		// goroutinescope's go statement for goroutine sums.
+		{"floatacc", "beacon/fixtures/facc", []*analysis.Analyzer{maporder.Analyzer, goroutinescope.Analyzer}, false},
 		// Raw concurrency outside the sanctioned packages.
 		{"goroutinescope", "beacon/fixtures/gscope", []*analysis.Analyzer{goroutinescope.Analyzer}, false},
 		// The identical constructs are legal under internal/runner.
 		{"goroutinescope_allowed", "beacon/internal/runner/runnerx", []*analysis.Analyzer{goroutinescope.Analyzer}, false},
-		// Negative constant delays and dropped Run/RunUntil errors.
+		// Dropped Run errors and zero-value engines.
 		{"cycleclock", "beacon/fixtures/cclock", []*analysis.Analyzer{cycleclock.Analyzer}, false},
-		// Float accumulation under map iteration or from goroutines.
-		{"floatacc", "beacon/fixtures/facc", []*analysis.Analyzer{floatacc.Analyzer}, false},
 		// Metric-name charset at obs.Registry registration sites.
 		{"metricname", "beacon/fixtures/mname", []*analysis.Analyzer{metricname.Analyzer}, false},
 		// Cross-unit arithmetic, mis-unit assignments and arguments, raw

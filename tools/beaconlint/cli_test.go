@@ -125,86 +125,3 @@ func TestStandaloneJSON(t *testing.T) {
 		t.Error("expected a unitflow diagnostic for b.go in the JSON stream")
 	}
 }
-
-// The unitchecker (go vet -vettool) protocol: same exit codes, driven by
-// .cfg files.
-
-// writeVetCfg writes a minimal vet config for one importless file.
-func writeVetCfg(t *testing.T, dir, src string, vetx bool) (cfgPath, vetxPath string) {
-	t.Helper()
-	goFile := filepath.Join(dir, "uc.go")
-	if err := os.WriteFile(goFile, []byte(src), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	cfg := map[string]any{
-		"ImportPath": "beacon/fixtures/uc",
-		"GoFiles":    []string{goFile},
-	}
-	if vetx {
-		vetxPath = filepath.Join(dir, "uc.vetx")
-		cfg["VetxOutput"] = vetxPath
-	}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath = filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return cfgPath, vetxPath
-}
-
-func TestUnitcheckerExitClean(t *testing.T) {
-	cfg, vetx := writeVetCfg(t, t.TempDir(), "package uc\n\nfunc ok() int { return 1 }\n", true)
-	stdout, stderr, code := runLint(t, "", cfg)
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
-	}
-	// The facts file must exist even when empty: go vet requires it.
-	if _, err := os.Stat(vetx); err != nil {
-		t.Errorf("VetxOutput not written: %v", err)
-	}
-}
-
-func TestUnitcheckerExitFindings(t *testing.T) {
-	src := "package uc\n\nfunc f(busyCycles int64, totalSeconds float64) float64 {\n\treturn float64(busyCycles) + totalSeconds\n}\n"
-	cfg, _ := writeVetCfg(t, t.TempDir(), src, true)
-	_, stderr, code := runLint(t, "", cfg)
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2\nstderr: %s", code, stderr)
-	}
-	if !strings.Contains(stderr, "[unitflow]") {
-		t.Errorf("expected a unitflow finding, got: %s", stderr)
-	}
-}
-
-func TestUnitcheckerExitBadConfig(t *testing.T) {
-	dir := t.TempDir()
-	cfgPath := filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfgPath, []byte("{not json"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	_, stderr, code := runLint(t, "", cfgPath)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1\nstderr: %s", code, stderr)
-	}
-}
-
-// TestUnitcheckerFactsSerialized proves the .vetx file carries dataflow
-// facts, not the historical empty placeholder.
-func TestUnitcheckerFactsSerialized(t *testing.T) {
-	src := "package uc\n\n// Elapsed carries a seconds fact derived from its body.\nfunc Elapsed(n int) float64 {\n\ttotalSeconds := float64(n) * 2.0\n\treturn totalSeconds\n}\n"
-	cfg, vetx := writeVetCfg(t, t.TempDir(), src, true)
-	_, stderr, code := runLint(t, "", cfg)
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0\nstderr: %s", code, stderr)
-	}
-	data, err := os.ReadFile(vetx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "unitflow") || !strings.Contains(string(data), "beacon/fixtures/uc.Elapsed") {
-		t.Errorf("vetx file missing the unitflow fact: %s", data)
-	}
-}

@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"bytes"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -117,75 +116,9 @@ func B() {}
 	if s.ImportFact("errwrap", a, &got) {
 		t.Error("ImportFact for an analyzer with no facts should miss")
 	}
-
-	// Encode -> Merge into a fresh store preserves everything.
-	data, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewStore()
-	if err := s2.Merge(data); err != nil {
-		t.Fatal(err)
-	}
 	got = testFact{}
-	if !s2.ImportFact("unitflow", b, &got) || got.Unit != "cycles" {
-		t.Errorf("after Merge, ImportFact(unitflow, B) = %+v", got)
-	}
-	if s2.Len() != 3 {
-		t.Fatalf("after Merge, Len = %d, want 3", s2.Len())
-	}
-}
-
-func TestStoreEncodeDeterministic(t *testing.T) {
-	_, pkg, _ := checkSrc(t, `package p
-
-func A() {}
-func B() {}
-func C() {}
-`)
-	objs := []types.Object{
-		pkg.Scope().Lookup("A"), pkg.Scope().Lookup("B"), pkg.Scope().Lookup("C"),
-	}
-	// Insert in different orders; encodings must be byte-identical (vet's
-	// content hash treats the .vetx file as opaque bytes).
-	build := func(order []int) []byte {
-		s := NewStore()
-		for _, i := range order {
-			if err := s.ExportFact("unitflow", objs[i], testFact{Unit: "seconds"}); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.ExportFact("seedflow", objs[i], testFact{Unit: "id"}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		data, err := s.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	first := build([]int{0, 1, 2})
-	for _, order := range [][]int{{2, 1, 0}, {1, 0, 2}, {2, 0, 1}} {
-		if other := build(order); !bytes.Equal(first, other) {
-			t.Fatalf("Encode not deterministic:\n%s\nvs\n%s", first, other)
-		}
-	}
-}
-
-func TestStoreMergeEmpty(t *testing.T) {
-	s := NewStore()
-	// The empty facts file old beaconlint versions wrote.
-	if err := s.Merge(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Merge([]byte{}); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", s.Len())
-	}
-	if err := s.Merge([]byte("{not json")); err == nil {
-		t.Error("Merge of malformed input should error")
+	if !s.ImportFact("unitflow", b, &got) || got.Unit != "cycles" {
+		t.Errorf("ImportFact(unitflow, B) = %+v", got)
 	}
 }
 

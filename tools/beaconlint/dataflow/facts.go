@@ -5,19 +5,16 @@
 // Facts attach analyzer-computed knowledge to package-level objects —
 // "this function's result is in seconds", "this function forwards its
 // second parameter into an RNG seed" — and survive package boundaries:
-// the standalone driver analyzes packages in dependency order and carries
-// one Store across the whole run, and the unitchecker driver serializes
-// the Store into the .vetx file go vet threads between compilation units.
-// Objects are keyed structurally (import path + name), so a fact exported
-// while a package is checked from source is found again when the same
-// object is later imported from gc export data.
+// the driver analyzes packages in dependency order and carries one Store
+// across the whole run. Objects are keyed structurally (import path +
+// name), so a fact exported while a package is checked from source is
+// found again when the same object is later imported from gc export data.
 package dataflow
 
 import (
 	"encoding/json"
 	"fmt"
 	"go/types"
-	"sort"
 )
 
 // KeyOf returns the cross-package key for obj: "pkgpath.Name" for
@@ -102,57 +99,4 @@ func (s *Store) Len() int {
 		n += len(m)
 	}
 	return n
-}
-
-// storeEntry is the serialized form of one fact: a flat, sorted triple
-// list so Encode output is deterministic (it feeds go vet's content
-// hashing — byte-identical facts mean cache hits).
-type storeEntry struct {
-	Analyzer string          `json:"a"`
-	Object   string          `json:"o"`
-	Fact     json.RawMessage `json:"f"`
-}
-
-// Encode serializes the store deterministically.
-func (s *Store) Encode() ([]byte, error) {
-	analyzers := make([]string, 0, len(s.facts))
-	for a := range s.facts {
-		analyzers = append(analyzers, a)
-	}
-	sort.Strings(analyzers)
-	var entries []storeEntry
-	for _, a := range analyzers {
-		m := s.facts[a]
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			entries = append(entries, storeEntry{Analyzer: a, Object: k, Fact: m[k]})
-		}
-	}
-	return json.Marshal(entries)
-}
-
-// Merge decodes entries produced by Encode into the store, overwriting
-// duplicates. Empty input (the empty facts file old beaconlint versions
-// wrote, or a dependency with no facts) is accepted and adds nothing.
-func (s *Store) Merge(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var entries []storeEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return fmt.Errorf("dataflow: decoding fact store: %w", err)
-	}
-	for _, e := range entries {
-		m := s.facts[e.Analyzer]
-		if m == nil {
-			m = map[string]json.RawMessage{}
-			s.facts[e.Analyzer] = m
-		}
-		m[e.Object] = e.Fact
-	}
-	return nil
 }

@@ -3,7 +3,7 @@
 // A directive names the analyzers it silences and must carry a reason:
 //
 //	//beaconlint:allow nodeterminism wall-clock feeds progress output only
-//	eng.Schedule(delay, fn) //beaconlint:allow cycleclock,maporder reason...
+//	total += x //beaconlint:allow maporder,unitflow reason...
 //
 // Placement: on the flagged line itself (trailing comment) or on the line
 // directly above it. The escape hatch is audited as strictly as the code:

@@ -1,19 +1,12 @@
-// Command beaconlint runs the repository's determinism analyzers.
-//
-// Standalone (the common entry point, also behind `make lint`):
+// Command beaconlint runs the repository's determinism analyzers over
+// package patterns (the entry point behind `make lint` and CI):
 //
 //	go run ./tools/beaconlint ./...
 //
-// As a go vet tool (same diagnostics, vet's caching and per-package
-// scheduling):
-//
-//	go build -o beaconlint.exe ./tools/beaconlint
-//	go vet -vettool=$PWD/beaconlint.exe ./...
-//
-// Exit codes are identical in both modes and pinned by CLI tests:
+// Exit codes are pinned by CLI tests:
 //
 //	0 — clean: every package loaded and no diagnostics
-//	1 — load or internal error (bad pattern, type error, broken config)
+//	1 — load or internal error (bad pattern, type error)
 //	2 — findings: at least one diagnostic was reported
 //
 // With -json, each diagnostic is additionally emitted on stdout as one
@@ -23,18 +16,17 @@
 //
 // The suite enforces invariants the test suite can only sample:
 // nodeterminism (no wall clock / ambient entropy in simulator code),
-// maporder (no order-dependent effects under map iteration),
-// goroutinescope (all parallelism behind internal/runner's pool),
-// cycleclock (no negative delays, no dropped Engine.Run errors),
-// floatacc (no order-nondeterministic float accumulation), metricname
-// (constant, OpenMetrics-safe names at obs.Registry registration sites),
-// unitflow (no cross-unit arithmetic; cycle<->seconds conversions only in
-// internal/sim/time.go), seedflow (RNG seeds flow from config, point
-// identity, or constants), and errwrap (errors.Is instead of sentinel ==,
-// %w instead of %v for sentinel wrapping). The last three run on a shared
-// type-aware dataflow layer whose cross-package facts flow
-// dependency-first in standalone mode and through go vet's .vetx files in
-// vettool mode. Suppressions use //beaconlint:allow <analyzer> <reason>;
+// maporder (no order-dependent effects under map iteration, float
+// accumulation included), goroutinescope (all parallelism behind
+// internal/runner's pool), cycleclock (no dropped Engine.Run errors, no
+// zero-value engines), metricname (constant, OpenMetrics-safe names at
+// obs.Registry registration sites), unitflow (no cross-unit arithmetic;
+// cycle<->seconds conversions only in internal/sim/time.go), seedflow (RNG
+// seeds flow from config, point identity, or constants), and errwrap
+// (errors.Is instead of sentinel ==, %w instead of %v for sentinel
+// wrapping). The last three run on a shared type-aware dataflow layer
+// whose cross-package facts flow dependency-first through one store for
+// the whole run. Suppressions use //beaconlint:allow <analyzer> <reason>;
 // see package directive.
 package main
 
@@ -52,7 +44,7 @@ import (
 	"beacon/tools/beaconlint/load"
 )
 
-// Exit codes, shared by the standalone and unitchecker drivers.
+// Exit codes.
 const (
 	exitClean    = 0
 	exitError    = 1
@@ -60,24 +52,6 @@ const (
 )
 
 func main() {
-	// go vet probes its -vettool before use; answer the protocol first.
-	args := os.Args[1:]
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full":
-			// The output feeds vet's content hash; it must change when
-			// the suite's behavior does, so caches invalidate.
-			fmt.Println("beaconlint version determinism-suite-2-dataflow")
-			return
-		case args[0] == "-flags":
-			fmt.Println("[]") // no tool-specific flags to forward
-			return
-		}
-	}
-	if n := len(args); n > 0 && len(args[n-1]) > 4 && args[n-1][len(args[n-1])-4:] == ".cfg" {
-		os.Exit(unitcheckerMain(args[n-1]))
-	}
-
 	list := flag.Bool("list", false, "list registered analyzers and exit")
 	noTests := flag.Bool("notests", false, "skip _test.go files and external test packages")
 	jsonOut := flag.Bool("json", false, "also emit one JSON diagnostic object per line on stdout")

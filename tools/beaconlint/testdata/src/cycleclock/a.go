@@ -1,32 +1,22 @@
-// Package cclock exercises the cycleclock analyzer: constant negative
-// delays and discarded Engine.Run/RunUntil errors are diagnosed.
+// Package cclock exercises the cycleclock analyzer: discarded Engine.Run
+// errors and zero-value engines are diagnosed.
 package cclock
 
 import "beacon/internal/sim"
 
-const lookback = 3
-
 func bad(e *sim.Engine) {
-	e.Schedule(-5, func() {})        // want `negative delay -5 passed to \(\*sim\.Engine\)\.Schedule`
-	e.Schedule(-lookback, func() {}) // want `negative delay -3 passed to \(\*sim\.Engine\)\.Schedule`
-	e.Run()                          // want `error result of \(\*sim\.Engine\)\.Run discarded`
-	e.RunUntil(100)                  // want `error result of \(\*sim\.Engine\)\.RunUntil discarded`
-	cycles, _ := e.Run()             // want `error result of \(\*sim\.Engine\)\.Run assigned to the blank identifier`
+	e.Run()              // want `error result of \(\*sim\.Engine\)\.Run discarded`
+	defer e.Run()        // want `error result of \(\*sim\.Engine\)\.Run discarded`
+	cycles, _ := e.Run() // want `error result of \(\*sim\.Engine\)\.Run assigned to the blank identifier`
 	_ = cycles
 }
 
 func good(e *sim.Engine) (sim.Cycle, error) {
-	e.Schedule(5, func() {})
-	e.Schedule(0, func() {})
-	if _, err := e.RunUntil(50); err != nil { // error checked: no diagnostic
+	e.ScheduleAt(e.Now()+5, func() {})
+	if _, err := e.Run(); err != nil { // error checked: no diagnostic
 		return 0, err
 	}
 	return e.Run() // results propagate to the caller: no diagnostic
-}
-
-func variableDelayOK(e *sim.Engine, d sim.Cycles) {
-	// Non-constant delays are the engine's runtime panic to enforce.
-	e.Schedule(d, func() {})
 }
 
 // Zero-value construction: the engine's pending-event queue only exists

@@ -1,6 +1,7 @@
 // Package mapord exercises the maporder analyzer: order-dependent effects
 // under map iteration are diagnosed; the collect-then-sort idiom,
-// loop-local writers, and slice iteration are not.
+// loop-local writers, and slice iteration are not. Its float-accumulation
+// sink is exercised by the floatacc fixture.
 package mapord
 
 import (
@@ -57,8 +58,7 @@ func testFailures(t *testing.T, m map[string]int) {
 
 func schedule(e *sim.Engine, m map[string]int) {
 	for _, v := range m { // want `map iteration with order-dependent effect \(sim\.Engine event scheduling\)`
-		d := sim.Cycles(v)
-		e.Schedule(d, func() {})
+		e.ScheduleAt(e.Now()+sim.Cycles(v), func() {})
 	}
 }
 

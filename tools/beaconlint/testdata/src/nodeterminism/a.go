@@ -29,7 +29,12 @@ func entropy() int {
 func ambient() string {
 	dir, _ := os.UserCacheDir()      // want `ambient-environment call os\.UserCacheDir`
 	host, _ := os.Hostname()         // want `ambient-environment call os\.Hostname`
-	return dir + host + os.TempDir() // want `ambient-environment call os\.TempDir`
+	home := os.Getenv("HOME")        // want `ambient-environment call os\.Getenv`
+	_, set := os.LookupEnv("BEACON") // want `ambient-environment call os\.LookupEnv`
+	if set {
+		home += "!"
+	}
+	return dir + host + home + os.TempDir() // want `ambient-environment call os\.TempDir`
 }
 
 func seededOK() int {
