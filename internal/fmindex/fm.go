@@ -56,14 +56,9 @@ func BuildSampled(ref *genome.Sequence, saSample int) (*Index, error) {
 	if saSample <= 0 {
 		return nil, fmt.Errorf("fmindex: sa sample stride must be positive, got %d", saSample)
 	}
-	// Text over alphabet $=0, A=1..T=4 with the sentinel appended.
 	nRef := ref.Len()
-	text := make([]int32, nRef+1)
-	for i := 0; i < nRef; i++ {
-		text[i] = int32(ref.At(i)) + 1
-	}
-	text[nRef] = 0
-	sa := sais(text, 5)
+	text := dnaText(ref)
+	sa := suffixArray(ref, text, lmsLoadsPerBase*len(text))
 	n := nRef + 1
 
 	idx := &Index{n: n, saSample: saSample}
@@ -121,6 +116,16 @@ func BuildSampled(ref *genome.Sequence, saSample int) (*Index, error) {
 		}
 	}
 	return idx, nil
+}
+
+// dnaText returns ref over the alphabet $=0, A=1..T=4 with the sentinel
+// appended.
+func dnaText(ref *genome.Sequence) []int32 {
+	text := make([]int32, ref.Len()+1)
+	for i := range text[:ref.Len()] {
+		text[i] = int32(ref.At(i)) + 1
+	}
+	return text
 }
 
 // Len returns the indexed text length including the sentinel.

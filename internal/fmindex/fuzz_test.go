@@ -1,9 +1,13 @@
 package fmindex
 
 import (
+	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
 	"beacon/internal/genome"
+	"beacon/internal/sim"
 )
 
 // FuzzFMIndex drives construction and search with arbitrary byte strings
@@ -34,7 +38,8 @@ func FuzzFMIndex(f *testing.F) {
 		}
 		// Construction: the SA underlying the index must be a valid sorted
 		// permutation of suffixes for any input.
-		if err := checkSuffixArray(ref, BuildSuffixArray(ref)); err != nil {
+		sa, _ := dnaSuffixArray(string(ref), prodBudget(string(ref)))
+		if err := checkSuffixArray(ref, sa[1:]); err != nil {
 			t.Fatalf("suffix array invalid for %q: %v", ref, err)
 		}
 		idx, err := Build(genome.MustFromString(string(ref)))
@@ -65,6 +70,60 @@ func FuzzFMIndex(f *testing.F) {
 		for _, p := range got {
 			if !wantPos[int(p)] {
 				t.Fatalf("Locate(%q) returned false position %d (ref %q)", pat, p, ref)
+			}
+		}
+	})
+}
+
+// FuzzSuffixSortMatchesSAIS compares the suffix array Build uses with
+// sais's on the same text (bytes map onto ACGT by their low two bits), once
+// under the production key-load budget and once under budget 0, which
+// sends every text with a tie to refine to the SA-IS fallback. The seeds
+// are the direct sort's hard cases: homopolymers and tandem repeats, whose
+// ties run word after word, a suffix that ends inside a tied key, and
+// lengths around one and two 32-base words.
+// Run continuously with
+//
+//	go test -fuzz=FuzzSuffixSortMatchesSAIS ./internal/fmindex
+func FuzzSuffixSortMatchesSAIS(f *testing.F) {
+	codes := func(s string) []byte {
+		b := make([]byte, len(s))
+		for i := range s {
+			b[i] = byte(strings.IndexByte("ACGT", s[i]))
+		}
+		return b
+	}
+	rng := sim.NewRNG(300)
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.Intn(4))
+		}
+		return b
+	}
+	f.Add(codes(strings.Repeat("A", 500)))
+	f.Add(codes(strings.Repeat("T", 97)))
+	f.Add(codes(strings.Repeat("AC", 300)))
+	f.Add(codes(strings.Repeat("ACGTTGCA", 100)))
+	f.Add(bytes.Repeat(random(300), 8))
+	f.Add(codes("GAC" + strings.Repeat("A", 30) + "GAC"))
+	for _, n := range []int{1, 31, 32, 33, 63, 64, 65} {
+		f.Add(random(n))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) == 0 {
+			return
+		}
+		if len(raw) > 4096 {
+			raw = raw[:4096]
+		}
+		ref := make([]byte, len(raw))
+		for i, b := range raw {
+			ref[i] = "ACGT"[b&3]
+		}
+		for _, budget := range []int{prodBudget(string(ref)), 0} {
+			if got, want := dnaSuffixArray(string(ref), budget); !slices.Equal(got, want) {
+				t.Fatalf("budget %d, %q: sa = %v, SA-IS %v", budget, ref, got, want)
 			}
 		}
 	})

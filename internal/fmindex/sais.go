@@ -1,31 +1,17 @@
 // Package fmindex implements the FM-index used by the DNA seeding workload:
-// SA-IS suffix-array construction, the Burrows-Wheeler transform, a sampled
-// Occ structure laid out in the 32-byte blocks that the paper's accelerator
+// suffix-array construction, the Burrows-Wheeler transform, a sampled Occ
+// structure laid out in the 32-byte blocks that the paper's accelerator
 // fetches per backward-extension step, and backward search / locate with
 // memory-trace emission for the timing simulators.
+//
+// The suffix array is built in two halves. The LMS suffixes, about a third
+// of the positions, are sorted directly on 2-bit packed 32-base keys
+// (lmssort.go); SA-IS stage 2 then induces every other suffix from them.
+// A periodic text that keeps the direct sort tied for too many words falls
+// back to full SA-IS (sais), whose recursion also sorts its reduced
+// strings, so the package has one induced-sorting implementation and a
+// suffix array that is the same whichever half sorted the LMS suffixes.
 package fmindex
-
-import "fmt"
-
-// BuildSuffixArray computes the suffix array of s (over any byte alphabet)
-// with the SA-IS algorithm in O(n) time. The returned array has len(s)
-// entries; sa[i] is the start of the i-th smallest suffix.
-func BuildSuffixArray(s []byte) []int32 {
-	n := len(s)
-	if n == 0 {
-		return nil
-	}
-	// SA-IS wants a unique smallest sentinel; shift the alphabet up by one
-	// and append 0.
-	t := make([]int32, n+1)
-	for i, c := range s {
-		t[i] = int32(c) + 1
-	}
-	t[n] = 0
-	sa := sais(t, 257)
-	// sa[0] is the sentinel suffix; drop it.
-	return sa[1:]
-}
 
 // sais computes the suffix array of s, whose values lie in [0, sigma) and
 // whose last element is a unique 0 sentinel.
@@ -36,12 +22,7 @@ func sais(s []int32, sigma int) []int32 {
 		return sa
 	}
 
-	// Classify each position S-type (true) or L-type (false).
-	t := make([]bool, n)
-	t[n-1] = true
-	for i := n - 2; i >= 0; i-- {
-		t[i] = s[i] < s[i+1] || (s[i] == s[i+1] && t[i+1])
-	}
+	t := classify(s)
 	isLMS := func(i int) bool { return i > 0 && t[i] && !t[i-1] }
 
 	bkt := make([]int32, sigma)
@@ -113,19 +94,52 @@ func sais(s []int32, sigma int) []int32 {
 		}
 	}
 
-	// Stage 2: place LMS suffixes in their final relative order, induce.
-	for i := range sa {
+	// Stage 2: the LMS suffixes in their final relative order seed the
+	// induction of the rest.
+	for i, r := range sa1 {
+		sa[i] = p[r]
+	}
+	induceSorted(s, sa, t, bkt, nLMS)
+	return sa
+}
+
+// classify returns the SA-IS type of each position of s: S (true) when its
+// suffix is smaller than the next one, else L.
+func classify(s []int32) []bool {
+	n := len(s)
+	t := make([]bool, n)
+	t[n-1] = true
+	for i := n - 2; i >= 0; i-- {
+		// Written without && and || so that it compiles to a conditional
+		// move: on DNA, equal neighbours are too frequent to predict.
+		st := t[i+1]
+		if s[i] != s[i+1] {
+			st = s[i] < s[i+1]
+		}
+		t[i] = st
+	}
+	return t
+}
+
+// induceSorted is SA-IS stage 2. sa[:nLMS] holds the LMS suffixes of s in
+// suffix order; it moves each to the end of its bucket, then induces the L
+// suffixes from them and the S suffixes from those, leaving sa the suffix
+// array of s.
+func induceSorted(s, sa []int32, t []bool, bkt []int32, nLMS int) {
+	for i := nLMS; i < len(sa); i++ {
 		sa[i] = -1
 	}
 	bucketEnds(s, bkt)
+	// Going down, each suffix's bucket slot is at or above its index, so
+	// no unplaced entry is overwritten.
 	for i := nLMS - 1; i >= 0; i-- {
-		j := p[sa1[i]]
+		j := sa[i]
+		sa[i] = -1
 		bkt[s[j]]--
 		sa[bkt[s[j]]] = j
 	}
 	induceL(s, sa, t, bkt)
 	induceS(s, sa, t, bkt)
-	return sa
 }
 
 // bucketEnds fills bkt with the end index (exclusive) of each character's
@@ -200,68 +214,4 @@ func lmsSubstringsEqual(s []int32, t []bool, isLMS func(int) bool, a, b int) boo
 			return false
 		}
 	}
-}
-
-// naiveSuffixArray is an O(n^2 log n) reference used by tests.
-func naiveSuffixArray(s []byte) []int32 {
-	sa := make([]int32, len(s))
-	for i := range sa {
-		sa[i] = int32(i)
-	}
-	// Insertion of all suffixes into a sorted order via sort would pull in
-	// the sort package; a simple merge sort on suffix compare keeps this
-	// file self-contained and obviously correct.
-	var sortSuf func(a []int32) []int32
-	sortSuf = func(a []int32) []int32 {
-		if len(a) <= 1 {
-			return a
-		}
-		mid := len(a) / 2
-		l, r := sortSuf(append([]int32(nil), a[:mid]...)), sortSuf(append([]int32(nil), a[mid:]...))
-		out := make([]int32, 0, len(a))
-		for len(l) > 0 && len(r) > 0 {
-			if suffixLess(s, l[0], r[0]) {
-				out = append(out, l[0])
-				l = l[1:]
-			} else {
-				out = append(out, r[0])
-				r = r[1:]
-			}
-		}
-		out = append(out, l...)
-		return append(out, r...)
-	}
-	return sortSuf(sa)
-}
-
-func suffixLess(s []byte, a, b int32) bool {
-	for int(a) < len(s) && int(b) < len(s) {
-		if s[a] != s[b] {
-			return s[a] < s[b]
-		}
-		a++
-		b++
-	}
-	return int(a) == len(s) && int(b) != len(s)
-}
-
-// checkSuffixArray validates that sa is a permutation with sorted suffixes;
-// used by tests and available for debugging.
-func checkSuffixArray(s []byte, sa []int32) error {
-	if len(sa) != len(s) {
-		return fmt.Errorf("fmindex: sa length %d != text length %d", len(sa), len(s))
-	}
-	seen := make([]bool, len(s))
-	for _, v := range sa {
-		if v < 0 || int(v) >= len(s) || seen[v] {
-			return fmt.Errorf("fmindex: sa is not a permutation (entry %d)", v)
-		}
-		seen[v] = true
-	}
-	for i := 1; i < len(sa); i++ {
-		if !suffixLess(s, sa[i-1], sa[i]) {
-			return fmt.Errorf("fmindex: suffixes %d and %d out of order", i-1, i)
-		}
-	}
-	return nil
 }

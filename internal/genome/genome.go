@@ -261,13 +261,30 @@ func Synthesize(cfg SyntheticConfig) (*Sequence, error) {
 		for covered < target {
 			src := rng.Intn(cfg.Length - cfg.RepeatLen)
 			dst := rng.Intn(cfg.Length - cfg.RepeatLen)
-			for j := 0; j < cfg.RepeatLen; j++ {
-				seq.Set(dst+j, seq.At(src+j))
-			}
+			seq.paste(dst, src, cfg.RepeatLen)
 			covered += cfg.RepeatLen
 		}
 	}
 	return seq, nil
+}
+
+// paste copies the n bases at src to dst base by base, front to back, so
+// that a window overlapping its source with dst > src repeats the first
+// dst-src bases. Windows that do not overlap are copied 32 bases at a
+// time, once dst reaches a byte boundary.
+func (s *Sequence) paste(dst, src, n int) {
+	j := 0
+	if dst+n <= src || src+n <= dst {
+		for ; j < n && (dst+j)&3 != 0; j++ {
+			s.Set(dst+j, s.At(src+j))
+		}
+		for ; j+32 <= n; j += 32 {
+			binary.LittleEndian.PutUint64(s.data[(dst+j)>>2:], s.Word(src+j))
+		}
+	}
+	for ; j < n; j++ {
+		s.Set(dst+j, s.At(src+j))
+	}
 }
 
 // Species identifies one of the paper's evaluation datasets.

@@ -417,6 +417,39 @@ func TestWordMatchesAt(t *testing.T) {
 	}
 }
 
+// paste's word copy of non-overlapping windows equals the base loop for
+// every source and destination alignment, in both directions, and an
+// overlapping window keeps the base loop's period propagation.
+func TestPasteMatchesBaseLoop(t *testing.T) {
+	rng := sim.NewRNG(12)
+	orig := NewSequence(1000)
+	for i := 0; i < orig.Len(); i++ {
+		orig.Set(i, Base(rng.Intn(4)))
+	}
+	for _, n := range []int{1, 31, 32, 33, 300} {
+		for a := 0; a < 4; a++ {
+			for b := 0; b < 4; b++ {
+				for _, w := range [][2]int{
+					{8 + a, 400 + b},             // dst after src
+					{400 + a, 8 + b},             // dst before src
+					{8 + a, 8 + b + n/2},         // overlapping, dst > src
+					{8 + a + n/2 + 4, 8 + b + 4}, // overlapping, dst < src
+				} {
+					src, dst := w[0], w[1]
+					got, want := orig.Slice(0, orig.Len()), orig.Slice(0, orig.Len())
+					got.paste(dst, src, n)
+					for j := 0; j < n; j++ {
+						want.Set(dst+j, want.At(src+j))
+					}
+					if !got.Equal(want) {
+						t.Fatalf("paste(dst %d, src %d, n %d) differs from the base loop", dst, src, n)
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkSynthesize generates the Pt stand-in at the scale the build
 // benchmarks use.
 func BenchmarkSynthesize(b *testing.B) {

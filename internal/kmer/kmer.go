@@ -21,6 +21,7 @@ package kmer
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"beacon/internal/genome"
 )
@@ -206,18 +207,30 @@ type Counts map[genome.Kmer]uint32
 // CountExact is the reference implementation: exact counting of canonical
 // k-mers occurring at least twice. Tests compare both flows against it.
 func CountExact(reads []genome.Read, k int) Counts {
-	all := map[genome.Kmer]uint32{}
+	// Sorting every occurrence groups equal k-mers into runs; only the runs
+	// of two or more reach the map.
+	n := 0
+	for i := range reads {
+		n += max(0, reads[i].Seq.Len()-k+1)
+	}
+	all := make([]genome.Kmer, 0, n)
 	for i := range reads {
 		seq := reads[i].Seq
 		for j := 0; j+k <= seq.Len(); j++ {
-			all[genome.KmerAt(seq, j, k).Canonical(k)]++
+			all = append(all, genome.KmerAt(seq, j, k).Canonical(k))
 		}
 	}
+	slices.Sort(all)
 	out := Counts{}
-	for m, c := range all {
-		if c >= 2 {
-			out[m] = c
+	for a := 0; a < len(all); {
+		b := a + 1
+		for b < len(all) && all[b] == all[a] {
+			b++
 		}
+		if b-a >= 2 {
+			out[all[a]] = uint32(b - a)
+		}
+		a = b
 	}
 	return out
 }

@@ -93,10 +93,6 @@ type calendarScheduler struct {
 	horizon Cycle
 	// overflow holds events at or beyond horizon, ordered by (at, seq).
 	overflow []calEvent
-	// headAt caches the earliest pending time while headValid (see
-	// headTime).
-	headAt    Cycle
-	headValid bool
 }
 
 func newCalendarScheduler() *calendarScheduler {
@@ -112,9 +108,6 @@ func (c *calendarScheduler) schedule(at Cycle, seq uint64, a action) {
 		c.bucket(at, a)
 	} else {
 		c.overflowPush(calEvent{at: at, seq: seq, act: a})
-	}
-	if c.headValid && at < c.headAt {
-		c.headAt = at
 	}
 }
 
@@ -156,7 +149,6 @@ func (c *calendarScheduler) pop() (Cycle, action, bool) {
 		// complete and correctly ordered.
 		c.cur = at
 		c.open = true
-		c.headValid = false
 		c.advanceHorizon()
 	}
 	b := &c.buckets[int(c.cur&calMask)]
@@ -178,8 +170,8 @@ func (c *calendarScheduler) pop() (Cycle, action, bool) {
 func (c *calendarScheduler) len() int { return c.inWindow + len(c.overflow) }
 
 // headTime returns the earliest pending event time without committing the
-// cursor. It closes a finished batch and otherwise serves from the cached
-// scan.
+// cursor. It closes a finished batch and otherwise scans the wheel, or
+// reads the overflow head when the window is empty.
 func (c *calendarScheduler) headTime() (Cycle, bool) {
 	if c.open {
 		i := int(c.cur & calMask)
@@ -191,21 +183,14 @@ func (c *calendarScheduler) headTime() (Cycle, bool) {
 		// the clock moves.
 		c.occ[i>>6] &^= 1 << uint(i&63)
 		c.open = false
-		c.headValid = false
-	}
-	if c.headValid {
-		return c.headAt, true
 	}
 	switch {
 	case c.inWindow > 0:
-		c.headAt = c.cur + Cycle(c.scan(int(c.cur&calMask)))
+		return c.cur + Cycle(c.scan(int(c.cur&calMask))), true
 	case len(c.overflow) > 0:
-		c.headAt = c.overflow[0].at
-	default:
-		return 0, false
+		return c.overflow[0].at, true
 	}
-	c.headValid = true
-	return c.headAt, true
+	return 0, false
 }
 
 // scan returns the distance (in cycles) from bucket index `from` to the
