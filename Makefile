@@ -30,11 +30,12 @@ race:
 # vs heap scheduling, measured in internal/sim where the heap is
 # reachable). The kernel benchmarks time one cold build's genome
 # synthesis, FM-index and hash-index builds, pre-alignment filtering and
-# multi-pass k-mer counting. BenchmarkNewMachine reports the Table I
+# multi-pass k-mer counting, and the exact k-mer counter every k-mer
+# build verifies against. BenchmarkNewMachine reports the Table I
 # machine's construction cost and allocation count, paid once per
 # simulation.
 bench:
-	$(GO) test -run=NONE -bench='BenchmarkWorkload|BenchmarkEncodeWorkload|BenchmarkDecodeWorkload|BenchmarkBuilder|BenchmarkEngineChurn|BenchmarkFMBuild|BenchmarkHashBuild|BenchmarkFilterReads|BenchmarkCountMultiPass|BenchmarkSynthesize' -benchtime=1x . ./internal/trace ./internal/sim ./internal/fmindex ./internal/hashindex ./internal/prealign ./internal/kmer ./internal/genome
+	$(GO) test -run=NONE -bench='BenchmarkWorkload|BenchmarkEncodeWorkload|BenchmarkDecodeWorkload|BenchmarkBuilder|BenchmarkEngineChurn|BenchmarkFMBuild|BenchmarkHashBuild|BenchmarkFilterReads|BenchmarkCountMultiPass|BenchmarkCountExact|BenchmarkSynthesize' -benchtime=1x . ./internal/trace ./internal/sim ./internal/fmindex ./internal/hashindex ./internal/prealign ./internal/kmer ./internal/genome
 	$(GO) test -run=NONE -bench=BenchmarkNewMachine -benchmem ./internal/core
 	BEACON_BENCH_TRACE=BENCH_trace.json $(GO) test -run TestBenchTraceArtifact -v .
 	BEACON_BENCH_ENGINE=$(CURDIR)/BENCH_engine.json $(GO) test -run TestBenchEngineArtifact -v ./internal/sim

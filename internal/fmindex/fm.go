@@ -35,9 +35,9 @@ type Index struct {
 	// from any row reaches a marked row (or the sentinel) within saSample-1
 	// steps, bounding locate latency.
 	saSample int
-	saMarked []bool
-	saRowPos map[int32]int32 // marked row -> suffix position
-	saCount  int             // number of sampled entries
+	saMarks  []uint64 // bit row%64 of word row/64 marks row
+	saRank   []int32  // marked rows before each saMarks word
+	saPos    []int32  // marked rows' suffix positions, in row order
 }
 
 // SASampleDefault is the default suffix-array sampling stride.
@@ -106,13 +106,17 @@ func BuildSampled(ref *genome.Sequence, saSample int) (*Index, error) {
 	}
 
 	// Sampled SA: mark rows whose suffix position is a sample point.
-	idx.saMarked = make([]bool, n)
-	idx.saRowPos = make(map[int32]int32)
-	for row := 0; row < n; row++ {
-		if int(sa[row])%saSample == 0 {
-			idx.saMarked[row] = true
-			idx.saRowPos[int32(row)] = sa[row]
-			idx.saCount++
+	idx.saMarks = make([]uint64, (n+63)/64)
+	idx.saRank = make([]int32, len(idx.saMarks))
+	idx.saPos = make([]int32, 0, nRef/saSample+1)
+	stride := uint32(saSample)
+	for row, pos := range sa {
+		if row%64 == 0 {
+			idx.saRank[row/64] = int32(len(idx.saPos))
+		}
+		if uint32(pos)%stride == 0 {
+			idx.saMarks[row/64] |= 1 << (row % 64)
+			idx.saPos = append(idx.saPos, pos)
 		}
 	}
 	return idx, nil
@@ -139,7 +143,7 @@ func (x *Index) Blocks() int { return len(x.blocks) }
 func (x *Index) OccBytes() uint64 { return uint64(len(x.blocks)) * BlockBytes }
 
 // SABytes returns the sampled suffix array footprint in bytes (4 B entries).
-func (x *Index) SABytes() uint64 { return uint64(x.saCount)*4 + 8 }
+func (x *Index) SABytes() uint64 { return uint64(len(x.saPos))*4 + 8 }
 
 // BlockIndex returns the Occ block holding BWT position i — the address the
 // accelerator fetches to compute occ at i.
@@ -274,7 +278,7 @@ func (x *Index) Locate(iv Interval, maxHits int) []int32 {
 func (x *Index) locateOne(r int32) (int32, int) {
 	steps := 0
 	i := r
-	for !x.saMarked[i] {
+	for x.saMarks[i/64]&(1<<(i%64)) == 0 {
 		sym := x.bwtAt(i)
 		if sym == 0 {
 			// bwt[i] == $ means this row's suffix starts at text position 0,
@@ -284,5 +288,7 @@ func (x *Index) locateOne(r int32) (int32, int) {
 		i = x.LF(genome.Base(sym-1), i)
 		steps++
 	}
-	return x.saRowPos[i] + int32(steps), steps
+	w := x.saMarks[i/64]
+	rank := x.saRank[i/64] + int32(bits.OnesCount64(w&(1<<(i%64)-1)))
+	return x.saPos[rank] + int32(steps), steps
 }

@@ -20,13 +20,14 @@ const lmsLoadsPerBase = 2
 // packed words and lets SA-IS stage 2 induce the rest: stage 2 seeded with
 // fully sorted LMS suffixes yields the exact suffix array (Nong, Zhang &
 // Chan 2009). A direct sort that needs more than budget key loads is
-// abandoned for sais.
+// abandoned for SA-IS, which reuses its suffix array and types.
 func suffixArray(ref *genome.Sequence, text []int32, budget int) []int32 {
 	t := classify(text)
 	sa := make([]int32, len(text))
 	nLMS, loads := sortLMS(ref, t, sa, budget)
 	if loads > budget {
-		return sais(text, 5)
+		saisInto(text, sa, t, 5)
+		return sa
 	}
 	induceSorted(text, sa, t, make([]int32, 5), nLMS)
 	return sa
@@ -63,7 +64,7 @@ func sortLMS(ref *genome.Sequence, t []bool, sa []int32, budget int) (nLMS, load
 	// bases read as A; the trailing zero word serves key's second load.
 	words := make([]uint64, n>>5+2)
 	for k := 0; k<<5 < n; k++ {
-		words[k] = reverseBases(ref.Word(k << 5))
+		words[k] = genome.ReverseBases(ref.Word(k << 5))
 	}
 	key := func(i int32) uint64 {
 		q, r := i>>5, uint(i&31)<<1
@@ -221,11 +222,4 @@ func b2i(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// reverseBases reverses the order of the 32 2-bit fields of w.
-func reverseBases(w uint64) uint64 {
-	w = w>>2&0x3333333333333333 | w&0x3333333333333333<<2
-	w = w>>4&0x0f0f0f0f0f0f0f0f | w&0x0f0f0f0f0f0f0f0f<<4
-	return bits.ReverseBytes64(w)
 }

@@ -8,21 +8,22 @@
 // of the positions, are sorted directly on 2-bit packed 32-base keys
 // (lmssort.go); SA-IS stage 2 then induces every other suffix from them.
 // A periodic text that keeps the direct sort tied for too many words falls
-// back to full SA-IS (sais), whose recursion also sorts its reduced
+// back to full SA-IS (saisInto), whose recursion also sorts its reduced
 // strings, so the package has one induced-sorting implementation and a
 // suffix array that is the same whichever half sorted the LMS suffixes.
 package fmindex
 
-// sais computes the suffix array of s, whose values lie in [0, sigma) and
-// whose last element is a unique 0 sentinel.
-func sais(s []int32, sigma int) []int32 {
+// saisInto writes the suffix array of s to sa, given t = classify(s). The
+// values of s lie in [0, sigma), and its last element is a unique 0
+// sentinel. Every recursion level keeps its reduced string and LMS
+// positions in the unused half of its own sa, so a level allocates only
+// the types of the next.
+func saisInto(s, sa []int32, t []bool, sigma int) {
 	n := len(s)
-	sa := make([]int32, n)
 	if n == 1 {
-		return sa
+		sa[0] = 0
+		return
 	}
-
-	t := classify(s)
 	isLMS := func(i int) bool { return i > 0 && t[i] && !t[i-1] }
 
 	bkt := make([]int32, sigma)
@@ -67,40 +68,42 @@ func sais(s []int32, sigma int) []int32 {
 		names[pos/2] = name - 1
 	}
 
-	// Reduced string: names in text order.
-	s1 := make([]int32, 0, nLMS)
-	for _, v := range names {
-		if v >= 0 {
-			s1 = append(s1, v)
+	// Reduced string: names in text order, packed at the end of sa. Moving
+	// down, the write index never falls below the read index.
+	j := n
+	for i := n - 1; i >= nLMS; i-- {
+		if sa[i] >= 0 {
+			j--
+			sa[j] = sa[i]
 		}
 	}
+	s1, sa1 := sa[n-nLMS:], sa[:nLMS]
 
-	var sa1 []int32
 	if int(name) < nLMS {
-		sa1 = sais(s1, int(name))
+		saisInto(s1, sa1, classify(s1), int(name))
 	} else {
 		// All names unique: the reduced suffix array is the inverse.
-		sa1 = make([]int32, nLMS)
 		for i, c := range s1 {
 			sa1[c] = int32(i)
 		}
 	}
 
-	// LMS positions in text order.
-	p := make([]int32, 0, nLMS)
+	// LMS positions in text order, over the reduced string.
+	p := s1
+	j = 0
 	for i := 1; i < n; i++ {
 		if isLMS(i) {
-			p = append(p, int32(i))
+			p[j] = int32(i)
+			j++
 		}
 	}
 
 	// Stage 2: the LMS suffixes in their final relative order seed the
 	// induction of the rest.
 	for i, r := range sa1 {
-		sa[i] = p[r]
+		sa1[i] = p[r]
 	}
 	induceSorted(s, sa, t, bkt, nLMS)
-	return sa
 }
 
 // classify returns the SA-IS type of each position of s: S (true) when its

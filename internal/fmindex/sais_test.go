@@ -2,6 +2,14 @@ package fmindex
 
 import "fmt"
 
+// sais returns the suffix array of s, whose values lie in [0, sigma) and
+// whose last element is a unique 0 sentinel.
+func sais(s []int32, sigma int) []int32 {
+	sa := make([]int32, len(s))
+	saisInto(s, sa, classify(s), sigma)
+	return sa
+}
+
 // buildSuffixArray computes the suffix array of s, over any byte alphabet,
 // with SA-IS. sa[i] is the start of the i-th smallest suffix.
 func buildSuffixArray(s []byte) []int32 {

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"beacon/internal/sim"
@@ -127,6 +128,15 @@ func (s *Sequence) Word(i int) uint64 {
 		}
 	}
 	return w
+}
+
+// ReverseBases reverses the order of the 32 bases packed in w, so that a
+// Word's first base moves to the top two bits: integer order on the result
+// is then lexicographic order on the bases.
+func ReverseBases(w uint64) uint64 {
+	w = w>>2&0x3333333333333333 | w&0x3333333333333333<<2
+	w = w>>4&0x0f0f0f0f0f0f0f0f | w&0x0f0f0f0f0f0f0f0f<<4
+	return bits.ReverseBytes64(w)
 }
 
 // Slice returns a copy of positions [from, to).

@@ -395,6 +395,8 @@ func TestGCThresholdExact(t *testing.T) {
 	}
 }
 
+// TestWordMatchesAt checks Word against At at every offset, including
+// offsets past either end, and ReverseBases against KmerAt.
 func TestWordMatchesAt(t *testing.T) {
 	rng := sim.NewRNG(5)
 	for _, n := range []int{0, 1, 31, 32, 33, 64, 100, 131} {
@@ -412,6 +414,10 @@ func TestWordMatchesAt(t *testing.T) {
 				if got := Base(w >> (2 * j) & 3); got != want {
 					t.Fatalf("n=%d Word(%d) base %d = %v, want %v", n, i, j, got, want)
 				}
+			}
+			// Reversed, the word is the 32-mer there, first base highest.
+			if i >= 0 && i+32 <= n && ReverseBases(w) != uint64(KmerAt(seq, i, 32)) {
+				t.Fatalf("n=%d: ReverseBases(Word(%d)) = %#x, want KmerAt %#x", n, i, ReverseBases(w), uint64(KmerAt(seq, i, 32)))
 			}
 		}
 	}

@@ -115,48 +115,64 @@ func CountMultiPass(reads []genome.Read, cfg Config, parts int, name string) (*F
 		return nil, fmt.Errorf("kmer: no reads")
 	}
 	instances, counters := filterGeometry(reads, cfg)
-	// Each part gets a full-size filter (NEST replicates the global filter).
-	locals := make([]*CountingBloom, parts)
-	for i := range locals {
-		f, err := NewCountingBloom(counters, cfg.Hashes)
-		if err != nil {
-			return nil, err
-		}
-		locals[i] = f
-	}
-
-	// Pass 1 (functional): build local filters, reads partitioned
-	// round-robin across parts.
 	stream := newKmerStream(reads, cfg.K, instances)
-	for ri := range reads {
-		f := locals[ri%parts]
-		for _, m := range stream.read(ri) {
-			f.Add(uint64(m))
-		}
+	global, err := mergedFilter(stream, counters, cfg.Hashes, parts)
+	if err != nil {
+		return nil, err
 	}
-	// Merge into the global filter.
-	global := locals[0]
-	for _, f := range locals[1:] {
-		if err := global.Merge(f); err != nil {
-			return nil, err
-		}
-	}
-	// Pass 2 (functional): exact counting of filter-passing k-mers.
+	// Pass 2 (functional): exact counting of filter-passing k-mers. Each
+	// occurrence's decision is kept for the trace's second pass.
+	counted := make([]bool, len(stream.kmers))
 	table := Counts{}
-	for _, m := range stream.kmers {
+	for i, m := range stream.kmers {
 		if global.Estimate(uint64(m)) >= 2 {
+			counted[i] = true
 			table[m]++
 		}
 	}
-
 	res := &FlowResult{Counts: table, FilterBytes: global.Bytes()}
 	res.TableBytes = tableCapacity(len(table)) * uint64(cfg.CounterEntryBytes)
-	wl, err := emitCountingTrace(reads, stream, cfg, name, global, table, res, true)
+	wl, err := emitCountingTrace(reads, stream, cfg, name, global, counted, res, true)
 	if err != nil {
 		return nil, err
 	}
 	res.Workload = wl
 	return res, nil
+}
+
+// mergedFilter runs pass 1 of the multi-pass flow and returns the global
+// filter. Reads are partitioned round-robin: part p's local filter counts
+// reads p, p+parts, ..., and the global filter is the saturating sum of
+// the local ones. The parts are built one after another in one reused
+// buffer, each merged into the global filter as it completes; that is the
+// same sequence of Adds and Merges as with every local filter alive at
+// once, so the global filter's bytes are the same.
+func mergedFilter(stream *kmerStream, counters uint64, hashes, parts int) (*CountingBloom, error) {
+	global, err := NewCountingBloom(counters, hashes)
+	if err != nil {
+		return nil, err
+	}
+	nReads := len(stream.off) - 1
+	addPart := func(f *CountingBloom, p int) {
+		for ri := p; ri < nReads; ri += parts {
+			for _, m := range stream.read(ri) {
+				f.Add(uint64(m))
+			}
+		}
+	}
+	// Part 0 counts straight into the global filter.
+	addPart(global, 0)
+	if parts > 1 && nReads > 1 {
+		local, _ := NewCountingBloom(counters, hashes) // global's geometry, already accepted
+		for p := 1; p < min(parts, nReads); p++ {
+			clear(local.counters)
+			addPart(local, p)
+			if err := global.Merge(local); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return global, nil
 }
 
 // CountSinglePass runs the BEACON-S single-pass flow against one shared
@@ -187,9 +203,13 @@ func CountSinglePass(reads []genome.Read, cfg Config, name string) (*FlowResult,
 	for m, c := range raw {
 		table[m] = c + 1
 	}
+	counted := make([]bool, len(stream.kmers))
+	for i, m := range stream.kmers {
+		_, counted[i] = table[m]
+	}
 	res := &FlowResult{Counts: table, FilterBytes: filter.Bytes()}
 	res.TableBytes = tableCapacity(len(table)) * uint64(cfg.CounterEntryBytes)
-	wl, err := emitCountingTrace(reads, stream, cfg, name, filter, table, res, false)
+	wl, err := emitCountingTrace(reads, stream, cfg, name, filter, counted, res, false)
 	if err != nil {
 		return nil, err
 	}
@@ -200,9 +220,11 @@ func CountSinglePass(reads []genome.Read, cfg Config, name string) (*FlowResult,
 // emitCountingTrace builds the workload trace for either flow. multiPass
 // selects the NEST two-pass shape (local filter spaces, explicit second
 // input pass, merge traffic); otherwise the single-pass shape (shared
-// spaces, atomic RMW everywhere).
+// spaces, atomic RMW everywhere). counted[i] reports whether the i-th
+// k-mer occurrence of stream updates the counter table (in the multi-pass
+// flow, on its second pass).
 func emitCountingTrace(reads []genome.Read, stream *kmerStream, cfg Config, name string,
-	filter *CountingBloom, table Counts, res *FlowResult, multiPass bool) (*trace.Workload, error) {
+	filter *CountingBloom, counted []bool, res *FlowResult, multiPass bool) (*trace.Workload, error) {
 
 	b := trace.NewBuilder(name)
 	b.SetSpaceBytes(trace.SpaceBloom, res.FilterBytes)
@@ -229,6 +251,8 @@ func emitCountingTrace(reads []genome.Read, stream *kmerStream, cfg Config, name
 	}
 
 	emitPass := func(second bool) {
+		// The flow's last input pass is the one that updates the table.
+		last := second || !multiPass
 		var readOff uint64
 		for ri := range reads {
 			rb := uint32((reads[ri].Seq.Len() + 3) / 4)
@@ -248,7 +272,7 @@ func emitCountingTrace(reads []genome.Read, stream *kmerStream, cfg Config, name
 					Op: trace.OpRead, Space: trace.SpaceReads,
 					Addr: readOff + uint64(base/4), Size: sliceBytes + 1, Spatial: true, Light: true,
 				})
-				for _, m := range kmers[base:end] {
+				for i, m := range kmers[base:end] {
 					op := trace.OpAtomicRMW // filter updates are increments
 					if second {
 						op = trace.OpRead // pass 2 only reads the filter
@@ -265,13 +289,7 @@ func emitCountingTrace(reads []genome.Read, stream *kmerStream, cfg Config, name
 							Light: hi > 0,
 						})
 					}
-					counted := false
-					if multiPass {
-						counted = second && filter.Estimate(uint64(m)) >= 2
-					} else {
-						_, counted = table[m]
-					}
-					if counted {
+					if last && counted[stream.off[ri]+base+i] {
 						b.Step(trace.Step{
 							Op: trace.OpAtomicRMW, Space: trace.SpaceCounters,
 							Addr: (kmerHash(m) % tableSlots) * uint64(cfg.CounterEntryBytes),

@@ -15,13 +15,20 @@
 //     The input is read once; filter traffic crosses the CXL fabric.
 //
 // Both flows produce identical counts — a property the tests verify — and
-// differ only in the memory traces they emit.
+// differ only in the memory traces they emit. The functional model keeps
+// one local filter at a time: the multi-pass flow fills the parts' filters
+// one after another in one buffer and merges each as it completes, which
+// gives the global filter the same bytes, while the trace still charges
+// every part its own filter.
+//
+// CountExact is the exact reference the workload builds verify the flows
+// against. It reads k-mers off packed words and sorts them, sharing no code
+// with the flows' rolling k-mer pass.
 package kmer
 
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"beacon/internal/genome"
 )
@@ -206,22 +213,28 @@ type Counts map[genome.Kmer]uint32
 
 // CountExact is the reference implementation: exact counting of canonical
 // k-mers occurring at least twice. Tests compare both flows against it.
+//
+// It shares no code with the flows' rolling pass (appendCanonical): each
+// k-mer is read off one packed word of its read (wordKmers), every
+// occurrence is radix-sorted so that equal k-mers form runs, and only runs
+// of two or more reach the map.
 func CountExact(reads []genome.Read, k int) Counts {
-	// Sorting every occurrence groups equal k-mers into runs; only the runs
-	// of two or more reach the map.
 	n := 0
 	for i := range reads {
 		n += max(0, reads[i].Seq.Len()-k+1)
 	}
 	all := make([]genome.Kmer, 0, n)
 	for i := range reads {
-		seq := reads[i].Seq
-		for j := 0; j+k <= seq.Len(); j++ {
-			all = append(all, genome.KmerAt(seq, j, k).Canonical(k))
+		all = wordKmers(all, reads[i].Seq, k)
+	}
+	all = radixSort(all, make([]genome.Kmer, len(all)), 2*k)
+	repeated := 0
+	for a := 1; a < len(all); a++ {
+		if all[a] == all[a-1] && (a == 1 || all[a-1] != all[a-2]) {
+			repeated++
 		}
 	}
-	slices.Sort(all)
-	out := Counts{}
+	out := make(Counts, repeated)
 	for a := 0; a < len(all); {
 		b := a + 1
 		for b < len(all) && all[b] == all[a] {
@@ -233,4 +246,63 @@ func CountExact(reads []genome.Read, k int) Counts {
 		a = b
 	}
 	return out
+}
+
+// wordKmers appends the canonical k-mer at each position of seq to dst.
+// The k bases at position j are the low 2k bits of seq.Word(j), first base
+// lowest; reversing the bases (genome.ReverseBases) makes that the forward
+// k-mer, and complementing every base in place makes it the reverse
+// complement. Positions in the last 32 bases shift one word read at the
+// tail instead.
+func wordKmers(dst []genome.Kmer, seq *genome.Sequence, k int) []genome.Kmer {
+	n := seq.Len()
+	mask := uint64(1)<<(2*k) - 1 // all ones at k = 32
+	shift := 64 - 2*k
+	last := max(n-32, 0)
+	tail := seq.Word(last)
+	for j := 0; j+k <= n; j++ {
+		w := tail >> (2 * max(j-last, 0))
+		if j < last {
+			w = seq.Word(j)
+		}
+		w &= mask
+		dst = append(dst, min(genome.Kmer(genome.ReverseBases(w)>>shift), genome.Kmer(^w&mask)))
+	}
+	return dst
+}
+
+// radixSort sorts keys, which fit in their low width bits, with a
+// least-significant-digit radix sort on bytes, scattering through buf (as
+// long as keys). It returns whichever of the two holds the result. A byte
+// that every key shares costs no pass.
+func radixSort(keys, buf []genome.Kmer, width int) []genome.Kmer {
+	if len(keys) < 2 {
+		return keys
+	}
+	passes := (width + 7) / 8
+	var counts [8][256]int
+	for _, x := range keys {
+		for p := range passes {
+			counts[p][byte(x>>(8*p))]++
+		}
+	}
+	for p := range passes {
+		c := &counts[p]
+		shift := 8 * p
+		if c[byte(keys[0]>>shift)] == len(keys) {
+			continue
+		}
+		sum := 0
+		for d, m := range c {
+			c[d] = sum
+			sum += m
+		}
+		for _, x := range keys {
+			d := byte(x >> shift)
+			buf[c[d]] = x
+			c[d]++
+		}
+		keys, buf = buf, keys
+	}
+	return keys
 }

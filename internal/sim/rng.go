@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // RNG is a small, fast, deterministic pseudo-random generator (splitmix64
 // seeded xoshiro256**). The simulator cannot use math/rand's global state:
 // reproducibility across runs and across Go versions is part of the
@@ -24,18 +26,15 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits. The state is read into locals so
+// that the function fits Go's inlining budget: the kernels draw one or two
+// values per base.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
 	return result
 }
 

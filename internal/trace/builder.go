@@ -2,23 +2,28 @@ package trace
 
 import "fmt"
 
-// builderChunkSteps is the arena chunk size: 32 Ki steps ≈ 1 MiB. Large
-// enough that chunk bookkeeping is noise, small enough that the final
-// partially-filled chunk wastes little.
-const builderChunkSteps = 1 << 15
+// Arena chunk sizes: the first chunk holds builderFirstChunk steps and
+// each later one twice its predecessor, up to builderChunkSteps (32 Ki
+// steps ≈ 768 KiB). A small trace thus allocates about what it holds, and
+// a large one pays chunk bookkeeping once per 32 Ki steps.
+const (
+	builderFirstChunk = 1 << 8
+	builderChunkSteps = 1 << 15
+)
 
 // Builder assembles a Workload incrementally without growing one giant
 // per-workload (or per-task) slice. The functional kernels emit millions of
 // steps on the large species; append-doubling a single []Step both copies
 // the whole prefix repeatedly and strands up to half the final footprint as
-// slack. The builder instead:
+// slack. The builder instead writes each step once, straight into the
+// current arena chunk behind the tasks already sealed there:
 //
-//   - buffers the current task's steps in one reusable scratch slice
-//     (amortized zero allocations per task), and
-//   - seals finished tasks into fixed-size arena chunks, so step memory is
-//     allocated in O(total/chunk) exact-size blocks that are never copied
-//     again. Each Task.Steps aliases its chunk — the familiar []Step shape
-//     downstream, without the per-task allocation.
+//   - EndTask seals the open task in place: its Task.Steps aliases the
+//     chunk, capacity capped at its length, so downstream code sees the
+//     familiar []Step shape without a per-task allocation.
+//   - A task that outgrows its chunk moves, alone, to a fresh chunk
+//     (doubling, see builderChunkSteps) at least twice its size; sealed
+//     tasks are never copied again.
 //
 // The emission order of BeginTask/Step/EndTask calls fully determines the
 // resulting Workload, so a kernel ported from slice-append to the builder
@@ -30,12 +35,12 @@ type Builder struct {
 	space  [NumSpaces]uint64
 	local  [NumSpaces]bool
 
-	tasks   []Task
-	scratch []Step // current task's steps, reused across tasks
-	engine  Engine
-	inTask  bool
-	arena   []Step // current chunk; append target for sealed tasks
-	steps   int    // total sealed steps
+	tasks  []Task
+	engine Engine
+	inTask bool
+	chunk  []Step // current arena chunk; its length is the sealed steps in it
+	open   []Step // the open task's steps, which follow chunk's; nil outside a task
+	steps  int    // total sealed steps
 }
 
 // NewBuilder starts a workload with the given name and one pass.
@@ -62,40 +67,46 @@ func (b *Builder) BeginTask(e Engine) {
 	}
 	b.inTask = true
 	b.engine = e
-	b.scratch = b.scratch[:0]
+	b.open = b.chunk[len(b.chunk):]
 }
 
 // Step appends one memory step to the open task.
 func (b *Builder) Step(st Step) {
+	if len(b.open) == cap(b.open) {
+		b.grow()
+	}
+	b.open = append(b.open, st)
+}
+
+// grow moves the open task to a new chunk. Outside a task open is nil, so
+// Step lands here too, and the misuse check stays out of Step's inlined
+// body.
+func (b *Builder) grow() {
 	if !b.inTask {
 		panic("trace: Step outside a task")
 	}
-	b.scratch = append(b.scratch, st)
+	size := min(max(2*cap(b.chunk), builderFirstChunk), builderChunkSteps)
+	chunk := make([]Step, len(b.open), max(size, 2*len(b.open)))
+	copy(chunk, b.open)
+	b.chunk, b.open = chunk[:0], chunk
 }
 
-// EndTask seals the open task into the arena.
+// EndTask seals the open task where it lies in the arena.
 func (b *Builder) EndTask() {
 	if !b.inTask {
 		panic("trace: EndTask without BeginTask")
 	}
 	b.inTask = false
-	n := len(b.scratch)
-	if n == 0 {
-		// Match the slice-append idiom: a step-less task carries nil Steps.
-		b.tasks = append(b.tasks, Task{Engine: b.engine})
-		return
+	n := len(b.open)
+	t := Task{Engine: b.engine}
+	if n > 0 {
+		// A step-less task keeps nil Steps, as the slice-append idiom would.
+		t.Steps = b.open[:n:n]
 	}
-	if cap(b.arena)-len(b.arena) < n {
-		size := builderChunkSteps
-		if n > size {
-			size = n // oversized task: dedicated exact-size chunk
-		}
-		b.arena = make([]Step, 0, size)
-	}
-	off := len(b.arena)
-	b.arena = append(b.arena, b.scratch...)
+	b.tasks = append(b.tasks, t)
+	b.chunk = b.chunk[:len(b.chunk)+n]
+	b.open = nil
 	b.steps += n
-	b.tasks = append(b.tasks, Task{Engine: b.engine, Steps: b.arena[off : off+n : off+n]})
 }
 
 // Tasks reports the number of sealed tasks so far.
