@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench lint beaconlint fmt tidy-check calibrate
+.PHONY: all build test race bench lint beaconlint fmt tidy-check calibrate reachability
 
 all: build test
 
@@ -46,6 +46,13 @@ bench:
 # Add -json for one JSON diagnostic per line on stdout.
 beaconlint:
 	$(GO) run ./tools/beaconlint ./...
+
+# Reachability audit: list the non-test functions no program, example,
+# tool, perfbench or public beacon API links, and total them. Keep the
+# total falling; tests, the beacon_heapref heap and test oracles account
+# for most of what remains.
+reachability:
+	./tools/reachability.sh
 
 # Timing-model calibration: replay the quick synthetic pattern suite and
 # diff against the committed golden curves (see DESIGN.md §4g). Exits 1 on

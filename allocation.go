@@ -3,7 +3,6 @@ package beacon
 import (
 	"fmt"
 
-	"beacon/internal/core"
 	"beacon/internal/cxl"
 	"beacon/internal/memmgmt"
 	"beacon/internal/sim"
@@ -62,11 +61,7 @@ func SimulateWithAllocation(p Platform, w *Workload, opts AllocationOptions) (*A
 	if opts.TenantFraction < 0 || opts.TenantFraction > 1 {
 		return nil, fmt.Errorf("beacon: tenant fraction %g out of [0,1]", opts.TenantFraction)
 	}
-	design := core.DesignD
-	if p.Kind == BeaconS {
-		design = core.DesignS
-	}
-	cfg := core.DefaultConfig(design, p.Opts.coreOpts())
+	cfg := p.coreConfig()
 	pool := memmgmt.PoolLayout{
 		Switches:       cfg.Switches,
 		DIMMsPerSwitch: cfg.DIMMsPerSwitch,

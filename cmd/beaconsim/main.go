@@ -89,7 +89,7 @@ func main() {
 	}
 	col := of.Collection()
 	pool := runner.NewPool(*jobs)
-	of.ObservePool(pool)
+	pool.LogProgress(of.ProgressWriter())
 
 	simJobs := make([]runner.Job[*beacon.Report], len(specs))
 	for i, spec := range specs {

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-
-	"beacon/internal/obs"
 )
 
 // TestHTTPStatus exhaustively pins the sentinel → status table, for bare
@@ -91,7 +89,6 @@ func TestRunArgumentErrors(t *testing.T) {
 		{"co-run on ddr", Platform{Kind: DDRBaseline}, wl, []RunOption{WithCoRun(wl)}},
 		{"co-run on cpu", Platform{Kind: CPU}, wl, []RunOption{WithCoRun(wl)}},
 		{"nil co-run workload", beaconD, wl, []RunOption{WithCoRun(nil)}},
-		{"co-run with observer", beaconD, wl, []RunOption{WithCoRun(wl), WithObserver(obs.New("x"))}},
 	}
 	for _, tc := range cases {
 		_, err := Run(tc.p, tc.w, tc.opts...)

@@ -68,7 +68,7 @@ func TestMEDALCompletesWork(t *testing.T) {
 		t.Errorf("completed %d/%d tasks, %d/%d steps",
 			res.Tasks, len(wl.Tasks), res.Steps, wl.TotalSteps())
 	}
-	if res.Cycles <= 0 || res.EnergyPJ() <= 0 {
+	if res.Cycles <= 0 || res.Energy.TotalPJ() <= 0 {
 		t.Error("non-positive cycles or energy")
 	}
 	if res.ChannelBytes == 0 {

@@ -131,12 +131,6 @@ type Result struct {
 	HostCrossings uint64
 }
 
-// Seconds converts the makespan to seconds (1.25 ns cycles).
-func (r *Result) Seconds() float64 { return sim.Seconds(r.Cycles) }
-
-// EnergyPJ returns total energy.
-func (r *Result) EnergyPJ() float64 { return r.Energy.TotalPJ() }
-
 // DDRMachine is an instantiated MEDAL/NEST-style platform.
 type DDRMachine struct {
 	cfg    DDRConfig

@@ -15,11 +15,9 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 
 	beacon "beacon"
 	"beacon/internal/obs"
-	"beacon/internal/runner"
 )
 
 // Flags is the shared observability flag set.
@@ -123,26 +121,6 @@ func (f *Flags) ProgressWriter() io.Writer {
 		return nil
 	}
 	return os.Stderr
-}
-
-// ObservePool installs a -progress observer on the pool (no-op when off).
-func (f *Flags) ObservePool(pool *runner.Pool) {
-	w := f.ProgressWriter()
-	if w == nil {
-		return
-	}
-	var mu sync.Mutex
-	done := 0
-	pool.SetObserver(func(ev runner.JobEvent) {
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		if ev.Err != nil {
-			fmt.Fprintf(w, "[%4d] FAIL %-48s %9s  %v\n", done, ev.Label, ev.Wall, ev.Err)
-			return
-		}
-		fmt.Fprintf(w, "[%4d] done %-48s %9s\n", done, ev.Label, ev.Wall)
-	})
 }
 
 // StartProfiles begins CPU profiling when requested and returns a stop

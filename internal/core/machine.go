@@ -31,13 +31,18 @@ type Result struct {
 	// Faults counts injected faults and recovery actions when fault
 	// injection is enabled (all zero otherwise).
 	Faults fault.Stats
+	// Tenants holds each workload's share of a co-located run, in workload
+	// order (nil when one workload ran alone).
+	Tenants []Tenant
 }
 
-// Seconds converts the makespan to seconds (1.25 ns cycles).
-func (r *Result) Seconds() float64 { return sim.Seconds(r.Cycles) }
-
-// EnergyPJ returns total energy.
-func (r *Result) EnergyPJ() float64 { return r.Energy.TotalPJ() }
+// Tenant is one workload's share of a co-located run.
+type Tenant struct {
+	// Cycles is the cycle the workload's last task retired.
+	Cycles sim.Cycle
+	// Tasks is the workload's task count.
+	Tasks int
+}
 
 // Machine is an instantiated BEACON system ready to replay workloads.
 type Machine struct {
@@ -237,11 +242,28 @@ func (m *Machine) atomic(now sim.Cycle, at cxl.NodeID, local bool) sim.Cycle {
 	return end
 }
 
-// Run replays the workload and returns the result. The machine is single
+// Run replays the workloads and returns the result. One workload replays
+// as is. Several share the machine — §II's memory pooling, one pool
+// serving several tenants at once: their tasks interleave in the NDP
+// modules' schedulers, their traffic contends on the same fabric and DRAM,
+// and Result.Tenants reports each one's completion. The machine is single
 // use: Run consumes its calendars.
-func (m *Machine) Run(wl *trace.Workload) (*Result, error) {
-	if err := wl.Validate(); err != nil {
-		return nil, err
+func (m *Machine) Run(wls ...*trace.Workload) (*Result, error) {
+	if len(wls) == 0 {
+		return nil, fmt.Errorf("core: no workloads")
+	}
+	for i, wl := range wls {
+		if err := wl.Validate(); err != nil {
+			if len(wls) > 1 {
+				err = fmt.Errorf("core: workload %d: %w", i, err)
+			}
+			return nil, err
+		}
+	}
+	wl := wls[0]
+	var tenants []Tenant
+	if len(wls) > 1 {
+		wl, tenants = m.coLocate(wls)
 	}
 	// Merge traffic for multi-pass flows: each node ships its local filter
 	// up and receives the merged copy (between passes; the calendar model is
@@ -262,7 +284,7 @@ func (m *Machine) Run(wl *trace.Workload) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Totals: tot, Fabric: m.fabric.Stats()}
+	res := &Result{Totals: tot, Fabric: m.fabric.Stats(), Tenants: tenants}
 	if m.inj != nil {
 		res.Faults = m.inj.Stats()
 	}
@@ -311,11 +333,48 @@ func (m *Machine) Run(wl *trace.Workload) (*Result, error) {
 	return res, nil
 }
 
+// coLocate merges several validated workloads into the one the machine
+// replays. Space footprints merge per space (max), so tenants with
+// same-shaped data structures contend for the same DIMM regions — the
+// conservative sharing assumption — and tasks interleave round-robin so no
+// tenant monopolizes the schedulers' admission order. The task-retire hook
+// records each tenant's completion in the returned slice.
+func (m *Machine) coLocate(wls []*trace.Workload) (*trace.Workload, []Tenant) {
+	merged := &trace.Workload{Name: "shared", Passes: 1}
+	tenants := make([]Tenant, len(wls))
+	total := 0
+	for i, wl := range wls {
+		for sp := trace.Space(0); sp < trace.NumSpaces; sp++ {
+			merged.SpaceBytes[sp] = max(merged.SpaceBytes[sp], wl.SpaceBytes[sp])
+			merged.LocalSpaces[sp] = merged.LocalSpaces[sp] || wl.LocalSpaces[sp]
+		}
+		merged.MergeBytes += wl.MergeBytes
+		tenants[i].Tasks = len(wl.Tasks)
+		total += len(wl.Tasks)
+	}
+	// The task slice never regrows, so its element addresses identify
+	// each task's owner.
+	merged.Tasks = make([]trace.Task, 0, total)
+	owner := make(map[*trace.Task]int, total)
+	for k := 0; len(merged.Tasks) < total; k++ {
+		for i, wl := range wls {
+			if k < len(wl.Tasks) {
+				merged.Tasks = append(merged.Tasks, wl.Tasks[k])
+				owner[&merged.Tasks[len(merged.Tasks)-1]] = i
+			}
+		}
+	}
+	// Tasks retire in simulated-time order, so a tenant's last retirement
+	// is its completion.
+	m.rp.OnTaskEnd = func(task *trace.Task, at sim.Cycle) { tenants[owner[task]].Cycles = at }
+	return merged, tenants
+}
+
 // Run is the package-level convenience: build a machine and replay.
-func Run(cfg Config, wl *trace.Workload) (*Result, error) {
+func Run(cfg Config, wls ...*trace.Workload) (*Result, error) {
 	m, err := NewMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return m.Run(wl)
+	return m.Run(wls...)
 }

@@ -108,7 +108,7 @@ func TestRunCompletesAllTasks(t *testing.T) {
 		if res.Cycles <= 0 {
 			t.Errorf("%v: zero makespan", d)
 		}
-		if res.EnergyPJ() <= 0 {
+		if res.Energy.TotalPJ() <= 0 {
 			t.Errorf("%v: zero energy", d)
 		}
 		if res.Steps != wl.TotalSteps() {

@@ -29,34 +29,42 @@ func smallWorkload(engine trace.Engine, tasks, steps int, space trace.Space) *tr
 func TestRunSharedCompletesAllTenants(t *testing.T) {
 	a := smallWorkload(trace.EngineFMIndex, 50, 6, trace.SpaceOcc)
 	b := smallWorkload(trace.EngineKMC, 30, 4, trace.SpaceBloom)
-	res, err := RunShared(DefaultConfig(DesignD, AllOptions()), []*trace.Workload{a, b})
+	res, err := Run(DefaultConfig(DesignD, AllOptions()), a, b)
 	if err != nil {
-		t.Fatalf("RunShared: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
-	if res.Combined.Tasks != 80 {
-		t.Errorf("combined tasks = %d, want 80", res.Combined.Tasks)
+	if res.Tasks != 80 {
+		t.Errorf("combined tasks = %d, want 80", res.Tasks)
 	}
-	if len(res.PerWorkload) != 2 {
-		t.Fatalf("slices = %d", len(res.PerWorkload))
+	if len(res.Tenants) != 2 {
+		t.Fatalf("tenants = %d", len(res.Tenants))
 	}
-	for i, sl := range res.PerWorkload {
-		if sl.Cycles <= 0 {
-			t.Errorf("tenant %d finished at %d", i, sl.Cycles)
+	for i, tn := range res.Tenants {
+		if tn.Cycles <= 0 {
+			t.Errorf("tenant %d finished at %d", i, tn.Cycles)
 		}
-		if sl.Cycles > res.Combined.Cycles {
+		if tn.Cycles > res.Cycles {
 			t.Errorf("tenant %d finished after the combined makespan", i)
 		}
 	}
-	if res.PerWorkload[0].Tasks != 50 || res.PerWorkload[1].Tasks != 30 {
-		t.Errorf("task attribution = %+v", res.PerWorkload)
+	if res.Tenants[0].Tasks != 50 || res.Tenants[1].Tasks != 30 {
+		t.Errorf("task attribution = %+v", res.Tenants)
 	}
 	// The combined makespan equals the latest tenant's finish.
-	latest := res.PerWorkload[0].Cycles
-	if res.PerWorkload[1].Cycles > latest {
-		latest = res.PerWorkload[1].Cycles
+	if latest := max(res.Tenants[0].Cycles, res.Tenants[1].Cycles); latest != res.Cycles {
+		t.Errorf("combined %d != latest tenant %d", res.Cycles, latest)
 	}
-	if latest != res.Combined.Cycles {
-		t.Errorf("combined %d != latest tenant %d", res.Combined.Cycles, latest)
+}
+
+// A single workload replays alone: no tenants are reported, and the
+// result is the one a plain replay of that workload gives.
+func TestSingleWorkloadHasNoTenants(t *testing.T) {
+	res, err := Run(DefaultConfig(DesignD, AllOptions()), smallWorkload(trace.EngineFMIndex, 50, 6, trace.SpaceOcc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tenants != nil {
+		t.Errorf("single workload reported tenants %+v", res.Tenants)
 	}
 }
 
@@ -70,9 +78,9 @@ func TestRunSharedBeatsSerialExecution(t *testing.T) {
 		}
 	}
 	wls := mk()
-	shared, err := RunShared(DefaultConfig(DesignD, AllOptions()), wls)
+	shared, err := Run(DefaultConfig(DesignD, AllOptions()), wls...)
 	if err != nil {
-		t.Fatalf("RunShared: %v", err)
+		t.Fatalf("co-located Run: %v", err)
 	}
 	fresh := mk()
 	var serial int64
@@ -83,17 +91,21 @@ func TestRunSharedBeatsSerialExecution(t *testing.T) {
 		}
 		serial += int64(res.Cycles)
 	}
-	if int64(shared.Combined.Cycles) > serial {
-		t.Errorf("co-located makespan %d exceeds serial %d", shared.Combined.Cycles, serial)
+	if int64(shared.Cycles) > serial {
+		t.Errorf("co-located makespan %d exceeds serial %d", shared.Cycles, serial)
 	}
 }
 
 func TestRunSharedValidation(t *testing.T) {
-	if _, err := RunShared(DefaultConfig(DesignD, Vanilla()), nil); err == nil {
+	if _, err := Run(DefaultConfig(DesignD, Vanilla())); err == nil {
 		t.Error("no workloads accepted")
 	}
 	bad := &trace.Workload{Name: "bad", Passes: 0}
-	if _, err := RunShared(DefaultConfig(DesignD, Vanilla()), []*trace.Workload{bad}); err == nil {
+	if _, err := Run(DefaultConfig(DesignD, Vanilla()), bad); err == nil {
+		t.Error("invalid workload accepted")
+	}
+	good := smallWorkload(trace.EngineFMIndex, 5, 2, trace.SpaceOcc)
+	if _, err := Run(DefaultConfig(DesignD, Vanilla()), good, bad); err == nil {
 		t.Error("invalid tenant accepted")
 	}
 }
@@ -105,21 +117,16 @@ func TestRunSharedDeterministic(t *testing.T) {
 			smallWorkload(trace.EnginePreAlign, 20, 3, trace.SpaceReference),
 		}
 	}
-	a, err := RunShared(DefaultConfig(DesignS, AllOptions()), mk())
+	a, err := Run(DefaultConfig(DesignS, AllOptions()), mk()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunShared(DefaultConfig(DesignS, AllOptions()), mk())
+	b, err := Run(DefaultConfig(DesignS, AllOptions()), mk()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Combined.Cycles != b.Combined.Cycles {
-		t.Error("shared run non-deterministic")
-	}
-	for i := range a.PerWorkload {
-		if a.PerWorkload[i].Cycles != b.PerWorkload[i].Cycles {
-			t.Errorf("tenant %d completion differs", i)
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Error("co-located run non-deterministic")
 	}
 }
 
@@ -133,16 +140,16 @@ func TestRunSharedConcurrentRunsIsolated(t *testing.T) {
 			smallWorkload(trace.EnginePreAlign, 20, 3, trace.SpaceReference),
 		}
 	}
-	want, err := RunShared(DefaultConfig(DesignS, AllOptions()), mk())
+	want, err := Run(DefaultConfig(DesignS, AllOptions()), mk()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := make([]runner.Job[*SharedResult], 4)
+	jobs := make([]runner.Job[*Result], 4)
 	for i := range jobs {
-		jobs[i] = runner.Job[*SharedResult]{
+		jobs[i] = runner.Job[*Result]{
 			Label: fmt.Sprintf("shared %d", i),
-			Fn: func(context.Context) (*SharedResult, error) {
-				return RunShared(DefaultConfig(DesignS, AllOptions()), mk())
+			Fn: func(context.Context) (*Result, error) {
+				return Run(DefaultConfig(DesignS, AllOptions()), mk()...)
 			},
 		}
 	}
@@ -151,8 +158,8 @@ func TestRunSharedConcurrentRunsIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, res := range got {
-		if !reflect.DeepEqual(res.PerWorkload, want.PerWorkload) {
-			t.Errorf("concurrent run %d: tenants %+v, want %+v", i, res.PerWorkload, want.PerWorkload)
+		if !reflect.DeepEqual(res.Tenants, want.Tenants) {
+			t.Errorf("concurrent run %d: tenants %+v, want %+v", i, res.Tenants, want.Tenants)
 		}
 	}
 }

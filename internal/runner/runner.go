@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -59,6 +60,30 @@ type JobEvent struct {
 // Install the observer before submitting jobs; only slot-holding (leaf)
 // jobs are reported — coordinator jobs run with a nil pool and stay silent.
 func (p *Pool) SetObserver(fn func(JobEvent)) { p.observer = fn }
+
+// LogProgress installs an observer that writes one line per finished job
+// to w: the completion count, the label, the wall time rounded to the
+// millisecond, and FAIL plus the error for a failed job. Lines follow
+// completion order (a live log, not a result). A nil w leaves the pool
+// unobserved.
+func (p *Pool) LogProgress(w io.Writer) {
+	if w == nil {
+		return
+	}
+	var mu sync.Mutex
+	done := 0
+	p.SetObserver(func(ev JobEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		wall := ev.Wall.Round(time.Millisecond)
+		if ev.Err != nil {
+			fmt.Fprintf(w, "[%4d] FAIL %-48s %9s  %v\n", done, ev.Label, wall, ev.Err)
+			return
+		}
+		fmt.Fprintf(w, "[%4d] done %-48s %9s\n", done, ev.Label, wall)
+	})
+}
 
 // NewPool returns a pool allowing jobs concurrent executions. jobs <= 0
 // selects GOMAXPROCS, the orchestrator's default.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -314,5 +315,43 @@ func TestNilPoolNoObserver(t *testing.T) {
 	out, err := Run(context.Background(), nil, jobs)
 	if err != nil || out[0] != 7 {
 		t.Fatalf("nil-pool run = %v, %v", out, err)
+	}
+}
+
+// TestLogProgress pins the progress line format: one line per finished
+// job, FAIL plus the error for a failure, wall time in whole milliseconds.
+func TestLogProgress(t *testing.T) {
+	var b strings.Builder
+	pool := NewPool(1)
+	pool.LogProgress(&b)
+	if _, err := Run(context.Background(), pool, []Job[int]{
+		{Label: "ok", Fn: func(context.Context) (int, error) { return 1, nil }},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if _, err := Run(context.Background(), pool, []Job[int]{
+		{Label: "bad", Fn: func(context.Context) (int, error) { return 0, boom }},
+	}); !errors.Is(err, boom) {
+		t.Fatalf("Run error = %v, want %v", err, boom)
+	}
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines, want 2:\n%s", len(lines), b.String())
+	}
+	for i, prefix := range []string{"[   1] done ok ", "[   2] FAIL bad "} {
+		if !strings.HasPrefix(lines[i], prefix) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[i], prefix)
+		}
+		if strings.Contains(lines[i], "µs") || strings.Contains(lines[i], "ns") {
+			t.Errorf("line %d = %q: wall time not rounded to ms", i, lines[i])
+		}
+	}
+	if !strings.HasSuffix(lines[1], "  boom") {
+		t.Errorf("failure line %q does not end with the error", lines[1])
+	}
+	quiet := NewPool(1)
+	if quiet.LogProgress(nil); quiet.observer != nil {
+		t.Error("a nil writer installed an observer")
 	}
 }

@@ -531,9 +531,7 @@ func (s *Server) runJob(j *job) {
 	s.mu.Unlock()
 
 	var opts []beacon.RunOption
-	if s.col != nil && len(j.spec.CoRun) == 0 {
-		// Co-located runs reject observers (beacon.ErrBadConfig), so only
-		// single-tenant jobs are observed.
+	if s.col != nil {
 		opts = append(opts, beacon.WithObserver(s.col.New("job/"+j.tenant+"/"+j.id)))
 	}
 	res, err := runner.Run(context.Background(), s.pool, []runner.Job[*beacon.RunResult]{{

@@ -562,6 +562,49 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestCoRunJobObserved pins that a co-located job is observed like any
+// other: its simulation metrics appear in /metrics under its job label.
+func TestCoRunJobObserved(t *testing.T) {
+	t.Parallel()
+	col := obs.NewCollection()
+	s := newTestServer(t, Config{Obs: col})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	spec := testSpec()
+	spec.CoRun = []beacon.WorkloadSpec{{App: beacon.HashSeeding, Config: spec.Workload.Config}}
+	var st JobStatus
+	if resp := submit(t, ts, "carol", spec, &st); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit = %d", resp.StatusCode)
+	}
+	awaitJob(t, s, st.ID)
+	s.mu.Lock()
+	state, jerr := s.jobs[st.ID].state, s.jobs[st.ID].err
+	s.mu.Unlock()
+	if state != JobDone {
+		t.Fatalf("co-run job state = %v (%v), want done", state, jerr)
+	}
+
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	fams, err := obs.ParseOpenMetrics(resp.Body)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	label := "job/carol/" + st.ID
+	for _, f := range fams {
+		for _, smp := range f.Samples {
+			if smp.Labels["job"] == label {
+				return
+			}
+		}
+	}
+	t.Errorf("exposition carries no metrics labeled job=%q", label)
+}
+
 // TestJobIDDeterminism pins the ID derivation: stable across calls,
 // tenant-scoped, spec-scoped.
 func TestJobIDDeterminism(t *testing.T) {

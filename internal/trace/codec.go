@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
+	"slices"
 )
 
 // CodecVersion is the current encoding version. It participates in cache
@@ -63,9 +64,15 @@ const (
 )
 
 // EncodeWorkload serializes w into the versioned binary format.
-func EncodeWorkload(w *Workload) []byte {
+func EncodeWorkload(w *Workload) []byte { return AppendWorkload(nil, w) }
+
+// AppendWorkload appends w's encoding to dst and returns the extended
+// slice. The trailing checksum covers the appended bytes only, so the
+// appended part equals EncodeWorkload(w) whatever dst holds.
+func AppendWorkload(dst []byte, w *Workload) []byte {
+	start := len(dst)
 	// Steps dominate; reserve ~6 bytes per step to avoid regrowth churn.
-	buf := make([]byte, 0, 64+len(w.Name)+8*len(w.Tasks)+6*w.TotalSteps())
+	buf := slices.Grow(dst, 64+len(w.Name)+8*len(w.Tasks)+6*w.TotalSteps())
 	buf = append(buf, codecMagic...)
 	buf = binary.AppendUvarint(buf, CodecVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(w.Name)))
@@ -114,7 +121,7 @@ func EncodeWorkload(w *Workload) []byte {
 		}
 	}
 	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf))
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf[start:]))
 	return append(buf, crc[:]...)
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -260,5 +261,24 @@ func BenchmarkBuilder(b *testing.B) {
 		if _, err := bd.Finish(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAppendWorkloadAfterPrefix pins that appending after arbitrary bytes
+// leaves them intact and appends exactly EncodeWorkload's bytes: the
+// checksum covers the appended part only.
+func TestAppendWorkloadAfterPrefix(t *testing.T) {
+	t.Parallel()
+	wl := randomWorkload(rand.New(rand.NewSource(9)), 12)
+	prefix := []byte("envelope\x00\x01")
+	got := AppendWorkload(append([]byte(nil), prefix...), wl)
+	if !bytes.Equal(got[:len(prefix)], prefix) {
+		t.Fatal("AppendWorkload overwrote the prefix")
+	}
+	if !bytes.Equal(got[len(prefix):], EncodeWorkload(wl)) {
+		t.Fatal("appended bytes differ from EncodeWorkload")
+	}
+	if _, err := DecodeWorkload(got[len(prefix):]); err != nil {
+		t.Fatalf("appended part does not decode: %v", err)
 	}
 }

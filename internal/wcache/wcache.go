@@ -168,8 +168,7 @@ func (c *Cache) Stats() Stats {
 // encodeEntry wraps the codec payload in the entry envelope:
 // magic, app string, verified byte, then the (self-checksummed) trace.
 func encodeEntry(e *Entry) []byte {
-	payload := trace.EncodeWorkload(e.Workload)
-	buf := make([]byte, 0, len(entryMagic)+2+len(e.App)+2+len(payload))
+	buf := make([]byte, 0, len(entryMagic)+binary.MaxVarintLen64+len(e.App)+1)
 	buf = append(buf, entryMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(e.App)))
 	buf = append(buf, e.App...)
@@ -178,7 +177,7 @@ func encodeEntry(e *Entry) []byte {
 	} else {
 		buf = append(buf, 0)
 	}
-	return append(buf, payload...)
+	return trace.AppendWorkload(buf, e.Workload)
 }
 
 // decodeEntry parses the envelope and the trace payload.

@@ -1,6 +1,7 @@
 package wcache
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -192,4 +193,26 @@ func flip(data []byte, i int) []byte {
 	out := append([]byte(nil), data...)
 	out[i] ^= 0x5A
 	return out
+}
+
+// TestEncodeEntryLayout pins the entry bytes: the envelope (magic, app
+// length and string, verified byte) followed by exactly EncodeWorkload's
+// bytes, so appending the trace in place writes what a separate encode and
+// copy wrote.
+func TestEncodeEntryLayout(t *testing.T) {
+	t.Parallel()
+	for _, verified := range []bool{false, true} {
+		e := &Entry{Workload: testWorkload(t, "kmer-counting/Hs", 9), App: "kmer-counting", Verified: verified}
+		want := append([]byte(entryMagic), byte(len(e.App)))
+		want = append(want, e.App...)
+		if verified {
+			want = append(want, 1)
+		} else {
+			want = append(want, 0)
+		}
+		want = append(want, trace.EncodeWorkload(e.Workload)...)
+		if got := encodeEntry(e); !bytes.Equal(got, want) {
+			t.Errorf("verified=%v: entry bytes differ from envelope + EncodeWorkload (%d vs %d bytes)", verified, len(got), len(want))
+		}
+	}
 }

@@ -68,6 +68,29 @@ func TestObservabilityDeterminism(t *testing.T) {
 		}
 	}
 
+	// A co-located run observes the same way: the observed report equals
+	// the bare one, and the observer records the run.
+	second, err := NewHashSeedingWorkload(quickCfg(PinusTaeda))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Platform{Kind: BeaconD, Opts: AllOptimizations()}
+	bare, err := Run(p, wl, WithCoRun(second))
+	if err != nil {
+		t.Fatalf("co-run bare: %v", err)
+	}
+	ob := col.New("co-run")
+	observed, err := Run(p, wl, WithCoRun(second), WithObserver(ob))
+	if err != nil {
+		t.Fatalf("co-run observed: %v", err)
+	}
+	if !reflect.DeepEqual(bare, observed) {
+		t.Errorf("co-run: bare and observed results differ:\n%+v\nvs\n%+v", bare.Report, observed.Report)
+	}
+	if len(ob.Metrics.Snapshots()) == 0 || ob.Trace.Events() == 0 {
+		t.Error("co-run: observer recorded nothing")
+	}
+
 	var metrics, trace strings.Builder
 	if err := col.WriteMetricsJSON(&metrics); err != nil {
 		t.Fatal(err)

@@ -59,9 +59,7 @@ func NewEvaluator(rc RunConfig, opts EvalOptions) *Evaluator {
 	if opts.Faults.Enabled() {
 		e.faultAgg = make(map[PlatformKind]FaultStats)
 	}
-	if opts.Progress != nil {
-		e.logProgress(opts.Progress)
-	}
+	e.pool.LogProgress(opts.Progress)
 	return e
 }
 
@@ -92,27 +90,6 @@ func (e *Evaluator) recordFaults(kind PlatformKind, st FaultStats) {
 	agg.Add(st)
 	e.faultAgg[kind] = agg
 	e.faultMu.Unlock()
-}
-
-// logProgress streams one line per finished simulation job to w — label,
-// wall-clock duration, and FAIL plus the error for failed jobs. Output
-// order follows completion order (nondeterministic by design: this is a
-// live log, not a result).
-func (e *Evaluator) logProgress(w io.Writer) {
-	var mu sync.Mutex
-	done := 0
-	e.pool.SetObserver(func(ev runner.JobEvent) {
-		mu.Lock()
-		defer mu.Unlock()
-		done++
-		if ev.Err != nil {
-			fmt.Fprintf(w, "[%4d] FAIL %-48s %9s  %v\n",
-				done, ev.Label, ev.Wall.Round(time.Millisecond), ev.Err)
-			return
-		}
-		fmt.Fprintf(w, "[%4d] done %-48s %9s\n",
-			done, ev.Label, ev.Wall.Round(time.Millisecond))
-	})
 }
 
 // Jobs returns the pool's concurrency bound.

@@ -6,7 +6,9 @@ import (
 
 	"beacon/internal/baseline"
 	"beacon/internal/core"
+	"beacon/internal/energy"
 	"beacon/internal/fault"
+	"beacon/internal/ndp"
 	"beacon/internal/obs"
 	"beacon/internal/sim"
 	"beacon/internal/stats"
@@ -164,77 +166,33 @@ func (r *Report) EnergyReductionOver(other *Report) float64 {
 	return stats.Speedup(other.EnergyPJ, r.EnergyPJ)
 }
 
-// simulateOne is the single-tenant simulation behind Run.
-func simulateOne(p Platform, w *Workload, ob *obs.Obs) (*Report, error) {
-	if w == nil || w.tr == nil {
-		return nil, fmt.Errorf("%w: nil workload", ErrBadConfig)
+// coreConfig resolves a BEACON platform to the machine it runs: the design,
+// the optimization ladder, and the fault profile and seed.
+func (p Platform) coreConfig() core.Config {
+	design := core.DesignD
+	if p.Kind == BeaconS {
+		design = core.DesignS
 	}
-	rep := &Report{Platform: p, Workload: w.Name}
-	switch p.Kind {
-	case CPU:
-		res, err := baseline.RunCPU(baseline.DefaultCPUConfig(), w.tr)
-		if err != nil {
-			return nil, err
-		}
-		rep.Cycles = int64(res.Cycles)
-		rep.Seconds = res.Seconds
-		rep.EnergyPJ = res.EnergyPJ
-		rep.ComputeEnergyPJ = res.EnergyPJ
-		return rep, nil
-	case DDRBaseline:
-		// Seeding and pre-alignment compare against MEDAL, k-mer counting
-		// against NEST, at PE-area parity with BEACON (§VI-A).
-		cfg := baseline.MEDALConfig()
-		if strings.HasPrefix(w.Name, "kmer") {
-			cfg = baseline.NESTConfig()
-		}
-		cfg.IdealComm = p.Opts.IdealComm
-		cfg.Obs = ob
-		res, err := baseline.RunDDR(cfg, w.tr)
-		if err != nil {
-			return nil, err
-		}
-		rep.Cycles = int64(res.Cycles)
-		rep.Seconds = res.Seconds()
-		rep.EnergyPJ = res.EnergyPJ()
-		rep.CommEnergyPJ = res.Energy.CommunicationPJ
-		rep.DRAMEnergyPJ = res.Energy.DRAMPJ
-		rep.ComputeEnergyPJ = res.Energy.ComputePJ
-		rep.WireBytes = res.ChannelBytes
-		rep.HostCrossings = res.HostCrossings
-		if t := res.LocalAccesses + res.RemoteAccesses; t > 0 {
-			rep.LocalFraction = float64(res.LocalAccesses) / float64(t)
-		}
-		return rep, nil
-	case BeaconD, BeaconS:
-		design := core.DesignD
-		if p.Kind == BeaconS {
-			design = core.DesignS
-		}
-		cfg := core.DefaultConfig(design, p.Opts.coreOpts())
-		cfg.Obs = ob
-		cfg.Faults = p.Faults
-		cfg.FaultSeed = p.FaultSeed
-		res, err := core.Run(cfg, w.tr)
-		if err != nil {
-			return nil, err
-		}
-		rep.Faults = res.Faults
-		rep.Cycles = int64(res.Cycles)
-		rep.Seconds = res.Seconds()
-		rep.EnergyPJ = res.EnergyPJ()
-		rep.CommEnergyPJ = res.Energy.CommunicationPJ
-		rep.DRAMEnergyPJ = res.Energy.DRAMPJ
-		rep.ComputeEnergyPJ = res.Energy.ComputePJ
-		rep.WireBytes = res.Fabric.WireBytes
-		rep.HostCrossings = res.Fabric.HostCrossings
-		rep.ChipAccesses = res.CXLGChipAccesses
-		if t := res.LocalAccesses + res.RemoteAccesses; t > 0 {
-			rep.LocalFraction = float64(res.LocalAccesses) / float64(t)
-		}
-		return rep, nil
+	cfg := core.DefaultConfig(design, p.Opts.coreOpts())
+	cfg.Faults = p.Faults
+	cfg.FaultSeed = p.FaultSeed
+	return cfg
+}
+
+// setTimed fills the report fields a timed (DDR or BEACON) machine
+// measures.
+func (r *Report) setTimed(t ndp.Totals, e energy.Breakdown, wireBytes, hostCrossings uint64) {
+	r.Cycles = int64(t.Cycles)
+	r.Seconds = sim.Seconds(t.Cycles)
+	r.EnergyPJ = e.TotalPJ()
+	r.CommEnergyPJ = e.CommunicationPJ
+	r.DRAMEnergyPJ = e.DRAMPJ
+	r.ComputeEnergyPJ = e.ComputePJ
+	r.WireBytes = wireBytes
+	r.HostCrossings = hostCrossings
+	if n := t.LocalAccesses + t.RemoteAccesses; n > 0 {
+		r.LocalFraction = float64(t.LocalAccesses) / float64(n)
 	}
-	return nil, fmt.Errorf("%w: unknown platform %d", ErrBadConfig, int(p.Kind))
 }
 
 // TenantReport is one workload's share of a co-located run.
@@ -244,48 +202,69 @@ type TenantReport struct {
 	Tasks    int
 }
 
-// simulateShared is the multi-tenant simulation behind Run: it returns the
-// combined (all-tenant) report and each workload's own completion.
-func simulateShared(p Platform, wls []*Workload) (*Report, []TenantReport, error) {
-	if p.Kind != BeaconD && p.Kind != BeaconS {
-		return nil, nil, fmt.Errorf("%w: shared runs require a BEACON platform, got %v", ErrBadConfig, p.Kind)
-	}
-	design := core.DesignD
-	if p.Kind == BeaconS {
-		design = core.DesignS
-	}
-	var traces []*trace.Workload
-	names := make([]string, len(wls))
+// simulate is the simulation behind Run. One workload runs alone; several
+// share one BEACON pool, and the report then covers all of them (named
+// "shared") while the tenant reports give each one's own completion.
+func simulate(p Platform, wls []*Workload, ob *obs.Obs) (*Report, []TenantReport, error) {
 	for i, w := range wls {
 		if w == nil || w.tr == nil {
 			return nil, nil, fmt.Errorf("%w: nil workload at index %d", ErrBadConfig, i)
 		}
-		traces = append(traces, w.tr)
-		names[i] = w.Name
 	}
-	res, err := core.RunShared(core.DefaultConfig(design, p.Opts.coreOpts()), traces)
-	if err != nil {
-		return nil, nil, err
+	rep := &Report{Platform: p, Workload: wls[0].Name}
+	if len(wls) > 1 {
+		if p.Kind != BeaconD && p.Kind != BeaconS {
+			return nil, nil, fmt.Errorf("%w: shared runs require a BEACON platform, got %v", ErrBadConfig, p.Kind)
+		}
+		rep.Workload = "shared"
 	}
-	rep := &Report{
-		Platform:        p,
-		Workload:        "shared",
-		Cycles:          int64(res.Combined.Cycles),
-		Seconds:         res.Combined.Seconds(),
-		EnergyPJ:        res.Combined.EnergyPJ(),
-		CommEnergyPJ:    res.Combined.Energy.CommunicationPJ,
-		DRAMEnergyPJ:    res.Combined.Energy.DRAMPJ,
-		ComputeEnergyPJ: res.Combined.Energy.ComputePJ,
-		WireBytes:       res.Combined.Fabric.WireBytes,
-		HostCrossings:   res.Combined.Fabric.HostCrossings,
+	switch p.Kind {
+	case CPU:
+		res, err := baseline.RunCPU(baseline.DefaultCPUConfig(), wls[0].tr)
+		if err != nil {
+			return nil, nil, err
+		}
+		rep.Cycles = int64(res.Cycles)
+		rep.Seconds = res.Seconds
+		rep.EnergyPJ = res.EnergyPJ
+		rep.ComputeEnergyPJ = res.EnergyPJ
+		return rep, nil, nil
+	case DDRBaseline:
+		// Seeding and pre-alignment compare against MEDAL, k-mer counting
+		// against NEST, at PE-area parity with BEACON (§VI-A).
+		cfg := baseline.MEDALConfig()
+		if strings.HasPrefix(wls[0].Name, "kmer") {
+			cfg = baseline.NESTConfig()
+		}
+		cfg.IdealComm = p.Opts.IdealComm
+		cfg.Obs = ob
+		res, err := baseline.RunDDR(cfg, wls[0].tr)
+		if err != nil {
+			return nil, nil, err
+		}
+		rep.setTimed(res.Totals, res.Energy, res.ChannelBytes, res.HostCrossings)
+		return rep, nil, nil
+	case BeaconD, BeaconS:
+		cfg := p.coreConfig()
+		cfg.Obs = ob
+		traces := make([]*trace.Workload, len(wls))
+		for i, w := range wls {
+			traces[i] = w.tr
+		}
+		res, err := core.Run(cfg, traces...)
+		if err != nil {
+			return nil, nil, err
+		}
+		rep.setTimed(res.Totals, res.Energy, res.Fabric.WireBytes, res.Fabric.HostCrossings)
+		rep.ChipAccesses = res.CXLGChipAccesses
+		rep.Faults = res.Faults
+		var tenants []TenantReport
+		for i, t := range res.Tenants {
+			tenants = append(tenants, TenantReport{
+				Workload: wls[i].Name, Seconds: sim.Seconds(t.Cycles), Tasks: t.Tasks,
+			})
+		}
+		return rep, tenants, nil
 	}
-	var tenants []TenantReport
-	for i, sl := range res.PerWorkload {
-		tenants = append(tenants, TenantReport{
-			Workload: names[i],
-			Seconds:  sim.Seconds(sl.Cycles),
-			Tasks:    sl.Tasks,
-		})
-	}
-	return rep, tenants, nil
+	return nil, nil, fmt.Errorf("%w: unknown platform %d", ErrBadConfig, int(p.Kind))
 }

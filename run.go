@@ -1,10 +1,6 @@
 package beacon
 
-import (
-	"fmt"
-
-	"beacon/internal/obs"
-)
+import "beacon/internal/obs"
 
 // RunOption customizes a Run call. The zero option set replays the
 // workload bare: no instrumentation, no fault injection, single tenant.
@@ -15,7 +11,6 @@ type runSettings struct {
 	faults    FaultProfile
 	faultSeed uint64
 	setFaults bool
-	shared    bool
 	coRun     []*Workload
 }
 
@@ -43,12 +38,9 @@ func WithFaultInjection(profile FaultProfile, seed uint64) RunOption {
 // memory-pooling scenario: all tenants share one pool's DIMMs, fabric and
 // NDP modules, their tasks interleaving in the task schedulers. Requires a
 // BEACON platform. The result's Report aggregates all tenants; Tenants
-// lists each workload's own completion.
+// lists each workload's own completion. With no workloads it is a no-op.
 func WithCoRun(ws ...*Workload) RunOption {
-	return func(s *runSettings) {
-		s.shared = true
-		s.coRun = append(s.coRun, ws...)
-	}
+	return func(s *runSettings) { s.coRun = append(s.coRun, ws...) }
 }
 
 // RunResult is the outcome of one Run.
@@ -63,14 +55,17 @@ type RunResult struct {
 }
 
 // Run replays the workload on the platform. It is the one way to run a
-// simulation (RunSpec.Execute and the Evaluator both end here): options
-// select instrumentation (WithObserver), deterministic fault injection
-// (WithFaultInjection) and multi-tenant co-location (WithCoRun), and they
-// compose — except that co-located runs do not support an observer.
+// simulation on a Platform (RunSpec.Execute and the Evaluator both end
+// here); only the ablation sweeps, which vary machine parameters no
+// Platform names, replay custom core.Configs through core.Run instead.
+// Options select instrumentation (WithObserver), deterministic fault
+// injection (WithFaultInjection) and multi-tenant co-location (WithCoRun),
+// and they all compose: a co-located run is observed and fault-injected
+// like a single-tenant one.
 //
 // Argument errors — a nil workload, an unknown platform kind, co-location
-// on a non-BEACON platform, an observer on a co-located run — wrap
-// ErrBadConfig, so HTTPStatus maps them to 400.
+// on a non-BEACON platform — wrap ErrBadConfig, so HTTPStatus maps them to
+// 400.
 //
 // Determinism: identical platform, workload(s) and options produce a
 // byte-identical result.
@@ -83,19 +78,9 @@ func Run(p Platform, w *Workload, opts ...RunOption) (*RunResult, error) {
 		p.Faults = s.faults
 		p.FaultSeed = s.faultSeed
 	}
-	if s.shared {
-		if s.ob != nil {
-			return nil, fmt.Errorf("%w: co-located runs do not support an observer", ErrBadConfig)
-		}
-		rep, tenants, err := simulateShared(p, append([]*Workload{w}, s.coRun...))
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Report: rep, Tenants: tenants}, nil
-	}
-	rep, err := simulateOne(p, w, s.ob)
+	rep, tenants, err := simulate(p, append([]*Workload{w}, s.coRun...), s.ob)
 	if err != nil {
 		return nil, err
 	}
-	return &RunResult{Report: rep}, nil
+	return &RunResult{Report: rep, Tenants: tenants}, nil
 }

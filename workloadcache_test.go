@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"testing"
 
-	"beacon/internal/obs"
 	"beacon/internal/trace"
 	"beacon/internal/wcache"
 )
@@ -213,11 +212,7 @@ func TestRunEquivalence(t *testing.T) {
 		t.Errorf("tenants = %+v, want %s then %s", shared.Tenants, wl.Name, second.Name)
 	}
 
-	// Observer + co-run is rejected as a config error; a nil observer is
-	// a no-op and composes with anything.
-	if _, err := Run(p, wl, WithCoRun(second), WithObserver(obs.New("x"))); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("observer with co-run: %v, want ErrBadConfig", err)
-	}
+	// A nil observer is a no-op and composes with anything.
 	if _, err := Run(p, wl, WithCoRun(second), WithObserver(nil)); err != nil {
 		t.Errorf("nil observer with co-run: %v, want success", err)
 	}
