@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench lint beaconlint fmt tidy-check calibrate reachability
+.PHONY: all build test race bench perfledger lint beaconlint fmt tidy-check calibrate reachability
 
 all: build test
 
@@ -24,21 +24,23 @@ test:
 race:
 	$(GO) test -race -timeout 15m . ./internal/runner ./internal/obs ./internal/fault ./internal/sim ./internal/wcache ./internal/core ./internal/server ./internal/cliutil ./internal/ndp ./internal/baseline ./internal/cxl ./internal/memmgmt
 
-# Trace-pipeline, build-kernel, event-engine and machine-construction
-# benchmarks plus the committed comparison artifacts (BENCH_trace.json:
-# cold build vs cache-hit construction; BENCH_engine.json: calendar-queue
-# vs heap scheduling, measured in internal/sim where the heap is
-# reachable). The kernel benchmarks time one cold build's genome
-# synthesis, FM-index and hash-index builds, pre-alignment filtering and
-# multi-pass k-mer counting, and the exact k-mer counter every k-mer
-# build verifies against. BenchmarkNewMachine reports the Table I
-# machine's construction cost and allocation count, paid once per
-# simulation.
+# Micro-benchmarks. One iteration each of the trace pipeline (cold build,
+# cache-hit construction, codec), the build kernels (genome synthesis,
+# FM-index and hash-index builds, pre-alignment filtering, multi-pass and
+# exact k-mer counting) and the event queue (calendar vs reference heap);
+# then the Table I machine's construction cost and allocation count. They
+# write no file: the one committed performance baseline is the perf
+# ledger's (below).
 bench:
 	$(GO) test -run=NONE -bench='BenchmarkWorkload|BenchmarkEncodeWorkload|BenchmarkDecodeWorkload|BenchmarkBuilder|BenchmarkEngineChurn|BenchmarkFMBuild|BenchmarkHashBuild|BenchmarkFilterReads|BenchmarkCountMultiPass|BenchmarkCountExact|BenchmarkSynthesize' -benchtime=1x . ./internal/trace ./internal/sim ./internal/fmindex ./internal/hashindex ./internal/prealign ./internal/kmer ./internal/genome
 	$(GO) test -run=NONE -bench=BenchmarkNewMachine -benchmem ./internal/core
-	BEACON_BENCH_TRACE=BENCH_trace.json $(GO) test -run TestBenchTraceArtifact -v .
-	BEACON_BENCH_ENGINE=$(CURDIR)/BENCH_engine.json $(GO) test -run TestBenchEngineArtifact -v ./internal/sim
+
+# Perf ledger: rerun perfbench's replay workload (seed 1, 2 s, per-layer
+# spans) and compare it with the committed BENCH_perf.json. Simulated
+# counts must match exactly, per-layer allocation within a fixed bound;
+# host times are printed, not gated. Exits 1 naming each metric that moved.
+perfledger:
+	./tools/perfledger.sh
 
 # The repository's determinism analyzers (see DESIGN.md §4d), including
 # the dataflow-backed unitflow/seedflow/errwrap checks. Exit codes: 0

@@ -23,8 +23,6 @@ package beacon
 import (
 	"fmt"
 
-	"beacon/internal/baseline"
-	"beacon/internal/core"
 	"beacon/internal/fmindex"
 	"beacon/internal/genome"
 	"beacon/internal/hashindex"
@@ -399,9 +397,3 @@ func NewWorkload(app Application, cfg WorkloadConfig) (*Workload, error) {
 // internalTrace exposes a workload's trace to same-package harness code
 // (experiments, ablations) that drives the internal machines directly.
 func internalTrace(w *Workload) *trace.Workload { return w.tr }
-
-// Compile-time checks that the internal packages keep satisfying the facade.
-var (
-	_ = core.DefaultConfig
-	_ = baseline.DefaultDDRConfig
-)

@@ -4,14 +4,8 @@ package beacon
 // (functional kernels + builder), cache-hit construction (decode only),
 // and the codec round trip at facade level. The encode/decode micro-
 // benchmarks live in internal/trace.
-//
-// TestBenchTraceArtifact is the CI harness: when BEACON_BENCH_TRACE names
-// a file, it measures cold vs cache-hit construction via testing.Benchmark
-// and writes the comparison as JSON (committed as BENCH_trace.json).
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"beacon/internal/trace"
@@ -66,80 +60,4 @@ func BenchmarkWorkloadEncodeDecode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(data)), "encoded-bytes")
-}
-
-// benchTraceArtifact is the BENCH_trace.json schema.
-type benchTraceArtifact struct {
-	App             string  `json:"app"`
-	Species         string  `json:"species"`
-	GenomeScale     int     `json:"genome_scale"`
-	Reads           int     `json:"reads"`
-	CodecVersion    int     `json:"codec_version"`
-	TraceSteps      int     `json:"trace_steps"`
-	EncodedBytes    int     `json:"encoded_bytes"`
-	ColdNsPerOp     int64   `json:"cold_ns_per_op"`
-	CacheHitNsPerOp int64   `json:"cache_hit_ns_per_op"`
-	Speedup         float64 `json:"speedup"`
-}
-
-// TestBenchTraceArtifact measures cold vs cache-hit construction and
-// writes BENCH_trace.json. Guarded by an env var so ordinary `go test`
-// stays fast; run via `make bench` or the CI bench job.
-func TestBenchTraceArtifact(t *testing.T) {
-	path := os.Getenv("BEACON_BENCH_TRACE")
-	if path == "" {
-		t.Skip("set BEACON_BENCH_TRACE=<file> to emit the trace benchmark artifact")
-	}
-	cfg := benchWorkloadCfg()
-	wl, err := NewWorkload(FMSeeding, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc, err := OpenWorkloadCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewWorkloadCached(FMSeeding, cfg, wc); err != nil {
-		t.Fatal(err)
-	}
-	cold := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := NewWorkload(FMSeeding, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	hit := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := NewWorkloadCached(FMSeeding, cfg, wc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	art := benchTraceArtifact{
-		App:             FMSeeding.String(),
-		Species:         string(cfg.Species),
-		GenomeScale:     cfg.GenomeScale,
-		Reads:           cfg.Reads,
-		CodecVersion:    trace.CodecVersion,
-		TraceSteps:      wl.Steps,
-		EncodedBytes:    len(trace.EncodeWorkload(wl.tr)),
-		ColdNsPerOp:     cold.NsPerOp(),
-		CacheHitNsPerOp: hit.NsPerOp(),
-	}
-	if art.CacheHitNsPerOp > 0 {
-		art.Speedup = float64(art.ColdNsPerOp) / float64(art.CacheHitNsPerOp)
-	}
-	if art.Speedup < 5 {
-		t.Errorf("cache hit only %.1fx faster than cold build, want >= 5x", art.Speedup)
-	}
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("cold %v/op, cache hit %v/op (%.1fx) -> %s",
-		art.ColdNsPerOp, art.CacheHitNsPerOp, art.Speedup, path)
 }

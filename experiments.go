@@ -124,9 +124,6 @@ func speciesFor(app Application) []Species {
 	return AllSeedingSpecies()
 }
 
-// baselineFlow returns the flow the DDR baseline (NEST) uses.
-func baselineFlow(app Application) KmerFlow { return MultiPass }
-
 // String renders the figure as text tables.
 func (f *LadderFigure) String() string {
 	var b strings.Builder

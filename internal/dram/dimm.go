@@ -167,14 +167,8 @@ func NewDIMM(name string, cfg Config, coalesce int) (*DIMM, error) {
 	return d, nil
 }
 
-// Name returns the DIMM's diagnostic name.
-func (d *DIMM) Name() string { return d.name }
-
 // Config returns the DIMM configuration.
 func (d *DIMM) Config() Config { return d.cfg }
-
-// CoalesceGroup returns the configured multi-chip-coalescing group size.
-func (d *DIMM) CoalesceGroup() int { return d.coalesce }
 
 // SetInjector enables media-error injection on this DIMM.
 func (d *DIMM) SetInjector(in *fault.Injector) {

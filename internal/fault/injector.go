@@ -78,9 +78,6 @@ func NewInjector(seed uint64, prof Profile) *Injector {
 	return &Injector{seed: seed, prof: prof, seq: make(map[uint64]uint64)}
 }
 
-// Profile returns the injector's configuration.
-func (in *Injector) Profile() Profile { return in.prof }
-
 // Stats returns a copy of the fault counters.
 func (in *Injector) Stats() Stats { return in.stats }
 

@@ -233,9 +233,6 @@ func NewMapper(cfg Config, home cxl.NodeID) (*Mapper, error) {
 	return m, nil
 }
 
-// Home returns the compute node this mapper serves.
-func (m *Mapper) Home() cxl.NodeID { return m.home }
-
 // MapShared resolves one logical step into physical accesses and appends
 // them to dst, returning the extended slice; callers on the request path
 // pass a reused slice truncated to zero length, so mapping allocates

@@ -140,14 +140,6 @@ func (r *Resource) Utilization(horizon Cycle) float64 {
 	return float64(r.busy) / (float64(horizon) * float64(len(r.nextFree)))
 }
 
-// Reset clears all calendars and counters.
-func (r *Resource) Reset() {
-	clear(r.nextFree)
-	r.busy = 0
-	r.waited = 0
-	r.grants = 0
-}
-
 // Pipe models a bandwidth-limited, fixed-latency channel such as a CXL link
 // direction or a DDR data bus. Occupancy is byte-accurate: a transfer of n
 // bytes adds n/BytesPerCycle (fractional) cycles of occupancy, carried
@@ -240,10 +232,3 @@ func (p *Pipe) Width() int { return p.res.Width() }
 
 // Utilization reports occupancy over the horizon.
 func (p *Pipe) Utilization(horizon Cycle) float64 { return p.res.Utilization(horizon) }
-
-// Reset clears the pipe's calendar and counters.
-func (p *Pipe) Reset() {
-	p.res.Reset()
-	p.bytesMoved = 0
-	p.frac = 0
-}

@@ -128,7 +128,7 @@ func TestPipeConstructorValidation(t *testing.T) {
 	mustPanic(t, "Transfer(n<0)", func() { NewPipe("link", 4, 1).Transfer(0, -8) })
 }
 
-func TestPipeAccessorsAndReset(t *testing.T) {
+func TestPipeAccessors(t *testing.T) {
 	p := NewPipeN("vcs", 8, 12, 2)
 	if p.Name() != "vcs" {
 		t.Errorf("Name = %q", p.Name())
@@ -150,16 +150,6 @@ func TestPipeAccessorsAndReset(t *testing.T) {
 	}
 	if u := p.Utilization(8); u != 0.5 {
 		t.Errorf("Utilization(8) = %g, want 0.5 (one of two lanes busy)", u)
-	}
-	p.Reset()
-	if p.BytesMoved() != 0 || p.BusyCycles() != 0 {
-		t.Errorf("Reset left bytes=%d busy=%d", p.BytesMoved(), p.BusyCycles())
-	}
-	// The fractional-occupancy carry must reset too: a sub-cycle transfer
-	// after Reset starts accumulating from zero, not from stale fractions.
-	p.Transfer(0, 4)
-	if p.BusyCycles() != 0 {
-		t.Errorf("sub-cycle transfer after Reset granted %d busy cycles, want 0", p.BusyCycles())
 	}
 }
 

@@ -48,19 +48,6 @@ func TestResourceUtilization(t *testing.T) {
 	}
 }
 
-func TestResourceReset(t *testing.T) {
-	r := NewResource("x", 1)
-	r.Acquire(0, 100)
-	r.Reset()
-	s, _ := r.Acquire(0, 1)
-	if s != 0 {
-		t.Errorf("post-reset grant at %d, want 0", s)
-	}
-	if r.BusyCycles() != 1 {
-		t.Errorf("busy = %d, want 1", r.BusyCycles())
-	}
-}
-
 // Property: grants on a single-server resource never overlap, and each grant
 // starts no earlier than requested.
 func TestResourceNoOverlapProperty(t *testing.T) {

@@ -48,7 +48,8 @@ func NewBuilder(name string) *Builder {
 	return &Builder{name: name, passes: 1}
 }
 
-// SetPasses sets the number of input passes the timing model replays.
+// SetPasses records the number of input passes (Workload.Passes). It adds
+// no tasks: a builder records every pass's tasks itself.
 func (b *Builder) SetPasses(n int) { b.passes = n }
 
 // SetMergeBytes sets the one-time all-to-all merge traffic.

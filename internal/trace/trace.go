@@ -175,8 +175,9 @@ type Workload struct {
 	// SpaceBytes gives the footprint of each space; zero means unused.
 	SpaceBytes [NumSpaces]uint64
 	// Passes is the number of passes over the input the algorithm makes
-	// (NEST-style multi-pass k-mer counting = 2, everything else = 1). The
-	// timing model replays the tasks once per pass.
+	// (NEST-style multi-pass k-mer counting = 2, everything else = 1). It
+	// is a label: no timing model reads it. A second pass is modeled by the
+	// tasks its builder recorded for it, plus MergeBytes.
 	Passes int
 	// LocalSpaces marks spaces that the algorithm replicates (or hard-
 	// partitions) per processing element, so accesses to them are always

@@ -6,6 +6,13 @@
 # defined function none of them contains (symbol, length in lines,
 # file:line), then a "N functions, M lines" total.
 #
+# Blind spot: the linker keeps every exported method of a type that reaches
+# an interface when some linked code calls an interface method of the same
+# name, whether or not anything calls the method itself (`go build
+# -ldflags=-dumpdep ./cmd/beaconsim` prints such edges as
+# `type:*T <UsedInIface> -> T.M`). Such a method counts as reached here even
+# when nothing calls it; sim.(*Resource).Reset was one.
+#
 # Run from the repository root of a git checkout: `make reachability`.
 set -euo pipefail
 
