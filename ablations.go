@@ -161,7 +161,8 @@ func (e *Evaluator) AblationCXLGPerSwitch(ctx context.Context) (*AblationResult,
 }
 
 // AblationLinkBandwidth sweeps the per-DIMM CXL link bandwidth on BEACON-S
-// FM seeding (x4 through x32 PCIe 5.0 equivalents). Extra is the
+// FM seeding (x2 through x32 PCIe 5.0 equivalents at 4 GB/s per lane; the
+// default 40 B/cycle, 32 GB/s, is the Table I x8 link). Extra is the
 // communication share of energy. BEACON-S routes every access over these
 // links, so this is its most sensitive parameter.
 func (e *Evaluator) AblationLinkBandwidth(ctx context.Context) (*AblationResult, error) {
@@ -175,7 +176,7 @@ func (e *Evaluator) AblationLinkBandwidth(ctx context.Context) (*AblationResult,
 		cfg := core.DefaultConfig(core.DesignS, opts)
 		cfg.Fabric.DIMMLink.BytesPerCycle = bpc
 		points = append(points, sweepPoint{
-			label: fmt.Sprintf("x%d (%.1f GB/s)", int(bpc/10), bpc*0.8), cfg: cfg, wl: wl})
+			label: fmt.Sprintf("x%d (%.1f GB/s)", int(bpc/5), bpc*0.8), cfg: cfg, wl: wl})
 	}
 	return e.runSweep(ctx,
 		"Ablation — per-DIMM CXL link bandwidth (BEACON-S, FM seeding)",
