@@ -13,14 +13,15 @@ import (
 // This file contains ablation studies beyond the paper's figures: sweeps
 // over the design choices DESIGN.md calls out (multi-chip coalescing group
 // size, CXLG-DIMM population, CXL link bandwidth, task-scheduler queue
-// depth, pool scale). They answer "why these parameters" questions a reader
-// of the paper is left with, using the same workloads and machines as the
-// main figures.
+// depth, pool scale, row-buffer policy). They answer "why these parameters"
+// questions a reader of the paper is left with, using the same workloads and
+// machines as the main figures.
 //
-// Like the figures, each sweep enumerates its configurations as independent
-// jobs on the evaluator's worker pool and merges points by sweep order, so
-// the rendered tables are identical at any -jobs setting. Every point
-// replays the same cached, read-only workload trace on its own machine.
+// Each sweep is a description — a platform, labeled machine overrides and
+// an Extra metric — whose points run as jobs on the evaluator's pool through
+// the same memoized path as the figure cells, so they honor the fault
+// profile and the observer, and the rendered tables are identical at any
+// -jobs setting.
 
 // AblationPoint is one configuration of a sweep.
 type AblationPoint struct {
@@ -52,60 +53,53 @@ func (a *AblationResult) String() string {
 	return t.String()
 }
 
-func (a *AblationResult) finish() {
-	if len(a.Points) == 0 {
-		return
-	}
-	base := float64(a.Points[0].Cycles)
-	for i := range a.Points {
-		a.Points[i].Speedup = base / float64(a.Points[i].Cycles)
-	}
+// sweep describes one ablation: every point replays a Pinus taeda
+// workload (multi-pass) on platform with its own machine overrides.
+type sweep struct {
+	title, extraName string
+	platform         Platform
+	points           []point
+	// extra derives a point's Extra metric from its resolved machine and
+	// its run.
+	extra func(cfg core.Config, out outcome) float64
 }
 
-// sweepPoint is one machine configuration of a sweep: a label plus the
-// core.Config to run and the workload to replay on it. fixedExtra is the
-// point's Extra metric when the sweep derives it from the configuration
-// rather than the simulation result (extra == nil in runSweep).
-type sweepPoint struct {
-	label      string
-	cfg        core.Config
-	wl         *Workload
-	fixedExtra float64
+// point is one labeled configuration of a sweep.
+type point struct {
+	label string
+	app   Application
+	ov    machineOverrides
 }
 
-// runSweep executes every point on the evaluator's pool and converts the
-// per-point core results into AblationPoints via extra (or each point's
-// fixedExtra when extra is nil), in sweep order.
-func (e *Evaluator) runSweep(ctx context.Context, title, extraName string,
-	points []sweepPoint, extra func(*core.Result) float64) (*AblationResult, error) {
-	jobs := make([]runner.Job[*core.Result], len(points))
-	for i, p := range points {
-		p := p
-		jobs[i] = runner.Job[*core.Result]{
-			Label: fmt.Sprintf("%s [%s]", title, p.label),
-			Fn: func(context.Context) (*core.Result, error) {
-				return core.Run(p.cfg, internalTrace(p.wl))
+// ablation runs every point of s on the evaluator's pool and merges them
+// in sweep order.
+func (e *Evaluator) ablation(ctx context.Context, s sweep) (*AblationResult, error) {
+	jobs := make([]runner.Job[outcome], len(s.points))
+	for i, pt := range s.points {
+		label := fmt.Sprintf("%s [%s]", s.title, pt.label)
+		jobs[i] = runner.Job[outcome]{
+			Label: label,
+			Fn: func(context.Context) (outcome, error) {
+				return e.run(label, pt.app, PinusTaeda, MultiPass, s.platform, pt.ov)
 			},
 		}
 	}
-	results, err := runner.Run(ctx, e.pool, jobs)
+	outs, err := runner.Run(ctx, e.pool, jobs)
 	if err != nil {
 		return nil, err
 	}
-	out := &AblationResult{Title: title, ExtraName: extraName}
-	for i, res := range results {
-		x := points[i].fixedExtra
-		if extra != nil {
-			x = extra(res)
-		}
-		out.Points = append(out.Points, AblationPoint{
-			Label:  points[i].label,
-			Cycles: int64(res.Cycles),
-			Extra:  x,
+	res := &AblationResult{Title: s.title, ExtraName: s.extraName}
+	for i, out := range outs {
+		cfg := s.platform.coreConfig()
+		s.points[i].ov.apply(&cfg)
+		res.Points = append(res.Points, AblationPoint{
+			Label:   s.points[i].label,
+			Cycles:  out.rep.Cycles,
+			Speedup: float64(outs[0].rep.Cycles) / float64(out.rep.Cycles),
+			Extra:   s.extra(cfg, out),
 		})
 	}
-	out.finish()
-	return out, nil
+	return res, nil
 }
 
 // AblationCoalesceGroup sweeps the multi-chip coalescing group size on
@@ -115,24 +109,21 @@ func (e *Evaluator) runSweep(ctx context.Context, title, extraName string,
 // 32 B access, group 1 (per-chip) unbalances chips; 8 is the sweet spot for
 // 32 B objects on x4 chips.
 func (e *Evaluator) AblationCoalesceGroup(ctx context.Context) (*AblationResult, error) {
-	wl, err := e.workload(FMSeeding, PinusTaeda, MultiPass)
-	if err != nil {
-		return nil, err
-	}
-	var points []sweepPoint
-	for _, g := range []int{1, 2, 4, 8, 16} {
-		cfg := core.DefaultConfig(core.DesignD, core.AllOptions())
-		cfg.CoalesceGroup = g
-		points = append(points, sweepPoint{label: fmt.Sprintf("group=%d", g), cfg: cfg, wl: wl})
-	}
-	return e.runSweep(ctx,
-		"Ablation — multi-chip coalescing group size (BEACON-D, FM seeding)",
-		"overfetch", points, func(res *core.Result) float64 {
-			if res.DRAM.UsefulBytes == 0 {
+	s := sweep{
+		title:     "Ablation — multi-chip coalescing group size (BEACON-D, FM seeding)",
+		extraName: "overfetch",
+		platform:  Platform{Kind: BeaconD, Opts: AllOptimizations()},
+		extra: func(_ core.Config, out outcome) float64 {
+			if out.dram.UsefulBytes == 0 {
 				return 1.0
 			}
-			return float64(res.DRAM.TransferredBytes) / float64(res.DRAM.UsefulBytes)
-		})
+			return float64(out.dram.TransferredBytes) / float64(out.dram.UsefulBytes)
+		},
+	}
+	for _, g := range []int{1, 2, 4, 8, 16} {
+		s.points = append(s.points, point{fmt.Sprintf("group=%d", g), FMSeeding, machineOverrides{coalesceGroup: g}})
+	}
+	return e.ablation(ctx, s)
 }
 
 // AblationCXLGPerSwitch sweeps the number of enhanced CXLG-DIMMs per switch
@@ -140,24 +131,16 @@ func (e *Evaluator) AblationCoalesceGroup(ctx context.Context) (*AblationResult,
 // (zero customized DIMMs) and a fully customized pool. Extra is the local
 // access fraction.
 func (e *Evaluator) AblationCXLGPerSwitch(ctx context.Context) (*AblationResult, error) {
-	wl, err := e.workload(FMSeeding, PinusTaeda, MultiPass)
-	if err != nil {
-		return nil, err
+	s := sweep{
+		title:     "Ablation — CXLG-DIMMs per switch (BEACON-D, FM seeding)",
+		extraName: "local-frac",
+		platform:  Platform{Kind: BeaconD, Opts: AllOptimizations()},
+		extra:     func(_ core.Config, out outcome) float64 { return out.rep.LocalFraction },
 	}
-	var points []sweepPoint
 	for _, n := range []int{1, 2, 3, 4} {
-		cfg := core.DefaultConfig(core.DesignD, core.AllOptions())
-		cfg.CXLGPerSwitch = n
-		points = append(points, sweepPoint{label: fmt.Sprintf("cxlg=%d", n), cfg: cfg, wl: wl})
+		s.points = append(s.points, point{fmt.Sprintf("cxlg=%d", n), FMSeeding, machineOverrides{cxlgPerSwitch: n}})
 	}
-	return e.runSweep(ctx,
-		"Ablation — CXLG-DIMMs per switch (BEACON-D, FM seeding)",
-		"local-frac", points, func(res *core.Result) float64 {
-			if t := res.LocalAccesses + res.RemoteAccesses; t > 0 {
-				return float64(res.LocalAccesses) / float64(t)
-			}
-			return 0
-		})
+	return e.ablation(ctx, s)
 }
 
 // AblationLinkBandwidth sweeps the per-DIMM CXL link bandwidth on BEACON-S
@@ -166,23 +149,17 @@ func (e *Evaluator) AblationCXLGPerSwitch(ctx context.Context) (*AblationResult,
 // communication share of energy. BEACON-S routes every access over these
 // links, so this is its most sensitive parameter.
 func (e *Evaluator) AblationLinkBandwidth(ctx context.Context) (*AblationResult, error) {
-	wl, err := e.workload(FMSeeding, PinusTaeda, MultiPass)
-	if err != nil {
-		return nil, err
+	s := sweep{
+		title:     "Ablation — per-DIMM CXL link bandwidth (BEACON-S, FM seeding)",
+		extraName: "comm-energy",
+		platform:  Platform{Kind: BeaconS, Opts: Options{DataPacking: true, MemAccessOpt: true, Placement: true}},
+		extra:     func(_ core.Config, out outcome) float64 { return out.rep.CommEnergyRatio() },
 	}
-	opts := core.Options{DataPacking: true, MemAccessOpt: true, Placement: true}
-	var points []sweepPoint
 	for _, bpc := range []float64{10, 20, 40, 80, 160} {
-		cfg := core.DefaultConfig(core.DesignS, opts)
-		cfg.Fabric.DIMMLink.BytesPerCycle = bpc
-		points = append(points, sweepPoint{
-			label: fmt.Sprintf("x%d (%.1f GB/s)", int(bpc/5), bpc*0.8), cfg: cfg, wl: wl})
+		label := fmt.Sprintf("x%d (%.1f GB/s)", int(bpc/5), bpc*0.8)
+		s.points = append(s.points, point{label, FMSeeding, machineOverrides{linkBytesPerCycle: bpc}})
 	}
-	return e.runSweep(ctx,
-		"Ablation — per-DIMM CXL link bandwidth (BEACON-S, FM seeding)",
-		"comm-energy", points, func(res *core.Result) float64 {
-			return res.Energy.CommunicationRatio()
-		})
+	return e.ablation(ctx, s)
 }
 
 // AblationInFlight sweeps the Task Scheduler queue depth on BEACON-S FM
@@ -190,25 +167,18 @@ func (e *Evaluator) AblationLinkBandwidth(ctx context.Context) (*AblationResult,
 // fabric's bandwidth-delay product; the sweep shows throughput saturating
 // once the queue is deep enough. Extra is tasks-in-flight per PE.
 func (e *Evaluator) AblationInFlight(ctx context.Context) (*AblationResult, error) {
-	wl, err := e.workload(FMSeeding, PinusTaeda, MultiPass)
-	if err != nil {
-		return nil, err
+	s := sweep{
+		title:     "Ablation — task scheduler queue depth (BEACON-S, FM seeding)",
+		extraName: "tasks/PE",
+		platform:  Platform{Kind: BeaconS, Opts: Options{DataPacking: true, MemAccessOpt: true, Placement: true}},
+		extra: func(cfg core.Config, _ outcome) float64 {
+			return float64(cfg.InFlightPerNode) / float64(cfg.PEsPerNode)
+		},
 	}
-	opts := core.Options{DataPacking: true, MemAccessOpt: true, Placement: true}
-	var points []sweepPoint
-	for _, inflight := range []int{64, 256, 1024, 4096} {
-		cfg := core.DefaultConfig(core.DesignS, opts)
-		cfg.InFlightPerNode = inflight
-		points = append(points, sweepPoint{
-			label:      fmt.Sprintf("inflight=%d", inflight),
-			cfg:        cfg,
-			wl:         wl,
-			fixedExtra: float64(inflight) / float64(cfg.PEsPerNode),
-		})
+	for _, n := range []int{64, 256, 1024, 4096} {
+		s.points = append(s.points, point{fmt.Sprintf("inflight=%d", n), FMSeeding, machineOverrides{inFlight: n}})
 	}
-	return e.runSweep(ctx,
-		"Ablation — task scheduler queue depth (BEACON-S, FM seeding)",
-		"tasks/PE", points, nil)
+	return e.ablation(ctx, s)
 }
 
 // AblationPoolScale sweeps the pool size (switch count) on BEACON-D FM
@@ -216,24 +186,18 @@ func (e *Evaluator) AblationInFlight(ctx context.Context) (*AblationResult, erro
 // "the memory pool ... can scale-out far beyond this". Extra is the number
 // of compute nodes.
 func (e *Evaluator) AblationPoolScale(ctx context.Context) (*AblationResult, error) {
-	wl, err := e.workload(FMSeeding, PinusTaeda, MultiPass)
-	if err != nil {
-		return nil, err
+	s := sweep{
+		title:     "Ablation — pool scale-out (BEACON-D, FM seeding, fixed workload)",
+		extraName: "nodes",
+		platform:  Platform{Kind: BeaconD, Opts: AllOptimizations()},
+		extra: func(cfg core.Config, _ outcome) float64 {
+			return float64(cfg.Switches * cfg.CXLGPerSwitch)
+		},
 	}
-	var points []sweepPoint
-	for _, switches := range []int{1, 2, 4, 8} {
-		cfg := core.DefaultConfig(core.DesignD, core.AllOptions())
-		cfg.Switches = switches
-		points = append(points, sweepPoint{
-			label:      fmt.Sprintf("switches=%d", switches),
-			cfg:        cfg,
-			wl:         wl,
-			fixedExtra: float64(switches * cfg.CXLGPerSwitch),
-		})
+	for _, n := range []int{1, 2, 4, 8} {
+		s.points = append(s.points, point{fmt.Sprintf("switches=%d", n), FMSeeding, machineOverrides{switches: n}})
 	}
-	return e.runSweep(ctx,
-		"Ablation — pool scale-out (BEACON-D, FM seeding, fixed workload)",
-		"nodes", points, nil)
+	return e.ablation(ctx, s)
 }
 
 // AblationRowPolicy compares open-page and closed-page row policies on
@@ -241,31 +205,18 @@ func (e *Evaluator) AblationPoolScale(ctx context.Context) (*AblationResult, err
 // lists) and a random fine-grained one (FM seeding). Extra is the row-hit
 // fraction.
 func (e *Evaluator) AblationRowPolicy(ctx context.Context) (*AblationResult, error) {
-	var points []sweepPoint
-	for _, app := range []Application{FMSeeding, HashSeeding} {
-		wl, err := e.workload(app, PinusTaeda, MultiPass)
-		if err != nil {
-			return nil, err
-		}
-		for _, closed := range []bool{false, true} {
-			cfg := core.DefaultConfig(core.DesignD, core.AllOptions())
-			cfg.DIMM.ClosedPage = closed
-			policy := "open"
-			if closed {
-				policy = "closed"
-			}
-			points = append(points, sweepPoint{
-				label: fmt.Sprintf("%s/%s-page", app, policy), cfg: cfg, wl: wl})
-		}
+	s := sweep{
+		title:     "Ablation — row-buffer policy (BEACON-D)",
+		extraName: "row-hit-frac",
+		platform:  Platform{Kind: BeaconD, Opts: AllOptimizations()},
+		extra:     func(_ core.Config, out outcome) float64 { return out.dram.RowHitRate() },
 	}
-	return e.runSweep(ctx,
-		"Ablation — row-buffer policy (BEACON-D)",
-		"row-hit-frac", points, func(res *core.Result) float64 {
-			if total := res.DRAM.RowHits + res.DRAM.RowMisses + res.DRAM.RowConflicts; total > 0 {
-				return float64(res.DRAM.RowHits) / float64(total)
-			}
-			return 0
-		})
+	for _, app := range []Application{FMSeeding, HashSeeding} {
+		s.points = append(s.points,
+			point{fmt.Sprintf("%s/open-page", app), app, machineOverrides{}},
+			point{fmt.Sprintf("%s/closed-page", app), app, machineOverrides{closedPage: true}})
+	}
+	return e.ablation(ctx, s)
 }
 
 // AllAblations runs every sweep and renders them. The sweeps run as
@@ -282,10 +233,9 @@ func (e *Evaluator) AllAblations(ctx context.Context) (string, error) {
 	}
 	jobs := make([]runner.Job[*AblationResult], len(fns))
 	for i, fn := range fns {
-		fn := fn
 		jobs[i] = runner.Job[*AblationResult]{
 			Label: fmt.Sprintf("ablation %d", i),
-			Fn:    func(ctx context.Context) (*AblationResult, error) { return fn(ctx) },
+			Fn:    fn,
 		}
 	}
 	results, err := runner.Run(ctx, nil, jobs)

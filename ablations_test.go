@@ -2,8 +2,11 @@ package beacon
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"beacon/internal/obs"
 )
 
 func TestAblationCoalesceGroup(t *testing.T) {
@@ -106,6 +109,62 @@ func TestAblationRowPolicy(t *testing.T) {
 	for _, p := range res.Points {
 		if strings.Contains(p.Label, "closed") && p.Extra != 0 {
 			t.Errorf("%s: closed page recorded row hits (%.3f)", p.Label, p.Extra)
+		}
+	}
+}
+
+// TestAblationFaults pins that the sweeps honor the evaluator's fault
+// profile: the same sweep under the heavy profile differs from the
+// fault-free one, repeats exactly, and folds its faults into the summary.
+func TestAblationFaults(t *testing.T) {
+	t.Parallel()
+	sweep := func(opts EvalOptions) (*AblationResult, *FaultSummary) {
+		e := NewEvaluator(tinyRC(), opts)
+		res, err := e.AblationInFlight(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, e.FaultSummary()
+	}
+	clean, _ := sweep(EvalOptions{Jobs: 2})
+	heavy, summary := sweep(EvalOptions{Jobs: 2, Faults: HeavyFaultProfile(), FaultSeed: 42})
+	if reflect.DeepEqual(clean, heavy) {
+		t.Error("heavy fault profile left the ablation sweep unchanged")
+	}
+	if again, _ := sweep(EvalOptions{Jobs: 1, Faults: HeavyFaultProfile(), FaultSeed: 42}); !reflect.DeepEqual(heavy, again) {
+		t.Error("fault-injected sweep differs between jobs=2 and jobs=1")
+	}
+	if summary == nil || len(summary.Rows) != 1 || summary.Rows[0].Kind != BeaconS || summary.Rows[0].Stats.Total() == 0 {
+		t.Errorf("fault summary does not count the BEACON-S sweep: %+v", summary)
+	}
+}
+
+// TestAblationObserved pins that an observer sees every sweep point under
+// its own label, and that observing leaves the sweep unchanged.
+func TestAblationObserved(t *testing.T) {
+	t.Parallel()
+	plain, err := NewEvaluator(tinyRC(), EvalOptions{Jobs: 2}).AblationRowPolicy(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obs.NewCollection()
+	observed, err := NewEvaluator(tinyRC(), EvalOptions{Jobs: 2, Obs: col}).AblationRowPolicy(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, observed) {
+		t.Error("observability changed the row-policy sweep")
+	}
+	var b strings.Builder
+	if err := col.WriteMetricsJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if col.Len() != len(plain.Points) {
+		t.Errorf("collection has %d jobs, want %d", col.Len(), len(plain.Points))
+	}
+	for _, p := range plain.Points {
+		if !strings.Contains(b.String(), "["+p.Label+"]") {
+			t.Errorf("metrics dump missing sweep point %q", p.Label)
 		}
 	}
 }

@@ -393,7 +393,3 @@ func NewWorkload(app Application, cfg WorkloadConfig) (*Workload, error) {
 	}
 	return nil, fmt.Errorf("%w: %v", ErrUnsupportedApp, app)
 }
-
-// internalTrace exposes a workload's trace to same-package harness code
-// (experiments, ablations) that drives the internal machines directly.
-func internalTrace(w *Workload) *trace.Workload { return w.tr }

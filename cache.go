@@ -5,6 +5,49 @@ import (
 	"sync/atomic"
 )
 
+// onceMap is a singleflight memo: each key's value is computed once, by its
+// first caller, and every concurrent or later caller of that key waits for
+// it and gets the same value and error. The zero value is ready to use.
+//
+// The Evaluator keeps two, over workloads and over simulations. Consumers
+// share the values read-only — the timing simulators only read a workload's
+// trace, and no figure mutates a Report — so sharing across parallel jobs
+// is race-free (the runner stress tests run this under -race).
+type onceMap[K comparable, V any] struct {
+	mu     sync.Mutex
+	m      map[K]*onceEntry[V]
+	builds atomic.Int64
+}
+
+type onceEntry[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+// get returns the memoized value for k, computing it with build on first use.
+func (c *onceMap[K, V]) get(k K, build func() (V, error)) (V, error) {
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[K]*onceEntry[V])
+	}
+	e, ok := c.m[k]
+	if !ok {
+		e = &onceEntry[V]{}
+		c.m[k] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() {
+		c.builds.Add(1)
+		e.v, e.err = build()
+	})
+	return e.v, e.err
+}
+
+// Builds reports how many distinct keys were actually computed — the memo's
+// effectiveness metric, asserted by tests.
+func (c *onceMap[K, V]) Builds() int64 { return c.builds.Load() }
+
 // workloadKey identifies one cacheable functional-phase build. WorkloadConfig
 // is a flat struct of scalars, so the full configuration participates in the
 // key: any knob change (scale, seed, flow, MEM mode, ...) is a different
@@ -14,56 +57,11 @@ type workloadKey struct {
 	cfg WorkloadConfig
 }
 
-// workloadCache memoizes the functional phase: the synthetic genome, the
-// FM/hash indexes and the trace.Task lists are built once per configuration
-// and shared read-only by every simulation that replays them. The ladder
-// experiments re-simulate the same workload at 4-6 optimization steps (plus
-// CPU/DDR/ideal references), so this removes the dominant redundant work of
-// a figure run.
-//
-// Safe for concurrent use: each entry is built exactly once (per-entry
-// sync.Once, singleflight-style), and concurrent requesters of the same key
-// block until the first build finishes. Workloads and their traces are
-// immutable after construction — the timing simulators only read them —
-// which is what makes sharing across parallel engines race-free (the runner
-// stress tests run this under -race).
-type workloadCache struct {
-	mu     sync.Mutex
-	m      map[workloadKey]*workloadEntry
-	builds atomic.Int64
-	// disk, when non-nil, backs first-use builds with the on-disk
-	// content-addressed cache: a disk hit decodes the stored trace instead
-	// of re-running the functional phase.
-	disk *WorkloadCache
+// runKey identifies one memoized simulation: the workload, the platform
+// (fault profile and seed included) and the ablation overrides. A run is a
+// pure function of these (the determinism invariant).
+type runKey struct {
+	wl workloadKey
+	p  Platform
+	ov machineOverrides
 }
-
-type workloadEntry struct {
-	once sync.Once
-	wl   *Workload
-	err  error
-}
-
-func newWorkloadCache() *workloadCache {
-	return &workloadCache{m: make(map[workloadKey]*workloadEntry)}
-}
-
-// get returns the cached workload for (app, cfg), building it on first use.
-func (c *workloadCache) get(app Application, cfg WorkloadConfig) (*Workload, error) {
-	key := workloadKey{app: app, cfg: cfg}
-	c.mu.Lock()
-	e, ok := c.m[key]
-	if !ok {
-		e = &workloadEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		c.builds.Add(1)
-		e.wl, e.err = NewWorkloadCached(app, cfg, c.disk)
-	})
-	return e.wl, e.err
-}
-
-// Builds reports how many distinct workloads were actually constructed —
-// the cache's effectiveness metric, asserted by tests.
-func (c *workloadCache) Builds() int64 { return c.builds.Load() }

@@ -123,25 +123,6 @@ type Breakdown struct {
 // TotalPJ sums the components.
 func (b Breakdown) TotalPJ() float64 { return b.CommunicationPJ + b.DRAMPJ + b.ComputePJ }
 
-// CommunicationRatio returns communication's share of the total (0 when the
-// total is zero).
-func (b Breakdown) CommunicationRatio() float64 {
-	t := b.TotalPJ()
-	if t == 0 {
-		return 0
-	}
-	return b.CommunicationPJ / t
-}
-
-// ComputeRatio returns computation's share of the total.
-func (b Breakdown) ComputeRatio() float64 {
-	t := b.TotalPJ()
-	if t == 0 {
-		return 0
-	}
-	return b.ComputePJ / t
-}
-
 // Add accumulates another breakdown.
 func (b *Breakdown) Add(o Breakdown) {
 	b.CommunicationPJ += o.CommunicationPJ

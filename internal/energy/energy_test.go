@@ -79,16 +79,6 @@ func TestBreakdown(t *testing.T) {
 	if b.TotalPJ() != 100 {
 		t.Errorf("total = %g", b.TotalPJ())
 	}
-	if b.CommunicationRatio() != 0.3 {
-		t.Errorf("comm ratio = %g", b.CommunicationRatio())
-	}
-	if b.ComputeRatio() != 0.2 {
-		t.Errorf("compute ratio = %g", b.ComputeRatio())
-	}
-	var zero Breakdown
-	if zero.CommunicationRatio() != 0 || zero.ComputeRatio() != 0 {
-		t.Error("zero breakdown ratios should be 0")
-	}
 	b.Add(Breakdown{CommunicationPJ: 10, DRAMPJ: 10, ComputePJ: 10})
 	if b.TotalPJ() != 130 {
 		t.Errorf("after Add total = %g", b.TotalPJ())

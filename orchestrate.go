@@ -14,27 +14,30 @@ import (
 )
 
 // Evaluator orchestrates the paper's experiments over a bounded worker
-// pool. Every figure is enumerated as a flat list of independent
-// (species × platform × ladder-step) simulation jobs; the jobs execute on
-// the pool in whatever order the scheduler picks, and their results are
-// merged by job index, so an Evaluator's output is byte-identical for any
-// jobs setting — including jobs=1, which is exact serial execution.
+// pool. Every figure and ablation sweep is enumerated as a flat list of
+// independent simulation jobs (species × platform × ladder step, or sweep
+// point); the jobs execute on the pool in whatever order the scheduler
+// picks, and their results are merged by job index, so an Evaluator's
+// output is byte-identical for any jobs setting — including jobs=1, which
+// is exact serial execution.
 //
 // Each simulation stays single-threaded internally (the sim.Engine
 // determinism contract is untouched); parallelism exists only across
-// independent engines. The functional phase is shared through a per-
-// configuration workload cache: the synthetic genome, FM/hash indexes and
-// trace tasks are built once and replayed read-only by every ladder step
-// that uses them.
+// independent engines. Every job goes through one path (run) that shares
+// both phases: a workload (genome, indexes, trace tasks) is built once per
+// configuration, and a simulation runs once per distinct (workload,
+// platform, ablation overrides), however many figures ask for it.
 //
 // One Evaluator's pool is shared across all of its figure methods, so
 // concurrent coordinators (RunEvaluation fans every figure out at once)
 // still respect the single -jobs bound.
 type Evaluator struct {
-	rc    RunConfig
-	opts  EvalOptions
-	pool  *runner.Pool
-	cache *workloadCache
+	rc   RunConfig
+	opts EvalOptions
+	pool *runner.Pool
+	// cache memoizes workloads (over opts.WorkloadCache), runs simulations.
+	cache onceMap[workloadKey, *Workload]
+	runs  onceMap[runKey, outcome]
 	// faultAgg is the per-platform fault aggregate (nil when injection is
 	// off). It is commutative uint64 sums under a mutex, so it is
 	// byte-identical at any jobs width even though jobs finish in
@@ -50,12 +53,10 @@ type Evaluator struct {
 // by its ctx alone.
 func NewEvaluator(rc RunConfig, opts EvalOptions) *Evaluator {
 	e := &Evaluator{
-		rc:    rc,
-		opts:  opts,
-		pool:  runner.NewPool(opts.Jobs),
-		cache: newWorkloadCache(),
+		rc:   rc,
+		opts: opts,
+		pool: runner.NewPool(opts.Jobs),
 	}
-	e.cache.disk = opts.WorkloadCache
 	if opts.Faults.Enabled() {
 		e.faultAgg = make(map[PlatformKind]FaultStats)
 	}
@@ -64,7 +65,9 @@ func NewEvaluator(rc RunConfig, opts EvalOptions) *Evaluator {
 }
 
 // FaultSummary returns per-platform fault and recovery totals aggregated
-// over every job run so far (nil when injection is off).
+// over every job run so far (nil when injection is off). A job that reuses
+// a memoized run still adds its faults, so the table counts every job as
+// if it had simulated on its own.
 func (e *Evaluator) FaultSummary() *FaultSummary {
 	if e.faultAgg == nil {
 		return nil
@@ -95,32 +98,54 @@ func (e *Evaluator) recordFaults(kind PlatformKind, st FaultStats) {
 // Jobs returns the pool's concurrency bound.
 func (e *Evaluator) Jobs() int { return e.pool.Size() }
 
-// workload returns the cached workload for (app, sp, flow).
-func (e *Evaluator) workload(app Application, sp Species, flow KmerFlow) (*Workload, error) {
-	return e.cache.get(app, e.rc.workloadConfig(app, sp, flow))
+// workload returns the cached workload for k, building it on first use.
+func (e *Evaluator) workload(k workloadKey) (*Workload, error) {
+	return e.cache.get(k, func() (*Workload, error) {
+		return NewWorkloadCached(k.app, k.cfg, e.opts.WorkloadCache)
+	})
 }
 
-// simJob is one leaf of the job graph: build (or fetch) the workload and
-// replay it on one platform. step names the job's role in its figure (a
-// ladder step name, "cpu-ref", "ideal", ...) so failures and progress lines
-// carry the full app/species/platform/step identity.
+// run is the one simulation path of every figure cell and ablation point:
+// it replays the cached (app, sp, flow) workload on p with the ablation
+// overrides ov (zero for the figures), taking the fault profile, seed and
+// observer from EvalOptions. Unobserved runs are memoized per runKey; an
+// observed run is its consumer's own, under its label. Every consumer
+// records the run's faults.
+func (e *Evaluator) run(label string, app Application, sp Species, flow KmerFlow, p Platform, ov machineOverrides) (outcome, error) {
+	key := runKey{wl: workloadKey{app: app, cfg: e.rc.workloadConfig(app, sp, flow)}, ov: ov}
+	wl, err := e.workload(key.wl)
+	if err != nil {
+		return outcome{}, err
+	}
+	p.Faults, p.FaultSeed = e.opts.Faults, e.opts.FaultSeed
+	key.p = p
+	replay := func() (outcome, error) {
+		return simulate(p, ov, []*Workload{wl}, e.opts.Obs.New(label))
+	}
+	var out outcome
+	if e.opts.Obs != nil {
+		out, err = replay()
+	} else {
+		out, err = e.runs.get(key, replay)
+	}
+	if err != nil {
+		return outcome{}, err
+	}
+	e.recordFaults(p.Kind, out.rep.Faults)
+	return out, nil
+}
+
+// simJob is one figure cell: the run of app's (sp, flow) workload on p as a
+// pool job. step names the job's role in its figure (a ladder step name,
+// "cpu-ref", "ideal", ...) so failures and progress lines carry the full
+// app/species/platform/step identity.
 func (e *Evaluator) simJob(app Application, sp Species, flow KmerFlow, p Platform, step string) runner.Job[*Report] {
 	label := fmt.Sprintf("%s/%s/%s/%s", app, sp, p.Kind, step)
 	return runner.Job[*Report]{
 		Label: label,
 		Fn: func(context.Context) (*Report, error) {
-			wl, err := e.workload(app, sp, flow)
-			if err != nil {
-				return nil, err
-			}
-			res, err := Run(p, wl,
-				WithObserver(e.opts.Obs.New(label)),
-				WithFaultInjection(e.opts.Faults, e.opts.FaultSeed))
-			if err != nil {
-				return nil, err
-			}
-			e.recordFaults(p.Kind, res.Report.Faults)
-			return res.Report, nil
+			out, err := e.run(label, app, sp, flow, p, machineOverrides{})
+			return out.rep, err
 		},
 	}
 }
@@ -443,8 +468,11 @@ type EvalOptions struct {
 	// Progress, when non-nil, receives one line per finished simulation
 	// job (live log; completion order).
 	Progress io.Writer
-	// Obs, when non-nil, collects per-job metrics and timeline traces.
+	// Obs, when non-nil, collects per-job metrics and timeline traces, one
+	// record per figure cell and sweep point under the job's label.
 	// Observation-only: the returned Evaluation is identical either way.
+	// Observed jobs bypass the run memo, since a record comes only from
+	// running, so every job simulates on its own.
 	Obs *obs.Collection
 	// Faults applies a fault-injection profile to every BEACON simulation
 	// job (zero = off); FaultSeed seeds the deterministic fault streams.
@@ -483,67 +511,39 @@ type Evaluation struct {
 // pool of opts.Jobs workers, and each figure's merge order is fixed, so the
 // result is independent of scheduling.
 func RunEvaluation(ctx context.Context, rc RunConfig, opts EvalOptions) (*Evaluation, error) {
-	e := NewEvaluator(rc, opts)
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
+	return NewEvaluator(rc, opts).evaluate(ctx)
+}
 
+// evaluate runs every figure, and the ablations when opts.Ablations is set,
+// as concurrent coordinators over the evaluator's pool.
+func (e *Evaluator) evaluate(ctx context.Context) (*Evaluation, error) {
 	out := &Evaluation{
-		Provenance: obs.NewProvenance(rc, rc.Seed),
+		Provenance: obs.NewProvenance(e.rc, e.rc.Seed),
 		TableII:    TableII(),
 	}
-	jobs := []runner.Job[struct{}]{
-		{Label: "figure 3", Fn: func(ctx context.Context) (z struct{}, err error) {
-			out.Fig3, err = e.Figure3(ctx)
-			return z, err
-		}},
-		{Label: "figure 12", Fn: func(ctx context.Context) (z struct{}, err error) {
-			out.Fig12D, out.Fig12S, err = e.Figure12(ctx)
-			return z, err
-		}},
-		{Label: "figure 13", Fn: func(ctx context.Context) (z struct{}, err error) {
-			out.Fig13, err = e.Figure13(ctx)
-			return z, err
-		}},
-		{Label: "figure 14", Fn: func(ctx context.Context) (z struct{}, err error) {
-			out.Fig14D, out.Fig14S, err = e.Figure14(ctx)
-			return z, err
-		}},
-		{Label: "figure 15", Fn: func(ctx context.Context) (z struct{}, err error) {
-			out.Fig15D, out.Fig15S, err = e.Figure15(ctx)
-			return z, err
-		}},
-		{Label: "figure 16", Fn: func(ctx context.Context) (z struct{}, err error) {
-			out.Fig16, err = e.Figure16(ctx)
-			return z, err
-		}},
-		{Label: "figure 17 beacon-d", Fn: func(ctx context.Context) (z struct{}, err error) {
-			out.Fig17D, err = e.Figure17(ctx, BeaconD)
-			return z, err
-		}},
-		{Label: "figure 17 beacon-s", Fn: func(ctx context.Context) (z struct{}, err error) {
-			out.Fig17S, err = e.Figure17(ctx, BeaconS)
-			return z, err
-		}},
-		{Label: "summary beacon-d", Fn: func(ctx context.Context) (z struct{}, err error) {
-			out.SummaryD, err = e.OptimizationSummary(ctx, BeaconD)
-			return z, err
-		}},
-		{Label: "summary beacon-s", Fn: func(ctx context.Context) (z struct{}, err error) {
-			out.SummaryS, err = e.OptimizationSummary(ctx, BeaconS)
-			return z, err
-		}},
+	var jobs []runner.Job[struct{}]
+	add := func(label string, fn func(context.Context) error) {
+		jobs = append(jobs, runner.Job[struct{}]{Label: label, Fn: func(ctx context.Context) (struct{}, error) {
+			return struct{}{}, fn(ctx)
+		}})
 	}
-	if opts.Ablations {
-		jobs = append(jobs, runner.Job[struct{}]{
-			Label: "ablations",
-			Fn: func(ctx context.Context) (z struct{}, err error) {
-				out.Ablations, err = e.AllAblations(ctx)
-				return z, err
-			},
-		})
+	add("figure 3", func(ctx context.Context) (err error) { out.Fig3, err = e.Figure3(ctx); return })
+	add("figure 12", func(ctx context.Context) (err error) { out.Fig12D, out.Fig12S, err = e.Figure12(ctx); return })
+	add("figure 13", func(ctx context.Context) (err error) { out.Fig13, err = e.Figure13(ctx); return })
+	add("figure 14", func(ctx context.Context) (err error) { out.Fig14D, out.Fig14S, err = e.Figure14(ctx); return })
+	add("figure 15", func(ctx context.Context) (err error) { out.Fig15D, out.Fig15S, err = e.Figure15(ctx); return })
+	add("figure 16", func(ctx context.Context) (err error) { out.Fig16, err = e.Figure16(ctx); return })
+	add("figure 17 beacon-d", func(ctx context.Context) (err error) { out.Fig17D, err = e.Figure17(ctx, BeaconD); return })
+	add("figure 17 beacon-s", func(ctx context.Context) (err error) { out.Fig17S, err = e.Figure17(ctx, BeaconS); return })
+	add("summary beacon-d", func(ctx context.Context) (err error) { out.SummaryD, err = e.OptimizationSummary(ctx, BeaconD); return })
+	add("summary beacon-s", func(ctx context.Context) (err error) { out.SummaryS, err = e.OptimizationSummary(ctx, BeaconS); return })
+	if e.opts.Ablations {
+		add("ablations", func(ctx context.Context) (err error) { out.Ablations, err = e.AllAblations(ctx); return })
 	}
 	// Coordinators run unbounded; only their leaf simulations occupy pool
 	// slots. Each coordinator writes a distinct field of out.

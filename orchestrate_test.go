@@ -3,6 +3,7 @@ package beacon
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -75,40 +76,91 @@ func TestSerialParallelLadderEquivalence(t *testing.T) {
 
 // TestSerialParallelEvaluationEquivalence runs the full evaluation twice —
 // jobs=1 and jobs=8 — and asserts every figure is deeply equal. This is
-// the whole-harness version of the ladder test above.
+// the whole-harness version of the ladder test above. The second input
+// adds the ablation sweeps under the heavy fault profile, so the memoized
+// runs, the fault summary and the sweeps are held to the same contract.
 func TestSerialParallelEvaluationEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	t.Parallel()
-	serial, err := RunEvaluation(context.Background(), tinyRC(), EvalOptions{Jobs: 1})
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	parallel, err := RunEvaluation(context.Background(), tinyRC(), EvalOptions{Jobs: 8})
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Error("serial and parallel evaluations are not deeply equal")
-	}
-	// Spot-check the evaluation is populated.
-	if serial.Fig3 == nil || len(serial.Fig3.Rows) != 11 {
-		t.Error("Fig3 missing or wrong shape")
-	}
-	for _, fig := range []*LadderFigure{serial.Fig12D, serial.Fig12S, serial.Fig14D, serial.Fig14S, serial.Fig15D, serial.Fig15S} {
-		if fig == nil || len(fig.Entries) == 0 {
-			t.Fatal("ladder figure missing or empty")
+	for _, opts := range []EvalOptions{
+		{},
+		{Ablations: true, Faults: HeavyFaultProfile(), FaultSeed: 42},
+	} {
+		serialOpts, parallelOpts := opts, opts
+		serialOpts.Jobs, parallelOpts.Jobs = 1, 8
+		serial, err := RunEvaluation(context.Background(), tinyRC(), serialOpts)
+		if err != nil {
+			t.Fatalf("serial: %v", err)
+		}
+		parallel, err := RunEvaluation(context.Background(), tinyRC(), parallelOpts)
+		if err != nil {
+			t.Fatalf("parallel: %v", err)
+		}
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("ablations=%v faults=%v: serial and parallel evaluations are not deeply equal",
+				opts.Ablations, opts.Faults.Enabled())
+		}
+		// Spot-check the evaluation is populated.
+		if serial.Fig3 == nil || len(serial.Fig3.Rows) != 11 {
+			t.Error("Fig3 missing or wrong shape")
+		}
+		for _, fig := range []*LadderFigure{serial.Fig12D, serial.Fig12S, serial.Fig14D, serial.Fig14S, serial.Fig15D, serial.Fig15S} {
+			if fig == nil || len(fig.Entries) == 0 {
+				t.Fatal("ladder figure missing or empty")
+			}
+		}
+		if serial.Fig13 == nil || serial.Fig16 == nil || serial.Fig17D == nil || serial.Fig17S == nil {
+			t.Error("figure 13/16/17 missing")
+		}
+		if serial.SummaryD == nil || serial.SummaryS == nil {
+			t.Error("optimization summaries missing")
+		}
+		if (serial.Ablations != "") != opts.Ablations {
+			t.Errorf("ablations present = %v, requested = %v", serial.Ablations != "", opts.Ablations)
+		}
+		if (serial.Faults != nil) != opts.Faults.Enabled() {
+			t.Errorf("fault summary present = %v, injection = %v", serial.Faults != nil, opts.Faults.Enabled())
 		}
 	}
-	if serial.Fig13 == nil || serial.Fig16 == nil || serial.Fig17D == nil || serial.Fig17S == nil {
-		t.Error("figure 13/16/17 missing")
+}
+
+// TestRunMemo asserts the timing phase is shared like the functional phase:
+// a full evaluation with ablations asks for 281 simulations (255 figure
+// cells, 26 sweep points) but runs each distinct (workload, platform,
+// overrides) key once: 170 distinct figure runs, since the ladders'
+// CPU/DDR references, Fig. 3's DDR runs, Fig. 17 and the summaries reuse
+// ladder runs, plus 25 sweep points, since the open-page FM-seeding
+// row-policy point is Fig. 13's full-stack BEACON-D run. A second
+// evaluation on the same evaluator runs nothing new.
+func TestRunMemo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
 	}
-	if serial.SummaryD == nil || serial.SummaryS == nil {
-		t.Error("optimization summaries missing")
+	t.Parallel()
+	var log strings.Builder
+	e := NewEvaluator(tinyRC(), EvalOptions{Jobs: 4, Ablations: true, Progress: &syncBuilder{b: &log}})
+	first, err := e.evaluate(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if serial.Ablations != "" {
-		t.Error("ablations present without being requested")
+	if got := strings.Count(log.String(), " done "); got != 281 {
+		t.Errorf("evaluation ran %d simulation jobs, want 281", got)
+	}
+	const distinct = 170 + 25
+	if got := e.runs.Builds(); got != distinct {
+		t.Errorf("memo simulated %d runs, want %d distinct", got, distinct)
+	}
+	second, err := e.evaluate(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.runs.Builds(); got != distinct {
+		t.Errorf("second evaluation simulated %d new runs, want 0", got-distinct)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Error("memoized evaluation differs from the first")
 	}
 }
 
@@ -127,11 +179,12 @@ func TestWorkloadCache(t *testing.T) {
 		t.Errorf("cache built %d workloads, want 2", got)
 	}
 
-	cached, err := e.workload(KmerCounting, Human, MultiPass)
+	cfg := e.rc.workloadConfig(KmerCounting, Human, MultiPass)
+	cached, err := e.workload(workloadKey{app: KmerCounting, cfg: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewWorkload(KmerCounting, e.rc.workloadConfig(KmerCounting, Human, MultiPass))
+	fresh, err := NewWorkload(KmerCounting, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"beacon/internal/baseline"
 	"beacon/internal/core"
+	"beacon/internal/dram"
 	"beacon/internal/energy"
 	"beacon/internal/fault"
 	"beacon/internal/ndp"
@@ -202,19 +203,61 @@ type TenantReport struct {
 	Tasks    int
 }
 
-// simulate is the simulation behind Run. One workload runs alone; several
-// share one BEACON pool, and the report then covers all of them (named
-// "shared") while the tenant reports give each one's own completion.
-func simulate(p Platform, wls []*Workload, ob *obs.Obs) (*Report, []TenantReport, error) {
+// machineOverrides are the machine parameters the ablation sweeps vary
+// beyond what a Platform names. The zero value keeps every platform default
+// (Run passes it); the struct is comparable, so it keys the Evaluator's run
+// memo.
+type machineOverrides struct {
+	coalesceGroup     int     // multi-chip coalescing group size
+	cxlgPerSwitch     int     // CXLG-DIMMs per switch (BEACON-D)
+	linkBytesPerCycle float64 // per-DIMM CXL link bandwidth
+	inFlight          int     // Task Scheduler in-flight tasks per node
+	switches          int     // pool switch count
+	closedPage        bool    // closed-page row-buffer policy
+}
+
+// apply sets every non-zero override on cfg.
+func (o machineOverrides) apply(cfg *core.Config) {
+	override(&cfg.CoalesceGroup, o.coalesceGroup)
+	override(&cfg.CXLGPerSwitch, o.cxlgPerSwitch)
+	override(&cfg.Fabric.DIMMLink.BytesPerCycle, o.linkBytesPerCycle)
+	override(&cfg.InFlightPerNode, o.inFlight)
+	override(&cfg.Switches, o.switches)
+	override(&cfg.DIMM.ClosedPage, o.closedPage)
+}
+
+// override sets *dst to v unless v is the zero value.
+func override[T comparable](dst *T, v T) {
+	var zero T
+	if v != zero {
+		*dst = v
+	}
+}
+
+// outcome is one simulation's result: the report, the co-located tenants,
+// and the DRAM counters (BEACON platforms only) that the ablation sweeps
+// read but Report does not expose.
+type outcome struct {
+	rep     *Report
+	tenants []TenantReport
+	dram    dram.Stats
+}
+
+// simulate is the simulation behind Run and the Evaluator. One workload runs
+// alone; several share one BEACON pool, and the report then covers all of
+// them (named "shared") while the tenant reports give each one's own
+// completion. ov overrides the BEACON machine's defaults.
+func simulate(p Platform, ov machineOverrides, wls []*Workload, ob *obs.Obs) (outcome, error) {
 	for i, w := range wls {
 		if w == nil || w.tr == nil {
-			return nil, nil, fmt.Errorf("%w: nil workload at index %d", ErrBadConfig, i)
+			return outcome{}, fmt.Errorf("%w: nil workload at index %d", ErrBadConfig, i)
 		}
 	}
-	rep := &Report{Platform: p, Workload: wls[0].Name}
+	out := outcome{rep: &Report{Platform: p, Workload: wls[0].Name}}
+	rep := out.rep
 	if len(wls) > 1 {
 		if p.Kind != BeaconD && p.Kind != BeaconS {
-			return nil, nil, fmt.Errorf("%w: shared runs require a BEACON platform, got %v", ErrBadConfig, p.Kind)
+			return outcome{}, fmt.Errorf("%w: shared runs require a BEACON platform, got %v", ErrBadConfig, p.Kind)
 		}
 		rep.Workload = "shared"
 	}
@@ -222,13 +265,13 @@ func simulate(p Platform, wls []*Workload, ob *obs.Obs) (*Report, []TenantReport
 	case CPU:
 		res, err := baseline.RunCPU(baseline.DefaultCPUConfig(), wls[0].tr)
 		if err != nil {
-			return nil, nil, err
+			return outcome{}, err
 		}
 		rep.Cycles = int64(res.Cycles)
 		rep.Seconds = res.Seconds
 		rep.EnergyPJ = res.EnergyPJ
 		rep.ComputeEnergyPJ = res.EnergyPJ
-		return rep, nil, nil
+		return out, nil
 	case DDRBaseline:
 		// Seeding and pre-alignment compare against MEDAL, k-mer counting
 		// against NEST, at PE-area parity with BEACON (§VI-A).
@@ -240,12 +283,13 @@ func simulate(p Platform, wls []*Workload, ob *obs.Obs) (*Report, []TenantReport
 		cfg.Obs = ob
 		res, err := baseline.RunDDR(cfg, wls[0].tr)
 		if err != nil {
-			return nil, nil, err
+			return outcome{}, err
 		}
 		rep.setTimed(res.Totals, res.Energy, res.ChannelBytes, res.HostCrossings)
-		return rep, nil, nil
+		return out, nil
 	case BeaconD, BeaconS:
 		cfg := p.coreConfig()
+		ov.apply(&cfg)
 		cfg.Obs = ob
 		traces := make([]*trace.Workload, len(wls))
 		for i, w := range wls {
@@ -253,18 +297,18 @@ func simulate(p Platform, wls []*Workload, ob *obs.Obs) (*Report, []TenantReport
 		}
 		res, err := core.Run(cfg, traces...)
 		if err != nil {
-			return nil, nil, err
+			return outcome{}, err
 		}
 		rep.setTimed(res.Totals, res.Energy, res.Fabric.WireBytes, res.Fabric.HostCrossings)
 		rep.ChipAccesses = res.CXLGChipAccesses
 		rep.Faults = res.Faults
-		var tenants []TenantReport
+		out.dram = res.DRAM
 		for i, t := range res.Tenants {
-			tenants = append(tenants, TenantReport{
+			out.tenants = append(out.tenants, TenantReport{
 				Workload: wls[i].Name, Seconds: sim.Seconds(t.Cycles), Tasks: t.Tasks,
 			})
 		}
-		return rep, tenants, nil
+		return out, nil
 	}
-	return nil, nil, fmt.Errorf("%w: unknown platform %d", ErrBadConfig, int(p.Kind))
+	return outcome{}, fmt.Errorf("%w: unknown platform %d", ErrBadConfig, int(p.Kind))
 }

@@ -55,9 +55,9 @@ type RunResult struct {
 }
 
 // Run replays the workload on the platform. It is the one way to run a
-// simulation on a Platform (RunSpec.Execute and the Evaluator both end
-// here); only the ablation sweeps, which vary machine parameters no
-// Platform names, replay custom core.Configs through core.Run instead.
+// simulation on a Platform: RunSpec.Execute ends here, and the Evaluator's
+// jobs call the same simulation function, adding only the ablation sweeps'
+// machine overrides.
 // Options select instrumentation (WithObserver), deterministic fault
 // injection (WithFaultInjection) and multi-tenant co-location (WithCoRun),
 // and they all compose: a co-located run is observed and fault-injected
@@ -78,9 +78,9 @@ func Run(p Platform, w *Workload, opts ...RunOption) (*RunResult, error) {
 		p.Faults = s.faults
 		p.FaultSeed = s.faultSeed
 	}
-	rep, tenants, err := simulate(p, append([]*Workload{w}, s.coRun...), s.ob)
+	out, err := simulate(p, machineOverrides{}, append([]*Workload{w}, s.coRun...), s.ob)
 	if err != nil {
 		return nil, err
 	}
-	return &RunResult{Report: rep, Tenants: tenants}, nil
+	return &RunResult{Report: out.rep, Tenants: out.tenants}, nil
 }

@@ -48,7 +48,7 @@ for b in "$d"/bin/*; do go tool nm "$b"; done |
 git ls-files '*.go' ':!*_test.go' ':!perfbench/*' ':!*/testdata/*' | xargs grep -L '^package main' |
 	xargs awk 'FNR == 1 { dir = FILENAME; sub(/\/?[^\/]*$/, "", dir); pkg = "beacon" (dir == "" ? "" : "/" dir) }
 		/^func / { s = $0; sym = pkg "."
-			if (match(s, /^func \([^)]*\) /)) { n = split(substr(s, 7, RLENGTH - 8), r, " "); t = r[n]; sub(/\[.*/, "", t); sym = sym (t ~ /^\*/ ? "(" t ")." : t "."); s = substr(s, RLENGTH + 1) } else s = substr(s, 6)
+			if (match(s, /^func \([^)]*\) /)) { rc = substr(s, 7, RLENGTH - 8); sub(/\[.*/, "", rc); n = split(rc, r, " "); t = r[n]; sym = sym (t ~ /^\*/ ? "(" t ")." : t "."); s = substr(s, RLENGTH + 1) } else s = substr(s, 6)
 			sub(/[^A-Za-z0-9_].*/, "", s); sym = sym s; start = FNR }
 		start && (/^}/ || (FNR == start && /}$/)) { print sym, FNR - start + 1, FILENAME ":" start; start = 0 }' |
 	sort > "$d/funcs"

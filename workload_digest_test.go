@@ -83,7 +83,7 @@ func TestWorkloadDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
 		}
-		fmt.Fprintf(&sb, "%s %x\n", c.label, sha256.Sum256(trace.EncodeWorkload(internalTrace(wl))))
+		fmt.Fprintf(&sb, "%s %x\n", c.label, sha256.Sum256(trace.EncodeWorkload(wl.tr)))
 	}
 	got := sb.String()
 	path := filepath.Join("testdata", "workload_digests.txt")
