@@ -1,9 +1,14 @@
 package beacon
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 )
+
+// errBuildPanicked is what waiters on a onceMap key get when its build
+// panicked: the panic itself surfaces in the job that ran the build.
+var errBuildPanicked = errors.New("beacon: memoized build panicked")
 
 // onceMap is a singleflight memo: each key's value is computed once, by its
 // first caller, and every concurrent or later caller of that key waits for
@@ -39,6 +44,7 @@ func (c *onceMap[K, V]) get(k K, build func() (V, error)) (V, error) {
 	c.mu.Unlock()
 	e.once.Do(func() {
 		c.builds.Add(1)
+		e.err = errBuildPanicked // left in place only if build panics
 		e.v, e.err = build()
 	})
 	return e.v, e.err

@@ -526,24 +526,56 @@ func (e *Evaluator) evaluate(ctx context.Context) (*Evaluation, error) {
 		Provenance: obs.NewProvenance(e.rc, e.rc.Seed),
 		TableII:    TableII(),
 	}
-	var jobs []runner.Job[struct{}]
-	add := func(label string, fn func(context.Context) error) {
-		jobs = append(jobs, runner.Job[struct{}]{Label: label, Fn: func(ctx context.Context) (struct{}, error) {
-			return struct{}{}, fn(ctx)
-		}})
+	jobs := []runner.Job[struct{}]{
+		{Label: "figure 3", Fn: func(ctx context.Context) (z struct{}, err error) {
+			out.Fig3, err = e.Figure3(ctx)
+			return z, err
+		}},
+		{Label: "figure 12", Fn: func(ctx context.Context) (z struct{}, err error) {
+			out.Fig12D, out.Fig12S, err = e.Figure12(ctx)
+			return z, err
+		}},
+		{Label: "figure 13", Fn: func(ctx context.Context) (z struct{}, err error) {
+			out.Fig13, err = e.Figure13(ctx)
+			return z, err
+		}},
+		{Label: "figure 14", Fn: func(ctx context.Context) (z struct{}, err error) {
+			out.Fig14D, out.Fig14S, err = e.Figure14(ctx)
+			return z, err
+		}},
+		{Label: "figure 15", Fn: func(ctx context.Context) (z struct{}, err error) {
+			out.Fig15D, out.Fig15S, err = e.Figure15(ctx)
+			return z, err
+		}},
+		{Label: "figure 16", Fn: func(ctx context.Context) (z struct{}, err error) {
+			out.Fig16, err = e.Figure16(ctx)
+			return z, err
+		}},
+		{Label: "figure 17 beacon-d", Fn: func(ctx context.Context) (z struct{}, err error) {
+			out.Fig17D, err = e.Figure17(ctx, BeaconD)
+			return z, err
+		}},
+		{Label: "figure 17 beacon-s", Fn: func(ctx context.Context) (z struct{}, err error) {
+			out.Fig17S, err = e.Figure17(ctx, BeaconS)
+			return z, err
+		}},
+		{Label: "summary beacon-d", Fn: func(ctx context.Context) (z struct{}, err error) {
+			out.SummaryD, err = e.OptimizationSummary(ctx, BeaconD)
+			return z, err
+		}},
+		{Label: "summary beacon-s", Fn: func(ctx context.Context) (z struct{}, err error) {
+			out.SummaryS, err = e.OptimizationSummary(ctx, BeaconS)
+			return z, err
+		}},
 	}
-	add("figure 3", func(ctx context.Context) (err error) { out.Fig3, err = e.Figure3(ctx); return })
-	add("figure 12", func(ctx context.Context) (err error) { out.Fig12D, out.Fig12S, err = e.Figure12(ctx); return })
-	add("figure 13", func(ctx context.Context) (err error) { out.Fig13, err = e.Figure13(ctx); return })
-	add("figure 14", func(ctx context.Context) (err error) { out.Fig14D, out.Fig14S, err = e.Figure14(ctx); return })
-	add("figure 15", func(ctx context.Context) (err error) { out.Fig15D, out.Fig15S, err = e.Figure15(ctx); return })
-	add("figure 16", func(ctx context.Context) (err error) { out.Fig16, err = e.Figure16(ctx); return })
-	add("figure 17 beacon-d", func(ctx context.Context) (err error) { out.Fig17D, err = e.Figure17(ctx, BeaconD); return })
-	add("figure 17 beacon-s", func(ctx context.Context) (err error) { out.Fig17S, err = e.Figure17(ctx, BeaconS); return })
-	add("summary beacon-d", func(ctx context.Context) (err error) { out.SummaryD, err = e.OptimizationSummary(ctx, BeaconD); return })
-	add("summary beacon-s", func(ctx context.Context) (err error) { out.SummaryS, err = e.OptimizationSummary(ctx, BeaconS); return })
 	if e.opts.Ablations {
-		add("ablations", func(ctx context.Context) (err error) { out.Ablations, err = e.AllAblations(ctx); return })
+		jobs = append(jobs, runner.Job[struct{}]{
+			Label: "ablations",
+			Fn: func(ctx context.Context) (z struct{}, err error) {
+				out.Ablations, err = e.AllAblations(ctx)
+				return z, err
+			},
+		})
 	}
 	// Coordinators run unbounded; only their leaf simulations occupy pool
 	// slots. Each coordinator writes a distinct field of out.

@@ -2,6 +2,7 @@ package beacon
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -202,6 +203,24 @@ func TestWorkloadCache(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("cached and fresh workloads simulate differently")
+	}
+}
+
+// TestOnceMapPanic asserts a build that panics leaves its key failed, so
+// later callers get an error instead of a zero value.
+func TestOnceMapPanic(t *testing.T) {
+	t.Parallel()
+	var m onceMap[int, *Report]
+	func() {
+		defer func() { _ = recover() }()
+		_, _ = m.get(1, func() (*Report, error) { panic("boom") })
+	}()
+	rep, err := m.get(1, func() (*Report, error) { return &Report{}, nil })
+	if rep != nil || !errors.Is(err, errBuildPanicked) {
+		t.Errorf("after a panicked build: get = %v, %v; want nil, errBuildPanicked", rep, err)
+	}
+	if got := m.Builds(); got != 1 {
+		t.Errorf("Builds() = %d, want 1", got)
 	}
 }
 
