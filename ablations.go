@@ -90,8 +90,7 @@ func (e *Evaluator) ablation(ctx context.Context, s sweep) (*AblationResult, err
 	}
 	res := &AblationResult{Title: s.title, ExtraName: s.extraName}
 	for i, out := range outs {
-		cfg := s.platform.coreConfig()
-		s.points[i].ov.apply(&cfg)
+		cfg := s.platform.machine(s.points[i].ov)
 		res.Points = append(res.Points, AblationPoint{
 			Label:   s.points[i].label,
 			Cycles:  out.rep.Cycles,

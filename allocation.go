@@ -61,7 +61,7 @@ func SimulateWithAllocation(p Platform, w *Workload, opts AllocationOptions) (*A
 	if opts.TenantFraction < 0 || opts.TenantFraction > 1 {
 		return nil, fmt.Errorf("beacon: tenant fraction %g out of [0,1]", opts.TenantFraction)
 	}
-	cfg := p.coreConfig()
+	cfg := p.machine(machineOverrides{})
 	pool := memmgmt.PoolLayout{
 		Switches:       cfg.Switches,
 		DIMMsPerSwitch: cfg.DIMMsPerSwitch,

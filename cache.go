@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+
+	"beacon/internal/core"
 )
 
 // errBuildPanicked is what waiters on a onceMap key get when its build
@@ -64,10 +66,12 @@ type workloadKey struct {
 }
 
 // runKey identifies one memoized simulation: the workload, the platform
-// (fault profile and seed included) and the ablation overrides. A run is a
-// pure function of these (the determinism invariant).
+// (fault profile and seed included) and, on BEACON, the machine it resolves
+// to under the ablation overrides, so a sweep point that equals the
+// platform default shares the default's run. A run is a pure function of
+// these (the determinism invariant).
 type runKey struct {
 	wl workloadKey
 	p  Platform
-	ov machineOverrides
+	m  core.Config
 }

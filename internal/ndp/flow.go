@@ -115,18 +115,18 @@ type Walker struct {
 	onHop, onPhase, onRetry sim.Handler
 }
 
-// walk is one placed piece in flight through its flow: phase i started at
-// t, hops is its position on the current route, and tries counts the
-// current DRAM phase's retries.
+// walk is one placed piece in flight through its flow, which points into
+// the walker's tables: phase i started at t, hops is its position on the
+// current route, and tries counts the current DRAM phase's retries.
 type walk struct {
-	flow  Flow
+	flow  *Flow
 	home  cxl.NodeID
 	pa    memmgmt.PlacedAccess
 	tag   int32
-	i     int
+	i     int32
 	t     sim.Cycle
 	hops  cxl.Cursor
-	tries int
+	tries int32
 }
 
 // Walk serves one placed piece of an op issued by home at now: it walks the
@@ -136,9 +136,9 @@ func (w *Walker) Walk(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedAccess, o
 	if w.onHop == nil {
 		w.onHop, w.onPhase, w.onRetry = w.hopDelivered, w.phaseDue, w.retryDue
 	}
-	flow := w.Flows.Remote[op]
+	flow := &w.Flows.Remote[op]
 	if pa.Node == home {
-		flow = w.Flows.Local[op]
+		flow = &w.Flows.Local[op]
 	}
 	idx := w.walks.get()
 	w.walks.recs[idx] = walk{flow: flow, home: home, pa: pa, tag: tag}
@@ -148,12 +148,13 @@ func (w *Walker) Walk(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedAccess, o
 // run starts phase i of record idx at t.
 func (w *Walker) run(idx int32, i int, t sim.Cycle) {
 	k := &w.walks.recs[idx]
-	if i == len(k.flow) {
+	flow := *k.flow
+	if i == len(flow) {
 		w.release(idx, t, nil)
 		return
 	}
-	k.i, k.t = i, t
-	ph := k.flow[i]
+	k.i, k.t = int32(i), t
+	ph := flow[i]
 	switch ph.kind {
 	case phaseRoute:
 		from, to := k.node(ph.from), k.node(ph.to)
@@ -186,20 +187,20 @@ func (w *Walker) hop(idx int32, t sim.Cycle) {
 		w.Engine.Post(d, w.onHop, idx)
 		return
 	}
-	w.run(idx, k.i+1, t)
+	w.run(idx, int(k.i)+1, t)
 }
 
 // access performs record idx's DRAM phase at t, re-issuing it after the
 // Retry hook's backoff while the hook allows.
 func (w *Walker) access(idx int32, t sim.Cycle) {
 	k := &w.walks.recs[idx]
-	done, err := w.Access(t, k.pa, k.flow[k.i].kind == phaseWrite)
+	done, err := w.Access(t, k.pa, (*k.flow)[k.i].kind == phaseWrite)
 	if err == nil {
-		w.after(idx, k.i+1, done)
+		w.after(idx, int(k.i)+1, done)
 		return
 	}
 	if w.Retry != nil {
-		if backoff, ok := w.Retry(t, err, k.tries); ok {
+		if backoff, ok := w.Retry(t, err, int(k.tries)); ok {
 			k.tries++
 			w.Engine.Post(t+backoff, w.onRetry, idx)
 			return
@@ -212,17 +213,17 @@ func (w *Walker) access(idx int32, t sim.Cycle) {
 // atomic phase.
 func (w *Walker) after(idx int32, i int, t sim.Cycle) {
 	k := &w.walks.recs[idx]
-	if i == len(k.flow) || k.flow[i].kind == phaseAtomic {
+	if flow := *k.flow; i == len(flow) || flow[i].kind == phaseAtomic {
 		w.run(idx, i, t)
 		return
 	}
-	k.i, k.t = i, t
+	k.i, k.t = int32(i), t
 	w.Engine.Post(t, w.onPhase, idx)
 }
 
 // The event handlers resume a record where it left off.
 func (w *Walker) hopDelivered(idx int32) { w.hop(idx, w.walks.recs[idx].t) }
-func (w *Walker) phaseDue(idx int32)     { w.run(idx, w.walks.recs[idx].i, w.walks.recs[idx].t) }
+func (w *Walker) phaseDue(idx int32)     { w.run(idx, int(w.walks.recs[idx].i), w.walks.recs[idx].t) }
 func (w *Walker) retryDue(idx int32)     { w.access(idx, w.Engine.Now()) }
 
 // release frees record idx and reports its piece: done at t, or failed

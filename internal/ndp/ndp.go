@@ -68,6 +68,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Depth returns the Task Scheduler's capacity: QueueDepth, or 16 tasks per
+// PE when it is zero.
+func (c Config) Depth() int {
+	if c.QueueDepth == 0 {
+		return c.PEs * 16
+	}
+	return c.QueueDepth
+}
+
 // Module is one instantiated NDP module.
 type Module struct {
 	cfg     Config
@@ -93,16 +102,12 @@ func New(name string, cfg Config) (*Module, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	limit := cfg.QueueDepth
-	if limit == 0 {
-		limit = cfg.PEs * 16
-	}
 	return &Module{
 		cfg:     cfg,
 		name:    name,
 		pes:     sim.NewResource(name+".pes", cfg.PEs),
 		atomics: sim.NewResource(name+".atomic", cfg.AtomicEngines),
-		limit:   limit,
+		limit:   cfg.Depth(),
 	}, nil
 }
 

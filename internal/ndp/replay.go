@@ -86,19 +86,25 @@ type Replay struct {
 	stepLatency *obs.Histogram
 }
 
+// walkHeadroom is the walk records Run reserves beyond the bound on tasks
+// in flight. A task has one step out at a time, but a step's pieces can
+// overlap its successor's: over 4 apps on BEACON-D, BEACON-S and DDR with
+// 6 seeds each (perfbench replay's mix, 72 runs), the walk slab peaked at
+// most 3 records past the task count.
+const walkHeadroom = 8
+
 // taskRun is one admitted task in flight: where it runs, when it started,
 // and the current step's state. The step was issued at issue, its pieces
-// go out from home when the PE finishes at tc, and it completes when the
-// last of remaining pieces is back, at latest.
+// go out from the task's home (Replay.home) when the PE finishes at tc,
+// and it completes when the last of remaining pieces is back, at latest.
 type taskRun struct {
 	task      *trace.Task
-	node      int
+	node      int32
 	onHost    bool
 	start     sim.Cycle
-	step      int
+	step      int32
+	remaining int32
 	issue, tc sim.Cycle
-	home      cxl.NodeID
-	remaining int
 	latest    sim.Cycle
 }
 
@@ -183,6 +189,19 @@ func (r *Replay) Run(wl *trace.Workload) (Totals, error) {
 		// scheduled, so timing is untouched.
 		r.engine.OnAdvance = func(now sim.Cycle) { r.ob.MaybeSample(int64(now)) }
 	}
+	// Size the in-flight state once. Every task is admitted at cycle 0
+	// when the tasks fit the schedulers, and every slot is full when they
+	// do not, so n bounds the tasks in flight in both regimes. Each node's
+	// backlog takes its round-robin share. Host fallback and steps that
+	// fan out wide grow past the reservation by append.
+	inFlight, share := 0, (len(wl.Tasks)+len(r.nodes)-1)/len(r.nodes)
+	for _, nd := range r.nodes {
+		inFlight += nd.Module.limit
+		nd.Module.pending = make([]*trace.Task, 0, share)
+	}
+	n := min(len(wl.Tasks), inFlight)
+	r.tasks.reserve(n)
+	r.w.walks.reserve(n + walkHeadroom)
 	for i := range wl.Tasks {
 		r.nodes[i%len(r.nodes)].Module.Enqueue(&wl.Tasks[i])
 	}
@@ -228,7 +247,7 @@ func (r *Replay) begin(node int, task *trace.Task, now sim.Cycle, onHost bool) {
 		return
 	}
 	idx := r.tasks.get()
-	r.tasks.recs[idx] = taskRun{task: task, node: node, onHost: onHost, start: now}
+	r.tasks.recs[idx] = taskRun{task: task, node: int32(node), onHost: onHost, start: now}
 	r.runStep(idx, now)
 }
 
@@ -239,8 +258,8 @@ func (r *Replay) runStep(idx int32, now sim.Cycle) {
 		return
 	}
 	rec := &r.tasks.recs[idx]
-	task, node := rec.task, rec.node
-	if rec.step >= len(task.Steps) {
+	task, node := rec.task, int(rec.node)
+	if int(rec.step) >= len(task.Steps) {
 		r.tot.Tasks++
 		if r.ob != nil {
 			r.ob.Tracer().Span(r.taskTracks[node], "task", int64(rec.start), int64(now))
@@ -261,19 +280,17 @@ func (r *Replay) runStep(idx int32, now sim.Cycle) {
 	// PE compute preceding the access: the full engine latency for a new
 	// logical operation, one pipeline cycle for a continuation access.
 	var tc sim.Cycle
-	home := n.Home
 	if rec.onHost {
 		// Degraded software path: a host CPU thread services the step with
 		// the per-step fallback penalty, and reaches the data (still placed
 		// for the failed node) across the fabric.
 		_, tc = r.hostCPU.Acquire(now, sim.Cycles(r.faults.HostFallbackCycles+int(st.Compute)))
-		home = cxl.Host()
 	} else {
 		tc = n.Module.Compute(now, task.Engine, st)
 	}
 	// Issue the pieces when the PE finishes computing; the step completes
 	// when every piece has returned.
-	rec.issue, rec.tc, rec.home, rec.latest = now, tc, home, tc
+	rec.issue, rec.tc, rec.latest = now, tc, tc
 	r.engine.Post(tc, r.onIssue, idx)
 }
 
@@ -294,15 +311,25 @@ func (r *Replay) issue(idx int32) {
 		r.fail(err)
 		return
 	}
-	rec.remaining = len(placed)
+	rec.remaining = int32(len(placed))
+	home := r.home(rec)
 	for _, pa := range placed {
-		if pa.Node == rec.home {
+		if pa.Node == home {
 			r.tot.LocalAccesses++
 		} else {
 			r.tot.RemoteAccesses++
 		}
-		r.w.Walk(rec.tc, rec.home, pa, st.Op, idx)
+		r.w.Walk(rec.tc, home, pa, st.Op, idx)
 	}
+}
+
+// home is where rec's pieces go out from: its node, or the host CPU after
+// a fallback.
+func (r *Replay) home(rec *taskRun) cxl.NodeID {
+	if rec.onHost {
+		return cxl.Host()
+	}
+	return r.nodes[rec.node].Home
 }
 
 // pieceDone is the walker's Done: a piece of record tag's step is back at

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"beacon/internal/cxl"
 	"beacon/internal/memmgmt"
@@ -97,5 +98,53 @@ func TestReplaySurfacesServeError(t *testing.T) {
 	r, _ := testReplay(t, 2, 5)
 	if _, err := r.Run(testWorkload(6)); err == nil || err.Error() != "serve failed" {
 		t.Fatalf("err = %v, want the serve failure", err)
+	}
+}
+
+// TestRecordSizes guards the in-flight records' layout: both slabs hold one
+// record per task or piece in flight, so a field that widens them costs
+// every run. The bounds are the 64-bit sizes and hold on 32-bit too.
+func TestRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(taskRun{}); got > 56 {
+		t.Errorf("taskRun is %d bytes, want at most 56", got)
+	}
+	if got := unsafe.Sizeof(walk{}); got > 160 {
+		t.Errorf("walk is %d bytes, want at most 160", got)
+	}
+}
+
+// TestReplayPresizesSlabs pins the presize rule: when the tasks fit the
+// schedulers every one is in flight at once, so the task slab ends full
+// at exactly its reserved capacity, never regrown, and the walk slab
+// within its reservation.
+func TestReplayPresizesSlabs(t *testing.T) {
+	r, _ := testReplay(t, 3, -1) // 3 nodes of depth 2
+	const tasks = 5
+	if _, err := r.Run(testWorkload(tasks)); err != nil {
+		t.Fatal(err)
+	}
+	if n, c := len(r.tasks.recs), cap(r.tasks.recs); n != tasks || c != tasks {
+		t.Errorf("task slab len/cap = %d/%d, want %d/%d", n, c, tasks, tasks)
+	}
+	if n, c := len(r.w.walks.recs), cap(r.w.walks.recs); n > c || c != tasks+walkHeadroom {
+		t.Errorf("walk slab len/cap = %d/%d, want len within cap %d", n, c, tasks+walkHeadroom)
+	}
+}
+
+// TestReplayBoundedByQueueDepth pins the other regime: with fewer
+// scheduler slots than tasks, the task slab never holds more records
+// than the slots, and that is all it reserves.
+func TestReplayBoundedByQueueDepth(t *testing.T) {
+	r, _ := testReplay(t, 3, -1) // 3 nodes of depth 2
+	const slots = 6
+	tot, err := r.Run(testWorkload(4 * slots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tot.Tasks != 4*slots {
+		t.Fatalf("completed %d tasks, want %d", tot.Tasks, 4*slots)
+	}
+	if n, c := len(r.tasks.recs), cap(r.tasks.recs); n > slots || c != slots {
+		t.Errorf("task slab len/cap = %d/%d, want at most %d records in a slab of %d", n, c, slots, slots)
 	}
 }

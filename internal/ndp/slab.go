@@ -2,10 +2,18 @@ package ndp
 
 // slab keeps in-flight records by int32 index, the argument a typed engine
 // event carries. Released records are reused before the slab grows, so it
-// grows only to the peak number in flight.
+// grows only to the peak number in flight. Replay.Run reserves both of a
+// machine's slabs once, at the bound on what they will hold; a peak past
+// the reservation still grows by append.
 type slab[T any] struct {
 	recs []T
 	free []int32
+}
+
+// reserve gives an empty slab room for n records and their free indexes.
+func (s *slab[T]) reserve(n int) {
+	s.recs = make([]T, 0, n)
+	s.free = make([]int32, 0, n)
 }
 
 // get returns the index of a zero record.

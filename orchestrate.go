@@ -112,13 +112,16 @@ func (e *Evaluator) workload(k workloadKey) (*Workload, error) {
 // observed run is its consumer's own, under its label. Every consumer
 // records the run's faults.
 func (e *Evaluator) run(label string, app Application, sp Species, flow KmerFlow, p Platform, ov machineOverrides) (outcome, error) {
-	key := runKey{wl: workloadKey{app: app, cfg: e.rc.workloadConfig(app, sp, flow)}, ov: ov}
+	key := runKey{wl: workloadKey{app: app, cfg: e.rc.workloadConfig(app, sp, flow)}}
 	wl, err := e.workload(key.wl)
 	if err != nil {
 		return outcome{}, err
 	}
 	p.Faults, p.FaultSeed = e.opts.Faults, e.opts.FaultSeed
 	key.p = p
+	if p.Kind == BeaconD || p.Kind == BeaconS {
+		key.m = p.machine(ov)
+	}
 	replay := func() (outcome, error) {
 		return simulate(p, ov, []*Workload{wl}, e.opts.Obs.New(label))
 	}

@@ -130,11 +130,14 @@ func TestSerialParallelEvaluationEquivalence(t *testing.T) {
 // TestRunMemo asserts the timing phase is shared like the functional phase:
 // a full evaluation with ablations asks for 281 simulations (255 figure
 // cells, 26 sweep points) but runs each distinct (workload, platform,
-// overrides) key once: 170 distinct figure runs, since the ladders'
+// resolved machine) key once: 170 distinct figure runs, since the ladders'
 // CPU/DDR references, Fig. 3's DDR runs, Fig. 17 and the summaries reuse
-// ladder runs, plus 25 sweep points, since the open-page FM-seeding
-// row-policy point is Fig. 13's full-stack BEACON-D run. A second
-// evaluation on the same evaluator runs nothing new.
+// ladder runs, plus 20 sweep points. Six points resolve to a figure's
+// machine: the open-page FM-seeding row-policy point, group=8, cxlg=2 and
+// switches=2 are Fig. 13's full-stack BEACON-D run, and the x8 link and
+// inflight=4096 (16 tasks per PE, the default depth) are Fig. 12's
+// BEACON-S final step. A second evaluation on the same evaluator runs
+// nothing new.
 func TestRunMemo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -149,7 +152,7 @@ func TestRunMemo(t *testing.T) {
 	if got := strings.Count(log.String(), " done "); got != 281 {
 		t.Errorf("evaluation ran %d simulation jobs, want 281", got)
 	}
-	const distinct = 170 + 25
+	const distinct = 170 + 20
 	if got := e.runs.Builds(); got != distinct {
 		t.Errorf("memo simulated %d runs, want %d distinct", got, distinct)
 	}

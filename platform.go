@@ -167,9 +167,12 @@ func (r *Report) EnergyReductionOver(other *Report) float64 {
 	return stats.Speedup(other.EnergyPJ, r.EnergyPJ)
 }
 
-// coreConfig resolves a BEACON platform to the machine it runs: the design,
-// the optimization ladder, and the fault profile and seed.
-func (p Platform) coreConfig() core.Config {
+// machine resolves a BEACON platform under ablation overrides ov to the
+// machine it runs: the design, the optimization ladder, the fault profile
+// and seed, every non-zero override, and the Task Scheduler depth the NDP
+// modules use. Equal machines run equal simulations, so the Evaluator's
+// run memo keys on it.
+func (p Platform) machine(ov machineOverrides) core.Config {
 	design := core.DesignD
 	if p.Kind == BeaconS {
 		design = core.DesignS
@@ -177,6 +180,8 @@ func (p Platform) coreConfig() core.Config {
 	cfg := core.DefaultConfig(design, p.Opts.coreOpts())
 	cfg.Faults = p.Faults
 	cfg.FaultSeed = p.FaultSeed
+	ov.apply(&cfg)
+	cfg.InFlightPerNode = ndp.Config{PEs: cfg.PEsPerNode, QueueDepth: cfg.InFlightPerNode}.Depth()
 	return cfg
 }
 
@@ -205,8 +210,7 @@ type TenantReport struct {
 
 // machineOverrides are the machine parameters the ablation sweeps vary
 // beyond what a Platform names. The zero value keeps every platform default
-// (Run passes it); the struct is comparable, so it keys the Evaluator's run
-// memo.
+// (Run passes it).
 type machineOverrides struct {
 	coalesceGroup     int     // multi-chip coalescing group size
 	cxlgPerSwitch     int     // CXLG-DIMMs per switch (BEACON-D)
@@ -288,8 +292,7 @@ func simulate(p Platform, ov machineOverrides, wls []*Workload, ob *obs.Obs) (ou
 		rep.setTimed(res.Totals, res.Energy, res.ChannelBytes, res.HostCrossings)
 		return out, nil
 	case BeaconD, BeaconS:
-		cfg := p.coreConfig()
-		ov.apply(&cfg)
+		cfg := p.machine(ov)
 		cfg.Obs = ob
 		traces := make([]*trace.Workload, len(wls))
 		for i, w := range wls {
