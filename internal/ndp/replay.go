@@ -87,10 +87,10 @@ type Replay struct {
 }
 
 // walkHeadroom is the walk records Run reserves beyond the bound on tasks
-// in flight. A task has one step out at a time, but a step's pieces can
-// overlap its successor's: over 4 apps on BEACON-D, BEACON-S and DDR with
-// 6 seeds each (perfbench replay's mix, 72 runs), the walk slab peaked at
-// most 3 records past the task count.
+// in flight. A task has one step out at a time, but a step may place more
+// than one piece: over 4 apps on BEACON-D, BEACON-S and DDR with 6 seeds
+// each (perfbench replay's mix, 72 runs), the walk slab peaked at most 3
+// records past the task count.
 const walkHeadroom = 8
 
 // taskRun is one admitted task in flight: where it runs, when it started,
