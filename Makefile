@@ -28,12 +28,14 @@ race:
 # cache-hit construction, codec), the build kernels (genome synthesis,
 # FM-index and hash-index builds, pre-alignment filtering, multi-pass and
 # exact k-mer counting) and the event queue (calendar vs reference heap);
-# then the Table I machine's construction cost and allocation count. They
-# write no file: the one committed performance baseline is the perf
-# ledger's (below).
+# then the Table I machine's construction cost and allocation count, and
+# the timeline tracer's cost and allocation per recorded span. They write
+# no file: the one committed performance baseline is the perf ledger's
+# (below).
 bench:
 	$(GO) test -run=NONE -bench='BenchmarkWorkload|BenchmarkEncodeWorkload|BenchmarkDecodeWorkload|BenchmarkBuilder|BenchmarkEngineChurn|BenchmarkFMBuild|BenchmarkHashBuild|BenchmarkFilterReads|BenchmarkCountMultiPass|BenchmarkCountExact|BenchmarkSynthesize' -benchtime=1x . ./internal/trace ./internal/sim ./internal/fmindex ./internal/hashindex ./internal/prealign ./internal/kmer ./internal/genome
 	$(GO) test -run=NONE -bench=BenchmarkNewMachine -benchmem ./internal/core
+	$(GO) test -run=NONE -bench=BenchmarkTracerSpan -benchmem ./internal/obs
 
 # Perf ledger: rerun perfbench's replay workload (seed 1, 2 s, per-layer
 # spans) and compare it with the committed BENCH_perf.json. Simulated

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+	"unsafe"
 )
 
 // Track identifies one horizontal timeline row in the trace viewer (one
@@ -11,40 +12,63 @@ import (
 // valid and maps to tid 0.
 type Track int
 
-// event kinds, mirroring Chrome trace_event phases.
+// Event phases, mirroring Chrome trace_event phases.
 const (
-	phComplete = "X" // span with duration
-	phInstant  = "i" // point event
+	phComplete byte = 'X' // span with duration
+	phInstant  byte = 'i' // point event
 )
 
-// traceEvent is one recorded timeline entry. Times are simulated DRAM bus
-// cycles (1.25 ns each); the exporter keeps them as integer ts values so
-// golden outputs are exact.
+// traceEvent is one recorded timeline entry. It holds no pointers, so the
+// chunks that store events are never scanned by the garbage collector: the
+// span name is an index into the tracer's intern table and the phase is a
+// byte. Times are simulated DRAM bus cycles (1.25 ns each); the exporter
+// keeps them as integer ts values so golden outputs are exact.
 type traceEvent struct {
-	ph    string
-	track Track
-	name  string
 	start int64
 	dur   int64
+	track int32
+	name  uint16 // index into Tracer.names
+	ph    byte
 }
+
+const (
+	// chunkEvents is how many events one storage chunk holds: as many as
+	// fit in 32 KB, so a chunk is a small, size-classed allocation.
+	chunkEvents = 32 << 10 / int(unsafe.Sizeof(traceEvent{}))
+	// scanNames is how many interned names a lookup compares in order
+	// before it consults the map. The producers use fewer distinct names
+	// than this, all constants, so their lookups never hash a string.
+	scanNames = 16
+	// maxNames bounds the intern table to what traceEvent.name indexes.
+	maxNames = 1 << 16
+)
 
 // Tracer records component activity spans in simulated time and exports
 // them as Chrome trace_event JSON loadable in Perfetto or chrome://tracing.
 // All methods are safe on a nil Tracer (one branch, no recording) and safe
 // for concurrent use. Recording stops at Cap events; the overflow is
-// counted in Dropped rather than silently growing memory.
+// counted in Dropped rather than silently growing memory. Events are
+// stored in chunks of at most chunkEvents, each allocated once at its
+// final capacity, so recording never copies an earlier event.
 type Tracer struct {
 	mu     sync.Mutex
 	tracks []string
 	byName map[string]Track
-	events []traceEvent
-	// cap bounds len(events); <=0 means DefaultTraceCap.
+	// names interns span names in first-use order; nameIdx indexes the
+	// names past the first scanNames (nil until there are that many).
+	names   []string
+	nameIdx map[string]uint16
+	// chunks hold the events in recording order; every chunk but the last
+	// is full.
+	chunks [][]traceEvent
+	n      int // recorded events, the sum of the chunks' lengths
+	// cap bounds n; <=0 means DefaultTraceCap.
 	cap     int
 	dropped uint64
 }
 
-// DefaultTraceCap bounds a tracer's event memory (~48 B/event) unless
-// overridden with NewTracerCap.
+// DefaultTraceCap bounds a tracer's event memory (24 B/event, so 24 MB)
+// unless overridden with NewTracerCap.
 const DefaultTraceCap = 1 << 20
 
 // NewTracer returns a tracer with the default event cap.
@@ -76,14 +100,53 @@ func (t *Tracer) Track(name string) Track {
 	return id
 }
 
-// record appends one event, honoring the cap.
-func (t *Tracer) record(ev traceEvent) {
-	t.mu.Lock()
-	if len(t.events) >= t.cap {
-		t.dropped++
-	} else {
-		t.events = append(t.events, ev)
+// intern returns name's index in the intern table, adding it on first use.
+// It reports false when the table is full; the caller drops the event.
+func (t *Tracer) intern(name string) (uint16, bool) {
+	for i, s := range t.names[:min(len(t.names), scanNames)] {
+		if s == name {
+			return uint16(i), true
+		}
 	}
+	if i, ok := t.nameIdx[name]; ok {
+		return i, true
+	}
+	if len(t.names) == maxNames {
+		return 0, false
+	}
+	i := uint16(len(t.names))
+	t.names = append(t.names, name)
+	if len(t.names) > scanNames {
+		if t.nameIdx == nil {
+			t.nameIdx = map[string]uint16{}
+		}
+		t.nameIdx[name] = i
+	}
+	return i, true
+}
+
+// record appends one event, honoring the cap. An event whose name would
+// overflow the intern table is dropped too.
+func (t *Tracer) record(track Track, name string, ph byte, start, dur int64) {
+	t.mu.Lock()
+	id, ok := uint16(0), t.n < t.cap
+	if ok {
+		id, ok = t.intern(name)
+	}
+	if !ok {
+		t.dropped++
+		t.mu.Unlock()
+		return
+	}
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
+		t.chunks = append(t.chunks, make([]traceEvent, 0, min(chunkEvents, t.cap-t.n)))
+		last++
+	}
+	t.chunks[last] = append(t.chunks[last], traceEvent{
+		start: start, dur: dur, track: int32(track), name: id, ph: ph,
+	})
+	t.n++
 	t.mu.Unlock()
 }
 
@@ -93,11 +156,7 @@ func (t *Tracer) Span(track Track, name string, start, end int64) {
 	if t == nil {
 		return
 	}
-	dur := end - start
-	if dur < 0 {
-		dur = 0
-	}
-	t.record(traceEvent{ph: phComplete, track: track, name: name, start: start, dur: dur})
+	t.record(track, name, phComplete, start, max(end-start, 0))
 }
 
 // Instant records a point event on a track.
@@ -105,7 +164,7 @@ func (t *Tracer) Instant(track Track, name string, at int64) {
 	if t == nil {
 		return
 	}
-	t.record(traceEvent{ph: phInstant, track: track, name: name, start: at})
+	t.record(track, name, phInstant, at, 0)
 }
 
 // Events returns the number of recorded events.
@@ -115,10 +174,10 @@ func (t *Tracer) Events() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	return t.n
 }
 
-// Dropped returns how many events the cap discarded.
+// Dropped returns how many events the cap (or a full name table) discarded.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
@@ -161,23 +220,25 @@ func (t *Tracer) chromeEvents(pid int) []chromeEvent {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]chromeEvent, 0, len(t.tracks)+len(t.events))
+	out := make([]chromeEvent, 0, len(t.tracks)+t.n)
 	for tid, name := range t.tracks {
 		out = append(out, chromeEvent{
 			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
 			Args: &chromeArgs{Name: name},
 		})
 	}
-	for _, ev := range t.events {
-		ce := chromeEvent{Name: ev.name, Ph: ev.ph, Ts: ev.start, Pid: pid, Tid: int(ev.track)}
-		switch ev.ph {
-		case phComplete:
-			dur := ev.dur
-			ce.Dur = &dur
-		case phInstant:
-			ce.S = "t" // thread-scoped instant
+	for _, chunk := range t.chunks {
+		for _, ev := range chunk {
+			ce := chromeEvent{Name: t.names[ev.name], Ph: string(ev.ph), Ts: ev.start, Pid: pid, Tid: int(ev.track)}
+			switch ev.ph {
+			case phComplete:
+				dur := ev.dur
+				ce.Dur = &dur
+			case phInstant:
+				ce.S = "t" // thread-scoped instant
+			}
+			out = append(out, ce)
 		}
-		out = append(out, ce)
 	}
 	return out
 }

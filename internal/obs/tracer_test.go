@@ -2,8 +2,11 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestTracerNilSafety(t *testing.T) {
@@ -142,5 +145,171 @@ func TestNilCollection(t *testing.T) {
 	}
 	if !json.Valid([]byte(b.String())) {
 		t.Fatal("nil collection trace must still be valid JSON")
+	}
+}
+
+// TestTraceEventLayout pins the stored record: at most 24 bytes and free
+// of pointers, so event chunks are never scanned by the garbage collector,
+// and a chunk fits a 32 KB size class. It holds on 32-bit platforms too.
+func TestTraceEventLayout(t *testing.T) {
+	size := unsafe.Sizeof(traceEvent{})
+	if size > 24 {
+		t.Errorf("traceEvent is %d bytes, want at most 24", size)
+	}
+	if f, ok := pointerField(reflect.TypeOf(traceEvent{})); ok {
+		t.Errorf("traceEvent holds a pointer in %s", f)
+	}
+	if chunk := uintptr(chunkEvents) * size; chunk > 32<<10 {
+		t.Errorf("a chunk of %d events is %d bytes, want at most 32 KB", chunkEvents, chunk)
+	}
+}
+
+// pointerField names the first field of typ whose memory holds a pointer.
+func pointerField(typ reflect.Type) (string, bool) {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+		return typ.String(), true
+	case reflect.Array:
+		if typ.Len() > 0 {
+			return pointerField(typ.Elem())
+		}
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if f, ok := pointerField(typ.Field(i).Type); ok {
+				return typ.Field(i).Name + "." + f, true
+			}
+		}
+	}
+	return "", false
+}
+
+// straightTrace renders what a tracer holding exactly the given events in
+// one list exports: the reference the chunked storage must match.
+func straightTrace(t *testing.T, tracks []string, events []chromeEvent) string {
+	t.Helper()
+	var out []chromeEvent
+	for tid, name := range tracks {
+		out = append(out, chromeEvent{
+			Name: "thread_name", Ph: "M", Pid: 1, Tid: tid,
+			Args: &chromeArgs{Name: name},
+		})
+	}
+	var b strings.Builder
+	if err := writeChromeTrace(&b, append(out, events...)); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestTracerChunksExportStraight records more than two chunks of mixed
+// spans and instants, so events straddle chunk boundaries, under a cap
+// that falls mid-chunk and under one that is never reached. Both must
+// export the bytes of a straight list of the kept events, in order.
+func TestTracerChunksExportStraight(t *testing.T) {
+	names := []string{"xfer", "compute", "rmw", "read", "write", "task", "dram-ecc"}
+	tracks := []string{"bus", "pes", "dimm"}
+	total := 2*chunkEvents + chunkEvents/3
+	for _, limit := range []int{chunkEvents + chunkEvents/2, total + 1} {
+		tr := NewTracerCap(limit)
+		var want []chromeEvent
+		for i := range total {
+			track := tr.Track(tracks[i%len(tracks)])
+			name := names[i%len(names)]
+			start := int64(3 * i)
+			ce := chromeEvent{Name: name, Ts: start, Pid: 1, Tid: int(track)}
+			if i%5 == 4 {
+				tr.Instant(track, name, start)
+				ce.Ph, ce.S = "i", "t"
+			} else {
+				dur := int64(i % 11)
+				tr.Span(track, name, start, start+dur)
+				ce.Ph, ce.Dur = "X", &dur
+			}
+			if len(want) < limit {
+				want = append(want, ce)
+			}
+		}
+		if tr.Events() != len(want) || tr.Dropped() != uint64(total-len(want)) {
+			t.Fatalf("cap %d: events/dropped = %d/%d, want %d/%d",
+				limit, tr.Events(), tr.Dropped(), len(want), total-len(want))
+		}
+		var got strings.Builder
+		if err := tr.WriteChromeTrace(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != straightTrace(t, tracks, want) {
+			t.Errorf("cap %d: chunked export differs from the straight list", limit)
+		}
+	}
+}
+
+// TestTracerInternTable covers names past the scanned prefix (found by
+// map) and a full table, whose new names are dropped and counted.
+func TestTracerInternTable(t *testing.T) {
+	tr := NewTracer()
+	tk := tr.Track("t")
+	var want []chromeEvent
+	for i := range 2 * scanNames {
+		for _, name := range []string{fmt.Sprint("n", i), "n0"} {
+			tr.Instant(tk, name, int64(i))
+			want = append(want, chromeEvent{Name: name, Ph: "i", Ts: int64(i), Pid: 1, S: "t"})
+		}
+	}
+	var got strings.Builder
+	if err := tr.WriteChromeTrace(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != straightTrace(t, []string{"t"}, want) {
+		t.Error("interned names do not export as recorded")
+	}
+
+	full := NewTracer()
+	for i := range maxNames {
+		full.Instant(0, fmt.Sprint(i), 0)
+	}
+	full.Instant(0, "one too many", 0)
+	full.Instant(0, "0", 0)
+	if full.Events() != maxNames+1 || full.Dropped() != 1 {
+		t.Errorf("full intern table: events/dropped = %d/%d, want %d/1",
+			full.Events(), full.Dropped(), maxNames+1)
+	}
+}
+
+// TestTracerSpanAllocs pins the steady state: a chunk's worth of spans
+// allocates one chunk and nothing per event.
+func TestTracerSpanAllocs(t *testing.T) {
+	tr := NewTracer()
+	bus, dimm := tr.Track("bus"), tr.Track("dimm")
+	var at int64
+	allocs := testing.AllocsPerRun(50, func() {
+		for range chunkEvents / 2 {
+			tr.Span(bus, "xfer", at, at+4)
+			tr.Span(dimm, "read", at, at+9)
+			at++
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("%d spans allocate %.0f times, want at most one chunk", chunkEvents, allocs)
+	}
+}
+
+// BenchmarkTracerSpan measures the cost of recording one span, cycling
+// through the producers' span names and a few tracks as a machine does. A
+// fresh tracer takes over every perTracer spans, so memory stays bounded
+// at any b.N.
+func BenchmarkTracerSpan(b *testing.B) {
+	const perTracer = 64 << 10
+	names := []string{"xfer", "compute", "rmw", "read", "write", "task"}
+	var tr *Tracer
+	var tracks []Track
+	b.ReportAllocs()
+	for i := range b.N {
+		if i%perTracer == 0 {
+			tr = NewTracerCap(perTracer)
+			tracks = []Track{tr.Track("link"), tr.Track("pes"), tr.Track("atomics"), tr.Track("dimm")}
+		}
+		at := int64(i)
+		tr.Span(tracks[i%len(tracks)], names[i%len(names)], at, at+8)
 	}
 }
