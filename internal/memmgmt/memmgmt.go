@@ -233,6 +233,36 @@ func NewMapper(cfg Config, home cxl.NodeID) (*Mapper, error) {
 	return m, nil
 }
 
+// Granules returns, for non-spatial and for spatial steps, the largest
+// block size every split point of this mapper's placement is a multiple
+// of, taken over every DIMM kind in the pool: the stripe and the
+// interleaving units for hot data, the stripe and the row segments for
+// row-major spatial data. A step therefore maps to at most as many pieces
+// as the blocks of its kind's granule that its bytes touch.
+func (m *Mapper) Granules() (hot, spatial uint64) {
+	c := m.cfg
+	row := uint64(c.DIMM.RowBytes)
+	hot = CommonGranule(c.StripeBytes, 64)
+	if c.Scheme != SchemeArchData {
+		return hot, hot // the fixed scheme interleaves everything at 64 B
+	}
+	spatial = CommonGranule(c.StripeBytes, uint64(c.DIMM.ChipsPerRank)*row)
+	if c.Pool.CXLGSlots > 0 {
+		hot = CommonGranule(hot, max(c.FineUnitBytes, uint64(c.CoalesceGroup*c.DIMM.ChipIOBytes)))
+		spatial = CommonGranule(spatial, uint64(c.CoalesceGroup)*row)
+	}
+	return hot, spatial
+}
+
+// CommonGranule returns the largest block size that both a and b are
+// multiples of (their greatest common divisor); 0 acts as the identity.
+func CommonGranule(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
 // MapShared resolves one logical step into physical accesses and appends
 // them to dst, returning the extended slice; callers on the request path
 // pass a reused slice truncated to zero length, so mapping allocates

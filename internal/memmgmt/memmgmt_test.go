@@ -323,3 +323,38 @@ func TestSchemeString(t *testing.T) {
 		t.Error("scheme names broken")
 	}
 }
+
+// Property: a step maps to at most as many pieces as the blocks of its
+// kind's granule (Granules) that it touches, on every scheme, group width,
+// pool shape and home, including stripe and unit sizes that are not powers
+// of two.
+func TestGranuleBoundsPieces(t *testing.T) {
+	configs := []func(*Config){
+		nil,
+		func(c *Config) { c.Scheme = SchemeFixed },
+		func(c *Config) { c.CoalesceGroup = 1 },
+		func(c *Config) { c.Pool.CXLGSlots = 0 },
+		func(c *Config) { c.StripeBytes, c.FineUnitBytes = 1000, 48 },
+		func(c *Config) { c.DIMM.RowBytes = 24 },
+	}
+	homes := []cxl.NodeID{cxl.DIMM(0, 0), cxl.DIMM(1, 2), cxl.Switch(1), cxl.Host()}
+	for ci, mut := range configs {
+		for _, home := range homes {
+			m := mapperFor(t, mut, home)
+			hot, spatialG := m.Granules()
+			prop := func(addr uint32, size uint16, space uint8, spatial, local, shared bool) bool {
+				sz := uint32(size) + 1
+				pieces, err := m.MapShared(nil, trace.Space(space%uint8(trace.NumSpaces)), uint64(addr), sz, spatial, local, shared)
+				g := hot
+				if spatial {
+					g = spatialG
+				}
+				blocks := (uint64(addr)%g + uint64(sz) + g - 1) / g
+				return err == nil && uint64(len(pieces)) <= blocks
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+				t.Errorf("config %d, home %v (granules %d, %d): %v", ci, home, hot, spatialG, err)
+			}
+		}
+	}
+}

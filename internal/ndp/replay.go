@@ -86,13 +86,6 @@ type Replay struct {
 	stepLatency *obs.Histogram
 }
 
-// walkHeadroom is the walk records Run reserves beyond the bound on tasks
-// in flight. A task has one step out at a time, but a step may place more
-// than one piece: over 4 apps on BEACON-D, BEACON-S and DDR with 6 seeds
-// each (perfbench replay's mix, 72 runs), the walk slab peaked at most 3
-// records past the task count.
-const walkHeadroom = 8
-
 // taskRun is one admitted task in flight: where it runs, when it started,
 // and the current step's state. The step was issued at issue, its pieces
 // go out from the task's home (Replay.home) when the PE finishes at tc,
@@ -191,17 +184,22 @@ func (r *Replay) Run(wl *trace.Workload) (Totals, error) {
 	}
 	// Size the in-flight state once. Every task is admitted at cycle 0
 	// when the tasks fit the schedulers, and every slot is full when they
-	// do not, so n bounds the tasks in flight in both regimes. Each node's
-	// backlog takes its round-robin share. Host fallback and steps that
-	// fan out wide grow past the reservation by append.
+	// do not, so n bounds the tasks in flight in both regimes. Each has
+	// one step out, so the pieces in flight are bounded by the n largest
+	// per-task fan-outs at the nodes' common mapping granules. Each node's
+	// backlog takes its round-robin share. Host fallback (tasks in flight
+	// past n) grows past the reservation by append.
 	inFlight, share := 0, (len(wl.Tasks)+len(r.nodes)-1)/len(r.nodes)
+	var hot, spatial uint64
 	for _, nd := range r.nodes {
 		inFlight += nd.Module.limit
 		nd.Module.pending = make([]*trace.Task, 0, share)
+		h, s := nd.Mapper.Granules()
+		hot, spatial = memmgmt.CommonGranule(hot, h), memmgmt.CommonGranule(spatial, s)
 	}
 	n := min(len(wl.Tasks), inFlight)
 	r.tasks.reserve(n)
-	r.w.walks.reserve(n + walkHeadroom)
+	r.w.walks.reserve(wl.PieceBound(hot, spatial, n))
 	for i := range wl.Tasks {
 		r.nodes[i%len(r.nodes)].Module.Enqueue(&wl.Tasks[i])
 	}

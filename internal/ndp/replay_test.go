@@ -126,8 +126,44 @@ func TestReplayPresizesSlabs(t *testing.T) {
 	if n, c := len(r.tasks.recs), cap(r.tasks.recs); n != tasks || c != tasks {
 		t.Errorf("task slab len/cap = %d/%d, want %d/%d", n, c, tasks, tasks)
 	}
-	if n, c := len(r.w.walks.recs), cap(r.w.walks.recs); n > c || c != tasks+walkHeadroom {
-		t.Errorf("walk slab len/cap = %d/%d, want len within cap %d", n, c, tasks+walkHeadroom)
+	// Every step touches one 32 B block: one piece per task in flight.
+	if n, c := len(r.w.walks.recs), cap(r.w.walks.recs); n > c || c != tasks {
+		t.Errorf("walk slab len/cap = %d/%d, want len within cap %d", n, c, tasks)
+	}
+}
+
+// TestReplayWalkSlabNeverRegrows pins the walk reservation on steps that
+// fan out: each task's second step spans seven 32 B blocks, the tasks are
+// all in flight at once, every piece waits an event between two DRAM
+// phases so the pieces overlap, and the walk slab must hold them all
+// within the capacity Run reserved from the workload's per-task peaks.
+func TestReplayWalkSlabNeverRegrows(t *testing.T) {
+	r, _ := testReplay(t, 3, -1) // 3 nodes of depth 2
+	two := [...]Flow{{DRAMRead, DRAMRead}, {DRAMRead, DRAMRead}, {DRAMRead, DRAMRead}}
+	r.w.Flows = Flows{Local: two, Remote: two}
+	const tasks, fanout = 6, 7
+	wl := testWorkload(tasks)
+	for i := range wl.Tasks {
+		wl.Tasks[i].Steps[1] = trace.Step{Space: trace.SpaceOcc, Addr: uint64(i)*256 + 16, Size: 200}
+	}
+	hot, spatial := r.nodes[0].Mapper.Granules()
+	if got := wl.PieceBound(hot, spatial, tasks); got != tasks*fanout {
+		t.Fatalf("PieceBound = %d, want %d", got, tasks*fanout)
+	}
+	tot, err := r.Run(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tot.Tasks != tasks {
+		t.Fatalf("completed %d tasks, want %d", tot.Tasks, tasks)
+	}
+	n, c := len(r.w.walks.recs), cap(r.w.walks.recs)
+	if c != tasks*fanout || n > c {
+		t.Errorf("walk slab len/cap = %d/%d, want cap %d (never regrown) and len within it",
+			n, c, tasks*fanout)
+	}
+	if n <= tasks {
+		t.Errorf("walk slab peaked at %d records: the steps did not fan out", n)
 	}
 }
 

@@ -9,7 +9,10 @@
 // and the timing models are verified against queueing-theory expectations.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Space identifies a logical data structure placed in the memory pool. The
 // memory-management framework (internal/memmgmt) decides which DIMMs hold
@@ -189,6 +192,41 @@ type Workload struct {
 	// MergeBytes is extra all-to-all traffic paid once (e.g. merging local
 	// Bloom filters into the global filter and redistributing it).
 	MergeBytes uint64
+}
+
+// PieceBound bounds the placed pieces n of the workload's tasks can have
+// out at once, one step each, when every split point of the placement is a
+// multiple of hot for non-spatial steps and of spatial for spatial ones
+// (memmgmt.Mapper.Granules): the sum of the n largest per-task peaks,
+// where a task's peak is the most granule-aligned blocks one of its steps
+// touches. Blocks are counted at the largest power of two dividing each
+// granule, which every split point is a multiple of too, so counting
+// shifts rather than divides. It reads each step once.
+func (w *Workload) PieceBound(hot, spatial uint64, n int) int {
+	hotShift, spatialShift := bits.TrailingZeros64(hot), bits.TrailingZeros64(spatial)
+	var peaks []int // peaks[k]: tasks whose widest step touches k blocks
+	for i := range w.Tasks {
+		peak := 0
+		for _, st := range w.Tasks[i].Steps {
+			sh := hotShift
+			if st.Spatial {
+				sh = spatialShift
+			}
+			mask := uint64(1)<<sh - 1
+			peak = max(peak, int((st.Addr&mask+uint64(st.Size)+mask)>>sh))
+		}
+		for len(peaks) <= peak {
+			peaks = append(peaks, 0)
+		}
+		peaks[peak]++
+	}
+	bound := 0
+	for k := len(peaks) - 1; k > 0 && n > 0; k-- {
+		take := min(peaks[k], n)
+		bound += take * k
+		n -= take
+	}
+	return bound
 }
 
 // Validate checks internal consistency: every step must reference a space

@@ -103,3 +103,32 @@ func TestStringers(t *testing.T) {
 		t.Error("unknown engine should render numerically")
 	}
 }
+
+// TestPieceBound pins the walk-slab bound: the n largest per-task peaks,
+// each the most blocks one step touches at its kind's granule, counted at
+// the largest power of two dividing the granule.
+func TestPieceBound(t *testing.T) {
+	step := func(addr uint64, size uint32, spatial bool) Step {
+		return Step{Space: SpaceOcc, Addr: addr, Size: size, Spatial: spatial}
+	}
+	wl := &Workload{Tasks: []Task{
+		{Steps: []Step{step(0, 32, false), step(16, 32, false)}},  // 2 at 32, 1 at 64
+		{Steps: []Step{step(64, 64, false)}},                      // 2 at 32, 1 at 64
+		{Steps: []Step{step(8, 100, false)}},                      // 4 at 32, 2 at 64
+		{Steps: []Step{step(0, 1, false), step(4000, 200, true)}}, // 2 spatial at 4096
+		{}, // no steps: peak 0
+	}}
+	for _, c := range []struct {
+		hot, spatial uint64
+		n, want      int
+	}{
+		{32, 4096, 1, 4}, {32, 4096, 2, 6}, {32, 4096, 3, 8}, {32, 4096, 5, 10}, {32, 4096, 9, 10},
+		{96, 4096, 5, 10}, // 96 counts at 32
+		{64, 4096, 5, 6},
+		{64, 64, 5, 8}, // the spatial step touches 4 blocks of 64
+	} {
+		if got := wl.PieceBound(c.hot, c.spatial, c.n); got != c.want {
+			t.Errorf("PieceBound(%d, %d, %d) = %d, want %d", c.hot, c.spatial, c.n, got, c.want)
+		}
+	}
+}
