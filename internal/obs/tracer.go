@@ -129,13 +129,14 @@ func (t *Tracer) intern(name string) (uint16, bool) {
 // overflow the intern table is dropped too.
 func (t *Tracer) record(track Track, name string, ph byte, start, dur int64) {
 	t.mu.Lock()
-	id, ok := uint16(0), t.n < t.cap
-	if ok {
-		id, ok = t.intern(name)
+	defer t.mu.Unlock()
+	if t.n >= t.cap {
+		t.dropped++
+		return
 	}
+	id, ok := t.intern(name)
 	if !ok {
 		t.dropped++
-		t.mu.Unlock()
 		return
 	}
 	last := len(t.chunks) - 1
@@ -147,7 +148,6 @@ func (t *Tracer) record(track Track, name string, ph byte, start, dur int64) {
 		start: start, dur: dur, track: int32(track), name: id, ph: ph,
 	})
 	t.n++
-	t.mu.Unlock()
 }
 
 // Span records an activity interval [start, end) on a track. Zero-length

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -273,6 +274,36 @@ func TestTracerInternTable(t *testing.T) {
 	if full.Events() != maxNames+1 || full.Dropped() != 1 {
 		t.Errorf("full intern table: events/dropped = %d/%d, want %d/1",
 			full.Events(), full.Dropped(), maxNames+1)
+	}
+}
+
+// TestTracerConcurrentRecording records from several goroutines at once,
+// with more names than the scanned prefix and a cap that falls partway:
+// every event is either kept or counted as dropped.
+func TestTracerConcurrentRecording(t *testing.T) {
+	const workers, each, limit = 4, 3000, 7000
+	tr := NewTracerCap(limit)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tk := tr.Track(fmt.Sprint("w", w))
+			for i := range each {
+				tr.Span(tk, fmt.Sprint("s", i%(2*scanNames)), int64(i), int64(i+1))
+			}
+		}()
+	}
+	wg.Wait()
+	if tr.Events() != limit || tr.Dropped() != workers*each-limit {
+		t.Errorf("events/dropped = %d/%d, want %d/%d", tr.Events(), tr.Dropped(), limit, workers*each-limit)
+	}
+	var b strings.Builder
+	if err := tr.WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid([]byte(b.String())) {
+		t.Error("trace is not valid JSON")
 	}
 }
 
