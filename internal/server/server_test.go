@@ -645,3 +645,22 @@ func TestEtagMatch(t *testing.T) {
 		}
 	}
 }
+
+// TestETagGolden pins the daemon's entity tag for one small fixed spec.
+// The ETag hashes the report's %#v, type names included, so renaming a
+// facade type (beacon.Options, beacon.Report, ...) or reordering its
+// fields changes every ETag a client holds; this catches it. The hash
+// covers floats at full precision, which is stable on the CI
+// architectures (amd64 and 386) because neither fuses multiply-adds; see
+// ROADMAP item 4 for the architectures that do.
+func TestETagGolden(t *testing.T) {
+	spec := testSpec()
+	res, err := spec.Execute(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `"3d978f5374a7a4f6"`
+	if got := ETag(ResultProvenance(spec, res)); got != want {
+		t.Errorf("ETag = %s, want %s", got, want)
+	}
+}
