@@ -105,13 +105,17 @@ func writeOpenMetrics(w io.Writer, fams []omFamily) error {
 	return bw.Flush()
 }
 
-// appendRegistryFamilies converts one registry dump into families,
+// appendRegistryFamilies converts one registry's dump into families,
 // attaching jobLabel (when non-empty) to every sample. Counter names come
 // from the live registry (the dump does not distinguish counter from
 // gauge); fams is keyed by sanitized name so jobs sharing metric names
 // merge into one family.
-func appendRegistryFamilies(fams map[string]*omFamily, order *[]string,
-	dump RegistryDump, counters map[string]bool, jobLabel string) {
+func appendRegistryFamilies(fams map[string]*omFamily, order *[]string, r *Registry, jobLabel string) {
+	counters := map[string]bool{}
+	for _, n := range r.counterNames() {
+		counters[n] = true
+	}
+	dump := r.Dump()
 	baseLabels := ""
 	if jobLabel != "" {
 		baseLabels = `job="` + escapeLabelValue(jobLabel) + `"`
@@ -178,14 +182,7 @@ func appendRegistryFamilies(fams map[string]*omFamily, order *[]string,
 // WriteOpenMetrics renders the registry's final snapshot and histograms in
 // OpenMetrics text exposition format (unlabeled samples).
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	fams := map[string]*omFamily{}
-	var order []string
-	counters := map[string]bool{}
-	for _, n := range r.counterNames() {
-		counters[n] = true
-	}
-	appendRegistryFamilies(fams, &order, r.Dump(), counters, "")
-	return writeOpenMetricsSorted(w, fams, order)
+	return (*Collection)(nil).WriteOpenMetricsWith(w, r)
 }
 
 // WriteOpenMetrics renders every job's final metrics in OpenMetrics text
@@ -193,18 +190,7 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 // label per sample. Jobs are label-sorted and families name-sorted, so
 // identical collections produce identical bytes.
 func (c *Collection) WriteOpenMetrics(w io.Writer) error {
-	fams := map[string]*omFamily{}
-	var order []string
-	if c != nil {
-		for _, o := range c.sorted() {
-			counters := map[string]bool{}
-			for _, n := range o.Metrics.counterNames() {
-				counters[n] = true
-			}
-			appendRegistryFamilies(fams, &order, o.Metrics.Dump(), counters, o.Label)
-		}
-	}
-	return writeOpenMetricsSorted(w, fams, order)
+	return c.WriteOpenMetricsWith(w, nil)
 }
 
 // WriteOpenMetricsWith renders the collection's job metrics merged with an
@@ -218,24 +204,12 @@ func (c *Collection) WriteOpenMetricsWith(w io.Writer, extra *Registry) error {
 	var order []string
 	if c != nil {
 		for _, o := range c.sorted() {
-			counters := map[string]bool{}
-			for _, n := range o.Metrics.counterNames() {
-				counters[n] = true
-			}
-			appendRegistryFamilies(fams, &order, o.Metrics.Dump(), counters, o.Label)
+			appendRegistryFamilies(fams, &order, o.Metrics, o.Label)
 		}
 	}
 	if extra != nil {
-		counters := map[string]bool{}
-		for _, n := range extra.counterNames() {
-			counters[n] = true
-		}
-		appendRegistryFamilies(fams, &order, extra.Dump(), counters, "")
+		appendRegistryFamilies(fams, &order, extra, "")
 	}
-	return writeOpenMetricsSorted(w, fams, order)
-}
-
-func writeOpenMetricsSorted(w io.Writer, fams map[string]*omFamily, order []string) error {
 	// order holds first-appearance order with possible job-interleaving;
 	// sort it for a canonical exposition (names are unique in the map).
 	sort.Strings(order)
