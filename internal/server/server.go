@@ -35,6 +35,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,8 +80,8 @@ type Config struct {
 	// Cache, when non-nil, backs workload construction: identical specs
 	// across tenants dedupe to one build.
 	Cache *beacon.WorkloadCache
-	// Obs, when non-nil, attaches an observer to every job without a
-	// co-run set; /metrics then serves the per-job simulation metrics.
+	// Obs, when non-nil, attaches an observer to every job, co-run jobs
+	// included; /metrics then serves the per-job simulation metrics.
 	Obs *obs.Collection
 	// Now supplies the wall clock for quota refill; nil selects the
 	// system clock. Tests inject a fake for deterministic refills.
@@ -447,34 +448,12 @@ func etagMatch(header, etag string) bool {
 	if header == "*" {
 		return true
 	}
-	for _, part := range splitComma(header) {
-		if part == etag {
+	for _, part := range strings.Split(header, ",") {
+		if part = strings.TrimSpace(part); part != "" && part == etag {
 			return true
 		}
 	}
 	return false
-}
-
-// splitComma splits a comma-separated header, trimming whitespace.
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			part := s[start:i]
-			for len(part) > 0 && (part[0] == ' ' || part[0] == '\t') {
-				part = part[1:]
-			}
-			for len(part) > 0 && (part[len(part)-1] == ' ' || part[len(part)-1] == '\t') {
-				part = part[:len(part)-1]
-			}
-			if part != "" {
-				out = append(out, part)
-			}
-			start = i + 1
-		}
-	}
-	return out
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
