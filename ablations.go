@@ -190,7 +190,7 @@ func (e *Evaluator) AblationPoolScale(ctx context.Context) (*AblationResult, err
 		extraName: "nodes",
 		platform:  Platform{Kind: BeaconD, Opts: AllOptimizations()},
 		extra: func(cfg core.Config, _ outcome) float64 {
-			return float64(cfg.Switches * cfg.CXLGPerSwitch)
+			return float64(cfg.Fabric.Switches * cfg.CXLGPerSwitch)
 		},
 	}
 	for _, n := range []int{1, 2, 4, 8} {

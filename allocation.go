@@ -63,8 +63,8 @@ func SimulateWithAllocation(p Platform, w *Workload, opts AllocationOptions) (*A
 	}
 	cfg := p.machine(machineOverrides{})
 	pool := memmgmt.PoolLayout{
-		Switches:       cfg.Switches,
-		DIMMsPerSwitch: cfg.DIMMsPerSwitch,
+		Switches:       cfg.Fabric.Switches,
+		DIMMsPerSwitch: cfg.Fabric.DIMMsPerSwitch,
 		CXLGSlots:      cfg.CXLGPerSwitch,
 	}
 	// Size each DIMM so the workload must spread (the memory-expansion

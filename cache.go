@@ -56,22 +56,14 @@ func (c *onceMap[K, V]) get(k K, build func() (V, error)) (V, error) {
 // effectiveness metric, asserted by tests.
 func (c *onceMap[K, V]) Builds() int64 { return c.builds.Load() }
 
-// workloadKey identifies one cacheable functional-phase build. WorkloadConfig
-// is a flat struct of scalars, so the full configuration participates in the
-// key: any knob change (scale, seed, flow, MEM mode, ...) is a different
-// workload.
-type workloadKey struct {
-	app Application
-	cfg WorkloadConfig
-}
-
-// runKey identifies one memoized simulation: the workload, the platform
+// runKey identifies one memoized simulation: the workload (a WorkloadSpec is
+// a flat struct of scalars, so every knob participates), the platform
 // (fault profile and seed included) and, on BEACON, the machine it resolves
 // to under the ablation overrides, so a sweep point that equals the
 // platform default shares the default's run. A run is a pure function of
 // these (the determinism invariant).
 type runKey struct {
-	wl workloadKey
+	wl WorkloadSpec
 	p  Platform
 	m  core.Config
 }

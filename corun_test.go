@@ -30,7 +30,9 @@ func TestCoRunHonorsFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty, err := Run(p, fm, WithCoRun(hash), WithFaultInjection(HeavyFaultProfile(), 7))
+	pf := p
+	pf.Faults, pf.FaultSeed = HeavyFaultProfile(), 7
+	faulty, err := Run(pf, fm, WithCoRun(hash))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func TestCoRunHonorsFaults(t *testing.T) {
 	if reflect.DeepEqual(faulty, clean) {
 		t.Error("fault-injected co-run equals the clean one")
 	}
-	again, err := Run(p, fm, WithCoRun(hash), WithFaultInjection(HeavyFaultProfile(), 7))
+	again, err := Run(pf, fm, WithCoRun(hash))
 	if err != nil {
 		t.Fatal(err)
 	}

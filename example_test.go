@@ -74,12 +74,17 @@ func ExampleRun_faultInjection() {
 	if err != nil {
 		panic(err)
 	}
-	p := beacon.Platform{Kind: beacon.BeaconD, Opts: beacon.AllOptimizations()}
-	a, err := beacon.Run(p, wl, beacon.WithFaultInjection(beacon.HeavyFaultProfile(), 1))
+	p := beacon.Platform{
+		Kind:      beacon.BeaconD,
+		Opts:      beacon.AllOptimizations(),
+		Faults:    beacon.HeavyFaultProfile(),
+		FaultSeed: 1,
+	}
+	a, err := beacon.Run(p, wl)
 	if err != nil {
 		panic(err)
 	}
-	b, err := beacon.Run(p, wl, beacon.WithFaultInjection(beacon.HeavyFaultProfile(), 1))
+	b, err := beacon.Run(p, wl)
 	if err != nil {
 		panic(err)
 	}

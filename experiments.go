@@ -19,14 +19,16 @@ type RunConfig struct {
 	Seed uint64
 }
 
-// DefaultRunConfig is the scale used for EXPERIMENTS.md.
+// DefaultRunConfig is the scale used for EXPERIMENTS.md: the default
+// workload's (DefaultWorkloadConfig).
 func DefaultRunConfig() RunConfig {
-	return RunConfig{GenomeScale: 30_000, Reads: 500, Seed: 0xBEAC07}
+	c := DefaultWorkloadConfig(PinusTaeda)
+	return RunConfig{GenomeScale: c.GenomeScale, Reads: c.Reads, Seed: c.Seed}
 }
 
 // QuickRunConfig is a reduced scale for tests.
 func QuickRunConfig() RunConfig {
-	return RunConfig{GenomeScale: 8_000, Reads: 120, Seed: 0xBEAC07}
+	return RunConfig{GenomeScale: 8_000, Reads: 120, Seed: DefaultRunConfig().Seed}
 }
 
 // workloadConfig is the configuration an evaluation job replays for an

@@ -120,8 +120,8 @@ func replayGolden(t *testing.T) string {
 	for i, wl := range wls {
 		for _, kind := range []PlatformKind{BeaconD, BeaconS} {
 			for _, pr := range profiles {
-				res, err := Run(Platform{Kind: kind, Opts: AllOptimizations()}, wl,
-					WithFaultInjection(pr.p, 7))
+				p := Platform{Kind: kind, Opts: AllOptimizations(), Faults: pr.p, FaultSeed: 7}
+				res, err := Run(p, wl)
 				if err != nil {
 					t.Fatalf("%v %v %s: %v", apps[i], kind, pr.name, err)
 				}

@@ -38,12 +38,13 @@ type SpecFlags struct {
 // set; call before flag.Parse.
 func RegisterSpec() *SpecFlags {
 	sf := &SpecFlags{}
+	def := beacon.DefaultWorkloadConfig(beacon.PinusTaeda)
 	flag.StringVar(&sf.App, "app", "fm-seeding", "application: fm-seeding | hash-seeding | kmer-counting | pre-alignment")
-	flag.StringVar(&sf.Species, "species", "Pt", "dataset: Pt | Pg | Ss | Am | Nf | Hs")
+	flag.StringVar(&sf.Species, "species", string(def.Species), "dataset: Pt | Pg | Ss | Am | Nf | Hs")
 	flag.StringVar(&sf.Platform, "platform", "beacon-d", "comma-separated platforms: cpu | ddr-ndp | beacon-d | beacon-s")
-	flag.IntVar(&sf.Scale, "scale", 30000, "genome scale (bases per relative Gbp)")
-	flag.IntVar(&sf.Reads, "reads", 500, "read count")
-	flag.Uint64Var(&sf.Seed, "seed", 0xBEAC07, "sampling seed")
+	flag.IntVar(&sf.Scale, "scale", def.GenomeScale, "genome scale (bases per relative Gbp)")
+	flag.IntVar(&sf.Reads, "reads", def.Reads, "read count")
+	flag.Uint64Var(&sf.Seed, "seed", def.Seed, "sampling seed")
 	flag.BoolVar(&sf.Vanilla, "vanilla", false, "disable all optimizations (CXL-vanilla)")
 	flag.BoolVar(&sf.Ideal, "ideal", false, "idealized communication")
 	flag.BoolVar(&sf.SinglePass, "singlepass", false, "single-pass k-mer counting flow")

@@ -21,7 +21,7 @@ func TestRunAllocFreePerStep(t *testing.T) {
 	small := *big
 	small.Tasks = big.Tasks[:len(big.Tasks)/4]
 	for _, d := range []Design{DesignD, DesignS} {
-		cfg := DefaultConfig(d, AllOptions())
+		cfg := DefaultConfig(d, allOpts)
 		allocs := func(wl *trace.Workload) float64 {
 			return testing.AllocsPerRun(3, func() {
 				m, err := NewMachine(cfg)

@@ -29,7 +29,7 @@ func rmwWorkload(tasks, stepsPer int) *trace.Workload {
 func TestAtomicRMWPerformsReadAndWrite(t *testing.T) {
 	wl := rmwWorkload(64, 4)
 	for _, d := range []Design{DesignD, DesignS} {
-		res, err := Run(DefaultConfig(d, AllOptions()), wl)
+		res, err := Run(DefaultConfig(d, allOpts), wl)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -56,7 +56,7 @@ func TestAtomicRMWSerializesOnHotCounter(t *testing.T) {
 			}},
 		})
 	}
-	res, err := Run(DefaultConfig(DesignS, AllOptions()), hot)
+	res, err := Run(DefaultConfig(DesignS, allOpts), hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRemoteAtomicUsesFabric(t *testing.T) {
 	wl := rmwWorkload(64, 4)
 	// BEACON-S always crosses links for DRAM, so the RMW flow must generate
 	// fabric messages (command, read, data, write, ack legs).
-	res, err := Run(DefaultConfig(DesignS, AllOptions()), wl)
+	res, err := Run(DefaultConfig(DesignS, allOpts), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,12 @@ func TestRemoteAtomicUsesFabric(t *testing.T) {
 func TestMergeBytesChargedOnce(t *testing.T) {
 	wl := rmwWorkload(16, 2)
 	wl.MergeBytes = 1 << 20
-	with, err := Run(DefaultConfig(DesignD, AllOptions()), wl)
+	with, err := Run(DefaultConfig(DesignD, allOpts), wl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wl2 := rmwWorkload(16, 2)
-	without, err := Run(DefaultConfig(DesignD, AllOptions()), wl2)
+	without, err := Run(DefaultConfig(DesignD, allOpts), wl2)
 	if err != nil {
 		t.Fatal(err)
 	}

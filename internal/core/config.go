@@ -68,29 +68,10 @@ type Options struct {
 	IdealComm bool
 }
 
-// Vanilla returns CXL-vanilla (no optimizations).
-func Vanilla() Options { return Options{} }
-
-// AllOptions returns the fully optimized configuration.
-func AllOptions() Options {
-	return Options{DataPacking: true, MemAccessOpt: true, Placement: true, Coalescing: true}
-}
-
-// Ideal returns the fully optimized configuration with idealized
-// communication.
-func Ideal() Options {
-	o := AllOptions()
-	o.IdealComm = true
-	return o
-}
-
 // Config describes a BEACON machine.
 type Config struct {
 	// Design selects BEACON-D or BEACON-S.
 	Design Design
-	// Switches and DIMMsPerSwitch shape the pool (Table I: 2 switches, 4
-	// DIMMs each -> 512 GB of 64 GB DIMMs... the paper's "512/2/2" row).
-	Switches, DIMMsPerSwitch int
 	// CXLGPerSwitch is the number of CXLG-DIMMs per switch (BEACON-D only;
 	// the Table I reading used here is 2 — see DESIGN.md §5.3).
 	CXLGPerSwitch int
@@ -98,8 +79,9 @@ type Config struct {
 	PEsPerNode int
 	// DIMM is the module geometry.
 	DIMM dram.Config
-	// Fabric is the link/switch configuration; its shape fields are
-	// overridden by Switches/DIMMsPerSwitch.
+	// Fabric is the link/switch configuration. Its Switches and
+	// DIMMsPerSwitch fields shape the pool (Table I: 2 switches, 4 DIMMs
+	// each).
 	Fabric cxl.Config
 	// Energy is the non-DRAM energy model.
 	Energy energy.Model
@@ -141,9 +123,7 @@ type Config struct {
 // the given optimization set.
 func DefaultConfig(d Design, opts Options) Config {
 	cfg := Config{
-		Design:         d,
-		Switches:       2,
-		DIMMsPerSwitch: 4,
+		Design: d,
 		// Table I's BEACON row ("512/2/2") reads as 512 GB across 2 switches
 		// with 2 CXLG-DIMMs per switch; the remaining slots hold unmodified
 		// CXL-DIMMs used for memory expansion.
@@ -171,12 +151,12 @@ func (c Config) Validate() error {
 	if c.Design != DesignD && c.Design != DesignS {
 		return fmt.Errorf("core: unknown design %d", c.Design)
 	}
-	if c.Switches <= 0 || c.DIMMsPerSwitch <= 0 {
-		return fmt.Errorf("core: pool %dx%d invalid", c.Switches, c.DIMMsPerSwitch)
+	if err := c.fabricConfig().Validate(); err != nil {
+		return err
 	}
-	if c.Design == DesignD && (c.CXLGPerSwitch <= 0 || c.CXLGPerSwitch > c.DIMMsPerSwitch) {
+	if c.Design == DesignD && (c.CXLGPerSwitch <= 0 || c.CXLGPerSwitch > c.Fabric.DIMMsPerSwitch) {
 		return fmt.Errorf("core: BEACON-D needs 1..%d CXLG-DIMMs per switch, got %d",
-			c.DIMMsPerSwitch, c.CXLGPerSwitch)
+			c.Fabric.DIMMsPerSwitch, c.CXLGPerSwitch)
 	}
 	if c.Design == DesignS && c.CXLGPerSwitch != 0 {
 		return fmt.Errorf("core: BEACON-S must not have CXLG-DIMMs, got %d", c.CXLGPerSwitch)
@@ -206,8 +186,8 @@ func (c Config) Validate() error {
 func (c Config) mmConfig() memmgmt.Config {
 	mm := memmgmt.DefaultConfig()
 	mm.Pool = memmgmt.PoolLayout{
-		Switches:       c.Switches,
-		DIMMsPerSwitch: c.DIMMsPerSwitch,
+		Switches:       c.Fabric.Switches,
+		DIMMsPerSwitch: c.Fabric.DIMMsPerSwitch,
 		CXLGSlots:      c.CXLGPerSwitch,
 	}
 	mm.DIMM = c.DIMM
@@ -233,8 +213,6 @@ func (c Config) mmConfig() memmgmt.Config {
 // fabricConfig derives the fabric configuration.
 func (c Config) fabricConfig() cxl.Config {
 	f := c.Fabric
-	f.Switches = c.Switches
-	f.DIMMsPerSwitch = c.DIMMsPerSwitch
 	f.Ideal = c.Opts.IdealComm
 	return f
 }

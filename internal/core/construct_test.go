@@ -14,7 +14,7 @@ const newMachineAllocBudget = 400
 
 func TestNewMachineAllocBudget(t *testing.T) {
 	for _, d := range []Design{DesignD, DesignS} {
-		cfg := DefaultConfig(d, AllOptions())
+		cfg := DefaultConfig(d, allOpts)
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := NewMachine(cfg); err != nil {
 				t.Fatal(err)
@@ -30,7 +30,7 @@ func TestNewMachineAllocBudget(t *testing.T) {
 // -benchmem to see the allocation count).
 func BenchmarkNewMachine(b *testing.B) {
 	for _, d := range []Design{DesignD, DesignS} {
-		cfg := DefaultConfig(d, AllOptions())
+		cfg := DefaultConfig(d, allOpts)
 		b.Run(fmt.Sprint(d), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

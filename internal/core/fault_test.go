@@ -20,11 +20,11 @@ func faultFingerprint(r *Result) string {
 func TestFaultsDisabledIsIdentical(t *testing.T) {
 	for _, d := range []Design{DesignD, DesignS} {
 		wl := func() *trace.Workload { return smallWorkload(trace.EngineFMIndex, 60, 6, trace.SpaceOcc) }
-		base, err := Run(DefaultConfig(d, AllOptions()), wl())
+		base, err := Run(DefaultConfig(d, allOpts), wl())
 		if err != nil {
 			t.Fatalf("%v base: %v", d, err)
 		}
-		cfg := DefaultConfig(d, AllOptions())
+		cfg := DefaultConfig(d, allOpts)
 		cfg.FaultSeed = 7 // seed alone must not matter with the zero profile
 		zero, err := Run(cfg, wl())
 		if err != nil {
@@ -40,7 +40,7 @@ func TestFaultsDisabledIsIdentical(t *testing.T) {
 // and reproduce exactly run-over-run.
 func TestFaultsHeavyDeterministic(t *testing.T) {
 	run := func(d Design) string {
-		cfg := DefaultConfig(d, AllOptions())
+		cfg := DefaultConfig(d, allOpts)
 		cfg.Faults = fault.HeavyProfile()
 		cfg.FaultSeed = 42
 		res, err := Run(cfg, smallWorkload(trace.EngineFMIndex, 80, 6, trace.SpaceOcc))
@@ -66,11 +66,11 @@ func TestFaultsHeavyDeterministic(t *testing.T) {
 // Faults must slow the machine down, never speed it up.
 func TestFaultsOnlyAddLatency(t *testing.T) {
 	wl := func() *trace.Workload { return smallWorkload(trace.EngineKMC, 60, 5, trace.SpaceBloom) }
-	base, err := Run(DefaultConfig(DesignD, AllOptions()), wl())
+	base, err := Run(DefaultConfig(DesignD, allOpts), wl())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(DesignD, AllOptions())
+	cfg := DefaultConfig(DesignD, allOpts)
 	cfg.Faults = fault.HeavyProfile()
 	cfg.FaultSeed = 3
 	faulty, err := Run(cfg, wl())
@@ -85,7 +85,7 @@ func TestFaultsOnlyAddLatency(t *testing.T) {
 // With UnitFailProb forced to 1 every node dies at first admission and the
 // whole workload must drain through the host-CPU fallback path.
 func TestFaultsAllUnitsDeadFallsBackToHost(t *testing.T) {
-	cfg := DefaultConfig(DesignD, AllOptions())
+	cfg := DefaultConfig(DesignD, allOpts)
 	cfg.Faults = fault.DefaultProfile()
 	cfg.Faults.NDP.UnitFailProb = 1
 	cfg.FaultSeed = 1
@@ -116,7 +116,7 @@ func TestFaultsAllUnitsDeadFallsBackToHost(t *testing.T) {
 // instead use a moderate probability and a seed known to kill at least one
 // node, asserting conservation: every task completes exactly once.
 func TestFaultsMigrationConservesTasks(t *testing.T) {
-	cfg := DefaultConfig(DesignD, AllOptions())
+	cfg := DefaultConfig(DesignD, allOpts)
 	cfg.Faults = fault.HeavyProfile()
 	cfg.Faults.NDP.UnitFailProb = 0.25
 	const tasks = 60

@@ -63,11 +63,11 @@ func randomWorkload(data []byte) *trace.Workload {
 //  5. the run is deterministic.
 func TestMachineInvariantsUnderFuzz(t *testing.T) {
 	optsList := []Options{
-		Vanilla(),
+		{},
 		{DataPacking: true},
 		{MemAccessOpt: true, Placement: true},
-		AllOptions(),
-		Ideal(),
+		allOpts,
+		idealOpts,
 	}
 	f := func(data []byte, designBit bool, optIdx uint8) bool {
 		wl := randomWorkload(data)
@@ -116,13 +116,13 @@ func TestMachineInvariantsUnderFuzz(t *testing.T) {
 func TestMakespanLowerBoundProperty(t *testing.T) {
 	f := func(data []byte) bool {
 		wl := randomWorkload(data)
-		cfg := DefaultConfig(DesignD, Ideal())
+		cfg := DefaultConfig(DesignD, idealOpts)
 		res, err := Run(cfg, wl)
 		if err != nil {
 			return false
 		}
 		// Total PE-busy work / total PEs is a weak but sound bound.
-		nodes := cfg.Switches * cfg.CXLGPerSwitch
+		nodes := cfg.Fabric.Switches * cfg.CXLGPerSwitch
 		bound := int64(res.PEBusyCycles) / int64(nodes*cfg.PEsPerNode)
 		return int64(res.Cycles) >= bound
 	}

@@ -75,9 +75,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	mm := cfg.mmConfig()
 	coal := mm.CoalesceGroup
-	for s := 0; s < cfg.Switches; s++ {
+	for s := 0; s < cfg.Fabric.Switches; s++ {
 		var row []*dram.DIMM
-		for d := 0; d < cfg.DIMMsPerSwitch; d++ {
+		for d := 0; d < cfg.Fabric.DIMMsPerSwitch; d++ {
 			dm, err := dram.NewDIMM(fmt.Sprintf("s%d.d%d", s, d), cfg.DIMM, coal)
 			if err != nil {
 				return nil, err
@@ -98,13 +98,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 	var homes []cxl.NodeID
 	switch cfg.Design {
 	case DesignD:
-		for s := 0; s < cfg.Switches; s++ {
+		for s := 0; s < cfg.Fabric.Switches; s++ {
 			for g := 0; g < cfg.CXLGPerSwitch; g++ {
 				homes = append(homes, cxl.DIMM(s, g))
 			}
 		}
 	case DesignS:
-		for s := 0; s < cfg.Switches; s++ {
+		for s := 0; s < cfg.Fabric.Switches; s++ {
 			homes = append(homes, cxl.Switch(s))
 		}
 	}
@@ -325,7 +325,7 @@ func (m *Machine) Run(wls ...*trace.Workload) (*Result, error) {
 	res.CXLGChipAccesses = cxlgChips
 
 	// Energy.
-	dramPJ += m.cfg.DRAMEnergy.BackgroundEnergyPJ(int64(end), m.cfg.Switches*m.cfg.DIMMsPerSwitch*m.cfg.DIMM.Ranks)
+	dramPJ += m.cfg.DRAMEnergy.BackgroundEnergyPJ(int64(end), m.cfg.Fabric.Switches*m.cfg.Fabric.DIMMsPerSwitch*m.cfg.DIMM.Ranks)
 	em := m.cfg.Energy
 	commPJ := em.LinkPJ(res.Fabric.WireBytes) + em.BusPJ(res.Fabric.SwitchBusBytes) + em.HostPJ(res.Fabric.HostCrossings)
 	computePJ := em.PEComputePJ(int64(res.PEBusyCycles)) + em.PELeakagePJ(len(m.nodes)*m.cfg.PEsPerNode, int64(end))

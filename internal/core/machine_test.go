@@ -32,6 +32,13 @@ func fmWorkload(t *testing.T) *trace.Workload {
 	return wl
 }
 
+// allOpts is the full optimization stack and idealOpts adds idealized
+// communication: the facade's AllOptimizations and IdealComm.
+var (
+	allOpts   = Options{DataPacking: true, MemAccessOpt: true, Placement: true, Coalescing: true}
+	idealOpts = Options{DataPacking: true, MemAccessOpt: true, Placement: true, Coalescing: true, IdealComm: true}
+)
+
 func runCfg(t *testing.T, d Design, opts Options, wl *trace.Workload) *Result {
 	t.Helper()
 	res, err := Run(DefaultConfig(d, opts), wl)
@@ -42,15 +49,16 @@ func runCfg(t *testing.T, d Design, opts Options, wl *trace.Workload) *Result {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if err := DefaultConfig(DesignD, Vanilla()).Validate(); err != nil {
+	if err := DefaultConfig(DesignD, Options{}).Validate(); err != nil {
 		t.Fatalf("default D invalid: %v", err)
 	}
-	if err := DefaultConfig(DesignS, Vanilla()).Validate(); err != nil {
+	if err := DefaultConfig(DesignS, Options{}).Validate(); err != nil {
 		t.Fatalf("default S invalid: %v", err)
 	}
 	mut := []func(*Config){
 		func(c *Config) { c.Design = Design(9) },
-		func(c *Config) { c.Switches = 0 },
+		func(c *Config) { c.Fabric.Switches = 0 },
+		func(c *Config) { c.Fabric.DIMMsPerSwitch = 0 },
 		func(c *Config) { c.CXLGPerSwitch = 0 },  // D needs >= 1
 		func(c *Config) { c.CXLGPerSwitch = 99 }, // > slots
 		func(c *Config) { c.PEsPerNode = 0 },
@@ -59,14 +67,14 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.CoalesceGroup = 0 },
 	}
 	for i, fn := range mut {
-		c := DefaultConfig(DesignD, Vanilla())
+		c := DefaultConfig(DesignD, Options{})
 		fn(&c)
 		if c.Validate() == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
 	}
 	// S with CXLG DIMMs is invalid.
-	c := DefaultConfig(DesignS, Vanilla())
+	c := DefaultConfig(DesignS, Options{})
 	c.CXLGPerSwitch = 1
 	if c.Validate() == nil {
 		t.Error("S with CXLG slots accepted")
@@ -74,7 +82,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestMachineHomes(t *testing.T) {
-	md, err := NewMachine(DefaultConfig(DesignD, Vanilla()))
+	md, err := NewMachine(DefaultConfig(DesignD, Options{}))
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
@@ -89,7 +97,7 @@ func TestMachineHomes(t *testing.T) {
 			t.Errorf("D home %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	ms, err := NewMachine(DefaultConfig(DesignS, Vanilla()))
+	ms, err := NewMachine(DefaultConfig(DesignS, Options{}))
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
@@ -101,7 +109,7 @@ func TestMachineHomes(t *testing.T) {
 func TestRunCompletesAllTasks(t *testing.T) {
 	wl := fmWorkload(t)
 	for _, d := range []Design{DesignD, DesignS} {
-		res := runCfg(t, d, Vanilla(), wl)
+		res := runCfg(t, d, Options{}, wl)
 		if res.Tasks != len(wl.Tasks) {
 			t.Errorf("%v: completed %d/%d tasks", d, res.Tasks, len(wl.Tasks))
 		}
@@ -121,12 +129,12 @@ func TestRunCompletesAllTasks(t *testing.T) {
 // the full stack must be close to idealized communication.
 func TestOptimizationLadderD(t *testing.T) {
 	wl := fmWorkload(t)
-	vanilla := runCfg(t, DesignD, Vanilla(), wl)
+	vanilla := runCfg(t, DesignD, Options{}, wl)
 	packing := runCfg(t, DesignD, Options{DataPacking: true}, wl)
 	memacc := runCfg(t, DesignD, Options{DataPacking: true, MemAccessOpt: true}, wl)
 	placed := runCfg(t, DesignD, Options{DataPacking: true, MemAccessOpt: true, Placement: true}, wl)
-	full := runCfg(t, DesignD, AllOptions(), wl)
-	ideal := runCfg(t, DesignD, Ideal(), wl)
+	full := runCfg(t, DesignD, allOpts, wl)
+	ideal := runCfg(t, DesignD, idealOpts, wl)
 
 	steps := []struct {
 		name     string
@@ -191,7 +199,7 @@ func TestPlacementKeepsTrafficLocalD(t *testing.T) {
 func TestCoalescingBalancesChips(t *testing.T) {
 	wl := fmWorkload(t)
 	perChip := runCfg(t, DesignD, Options{DataPacking: true, MemAccessOpt: true, Placement: true}, wl)
-	coalesced := runCfg(t, DesignD, AllOptions(), wl)
+	coalesced := runCfg(t, DesignD, allOpts, wl)
 	if perChip.CXLGChipAccesses == nil || coalesced.CXLGChipAccesses == nil {
 		t.Fatal("missing chip distributions")
 	}
@@ -219,7 +227,7 @@ func TestCoalescingBalancesChips(t *testing.T) {
 
 func TestIdealCommunicationNoWireBytes(t *testing.T) {
 	wl := fmWorkload(t)
-	ideal := runCfg(t, DesignD, Ideal(), wl)
+	ideal := runCfg(t, DesignD, idealOpts, wl)
 	if ideal.Fabric.WireBytes != 0 {
 		t.Errorf("ideal fabric recorded %d wire bytes", ideal.Fabric.WireBytes)
 	}
@@ -230,8 +238,8 @@ func TestIdealCommunicationNoWireBytes(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	wl := fmWorkload(t)
-	a := runCfg(t, DesignD, AllOptions(), wl)
-	b := runCfg(t, DesignD, AllOptions(), wl)
+	a := runCfg(t, DesignD, allOpts, wl)
+	b := runCfg(t, DesignD, allOpts, wl)
 	if a.Cycles != b.Cycles || a.Fabric.WireBytes != b.Fabric.WireBytes {
 		t.Errorf("non-deterministic: %d/%d vs %d/%d cycles/bytes",
 			a.Cycles, a.Fabric.WireBytes, b.Cycles, b.Fabric.WireBytes)
@@ -259,8 +267,8 @@ func TestSinglePassBeatsMultiPassOnS(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CountSinglePass: %v", err)
 	}
-	multi := runCfg(t, DesignS, AllOptions(), mp.Workload)
-	single := runCfg(t, DesignS, AllOptions(), sp.Workload)
+	multi := runCfg(t, DesignS, allOpts, mp.Workload)
+	single := runCfg(t, DesignS, allOpts, sp.Workload)
 	if single.Cycles >= multi.Cycles {
 		t.Errorf("single-pass (%d cycles) not faster than multi-pass (%d) on BEACON-S",
 			single.Cycles, multi.Cycles)
@@ -269,7 +277,7 @@ func TestSinglePassBeatsMultiPassOnS(t *testing.T) {
 
 func TestRunRejectsInvalidWorkload(t *testing.T) {
 	bad := &trace.Workload{Name: "bad", Passes: 1}
-	if _, err := Run(DefaultConfig(DesignD, Vanilla()), bad); err == nil {
+	if _, err := Run(DefaultConfig(DesignD, Options{}), bad); err == nil {
 		t.Error("empty workload accepted")
 	}
 }

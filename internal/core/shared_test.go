@@ -29,7 +29,7 @@ func smallWorkload(engine trace.Engine, tasks, steps int, space trace.Space) *tr
 func TestRunSharedCompletesAllTenants(t *testing.T) {
 	a := smallWorkload(trace.EngineFMIndex, 50, 6, trace.SpaceOcc)
 	b := smallWorkload(trace.EngineKMC, 30, 4, trace.SpaceBloom)
-	res, err := Run(DefaultConfig(DesignD, AllOptions()), a, b)
+	res, err := Run(DefaultConfig(DesignD, allOpts), a, b)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestRunSharedCompletesAllTenants(t *testing.T) {
 // A single workload replays alone: no tenants are reported, and the
 // result is the one a plain replay of that workload gives.
 func TestSingleWorkloadHasNoTenants(t *testing.T) {
-	res, err := Run(DefaultConfig(DesignD, AllOptions()), smallWorkload(trace.EngineFMIndex, 50, 6, trace.SpaceOcc))
+	res, err := Run(DefaultConfig(DesignD, allOpts), smallWorkload(trace.EngineFMIndex, 50, 6, trace.SpaceOcc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +78,14 @@ func TestRunSharedBeatsSerialExecution(t *testing.T) {
 		}
 	}
 	wls := mk()
-	shared, err := Run(DefaultConfig(DesignD, AllOptions()), wls...)
+	shared, err := Run(DefaultConfig(DesignD, allOpts), wls...)
 	if err != nil {
 		t.Fatalf("co-located Run: %v", err)
 	}
 	fresh := mk()
 	var serial int64
 	for _, wl := range fresh {
-		res, err := Run(DefaultConfig(DesignD, AllOptions()), wl)
+		res, err := Run(DefaultConfig(DesignD, allOpts), wl)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -97,15 +97,15 @@ func TestRunSharedBeatsSerialExecution(t *testing.T) {
 }
 
 func TestRunSharedValidation(t *testing.T) {
-	if _, err := Run(DefaultConfig(DesignD, Vanilla())); err == nil {
+	if _, err := Run(DefaultConfig(DesignD, Options{})); err == nil {
 		t.Error("no workloads accepted")
 	}
 	bad := &trace.Workload{Name: "bad", Passes: 0}
-	if _, err := Run(DefaultConfig(DesignD, Vanilla()), bad); err == nil {
+	if _, err := Run(DefaultConfig(DesignD, Options{}), bad); err == nil {
 		t.Error("invalid workload accepted")
 	}
 	good := smallWorkload(trace.EngineFMIndex, 5, 2, trace.SpaceOcc)
-	if _, err := Run(DefaultConfig(DesignD, Vanilla()), good, bad); err == nil {
+	if _, err := Run(DefaultConfig(DesignD, Options{}), good, bad); err == nil {
 		t.Error("invalid tenant accepted")
 	}
 }
@@ -117,11 +117,11 @@ func TestRunSharedDeterministic(t *testing.T) {
 			smallWorkload(trace.EnginePreAlign, 20, 3, trace.SpaceReference),
 		}
 	}
-	a, err := Run(DefaultConfig(DesignS, AllOptions()), mk()...)
+	a, err := Run(DefaultConfig(DesignS, allOpts), mk()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(DefaultConfig(DesignS, AllOptions()), mk()...)
+	b, err := Run(DefaultConfig(DesignS, allOpts), mk()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestRunSharedConcurrentRunsIsolated(t *testing.T) {
 			smallWorkload(trace.EnginePreAlign, 20, 3, trace.SpaceReference),
 		}
 	}
-	want, err := Run(DefaultConfig(DesignS, AllOptions()), mk()...)
+	want, err := Run(DefaultConfig(DesignS, allOpts), mk()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestRunSharedConcurrentRunsIsolated(t *testing.T) {
 		jobs[i] = runner.Job[*Result]{
 			Label: fmt.Sprintf("shared %d", i),
 			Fn: func(context.Context) (*Result, error) {
-				return Run(DefaultConfig(DesignS, AllOptions()), mk()...)
+				return Run(DefaultConfig(DesignS, allOpts), mk()...)
 			},
 		}
 	}

@@ -200,7 +200,8 @@ func TestBTreeProbeRunsOnBeacon(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ProbeWorkload: %v", err)
 	}
-	res, err := core.Run(core.DefaultConfig(core.DesignD, core.AllOptions()), wl)
+	all := core.Options{DataPacking: true, MemAccessOpt: true, Placement: true, Coalescing: true}
+	res, err := core.Run(core.DefaultConfig(core.DesignD, all), wl)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -92,7 +92,8 @@ func TestConvolveWorkloadRunsOnBeacon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(core.DefaultConfig(core.DesignD, core.AllOptions()), wl)
+	all := core.Options{DataPacking: true, MemAccessOpt: true, Placement: true, Coalescing: true}
+	res, err := core.Run(core.DefaultConfig(core.DesignD, all), wl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@
 // the cost of decoding a stored trace. The cache keys each entry by a
 // SHA-256 over the caller's canonical identity string (application, species,
 // every WorkloadConfig knob, codec and generator versions — see
-// beacon.workloadCacheKey), so any knob change addresses a different entry
-// and stale hits are impossible by construction: invalidation is renaming,
-// not bookkeeping.
+// beacon.WorkloadSpec.cacheKey), so any knob change addresses a different
+// entry and stale hits are impossible by construction: invalidation is
+// renaming, not bookkeeping.
 //
 // Determinism contract: the cache must be invisible in results. A hit
 // returns the exact trace a cold build would produce (the codec is

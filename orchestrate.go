@@ -36,7 +36,7 @@ type Evaluator struct {
 	opts EvalOptions
 	pool *runner.Pool
 	// cache memoizes workloads (over opts.WorkloadCache), runs simulations.
-	cache onceMap[workloadKey, *Workload]
+	cache onceMap[WorkloadSpec, *Workload]
 	runs  onceMap[runKey, outcome]
 	// faultAgg is the per-platform fault aggregate (nil when injection is
 	// off). It is commutative uint64 sums under a mutex, so it is
@@ -98,10 +98,10 @@ func (e *Evaluator) recordFaults(kind PlatformKind, st FaultStats) {
 // Jobs returns the pool's concurrency bound.
 func (e *Evaluator) Jobs() int { return e.pool.Size() }
 
-// workload returns the cached workload for k, building it on first use.
-func (e *Evaluator) workload(k workloadKey) (*Workload, error) {
-	return e.cache.get(k, func() (*Workload, error) {
-		return NewWorkloadCached(k.app, k.cfg, e.opts.WorkloadCache)
+// workload returns the cached workload for ws, building it on first use.
+func (e *Evaluator) workload(ws WorkloadSpec) (*Workload, error) {
+	return e.cache.get(ws, func() (*Workload, error) {
+		return ws.Build(e.opts.WorkloadCache)
 	})
 }
 
@@ -112,7 +112,7 @@ func (e *Evaluator) workload(k workloadKey) (*Workload, error) {
 // observed run is its consumer's own, under its label. Every consumer
 // records the run's faults.
 func (e *Evaluator) run(label string, app Application, sp Species, flow KmerFlow, p Platform, ov machineOverrides) (outcome, error) {
-	key := runKey{wl: workloadKey{app: app, cfg: e.rc.workloadConfig(app, sp, flow)}}
+	key := runKey{wl: WorkloadSpec{App: app, Config: e.rc.workloadConfig(app, sp, flow)}}
 	wl, err := e.workload(key.wl)
 	if err != nil {
 		return outcome{}, err

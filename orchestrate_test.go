@@ -184,7 +184,7 @@ func TestWorkloadCache(t *testing.T) {
 	}
 
 	cfg := e.rc.workloadConfig(KmerCounting, Human, MultiPass)
-	cached, err := e.workload(workloadKey{app: KmerCounting, cfg: cfg})
+	cached, err := e.workload(WorkloadSpec{App: KmerCounting, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,22 +63,13 @@ func (p PlatformKind) String() string {
 	return fmt.Sprintf("platform(%d)", int(p))
 }
 
-// Options mirrors the paper's optimization ladder for the BEACON platforms
-// (ignored by CPU; only IdealComm applies to the DDR baseline).
-type Options struct {
-	// DataPacking packs fine-grained payloads into shared CXL flits.
-	DataPacking bool
-	// MemAccessOpt uses device-bias direct routing instead of host
-	// coherence detours.
-	MemAccessOpt bool
-	// Placement enables proximity placement + arch/data-aware mapping.
-	Placement bool
-	// Coalescing enables multi-chip coalescing (BEACON-D).
-	Coalescing bool
-	// IdealComm idealizes all communication (infinite bandwidth, zero
-	// latency).
-	IdealComm bool
-}
+// Options positions the BEACON platforms on the paper's optimization
+// ladder: DataPacking, MemAccessOpt, Placement, Coalescing (BEACON-D) and
+// IdealComm (infinite bandwidth, zero latency). CPU ignores it; the DDR
+// baseline reads only IdealComm. It is a defined type rather than an alias
+// so that a Report's %#v, which the daemon's ETag hashes, names
+// beacon.Options.
+type Options core.Options
 
 // Vanilla is the CXL-vanilla configuration (no optimizations).
 func Vanilla() Options { return Options{} }
@@ -93,16 +84,6 @@ func IdealComm() Options {
 	o := AllOptimizations()
 	o.IdealComm = true
 	return o
-}
-
-func (o Options) coreOpts() core.Options {
-	return core.Options{
-		DataPacking:  o.DataPacking,
-		MemAccessOpt: o.MemAccessOpt,
-		Placement:    o.Placement,
-		Coalescing:   o.Coalescing,
-		IdealComm:    o.IdealComm,
-	}
 }
 
 // Platform is a runnable system configuration.
@@ -177,7 +158,7 @@ func (p Platform) machine(ov machineOverrides) core.Config {
 	if p.Kind == BeaconS {
 		design = core.DesignS
 	}
-	cfg := core.DefaultConfig(design, p.Opts.coreOpts())
+	cfg := core.DefaultConfig(design, core.Options(p.Opts))
 	cfg.Faults = p.Faults
 	cfg.FaultSeed = p.FaultSeed
 	ov.apply(&cfg)
@@ -226,7 +207,7 @@ func (o machineOverrides) apply(cfg *core.Config) {
 	override(&cfg.CXLGPerSwitch, o.cxlgPerSwitch)
 	override(&cfg.Fabric.DIMMLink.BytesPerCycle, o.linkBytesPerCycle)
 	override(&cfg.InFlightPerNode, o.inFlight)
-	override(&cfg.Switches, o.switches)
+	override(&cfg.Fabric.Switches, o.switches)
 	override(&cfg.DIMM.ClosedPage, o.closedPage)
 }
 

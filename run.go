@@ -3,15 +3,13 @@ package beacon
 import "beacon/internal/obs"
 
 // RunOption customizes a Run call. The zero option set replays the
-// workload bare: no instrumentation, no fault injection, single tenant.
+// workload bare: no instrumentation, single tenant. Fault injection is the
+// Platform's (Faults, FaultSeed).
 type RunOption func(*runSettings)
 
 type runSettings struct {
-	ob        *obs.Obs
-	faults    FaultProfile
-	faultSeed uint64
-	setFaults bool
-	coRun     []*Workload
+	ob    *obs.Obs
+	coRun []*Workload
 }
 
 // WithObserver attaches an observability sink: component metrics, activity
@@ -20,18 +18,6 @@ type runSettings struct {
 // byte-identical either way.
 func WithObserver(ob *obs.Obs) RunOption {
 	return func(s *runSettings) { s.ob = ob }
-}
-
-// WithFaultInjection enables deterministic fault injection with the given
-// profile and seed (overriding the Platform's own Faults/FaultSeed fields).
-// A zero profile disables injection. The CPU and DDR baselines model
-// neither the CXL fabric nor its RAS path and ignore it.
-func WithFaultInjection(profile FaultProfile, seed uint64) RunOption {
-	return func(s *runSettings) {
-		s.faults = profile
-		s.faultSeed = seed
-		s.setFaults = true
-	}
 }
 
 // WithCoRun co-locates additional workloads with the primary one — the §II
@@ -58,10 +44,10 @@ type RunResult struct {
 // simulation on a Platform: RunSpec.Execute ends here, and the Evaluator's
 // jobs call the same simulation function, adding only the ablation sweeps'
 // machine overrides.
-// Options select instrumentation (WithObserver), deterministic fault
-// injection (WithFaultInjection) and multi-tenant co-location (WithCoRun),
-// and they all compose: a co-located run is observed and fault-injected
-// like a single-tenant one.
+// Options select instrumentation (WithObserver) and multi-tenant
+// co-location (WithCoRun); deterministic fault injection is set on the
+// Platform (Faults, FaultSeed). They all compose: a co-located run is
+// observed and fault-injected like a single-tenant one.
 //
 // Argument errors — a nil workload, an unknown platform kind, co-location
 // on a non-BEACON platform — wrap ErrBadConfig, so HTTPStatus maps them to
@@ -73,10 +59,6 @@ func Run(p Platform, w *Workload, opts ...RunOption) (*RunResult, error) {
 	var s runSettings
 	for _, o := range opts {
 		o(&s)
-	}
-	if s.setFaults {
-		p.Faults = s.faults
-		p.FaultSeed = s.faultSeed
 	}
 	out, err := simulate(p, machineOverrides{}, append([]*Workload{w}, s.coRun...), s.ob)
 	if err != nil {

@@ -331,7 +331,8 @@ type workloadWire struct {
 	Candidates  int     `json:"candidates"`
 }
 
-// optionsWire is the JSON shape of the optimization ladder position.
+// optionsWire is the JSON shape of the optimization ladder position: Options'
+// fields, in order, with wire names, so the two convert into each other.
 type optionsWire struct {
 	DataPacking  bool `json:"data_packing"`
 	MemAccessOpt bool `json:"mem_access_opt"`
@@ -412,13 +413,7 @@ func (s RunSpec) MarshalJSON() ([]byte, error) {
 		Platform:  s.Kind.String(),
 		Faults:    canonicalFaultsName(s.Faults),
 		FaultSeed: s.FaultSeed,
-		Options: optionsWire{
-			DataPacking:  s.Opts.DataPacking,
-			MemAccessOpt: s.Opts.MemAccessOpt,
-			Placement:    s.Opts.Placement,
-			Coalescing:   s.Opts.Coalescing,
-			IdealComm:    s.Opts.IdealComm,
-		},
+		Options:   optionsWire(s.Opts),
 	}
 	for _, c := range s.CoRun {
 		w.CoRun = append(w.CoRun, workloadToWire(c))
@@ -458,13 +453,7 @@ func (s *RunSpec) UnmarshalJSON(data []byte) error {
 		Kind:      kind,
 		Faults:    canonicalFaultsName(w.Faults),
 		FaultSeed: w.FaultSeed,
-		Opts: Options{
-			DataPacking:  w.Options.DataPacking,
-			MemAccessOpt: w.Options.MemAccessOpt,
-			Placement:    w.Options.Placement,
-			Coalescing:   w.Options.Coalescing,
-			IdealComm:    w.Options.IdealComm,
-		},
+		Opts:      Options(w.Options),
 	}
 	for i, cw := range w.CoRun {
 		cs, err := workloadFromWire(cw)

@@ -69,16 +69,16 @@ func (wc *WorkloadCache) Dir() string { return wc.c.Dir() }
 // Stats returns hit/miss/corrupt/put counters since OpenWorkloadCache.
 func (wc *WorkloadCache) Stats() WorkloadCacheStats { return wc.c.Stats() }
 
-// workloadCacheKey builds the canonical identity string for (app, cfg):
-// the WorkloadSpec canonical encoding (which enumerates every field, under
-// the compile guard in runspec.go) prefixed with the codec and generator
-// versions. Any knob or format change addresses a different entry, so
-// stale hits are impossible by construction.
-func workloadCacheKey(app Application, cfg WorkloadConfig) string {
+// cacheKey builds the spec's on-disk cache identity: its canonical encoding
+// (which enumerates every field, under the compile guard in runspec.go)
+// prefixed with the codec and generator versions. Any knob or format change
+// addresses a different entry, so stale hits are impossible by
+// construction.
+func (ws WorkloadSpec) cacheKey() string {
 	return strings.Join([]string{
 		"codec=" + strconv.Itoa(trace.CodecVersion),
 		"gen=" + strconv.Itoa(workloadGenVersion),
-		WorkloadSpec{App: app, Config: cfg}.CanonicalString(),
+		ws.CanonicalString(),
 	}, "|")
 }
 
@@ -90,7 +90,7 @@ func NewWorkloadCached(app Application, cfg WorkloadConfig, wc *WorkloadCache) (
 	if wc == nil {
 		return NewWorkload(app, cfg)
 	}
-	key := wcache.Key(workloadCacheKey(app, cfg))
+	key := wcache.Key(WorkloadSpec{App: app, Config: cfg}.cacheKey())
 	if e, err := wc.c.Get(key); err == nil && e != nil && e.App == app.String() {
 		return wrap(e.Workload.Name, app, e.Workload, e.Verified), nil
 	}
