@@ -212,3 +212,15 @@ func TestNewDDRMachineAllocBudget(t *testing.T) {
 		t.Errorf("NewDDRMachine makes %.0f allocations, budget %d", allocs, budget)
 	}
 }
+
+// BenchmarkNewDDRMachine measures building the DDR baseline machine (run
+// with -benchmem to see the allocation count and bytes).
+func BenchmarkNewDDRMachine(b *testing.B) {
+	cfg := DefaultDDRConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewDDRMachine(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,15 +2,22 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 )
 
 // newMachineAllocBudget caps the heap allocations one NewMachine may make
-// for the Table I pool. Construction runs once per simulation, so its cost
-// is paid on every Run: bank and chip state are flat value slices and the
-// event wheel is one slab, which keeps the count in the low hundreds
-// however many banks the pool has.
-const newMachineAllocBudget = 400
+// for the Table I pool, and newMachineBytesBudget the bytes. Construction
+// runs once per simulation, so its cost is paid on every Run: a DIMM
+// allocates a rank's bank and chip state on the rank's first access, not
+// at construction, and the event wheel is a 2,048-bucket table, which
+// keeps the count in the low hundreds and the bytes in tens of KB however
+// many banks the pool has.
+const (
+	newMachineAllocBudget = 400
+	newMachineBytesBudget = 64 << 10
+)
 
 func TestNewMachineAllocBudget(t *testing.T) {
 	for _, d := range []Design{DesignD, DesignS} {
@@ -23,7 +30,28 @@ func TestNewMachineAllocBudget(t *testing.T) {
 		if allocs > newMachineAllocBudget {
 			t.Errorf("%v: NewMachine makes %.0f allocations, budget %d", d, allocs, newMachineAllocBudget)
 		}
+		if bytes := constructionBytes(t, cfg); bytes > newMachineBytesBudget {
+			t.Errorf("%v: NewMachine allocates %d bytes, budget %d", d, bytes, newMachineBytesBudget)
+		}
 	}
+}
+
+// constructionBytes returns the heap bytes one NewMachine allocates, the
+// least over a few tries so that a background allocation cannot inflate
+// it.
+func constructionBytes(t *testing.T, cfg Config) uint64 {
+	t.Helper()
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		if _, err := NewMachine(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // BenchmarkNewMachine measures building the Table I machine (run with

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 
 	"beacon/internal/fault"
 	"beacon/internal/obs"
@@ -91,24 +92,19 @@ func (s Stats) RowHitRate() float64 {
 // DIMM is one simulated module. All methods are single-goroutine, in keeping
 // with the deterministic event kernel.
 //
-// Bank and chip state live in two flat value slices, so building a DIMM is
-// a handful of allocations however many banks it has. Banks and chip data
-// buses are single-server calendars granted by the sim.Resource rule — a
-// request at t for d cycles gets [max(t, free), max(t, free)+d) — kept
-// inline because the timing model reads nothing else of a Resource.
+// Bank and chip state live per rank, in two flat value slices each, and a
+// rank's slices are allocated on its first access: a run pays only for the
+// ranks it touches, and building a DIMM allocates no bank state at all.
+// Banks and chip data buses are single-server calendars granted by the
+// sim.Resource rule — a request at t for d cycles gets [max(t, free),
+// max(t, free)+d) — kept inline because the timing model reads nothing
+// else of a Resource.
 type DIMM struct {
 	cfg  Config
 	name string
-	// banks[(rank*ChipsPerRank+chip)*Banks()+bank] holds per-bank state:
-	// because chips may be addressed individually, each chip's banks track
-	// their own open row.
-	// In lock-step or coalesced mode the participating chips advance
-	// together (their rows always match because requests address them
-	// together).
-	banks []bank
-	// chips[rank*ChipsPerRank+chip] holds each chip's data-bus calendar
-	// and tFAW history.
-	chips    []chip
+	// ranks[r] holds rank r's bank and chip state; both slices are nil
+	// until the rank's first access.
+	ranks    []rankState
 	stats    Stats
 	coalesce int // group size for ModeCoalesced
 	// tr, when non-nil, records every access as a span on the DIMM's track.
@@ -118,13 +114,26 @@ type DIMM struct {
 	flt fault.Component
 }
 
-// bank is one bank's row-buffer, refresh and occupancy state.
+// rankState is one rank's timing state.
+type rankState struct {
+	// banks[chip*Banks()+bank] holds per-bank state: because chips may be
+	// addressed individually, each chip's banks track their own open row.
+	// In lock-step or coalesced mode the participating chips advance
+	// together (their rows always match because requests address them
+	// together).
+	banks []bank
+	// chips[chip] holds each chip's data-bus calendar and tFAW history.
+	chips []chip
+}
+
+// bank is one bank's row-buffer, refresh and occupancy state, 16 bytes:
+// Access rejects rows and refresh windows past the int32 range.
 type bank struct {
 	// open is the open row; -1 = precharged.
-	open int64
+	open int32
 	// refreshed is the index of the last refresh window the bank has paid
 	// for (lazy refresh accounting).
-	refreshed int64
+	refreshed int32
 	// free is when the bank can start its next operation.
 	free sim.Cycle
 }
@@ -152,19 +161,29 @@ func NewDIMM(name string, cfg Config, coalesce int) (*DIMM, error) {
 			coalesce, cfg.ChipsPerRank)
 	}
 	d := &DIMM{cfg: cfg, name: name, coalesce: coalesce}
-	d.chips = make([]chip, cfg.Ranks*cfg.ChipsPerRank)
-	for i := range d.chips {
-		// Far past, so the first four activations are unthrottled.
-		for j := range d.chips[i].acts {
-			d.chips[i].acts[j] = -sim.Cycle(1) << 40
-		}
-	}
-	d.banks = make([]bank, len(d.chips)*cfg.Banks())
-	for i := range d.banks {
-		d.banks[i].open = -1
-	}
+	d.ranks = make([]rankState, cfg.Ranks)
 	d.stats.PerChipAccesses = make([]uint64, cfg.ChipsPerRank)
 	return d, nil
+}
+
+// rank returns rank r's state, allocating it on first use with every bank
+// precharged and every chip's activation history far in the past.
+func (d *DIMM) rank(r int) *rankState {
+	rs := &d.ranks[r]
+	if rs.chips == nil {
+		rs.chips = make([]chip, d.cfg.ChipsPerRank)
+		for i := range rs.chips {
+			// Far past, so the first four activations are unthrottled.
+			for j := range rs.chips[i].acts {
+				rs.chips[i].acts[j] = -sim.Cycle(1) << 40
+			}
+		}
+		rs.banks = make([]bank, d.cfg.ChipsPerRank*d.cfg.Banks())
+		for i := range rs.banks {
+			rs.banks[i].open = -1
+		}
+	}
+	return rs
 }
 
 // Config returns the DIMM configuration.
@@ -236,11 +255,13 @@ func (d *DIMM) Instrument(ob *obs.Obs) {
 }
 
 // chipWaitCycles sums the queueing delay accumulated behind every chip
-// data bus (polled at snapshot time only).
+// data bus of the ranks accessed so far (polled at snapshot time only).
 func (d *DIMM) chipWaitCycles() int64 {
 	var w sim.Cycles
-	for i := range d.chips {
-		w += d.chips[i].waited
+	for _, rs := range d.ranks {
+		for i := range rs.chips {
+			w += rs.chips[i].waited
+		}
 	}
 	return int64(w)
 }
@@ -267,6 +288,16 @@ func (d *DIMM) Access(now sim.Cycle, loc Loc, bytes int, write bool, mode Access
 	}
 	if loc.Row < 0 {
 		return 0, fmt.Errorf("dram: %s: negative row", d.name)
+	}
+	if loc.Row > math.MaxInt32 {
+		return 0, fmt.Errorf("dram: %s: row %d past the int32 range", d.name, loc.Row)
+	}
+	var window int64
+	if d.cfg.TREFI > 0 {
+		if window = int64(now) / int64(d.cfg.TREFI); window > math.MaxInt32 {
+			return 0, fmt.Errorf("dram: %s: refresh window %d at cycle %d past the int32 range",
+				d.name, window, now)
+		}
 	}
 
 	// Media errors roll before any bank state mutates, so a failed access
@@ -301,13 +332,14 @@ func (d *DIMM) Access(now sim.Cycle, loc Loc, bytes int, write bool, mode Access
 
 	// Bank timing on the leading chip decides the row state; all chips in
 	// the set advance together.
-	rankChip := loc.Rank * d.cfg.ChipsPerRank
+	rs := d.rank(loc.Rank)
 	banks := d.cfg.Banks()
-	lead := &d.banks[(rankChip+first)*banks+loc.Bank]
+	row := int32(loc.Row)
+	lead := &rs.banks[first*banks+loc.Bank]
 	prep := 0
 	activates := false
 	switch {
-	case lead.open == loc.Row:
+	case lead.open == row:
 		d.stats.RowHits++
 	case lead.open < 0:
 		prep = d.cfg.TRCD
@@ -322,25 +354,23 @@ func (d *DIMM) Access(now sim.Cycle, loc Loc, bytes int, write bool, mode Access
 	}
 	// ECC correction stretches the preamble like any other prep work.
 	prep += eccPrep
-	nextRow := loc.Row
+	nextRow := row
 	if d.cfg.ClosedPage {
 		// Auto-precharge: the bank returns to idle after the access.
 		nextRow = -1
 	}
 	for ch := first; ch < first+width; ch++ {
-		d.banks[(rankChip+ch)*banks+loc.Bank].open = nextRow
+		rs.banks[ch*banks+loc.Bank].open = nextRow
 	}
 
 	// Lazy refresh accounting: if a refresh window elapsed since the bank
 	// last paid one, charge tRFC now (the auto-refresh blocked the bank at
-	// some point during the window).
-	if d.cfg.TREFI > 0 {
-		if window := int64(now) / int64(d.cfg.TREFI); window > lead.refreshed {
-			prep += d.cfg.TRFC
-			lead.refreshed = window
-			d.stats.Refreshes++
-			d.stats.RefreshStallCycles += sim.Cycles(d.cfg.TRFC)
-		}
+	// some point during the window). Without refresh the window stays 0.
+	if window > int64(lead.refreshed) {
+		prep += d.cfg.TRFC
+		lead.refreshed = int32(window)
+		d.stats.Refreshes++
+		d.stats.RefreshStallCycles += sim.Cycles(d.cfg.TRFC)
 	}
 
 	// Bursts needed to move the useful bytes through `width` chips.
@@ -352,7 +382,7 @@ func (d *DIMM) Access(now sim.Cycle, loc Loc, bytes int, write bool, mode Access
 
 	// tFAW: at most four activations per chip per rolling window. The
 	// leading chip's history gates the whole set (they activate together).
-	leadChip := &d.chips[rankChip+first]
+	leadChip := &rs.chips[first]
 	earliest := now
 	if activates && d.cfg.TFAW > 0 {
 		oldest := leadChip.acts[leadChip.actIdx]
@@ -375,7 +405,7 @@ func (d *DIMM) Access(now sim.Cycle, loc Loc, bytes int, write bool, mode Access
 	}
 	burstStart := start + sim.Cycles(prep)
 	for ch := first; ch < first+width; ch++ {
-		c := &d.chips[rankChip+ch]
+		c := &rs.chips[ch]
 		chStart := max(burstStart, c.free)
 		c.waited += chStart - burstStart
 		c.free = chStart + burstCycles
@@ -425,8 +455,8 @@ func (d *DIMM) ChipImbalance() float64 {
 	return sqrt(varsum/n) / mean
 }
 
-// sqrt avoids importing math for one call site (keeps the package's
-// dependency footprint to sim only).
+// sqrt is the Newton iteration the reports' imbalance figures were pinned
+// with; math.Sqrt may round the last bit differently.
 func sqrt(x float64) float64 {
 	if x <= 0 {
 		return 0

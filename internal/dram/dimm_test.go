@@ -1,8 +1,10 @@
 package dram
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"beacon/internal/sim"
 )
@@ -420,5 +422,79 @@ func TestClosedPagePolicy(t *testing.T) {
 	if s.RowHits != 0 || s.RowConflicts != 0 || s.RowMisses != 3 {
 		t.Errorf("hits/conflicts/misses = %d/%d/%d, want 0/0/3",
 			s.RowHits, s.RowConflicts, s.RowMisses)
+	}
+}
+
+// TestBankRecordSize pins the bank record at 16 bytes (int32 open and
+// refreshed rows beside the int64 free time), on 32-bit platforms too: a
+// Table I pool holds 8,192 of them.
+func TestBankRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(bank{}); size > 16 {
+		t.Errorf("bank is %d bytes, want at most 16", size)
+	}
+}
+
+// TestRankStateAllocatedOnFirstAccess checks that a DIMM holds bank and
+// chip state only for the ranks accessed so far, and that a rank's state
+// starts precharged with an unthrottled tFAW history.
+func TestRankStateAllocatedOnFirstAccess(t *testing.T) {
+	d := testDIMM(t, 4)
+	cfg := d.Config()
+	for r, rs := range d.ranks {
+		if rs.banks != nil || rs.chips != nil {
+			t.Fatalf("new DIMM holds state for rank %d", r)
+		}
+	}
+	// Four activations back to back on one chip: none may wait for tFAW.
+	for b := 0; b < 4; b++ {
+		if _, err := d.Access(0, Loc{Rank: 2, Chip: 5, Bank: b, Row: 9}, 16, false, ModeCoalesced); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r, rs := range d.ranks {
+		allocated := rs.banks != nil || rs.chips != nil
+		if allocated != (r == 2) {
+			t.Errorf("rank %d: state allocated = %v after accesses to rank 2 alone", r, allocated)
+		}
+	}
+	rs := d.ranks[2]
+	if len(rs.banks) != cfg.ChipsPerRank*cfg.Banks() || len(rs.chips) != cfg.ChipsPerRank {
+		t.Errorf("rank 2 holds %d banks and %d chips, want %d and %d",
+			len(rs.banks), len(rs.chips), cfg.ChipsPerRank*cfg.Banks(), cfg.ChipsPerRank)
+	}
+	st := d.Stats()
+	if st.RowMisses != 4 || st.RowConflicts != 0 || st.FAWStalls != 0 {
+		t.Errorf("first accesses: %d misses, %d conflicts, %d tFAW stalls; want 4, 0, 0",
+			st.RowMisses, st.RowConflicts, st.FAWStalls)
+	}
+	if b := rs.banks[4*cfg.Banks()+4]; b.open != -1 {
+		t.Errorf("untouched bank of rank 2 has row %d open, want precharged", b.open)
+	}
+}
+
+// TestAccessRejectsInt32Overflow checks the bounds of the 16-byte bank
+// record: a row or a refresh window past the int32 range is an error, not
+// a wrapped value, and the rejected access leaves no state behind.
+func TestAccessRejectsInt32Overflow(t *testing.T) {
+	d := testDIMM(t, 4)
+	cfg := d.Config()
+	if _, err := d.Access(0, Loc{Row: math.MaxInt32}, 16, false, ModeCoalesced); err != nil {
+		t.Errorf("row MaxInt32: %v", err)
+	}
+	if _, err := d.Access(0, Loc{Row: math.MaxInt32 + 1}, 16, false, ModeCoalesced); err == nil {
+		t.Error("row past MaxInt32 accepted")
+	}
+	last := sim.Cycle(math.MaxInt32) * sim.Cycle(cfg.TREFI)
+	if _, err := d.Access(last, Loc{Rank: 1, Row: 1}, 16, false, ModeCoalesced); err != nil {
+		t.Errorf("refresh window MaxInt32: %v", err)
+	}
+	if _, err := d.Access(last+sim.Cycle(cfg.TREFI), Loc{Rank: 3, Row: 1}, 16, false, ModeCoalesced); err == nil {
+		t.Error("refresh window past MaxInt32 accepted")
+	}
+	if st := d.Stats(); st.Reads != 2 || st.Refreshes != 1 {
+		t.Errorf("after two rejected accesses: %d reads, %d refreshes; want 2, 1", st.Reads, st.Refreshes)
+	}
+	if d.ranks[3].banks != nil {
+		t.Error("rejected access allocated state for its rank")
 	}
 }

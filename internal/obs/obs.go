@@ -193,16 +193,13 @@ func (c *Collection) WriteMetricsCSV(w io.Writer) error {
 // job becomes a process (pid = label-sorted index + 1) named by its label,
 // with the job's tracks as threads.
 func (c *Collection) WriteChromeTrace(w io.Writer) error {
-	var events []chromeEvent
+	cw := newChromeWriter(w)
 	if c != nil {
 		for i, o := range c.sorted() {
 			pid := i + 1
-			events = append(events, chromeEvent{
-				Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
-				Args: &chromeArgs{Name: o.Label},
-			})
-			events = append(events, o.Trace.chromeEvents(pid)...)
+			cw.meta("process_name", pid, 0, o.Label)
+			cw.tracer(o.Trace, pid)
 		}
 	}
-	return writeChromeTrace(w, events)
+	return cw.close()
 }

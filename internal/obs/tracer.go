@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"strconv"
 	"sync"
 	"unsafe"
 )
@@ -187,77 +188,144 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// Chrome trace_event JSON shapes. Field order is fixed by the struct, so
-// serialized output is deterministic.
-type chromeArgs struct {
-	Name string `json:"name,omitempty"`
-}
-
-type chromeEvent struct {
-	Name string      `json:"name"`
-	Ph   string      `json:"ph"`
-	Ts   int64       `json:"ts"`
-	Dur  *int64      `json:"dur,omitempty"`
-	Pid  int         `json:"pid"`
-	Tid  int         `json:"tid"`
-	S    string      `json:"s,omitempty"`
-	Args *chromeArgs `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents []chromeEvent `json:"traceEvents"`
-	// DisplayTimeUnit is advisory; ts values are simulated DRAM bus cycles
-	// (1.25 ns each), kept as integers for exact golden comparisons.
-	DisplayTimeUnit string            `json:"displayTimeUnit"`
-	OtherData       map[string]string `json:"otherData"`
-}
-
-// chromeEvents renders the tracer's events for one process id, preceded by
-// thread_name metadata so viewers label each track.
-func (t *Tracer) chromeEvents(pid int) []chromeEvent {
+// snapshot returns the tracer's tracks, interned names and event chunks as
+// they stand. Recording only ever appends, so the returned slices stay
+// valid while recording goes on; the chunk list is copied because the
+// last chunk's header grows in place. A nil tracer has none.
+func (t *Tracer) snapshot() (tracks, names []string, chunks [][]traceEvent) {
 	if t == nil {
-		return nil
+		return nil, nil, nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]chromeEvent, 0, len(t.tracks)+t.n)
-	for tid, name := range t.tracks {
-		out = append(out, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-			Args: &chromeArgs{Name: name},
-		})
-	}
-	for _, chunk := range t.chunks {
-		for _, ev := range chunk {
-			ce := chromeEvent{Name: t.names[ev.name], Ph: string(ev.ph), Ts: ev.start, Pid: pid, Tid: int(ev.track)}
-			switch ev.ph {
-			case phComplete:
-				dur := ev.dur
-				ce.Dur = &dur
-			case phInstant:
-				ce.S = "t" // thread-scoped instant
-			}
-			out = append(out, ce)
-		}
-	}
-	return out
+	return t.tracks, t.names, append([][]traceEvent(nil), t.chunks...)
 }
 
 // WriteChromeTrace serializes the trace as Chrome trace_event JSON. Open
 // the file in https://ui.perfetto.dev or chrome://tracing; timestamps are
 // simulated DRAM bus cycles (1 cycle = 1.25 ns).
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return writeChromeTrace(w, t.chromeEvents(1))
+	cw := newChromeWriter(w)
+	cw.tracer(t, 1)
+	return cw.close()
 }
 
-func writeChromeTrace(w io.Writer, events []chromeEvent) error {
-	if events == nil {
-		events = []chromeEvent{}
+// chromeFlushAt is the buffered output size at which chromeWriter hands
+// its bytes to the destination writer.
+const chromeFlushAt = 32 << 10
+
+// chromeWriter streams Chrome trace_event JSON: each event's object is
+// appended to one reused buffer straight from the tracer's chunks, so an
+// export allocates the same whatever the event count. The bytes match
+// what encoding/json makes of the trace object
+//
+//	{"traceEvents":[...],"displayTimeUnit":"ns","otherData":{"time_unit":...}}
+//
+// with fields in the order name, ph, ts, dur, pid, tid, s, args; strings
+// are encoded by encoding/json itself, so HTML escaping matches too. A
+// write error sticks and is returned by close.
+type chromeWriter struct {
+	w      io.Writer
+	buf    []byte
+	events int // events written so far
+	err    error
+}
+
+func newChromeWriter(w io.Writer) *chromeWriter {
+	cw := &chromeWriter{w: w, buf: make([]byte, 0, chromeFlushAt+1024)}
+	cw.buf = append(cw.buf, `{"traceEvents":[`...)
+	return cw
+}
+
+// jsonString returns s as a JSON string literal, as encoding/json writes it.
+func jsonString(s string) []byte {
+	b, _ := json.Marshal(s) // a string always encodes
+	return b
+}
+
+// open starts an event object whose "name" is the encoded literal name.
+func (cw *chromeWriter) open(name []byte) {
+	if cw.events > 0 {
+		cw.buf = append(cw.buf, ',')
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{
-		TraceEvents:     events,
-		DisplayTimeUnit: "ns",
-		OtherData:       map[string]string{"time_unit": "DRAM bus cycles (1 cycle = 1.25 ns)"},
-	})
+	cw.events++
+	cw.buf = append(cw.buf, `{"name":`...)
+	cw.buf = append(cw.buf, name...)
+}
+
+// end closes an event object and flushes a full buffer.
+func (cw *chromeWriter) end() {
+	cw.buf = append(cw.buf, '}')
+	if len(cw.buf) >= chromeFlushAt {
+		cw.flush()
+	}
+}
+
+func (cw *chromeWriter) flush() {
+	if cw.err == nil {
+		_, cw.err = cw.w.Write(cw.buf)
+	}
+	cw.buf = cw.buf[:0]
+}
+
+// meta writes one metadata event (thread_name, process_name) labelling a
+// thread or process; an empty label encodes as empty args, as omitempty
+// would.
+func (cw *chromeWriter) meta(kind string, pid, tid int, label string) {
+	cw.open(jsonString(kind))
+	cw.buf = append(cw.buf, `,"ph":"M","ts":0,"pid":`...)
+	cw.buf = strconv.AppendInt(cw.buf, int64(pid), 10)
+	cw.buf = append(cw.buf, `,"tid":`...)
+	cw.buf = strconv.AppendInt(cw.buf, int64(tid), 10)
+	cw.buf = append(cw.buf, `,"args":{`...)
+	if label != "" {
+		cw.buf = append(cw.buf, `"name":`...)
+		cw.buf = append(cw.buf, jsonString(label)...)
+	}
+	cw.buf = append(cw.buf, '}')
+	cw.end()
+}
+
+// tracer writes t's events for one process id, preceded by thread_name
+// metadata so viewers label each track. Each interned name is encoded
+// once.
+func (cw *chromeWriter) tracer(t *Tracer, pid int) {
+	tracks, names, chunks := t.snapshot()
+	for tid, name := range tracks {
+		cw.meta("thread_name", pid, tid, name)
+	}
+	encoded := make([][]byte, len(names))
+	for i, name := range names {
+		encoded[i] = jsonString(name)
+	}
+	for _, chunk := range chunks {
+		for _, ev := range chunk {
+			cw.open(encoded[ev.name])
+			cw.buf = append(cw.buf, `,"ph":"`...)
+			cw.buf = append(cw.buf, ev.ph, '"')
+			cw.buf = append(cw.buf, `,"ts":`...)
+			cw.buf = strconv.AppendInt(cw.buf, ev.start, 10)
+			if ev.ph == phComplete {
+				cw.buf = append(cw.buf, `,"dur":`...)
+				cw.buf = strconv.AppendInt(cw.buf, ev.dur, 10)
+			}
+			cw.buf = append(cw.buf, `,"pid":`...)
+			cw.buf = strconv.AppendInt(cw.buf, int64(pid), 10)
+			cw.buf = append(cw.buf, `,"tid":`...)
+			cw.buf = strconv.AppendInt(cw.buf, int64(ev.track), 10)
+			if ev.ph == phInstant {
+				cw.buf = append(cw.buf, `,"s":"t"`...) // thread-scoped instant
+			}
+			cw.end()
+		}
+	}
+}
+
+// close writes the trailer — ts values are simulated DRAM bus cycles
+// (1.25 ns each), kept as integers for exact golden comparisons — and
+// flushes, returning the first write error.
+func (cw *chromeWriter) close() error {
+	cw.buf = append(cw.buf, `],"displayTimeUnit":"ns","otherData":{"time_unit":"DRAM bus cycles (1 cycle = 1.25 ns)"}}`+"\n"...)
+	cw.flush()
+	return cw.err
 }

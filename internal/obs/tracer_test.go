@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -185,22 +186,153 @@ func pointerField(typ reflect.Type) (string, bool) {
 	return "", false
 }
 
+// The reference shapes of the export: what encoding/json makes of a
+// chromeTrace is what the streaming writer must produce, byte for byte.
+type chromeArgs struct {
+	Name string `json:"name,omitempty"`
+}
+
+type chromeEvent struct {
+	Name string      `json:"name"`
+	Ph   string      `json:"ph"`
+	Ts   int64       `json:"ts"`
+	Dur  *int64      `json:"dur,omitempty"`
+	Pid  int         `json:"pid"`
+	Tid  int         `json:"tid"`
+	S    string      `json:"s,omitempty"`
+	Args *chromeArgs `json:"args,omitempty"`
+}
+
+type chromeTrace struct {
+	TraceEvents     []chromeEvent     `json:"traceEvents"`
+	DisplayTimeUnit string            `json:"displayTimeUnit"`
+	OtherData       map[string]string `json:"otherData"`
+}
+
+// referenceTrace encodes events by reflection, as the exporter once did.
+func referenceTrace(t *testing.T, events []chromeEvent) string {
+	t.Helper()
+	if events == nil {
+		events = []chromeEvent{}
+	}
+	var b strings.Builder
+	if err := json.NewEncoder(&b).Encode(chromeTrace{
+		TraceEvents:     events,
+		DisplayTimeUnit: "ns",
+		OtherData:       map[string]string{"time_unit": "DRAM bus cycles (1 cycle = 1.25 ns)"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// threadNames is the thread_name metadata a tracer with these tracks
+// exports for process pid.
+func threadNames(pid int, tracks []string) []chromeEvent {
+	var out []chromeEvent
+	for tid, name := range tracks {
+		out = append(out, chromeEvent{
+			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
+			Args: &chromeArgs{Name: name},
+		})
+	}
+	return out
+}
+
 // straightTrace renders what a tracer holding exactly the given events in
 // one list exports: the reference the chunked storage must match.
 func straightTrace(t *testing.T, tracks []string, events []chromeEvent) string {
 	t.Helper()
-	var out []chromeEvent
-	for tid, name := range tracks {
-		out = append(out, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: tid,
-			Args: &chromeArgs{Name: name},
-		})
+	return referenceTrace(t, append(threadNames(1, tracks), events...))
+}
+
+// TestChromeExportMatchesEncodingJSON streams names and labels that
+// encoding/json escapes — HTML characters, quotes, control characters,
+// line separators, invalid UTF-8 and empty strings — through a tracer and
+// a collection, and compares both with the reflection encoding.
+func TestChromeExportMatchesEncodingJSON(t *testing.T) {
+	odd := []string{"<b>&amp;</b>", `q"uo\te`, "tab\tnl\n\x01", "sep\u2028\u2029", "bad\xff\xfeutf8", "", "ünï"}
+	col := NewCollection()
+	for i, label := range []string{odd[0], "", odd[4]} {
+		ob := col.New(label)
+		tr := ob.Tracer()
+		var evs []chromeEvent
+		for j, name := range odd {
+			tk := tr.Track(odd[(i+j)%len(odd)] + fmt.Sprint(j))
+			if j%2 == 0 {
+				tr.Span(tk, name, int64(j), int64(3*j))
+				dur := int64(2 * j)
+				evs = append(evs, chromeEvent{Name: name, Ph: "X", Ts: int64(j), Dur: &dur, Tid: int(tk)})
+			} else {
+				tr.Instant(tk, name, int64(-j))
+				evs = append(evs, chromeEvent{Name: name, Ph: "i", Ts: int64(-j), Tid: int(tk), S: "t"})
+			}
+		}
+		var single strings.Builder
+		if err := tr.WriteChromeTrace(&single); err != nil {
+			t.Fatal(err)
+		}
+		tracks, _, _ := tr.snapshot()
+		for k := range evs {
+			evs[k].Pid = 1
+		}
+		if got := single.String(); got != straightTrace(t, tracks, evs) {
+			t.Errorf("tracer %q: streamed export differs from encoding/json:\n%s", label, got)
+		}
 	}
-	var b strings.Builder
-	if err := writeChromeTrace(&b, append(out, events...)); err != nil {
+	var got strings.Builder
+	if err := col.WriteChromeTrace(&got); err != nil {
 		t.Fatal(err)
 	}
-	return b.String()
+	var want []chromeEvent
+	for i, o := range col.sorted() {
+		pid := i + 1
+		want = append(want, chromeEvent{Name: "process_name", Ph: "M", Pid: pid, Args: &chromeArgs{Name: o.Label}})
+		tracks, names, chunks := o.Trace.snapshot()
+		want = append(want, threadNames(pid, tracks)...)
+		for _, chunk := range chunks {
+			for _, ev := range chunk {
+				ce := chromeEvent{Name: names[ev.name], Ph: string(ev.ph), Ts: ev.start, Pid: pid, Tid: int(ev.track)}
+				if ev.ph == phComplete {
+					dur := ev.dur
+					ce.Dur = &dur
+				} else {
+					ce.S = "t"
+				}
+				want = append(want, ce)
+			}
+		}
+	}
+	if got.String() != referenceTrace(t, want) {
+		t.Errorf("collection: streamed export differs from encoding/json:\n%s", got.String())
+	}
+}
+
+// TestChromeExportAllocs pins the streaming export: writing a trace of 50
+// chunks allocates no more than writing one of 100 events, give or take
+// less than one allocation per chunk. The slack absorbs encoding/json's
+// encoder pool, which the race detector empties at random; without it the
+// two counts are equal.
+func TestChromeExportAllocs(t *testing.T) {
+	names := []string{"xfer", "compute", "rmw", "read", "write", "task"}
+	exportAllocs := func(events int) float64 {
+		tr := NewTracerCap(events)
+		tracks := []Track{tr.Track("link"), tr.Track("pes"), tr.Track("dimm")}
+		for i := range events {
+			tr.Span(tracks[i%len(tracks)], names[i%len(names)], int64(i), int64(i+4))
+		}
+		return testing.AllocsPerRun(5, func() {
+			if err := tr.WriteChromeTrace(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const chunks = 50
+	small, large := exportAllocs(100), exportAllocs(chunks*chunkEvents)
+	if large-small >= chunks {
+		t.Errorf("exporting %d events allocates %.0f times, 100 events %.0f: export allocations grow with the trace",
+			chunks*chunkEvents, large, small)
+	}
 }
 
 // TestTracerChunksExportStraight records more than two chunks of mixed
@@ -279,10 +411,28 @@ func TestTracerInternTable(t *testing.T) {
 
 // TestTracerConcurrentRecording records from several goroutines at once,
 // with more names than the scanned prefix and a cap that falls partway:
-// every event is either kept or counted as dropped.
+// every event is either kept or counted as dropped. Another goroutine
+// exports meanwhile, and each export must be valid JSON.
 func TestTracerConcurrentRecording(t *testing.T) {
 	const workers, each, limit = 4, 3000, 7000
 	tr := NewTracerCap(limit)
+	recorded := make(chan struct{})
+	exported := make(chan struct{})
+	go func() {
+		defer close(exported)
+		for {
+			var b strings.Builder
+			if err := tr.WriteChromeTrace(&b); err != nil || !json.Valid([]byte(b.String())) {
+				t.Errorf("export during recording: err %v, valid JSON %v", err, json.Valid([]byte(b.String())))
+				return
+			}
+			select {
+			case <-recorded:
+				return
+			default:
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := range workers {
 		wg.Add(1)
@@ -295,6 +445,8 @@ func TestTracerConcurrentRecording(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(recorded)
+	<-exported
 	if tr.Events() != limit || tr.Dropped() != workers*each-limit {
 		t.Errorf("events/dropped = %d/%d, want %d/%d", tr.Events(), tr.Dropped(), limit, workers*each-limit)
 	}

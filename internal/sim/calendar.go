@@ -40,9 +40,12 @@ import (
 //     yet — while an event waits in overflow, its cycle is at or beyond
 //     horizon, so a same-cycle direct schedule would land in overflow too.
 const (
-	calBits = 13
-	// calWindow is the wheel span in cycles (8192 ≈ 10 µs of simulated
-	// time at DDR4-1600); one bucket per cycle.
+	calBits = 11
+	// calWindow is the wheel span in cycles (2048 ≈ 2.6 µs of simulated
+	// time at DDR4-1600); one bucket per cycle, so the bucket table is
+	// 16 KB per engine. Over perfbench replay's 48-op cycle, 1,737,065 of
+	// 1,737,156 schedules (99.995%) land under 2048 cycles ahead and none
+	// at 4096 or more: the overflow heap takes the rare far event.
 	calWindow = Cycle(1) << calBits
 	calMask   = calWindow - 1
 )

@@ -275,9 +275,14 @@ var scriptedCases = []struct {
 		op(1, 1000), // duplicate far cycle: overflow tie
 	)},
 	{"overflow_migrates_into_window", script(
-		op(1, 600), // +10200: just past the 8192-cycle window
+		op(1, 600), // +10200: far past the 2048-cycle window
 		op(0, 2900),
-		op(0, 2900), // near events pull the window forward past the far one
+		op(0, 2900), // overflow events too: they migrate in (at, seq) order
+	)},
+	{"overflow_migrates_into_window_near", script(
+		op(1, 130), // +2210: just past the 2048-cycle window
+		op(0, 1000),
+		op(0, 1000), // near events pull the window forward past the far one
 	)},
 	{"never_sentinel", script(op(7), op(0, 10), op(5))},
 	{"maxevents_abort", script(
