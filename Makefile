@@ -29,12 +29,14 @@ race:
 # FM-index and hash-index builds, pre-alignment filtering, multi-pass and
 # exact k-mer counting) and the event queue (calendar vs reference heap);
 # then the Table I and DDR baseline machines' construction cost and
-# allocations, and the timeline tracer's cost and allocation per recorded
-# span. They write no file: the one committed performance baseline is the
-# perf ledger's (below).
+# allocations, one whole BEACON-D and one DDR replay of a fixed small
+# workload (so a run's time and allocations show outside perfbench), and
+# the timeline tracer's cost and allocation per recorded span. They write
+# no file: the one committed performance baseline is the perf ledger's
+# (below).
 bench:
 	$(GO) test -run=NONE -bench='BenchmarkWorkload|BenchmarkEncodeWorkload|BenchmarkDecodeWorkload|BenchmarkBuilder|BenchmarkEngineChurn|BenchmarkFMBuild|BenchmarkHashBuild|BenchmarkFilterReads|BenchmarkCountMultiPass|BenchmarkCountExact|BenchmarkSynthesize' -benchtime=1x . ./internal/trace ./internal/sim ./internal/fmindex ./internal/hashindex ./internal/prealign ./internal/kmer ./internal/genome
-	$(GO) test -run=NONE -bench=BenchmarkNewMachine -benchmem ./internal/core
+	$(GO) test -run=NONE -bench='BenchmarkNewMachine|BenchmarkReplayRun' -benchmem ./internal/core
 	$(GO) test -run=NONE -bench=BenchmarkNewDDRMachine -benchmem ./internal/baseline
 	$(GO) test -run=NONE -bench=BenchmarkTracerSpan -benchmem ./internal/obs
 

@@ -296,13 +296,13 @@ func (m *DDRMachine) path(from, to cxl.NodeID, size int) ([]cxl.Hop, int, error)
 
 // access is the walker's Access; the DDR baseline never retries.
 func (m *DDRMachine) access(now sim.Cycle, pa memmgmt.PlacedAccess, write bool) (sim.Cycle, error) {
-	return m.dimms[pa.Node.Switch][pa.Node.Slot].Access(now, pa.Loc, pa.Bytes, write, pa.Mode)
+	return m.dimms[pa.Node.Switch][pa.Node.Slot].Access(now, pa.Loc, int(pa.Bytes), write, pa.Mode)
 }
 
 // atomic is the walker's Atomic: a local RMW computes inline in the home
 // DIMM's logic, a remote one on the target DIMM's atomic units.
 func (m *DDRMachine) atomic(now sim.Cycle, at cxl.NodeID, local bool) sim.Cycle {
-	mod := m.nodes[at.Switch*m.cfg.DIMMsPerChannel+at.Slot].Module
+	mod := m.nodes[int(at.Switch)*m.cfg.DIMMsPerChannel+int(at.Slot)].Module
 	if local {
 		return now + mod.AtomicLatency()
 	}

@@ -152,10 +152,10 @@ func TestGenerators(t *testing.T) {
 			for i := range locs {
 				locs[i] = gen.next(i % 4)
 				l := locs[i]
-				if l.Rank < 0 || l.Rank >= g.ranks || l.Bank < 0 || l.Bank >= g.banks {
+				if l.Rank < 0 || int(l.Rank) >= g.ranks || l.Bank < 0 || int(l.Bank) >= g.banks {
 					t.Fatalf("%s/%s: out-of-range loc %+v", plat.Name, p, l)
 				}
-				if l.Chip%g.width != 0 || l.Chip >= g.chipsPerRank {
+				if int(l.Chip)%g.width != 0 || int(l.Chip) >= g.chipsPerRank {
 					t.Fatalf("%s/%s: chip %d not on a width-%d group boundary", plat.Name, p, l.Chip, g.width)
 				}
 				if l.Row < 0 || l.Row >= rowWindow {

@@ -109,10 +109,10 @@ func (s *streamGen) next(int) dram.Loc {
 	s.i++
 	bank := visit % g.banks
 	return dram.Loc{
-		Rank: stream % g.ranks,
-		Chip: (stream / g.ranks) * g.width,
-		Bank: bank,
-		Row:  int64((visit / g.banks) % rowWindow),
+		Rank: int32(stream % g.ranks),
+		Chip: int32((stream / g.ranks) * g.width),
+		Bank: int32(bank),
+		Row:  int32((visit / g.banks) % rowWindow),
 	}
 }
 
@@ -125,10 +125,10 @@ type randomGen struct {
 func (r *randomGen) next(int) dram.Loc {
 	g := r.g
 	return dram.Loc{
-		Rank: r.rng.Intn(g.ranks),
-		Chip: r.rng.Intn(g.groups) * g.width,
-		Bank: r.rng.Intn(g.banks),
-		Row:  r.rng.Int63n(rowWindow),
+		Rank: int32(r.rng.Intn(g.ranks)),
+		Chip: int32(r.rng.Intn(g.groups) * g.width),
+		Bank: int32(r.rng.Intn(g.banks)),
+		Row:  int32(r.rng.Int63n(rowWindow)),
 	}
 }
 
@@ -143,10 +143,10 @@ func (c *chaseGen) next(slot int) dram.Loc {
 	g := c.g
 	rng := c.chains[slot]
 	return dram.Loc{
-		Rank: rng.Intn(g.ranks),
-		Chip: rng.Intn(g.groups) * g.width,
-		Bank: rng.Intn(g.banks),
-		Row:  rng.Int63n(rowWindow),
+		Rank: int32(rng.Intn(g.ranks)),
+		Chip: int32(rng.Intn(g.groups) * g.width),
+		Bank: int32(rng.Intn(g.banks)),
+		Row:  int32(rng.Int63n(rowWindow)),
 	}
 }
 
@@ -169,7 +169,7 @@ func (r *rowFriendlyGen) next(int) dram.Loc {
 	}
 	bank := r.i % banks
 	r.i++
-	return dram.Loc{Rank: 0, Chip: 0, Bank: bank, Row: 0}
+	return dram.Loc{Rank: 0, Chip: 0, Bank: int32(bank), Row: 0}
 }
 
 // adversarialGen walks a fresh row of a single bank on every access: every
@@ -184,7 +184,7 @@ type adversarialGen struct {
 }
 
 func (a *adversarialGen) next(int) dram.Loc {
-	row := int64(a.i % rowWindow)
+	row := int32(a.i % rowWindow)
 	a.i++
 	return dram.Loc{Rank: 0, Chip: 0, Bank: 0, Row: row}
 }

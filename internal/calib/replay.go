@@ -132,7 +132,7 @@ func runPoint(cfg Config, p point) (Curve, error) {
 			fail(err)
 			return
 		}
-		c := cxl.NewCursor(hops, wire)
+		c := cxl.NewCursor(hops, int32(wire))
 		var hop func(t sim.Cycle)
 		hop = func(t sim.Cycle) {
 			if d, ok := c.Next(t); ok {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"beacon/internal/baseline"
 )
 
 // newMachineAllocBudget caps the heap allocations one NewMachine may make
@@ -68,4 +70,29 @@ func BenchmarkNewMachine(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkReplayRun measures whole replays of one fixed small FM-seeding
+// workload, machine construction included: a BEACON-D run and a DDR
+// baseline run (with -benchmem, the bytes and allocations a run costs).
+func BenchmarkReplayRun(b *testing.B) {
+	wl := fmWorkload(b)
+	b.Run("beacon-d", func(b *testing.B) {
+		cfg := DefaultConfig(DesignD, allOpts)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Run(cfg, wl); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ddr", func(b *testing.B) {
+		cfg := baseline.DefaultDDRConfig()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := baseline.RunDDR(cfg, wl); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

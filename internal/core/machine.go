@@ -206,7 +206,7 @@ var Flows = ndp.Flows{
 // optimization (device bias), traffic to or from an unmodified CXL-DIMM
 // detours through the host for coherence.
 func (m *Machine) viaHost(from, to cxl.NodeID) bool {
-	unmodified := func(n cxl.NodeID) bool { return n.Kind == cxl.NodeDIMM && n.Slot >= m.cfg.CXLGPerSwitch }
+	unmodified := func(n cxl.NodeID) bool { return n.Kind == cxl.NodeDIMM && int(n.Slot) >= m.cfg.CXLGPerSwitch }
 	return !m.cfg.Opts.MemAccessOpt && (unmodified(from) || unmodified(to))
 }
 
@@ -217,7 +217,7 @@ func (m *Machine) path(from, to cxl.NodeID, size int) ([]cxl.Hop, int, error) {
 
 // access is the walker's Access.
 func (m *Machine) access(now sim.Cycle, pa memmgmt.PlacedAccess, write bool) (sim.Cycle, error) {
-	return m.dimms[pa.Node.Switch][pa.Node.Slot].Access(now, pa.Loc, pa.Bytes, write, pa.Mode)
+	return m.dimms[pa.Node.Switch][pa.Node.Slot].Access(now, pa.Loc, int(pa.Bytes), write, pa.Mode)
 }
 
 // retry is the walker's Retry: the memory controller re-issues an access

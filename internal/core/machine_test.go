@@ -11,7 +11,7 @@ import (
 )
 
 // fmWorkload builds a small FM-index seeding workload.
-func fmWorkload(t *testing.T) *trace.Workload {
+func fmWorkload(t testing.TB) *trace.Workload {
 	t.Helper()
 	ref, err := genome.Synthesize(genome.DefaultSyntheticConfig(30000, 42))
 	if err != nil {

@@ -60,21 +60,22 @@ const (
 )
 
 // NodeID names a fabric endpoint. Switch is the switch index; Slot is the
-// DIMM slot under that switch (DIMM nodes only).
+// DIMM slot under that switch (DIMM nodes only). Both are int32, so a
+// NodeID is 12 bytes in every in-flight request that carries one.
 type NodeID struct {
 	Kind   NodeKind
-	Switch int
-	Slot   int
+	Switch int32
+	Slot   int32
 }
 
 // Host returns the host endpoint.
 func Host() NodeID { return NodeID{Kind: NodeHost} }
 
 // Switch returns switch endpoint i.
-func Switch(i int) NodeID { return NodeID{Kind: NodeSwitch, Switch: i} }
+func Switch(i int) NodeID { return NodeID{Kind: NodeSwitch, Switch: int32(i)} }
 
 // DIMM returns the endpoint for slot j under switch i.
-func DIMM(i, j int) NodeID { return NodeID{Kind: NodeDIMM, Switch: i, Slot: j} }
+func DIMM(i, j int) NodeID { return NodeID{Kind: NodeDIMM, Switch: int32(i), Slot: int32(j)} }
 
 // String renders the endpoint.
 func (n NodeID) String() string {
@@ -402,11 +403,11 @@ func (h Hop) Traverse(now sim.Cycle, wire int) sim.Cycle {
 // time passed in.
 type Cursor struct {
 	hops []Hop
-	wire int
+	wire int32
 }
 
 // NewCursor starts a walk over hops, moving wire bytes per hop.
-func NewCursor(hops []Hop, wire int) Cursor { return Cursor{hops: hops, wire: wire} }
+func NewCursor(hops []Hop, wire int32) Cursor { return Cursor{hops: hops, wire: wire} }
 
 // Next traverses the next hop at now and returns its delivery time; ok is
 // false when every hop has been traversed.
@@ -414,7 +415,7 @@ func (c *Cursor) Next(now sim.Cycle) (t sim.Cycle, ok bool) {
 	if len(c.hops) == 0 {
 		return now, false
 	}
-	t = c.hops[0].Traverse(now, c.wire)
+	t = c.hops[0].Traverse(now, int(c.wire))
 	c.hops = c.hops[1:]
 	return t, true
 }
@@ -424,9 +425,9 @@ func (c *Cursor) Next(now sim.Cycle) (t sim.Cycle, ok bool) {
 func (f *Fabric) nodeIndex(n NodeID) int {
 	switch n.Kind {
 	case NodeSwitch:
-		return 1 + n.Switch
+		return 1 + int(n.Switch)
 	case NodeDIMM:
-		return 1 + f.cfg.Switches + n.Switch*f.cfg.DIMMsPerSwitch + n.Slot
+		return 1 + f.cfg.Switches + int(n.Switch)*f.cfg.DIMMsPerSwitch + int(n.Slot)
 	}
 	return 0
 }
@@ -484,7 +485,7 @@ func (f *Fabric) buildPath(from, to NodeID, packer, viaHost bool) []Hop {
 	var buf [10]Hop
 	hops := buf[:0]
 	link := func(p *sim.Pipe) { hops = append(hops, Hop{f: f, pipe: p, kind: hopLink}) }
-	bus := func(s int) { hops = append(hops, Hop{f: f, pipe: f.bus[s], kind: hopBus}) }
+	bus := func(s int32) { hops = append(hops, Hop{f: f, pipe: f.bus[s], kind: hopBus}) }
 	if packer {
 		sw := from.Switch
 		if from.Kind == NodeHost {
@@ -508,7 +509,7 @@ func (f *Fabric) buildPath(from, to NodeID, packer, viaHost bool) []Hop {
 	if from.Kind == NodeDIMM {
 		link(f.dimmLinks[from.Switch][from.Slot].up)
 		bus(from.Switch)
-		cur = Switch(from.Switch)
+		cur = Switch(int(from.Switch))
 	}
 	if needHost && cur.Kind == NodeSwitch {
 		if from.Kind == NodeSwitch {
@@ -527,7 +528,7 @@ func (f *Fabric) buildPath(from, to NodeID, packer, viaHost bool) []Hop {
 		}
 		link(f.hostLinks[to.Switch].down)
 		bus(to.Switch)
-		cur = Switch(to.Switch)
+		cur = Switch(int(to.Switch))
 	}
 	if to.Kind == NodeSwitch {
 		return slices.Clone(hops)
@@ -547,15 +548,15 @@ func (f *Fabric) checkNode(n NodeID) error {
 	case NodeHost:
 		return nil
 	case NodeSwitch:
-		if n.Switch < 0 || n.Switch >= f.cfg.Switches {
+		if n.Switch < 0 || int(n.Switch) >= f.cfg.Switches {
 			return fmt.Errorf("cxl: switch %d out of range", n.Switch)
 		}
 		return nil
 	case NodeDIMM:
-		if n.Switch < 0 || n.Switch >= f.cfg.Switches {
+		if n.Switch < 0 || int(n.Switch) >= f.cfg.Switches {
 			return fmt.Errorf("cxl: switch %d out of range", n.Switch)
 		}
-		if n.Slot < 0 || n.Slot >= f.cfg.DIMMsPerSwitch {
+		if n.Slot < 0 || int(n.Slot) >= f.cfg.DIMMsPerSwitch {
 			return fmt.Errorf("cxl: slot %d out of range", n.Slot)
 		}
 		return nil

@@ -14,7 +14,10 @@
 // of the cost.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config describes one DIMM. The defaults (DefaultConfig) reproduce Table I:
 // 64 GB DIMMs of 8 Gb x4 chips, 4 ranks of 16 chips, 4 bank groups x 4
@@ -83,6 +86,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dram: bank organization %dx%d invalid", c.BankGroups, c.BanksPerGroup)
 	case c.RowBytes <= 0:
 		return fmt.Errorf("dram: row bytes must be positive, got %d", c.RowBytes)
+	case uint64(c.Ranks) > math.MaxInt32 || uint64(c.ChipsPerRank) > math.MaxInt32 ||
+		uint64(c.BankGroups)*uint64(c.BanksPerGroup) > math.MaxInt32:
+		return fmt.Errorf("dram: geometry %d ranks x %d chips x %d banks past the int32 range of a Loc",
+			c.Ranks, c.ChipsPerRank, c.Banks())
 	case c.CapacityBytes == 0:
 		return fmt.Errorf("dram: zero capacity")
 	case c.TRCD <= 0 || c.TRP <= 0 || c.TCL <= 0 || c.TBL <= 0:

@@ -41,17 +41,20 @@ func (m AccessMode) String() string {
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
-// Loc pinpoints a request inside a DIMM after address mapping.
+// Loc pinpoints a request inside a DIMM after address mapping. Its fields
+// are int32, so a Loc is 16 bytes in every in-flight request that carries
+// one; the row matches the bank record's open row (the address mapper
+// rejects a row past the int32 range instead of wrapping it).
 type Loc struct {
 	// Rank within the DIMM.
-	Rank int
+	Rank int32
 	// Chip is the first chip serving the request (ModePerChip/ModeCoalesced;
 	// ignored for lock-step).
-	Chip int
+	Chip int32
 	// Bank is the flat bank index within a chip (group*BanksPerGroup+bank).
-	Bank int
+	Bank int32
 	// Row is the DRAM row.
-	Row int64
+	Row int32
 }
 
 // Stats aggregates a DIMM's activity counters.
@@ -280,17 +283,15 @@ func (d *DIMM) Access(now sim.Cycle, loc Loc, bytes int, write bool, mode Access
 	if bytes <= 0 {
 		return 0, fmt.Errorf("dram: %s: non-positive access size %d", d.name, bytes)
 	}
-	if loc.Rank < 0 || loc.Rank >= d.cfg.Ranks {
+	rank, bank, row := int(loc.Rank), int(loc.Bank), loc.Row
+	if rank < 0 || rank >= d.cfg.Ranks {
 		return 0, fmt.Errorf("dram: %s: rank %d out of range", d.name, loc.Rank)
 	}
-	if loc.Bank < 0 || loc.Bank >= d.cfg.Banks() {
+	if bank < 0 || bank >= d.cfg.Banks() {
 		return 0, fmt.Errorf("dram: %s: bank %d out of range", d.name, loc.Bank)
 	}
-	if loc.Row < 0 {
+	if row < 0 {
 		return 0, fmt.Errorf("dram: %s: negative row", d.name)
-	}
-	if loc.Row > math.MaxInt32 {
-		return 0, fmt.Errorf("dram: %s: row %d past the int32 range", d.name, loc.Row)
 	}
 	var window int64
 	if d.cfg.TREFI > 0 {
@@ -320,9 +321,9 @@ func (d *DIMM) Access(now sim.Cycle, loc Loc, bytes int, write bool, mode Access
 	case ModeLockstep:
 		first, width = 0, d.cfg.ChipsPerRank
 	case ModePerChip:
-		first, width = loc.Chip, 1
+		first, width = int(loc.Chip), 1
 	case ModeCoalesced:
-		first, width = loc.Chip-loc.Chip%d.coalesce, d.coalesce
+		first, width = int(loc.Chip)-int(loc.Chip)%d.coalesce, d.coalesce
 	default:
 		return 0, fmt.Errorf("dram: %s: unknown access mode %d", d.name, mode)
 	}
@@ -332,10 +333,9 @@ func (d *DIMM) Access(now sim.Cycle, loc Loc, bytes int, write bool, mode Access
 
 	// Bank timing on the leading chip decides the row state; all chips in
 	// the set advance together.
-	rs := d.rank(loc.Rank)
+	rs := d.rank(rank)
 	banks := d.cfg.Banks()
-	row := int32(loc.Row)
-	lead := &rs.banks[first*banks+loc.Bank]
+	lead := &rs.banks[first*banks+bank]
 	prep := 0
 	activates := false
 	switch {
@@ -360,7 +360,7 @@ func (d *DIMM) Access(now sim.Cycle, loc Loc, bytes int, write bool, mode Access
 		nextRow = -1
 	}
 	for ch := first; ch < first+width; ch++ {
-		rs.banks[ch*banks+loc.Bank].open = nextRow
+		rs.banks[ch*banks+bank].open = nextRow
 	}
 
 	// Lazy refresh accounting: if a refresh window elapsed since the bank

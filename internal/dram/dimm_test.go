@@ -242,7 +242,7 @@ func TestChipImbalanceMetric(t *testing.T) {
 	}
 	// Hammer one chip: imbalance should be high.
 	for i := 0; i < 64; i++ {
-		if _, err := d.Access(sim.Cycle(i*100), Loc{Chip: 0, Row: int64(i)}, 32, false, ModePerChip); err != nil {
+		if _, err := d.Access(sim.Cycle(i*100), Loc{Chip: 0, Row: int32(i)}, 32, false, ModePerChip); err != nil {
 			t.Fatalf("Access: %v", err)
 		}
 	}
@@ -253,7 +253,7 @@ func TestChipImbalanceMetric(t *testing.T) {
 	// Balanced round-robin: near zero.
 	d2 := testDIMM(t, 1)
 	for i := 0; i < 64; i++ {
-		if _, err := d2.Access(sim.Cycle(i*100), Loc{Chip: i % 16, Row: int64(i)}, 32, false, ModePerChip); err != nil {
+		if _, err := d2.Access(sim.Cycle(i*100), Loc{Chip: int32(i % 16), Row: int32(i)}, 32, false, ModePerChip); err != nil {
 			t.Fatalf("Access: %v", err)
 		}
 	}
@@ -284,7 +284,7 @@ func TestAccessMonotonicProperty(t *testing.T) {
 		now := sim.Cycle(0)
 		var lastDone sim.Cycle
 		for _, r := range rows {
-			done, err := d.Access(now, Loc{Bank: int(r) % 16, Row: int64(r)}, 32, false, ModeCoalesced)
+			done, err := d.Access(now, Loc{Bank: int32(r % 16), Row: int32(r)}, 32, false, ModeCoalesced)
 			if err != nil || done <= now {
 				return false
 			}
@@ -305,7 +305,7 @@ func TestEnergyModel(t *testing.T) {
 	m := DefaultEnergyModel()
 	d := testDIMM(t, 8)
 	for i := 0; i < 10; i++ {
-		if _, err := d.Access(sim.Cycle(i*200), Loc{Row: int64(i)}, 32, false, ModeCoalesced); err != nil {
+		if _, err := d.Access(sim.Cycle(i*200), Loc{Row: int32(i)}, 32, false, ModeCoalesced); err != nil {
 			t.Fatalf("Access: %v", err)
 		}
 	}
@@ -366,7 +366,7 @@ func TestFAWThrottlesActivationBursts(t *testing.T) {
 	// fifth must wait for the tFAW window.
 	var done [5]sim.Cycle
 	for i := 0; i < 5; i++ {
-		done[i], _ = d.Access(0, Loc{Chip: 0, Bank: i, Row: 1}, 4, false, ModePerChip)
+		done[i], _ = d.Access(0, Loc{Chip: 0, Bank: int32(i), Row: 1}, 4, false, ModePerChip)
 	}
 	if d.Stats().FAWStalls == 0 {
 		t.Error("no FAW stalls recorded")
@@ -408,7 +408,7 @@ func TestClosedPagePolicy(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		start := sim.Cycle(i * 1000)
 		row := loc
-		row.Row = int64(5 + i%2) // alternate rows: open page would conflict
+		row.Row = int32(5 + i%2) // alternate rows: open page would conflict
 		done, err := d.Access(start, row, 32, false, ModeCoalesced)
 		if err != nil {
 			t.Fatalf("Access: %v", err)
@@ -447,7 +447,7 @@ func TestRankStateAllocatedOnFirstAccess(t *testing.T) {
 	}
 	// Four activations back to back on one chip: none may wait for tFAW.
 	for b := 0; b < 4; b++ {
-		if _, err := d.Access(0, Loc{Rank: 2, Chip: 5, Bank: b, Row: 9}, 16, false, ModeCoalesced); err != nil {
+		if _, err := d.Access(0, Loc{Rank: 2, Chip: 5, Bank: int32(b), Row: 9}, 16, false, ModeCoalesced); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -473,16 +473,16 @@ func TestRankStateAllocatedOnFirstAccess(t *testing.T) {
 }
 
 // TestAccessRejectsInt32Overflow checks the bounds of the 16-byte bank
-// record: a row or a refresh window past the int32 range is an error, not
-// a wrapped value, and the rejected access leaves no state behind.
+// record: a refresh window past the int32 range is an error, not a
+// wrapped value, and the rejected access leaves no state behind. The
+// highest row a Loc can carry is served; a row past it cannot be
+// expressed in a Loc, and the address mapper rejects it (memmgmt's
+// TestMapRejectsRowPastInt32).
 func TestAccessRejectsInt32Overflow(t *testing.T) {
 	d := testDIMM(t, 4)
 	cfg := d.Config()
 	if _, err := d.Access(0, Loc{Row: math.MaxInt32}, 16, false, ModeCoalesced); err != nil {
 		t.Errorf("row MaxInt32: %v", err)
-	}
-	if _, err := d.Access(0, Loc{Row: math.MaxInt32 + 1}, 16, false, ModeCoalesced); err == nil {
-		t.Error("row past MaxInt32 accepted")
 	}
 	last := sim.Cycle(math.MaxInt32) * sim.Cycle(cfg.TREFI)
 	if _, err := d.Access(last, Loc{Rank: 1, Row: 1}, 16, false, ModeCoalesced); err != nil {
@@ -492,7 +492,7 @@ func TestAccessRejectsInt32Overflow(t *testing.T) {
 		t.Error("refresh window past MaxInt32 accepted")
 	}
 	if st := d.Stats(); st.Reads != 2 || st.Refreshes != 1 {
-		t.Errorf("after two rejected accesses: %d reads, %d refreshes; want 2, 1", st.Reads, st.Refreshes)
+		t.Errorf("after a rejected access: %d reads, %d refreshes; want 2, 1", st.Reads, st.Refreshes)
 	}
 	if d.ranks[3].banks != nil {
 		t.Error("rejected access allocated state for its rank")

@@ -63,10 +63,10 @@ func replayAccessSequence(t *testing.T, sc goldenScenario) (string, Stats) {
 			now += sim.Cycle(rng.Intn(20))
 		}
 		loc := Loc{
-			Rank: rng.Intn(cfg.Ranks),
-			Chip: rng.Intn(cfg.ChipsPerRank),
-			Bank: rng.Intn(cfg.Banks()),
-			Row:  int64(rng.Intn(3)),
+			Rank: int32(rng.Intn(cfg.Ranks)),
+			Chip: int32(rng.Intn(cfg.ChipsPerRank)),
+			Bank: int32(rng.Intn(cfg.Banks())),
+			Row:  int32(rng.Intn(3)),
 		}
 		bytes := 1 + rng.Intn(128)
 		write := rng.Intn(4) == 0

@@ -97,8 +97,8 @@ func (a *Allocator) SetTenantBytes(n cxl.NodeID, bytes uint64) error {
 }
 
 func (a *Allocator) checkNode(n cxl.NodeID) error {
-	if n.Kind != cxl.NodeDIMM || n.Switch < 0 || n.Switch >= a.pool.Switches ||
-		n.Slot < 0 || n.Slot >= a.pool.DIMMsPerSwitch {
+	if n.Kind != cxl.NodeDIMM || n.Switch < 0 || int(n.Switch) >= a.pool.Switches ||
+		n.Slot < 0 || int(n.Slot) >= a.pool.DIMMsPerSwitch {
 		return fmt.Errorf("memmgmt: node %v outside pool", n)
 	}
 	return nil
@@ -126,8 +126,8 @@ func (a *Allocator) candidates(req AllocRequest) []cxl.NodeID {
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
-		pi := out[i].Switch != req.PreferSwitch
-		pj := out[j].Switch != req.PreferSwitch
+		pi := int(out[i].Switch) != req.PreferSwitch
+		pj := int(out[j].Switch) != req.PreferSwitch
 		if pi != pj {
 			return !pi // preferred switch first
 		}

@@ -66,7 +66,7 @@ func TestAllocateSpillsAcrossSwitches(t *testing.T) {
 		t.Fatalf("Allocate: %v", err)
 	}
 	// 4.5 DIMMs worth: all of switch 0 plus part of switch 1.
-	sw := map[int]int{}
+	sw := map[int32]int{}
 	for _, n := range alloc.DIMMs {
 		sw[n.Switch]++
 	}

@@ -23,6 +23,7 @@ package memmgmt
 
 import (
 	"fmt"
+	"math"
 
 	"beacon/internal/cxl"
 	"beacon/internal/dram"
@@ -74,7 +75,7 @@ func (p PoolLayout) Validate() error {
 
 // IsCXLG reports whether the slot holds a CXLG-DIMM.
 func (p PoolLayout) IsCXLG(node cxl.NodeID) bool {
-	return node.Kind == cxl.NodeDIMM && node.Slot < p.CXLGSlots
+	return node.Kind == cxl.NodeDIMM && int(node.Slot) < p.CXLGSlots
 }
 
 // TotalDIMMs returns the pool's DIMM count.
@@ -144,18 +145,25 @@ func (c Config) Validate() error {
 	if c.FineUnitBytes == 0 {
 		return fmt.Errorf("memmgmt: zero fine unit bytes")
 	}
+	// A piece is at most one interleaving unit or one row segment, and
+	// PlacedAccess.Bytes is int32.
+	widest := uint64(c.DIMM.ChipsPerRank) * uint64(max(c.DIMM.RowBytes, c.DIMM.ChipIOBytes))
+	if c.FineUnitBytes > math.MaxInt32 || widest > math.MaxInt32 {
+		return fmt.Errorf("memmgmt: fine unit %d B or rank-wide row %d B past the int32 range of a piece", c.FineUnitBytes, widest)
+	}
 	return nil
 }
 
 // PlacedAccess is one physical DRAM access produced by mapping a logical
-// step (a step can split across mapping units).
+// step (a step can split across mapping units). It is 36 bytes, carried in
+// every piece in flight.
 type PlacedAccess struct {
 	// Node is the DIMM that services the access.
 	Node cxl.NodeID
 	// Loc is the position within that DIMM.
 	Loc dram.Loc
 	// Bytes is this piece's payload.
-	Bytes int
+	Bytes int32
 	// Mode is the DRAM access mode the controller uses.
 	Mode dram.AccessMode
 }
@@ -185,11 +193,11 @@ func NewMapper(cfg Config, home cxl.NodeID) (*Mapper, error) {
 	}
 	switch home.Kind {
 	case cxl.NodeDIMM:
-		if home.Switch >= cfg.Pool.Switches || home.Slot >= cfg.Pool.DIMMsPerSwitch {
+		if int(home.Switch) >= cfg.Pool.Switches || int(home.Slot) >= cfg.Pool.DIMMsPerSwitch {
 			return nil, fmt.Errorf("memmgmt: home %v outside pool", home)
 		}
 	case cxl.NodeSwitch:
-		if home.Switch >= cfg.Pool.Switches {
+		if int(home.Switch) >= cfg.Pool.Switches {
 			return nil, fmt.Errorf("memmgmt: home %v outside pool", home)
 		}
 	case cxl.NodeHost:
@@ -204,7 +212,7 @@ func NewMapper(cfg Config, home cxl.NodeID) (*Mapper, error) {
 	// the pool-wide allocator left it — striped across every DIMM.
 	if cfg.PlacementLocal && home.Kind != cxl.NodeHost {
 		for d := 0; d < cfg.Pool.DIMMsPerSwitch; d++ {
-			m.dimmSet = append(m.dimmSet, cxl.DIMM(home.Switch, d))
+			m.dimmSet = append(m.dimmSet, cxl.DIMM(int(home.Switch), d))
 		}
 	} else {
 		for s := 0; s < cfg.Pool.Switches; s++ {
@@ -225,7 +233,7 @@ func NewMapper(cfg Config, home cxl.NodeID) (*Mapper, error) {
 		m.localSet = []cxl.NodeID{home}
 	case cxl.NodeSwitch:
 		for d := 0; d < cfg.Pool.DIMMsPerSwitch; d++ {
-			m.localSet = append(m.localSet, cxl.DIMM(home.Switch, d))
+			m.localSet = append(m.localSet, cxl.DIMM(int(home.Switch), d))
 		}
 	default:
 		m.localSet = m.dimmSet
@@ -233,25 +241,43 @@ func NewMapper(cfg Config, home cxl.NodeID) (*Mapper, error) {
 	return m, nil
 }
 
-// Granules returns, for non-spatial and for spatial steps, the largest
-// block size every split point of this mapper's placement is a multiple
-// of, taken over every DIMM kind in the pool: the stripe and the
-// interleaving units for hot data, the stripe and the row segments for
-// row-major spatial data. A step therefore maps to at most as many pieces
-// as the blocks of its kind's granule that its bytes touch.
-func (m *Mapper) Granules() (hot, spatial uint64) {
+// Granules folds this mapper's placement granules into g for a workload
+// whose pinned-local spaces are local: each entry becomes the common
+// granule of what it held (0 holds nothing) and the largest block size
+// every split point of such a step's placement is a multiple of. That is
+// taken over the DIMM kinds of the set the step maps into (setFor): the
+// stripe and the interleaving units for non-spatial steps, the stripe and
+// the row segments for row-major spatial ones. A step therefore maps to
+// at most as many pieces as the blocks of its entry that its bytes touch.
+func (m *Mapper) Granules(g *trace.Granules, local *[trace.NumSpaces]bool) {
+	for sp := range g {
+		for atomic := range g[sp] {
+			shared := atomic == 1 && !local[sp]
+			for spatial := range g[sp][atomic] {
+				for _, n := range m.setFor(spatial == 1, local[sp], shared) {
+					e := &g[sp][atomic][spatial]
+					*e = CommonGranule(*e, m.granule(m.cfg.Pool.IsCXLG(n), spatial == 1))
+				}
+			}
+		}
+	}
+}
+
+// granule is the largest block size every split point of a piece on one
+// DIMM kind is a multiple of (see placeWithin).
+func (m *Mapper) granule(cxlg, spatial bool) uint64 {
 	c := m.cfg
-	row := uint64(c.DIMM.RowBytes)
-	hot = CommonGranule(c.StripeBytes, 64)
-	if c.Scheme != SchemeArchData {
-		return hot, hot // the fixed scheme interleaves everything at 64 B
+	unit := uint64(64) // the fixed scheme's unit, and lock-step interleaving
+	switch {
+	case c.Scheme != SchemeArchData:
+	case spatial && cxlg:
+		unit = uint64(c.CoalesceGroup) * uint64(c.DIMM.RowBytes)
+	case spatial:
+		unit = uint64(c.DIMM.ChipsPerRank) * uint64(c.DIMM.RowBytes)
+	case cxlg:
+		unit = max(c.FineUnitBytes, uint64(c.CoalesceGroup*c.DIMM.ChipIOBytes))
 	}
-	spatial = CommonGranule(c.StripeBytes, uint64(c.DIMM.ChipsPerRank)*row)
-	if c.Pool.CXLGSlots > 0 {
-		hot = CommonGranule(hot, max(c.FineUnitBytes, uint64(c.CoalesceGroup*c.DIMM.ChipIOBytes)))
-		spatial = CommonGranule(spatial, uint64(c.CoalesceGroup)*row)
-	}
-	return hot, spatial
+	return CommonGranule(c.StripeBytes, unit)
 }
 
 // CommonGranule returns the largest block size that both a and b are
@@ -287,15 +313,7 @@ func (m *Mapper) MapShared(dst []PlacedAccess, space trace.Space, addr uint64, s
 	if size == 0 {
 		return dst, fmt.Errorf("memmgmt: zero-size access")
 	}
-	set := m.dimmSet
-	switch {
-	case local:
-		set = m.localSet
-	case shared:
-		set = m.poolSet
-	case m.cfg.HotLocal && m.home.Kind == cxl.NodeDIMM && !spatial:
-		set = m.localSet
-	}
+	set := m.setFor(spatial, local, shared)
 	// Salt the stripe by space so different spaces don't align.
 	salt := uint64(space) * 0x9E3779B9
 	// Split across stripe boundaries first.
@@ -307,14 +325,32 @@ func (m *Mapper) MapShared(dst []PlacedAccess, space trace.Space, addr uint64, s
 		}
 		stripe := addr/m.cfg.StripeBytes + salt
 		node := set[stripe%uint64(len(set))]
-		dst = m.placeWithin(dst, node, addr, int(chunk), spatial)
+		var err error
+		if dst, err = m.placeWithin(dst, node, addr, int(chunk), spatial); err != nil {
+			return dst, err
+		}
 		addr += chunk
 		size -= uint32(chunk)
 	}
 	return dst, nil
 }
 
+// setFor returns the DIMM set a step with the given flags stripes across
+// (see MapShared).
+func (m *Mapper) setFor(spatial, local, shared bool) []cxl.NodeID {
+	switch {
+	case local:
+		return m.localSet
+	case shared:
+		return m.poolSet
+	case m.cfg.HotLocal && m.home.Kind == cxl.NodeDIMM && !spatial:
+		return m.localSet
+	}
+	return m.dimmSet
+}
+
 // placeWithin maps a chunk inside one DIMM, appending its pieces to dst.
+// A row past the int32 range of a dram.Loc is an error, never wrapped.
 //
 // Chip-group width is a *hardware* property: CXLG-DIMMs have per-chip chip
 // select, so their accesses use the configured coalescing group (1 =
@@ -323,7 +359,7 @@ func (m *Mapper) MapShared(dst []PlacedAccess, space trace.Space, addr uint64, s
 // fine-grained objects at the FineUnitBytes granule and lays spatial data
 // row-major; SchemeFixed interleaves everything at 64 B units regardless of
 // data type.
-func (m *Mapper) placeWithin(dst []PlacedAccess, node cxl.NodeID, addr uint64, size int, spatial bool) []PlacedAccess {
+func (m *Mapper) placeWithin(dst []PlacedAccess, node cxl.NodeID, addr uint64, size int, spatial bool) ([]PlacedAccess, error) {
 	cfgD := m.cfg.DIMM
 	cxlg := m.cfg.Pool.IsCXLG(node)
 	banks := cfgD.Banks()
@@ -358,17 +394,20 @@ func (m *Mapper) placeWithin(dst []PlacedAccess, node cxl.NodeID, addr uint64, s
 			g := int(seg % uint64(groupsPerRank))
 			bank := int(seg / uint64(groupsPerRank) % uint64(banks))
 			rank := int(seg / uint64(groupsPerRank) / uint64(banks) % uint64(cfgD.Ranks))
-			row := int64(seg / uint64(groupsPerRank) / uint64(banks) / uint64(cfgD.Ranks))
+			row := seg / uint64(groupsPerRank) / uint64(banks) / uint64(cfgD.Ranks)
+			if row > math.MaxInt32 {
+				return dst, rowRangeError(node, addr, row)
+			}
 			dst = append(dst, PlacedAccess{
 				Node:  node,
-				Loc:   dram.Loc{Rank: rank, Chip: g * group, Bank: bank, Row: row},
-				Bytes: int(chunk),
+				Loc:   dram.Loc{Rank: int32(rank), Chip: int32(g * group), Bank: int32(bank), Row: int32(row)},
+				Bytes: int32(chunk),
 				Mode:  mode,
 			})
 			addr += chunk
 			size -= int(chunk)
 		}
-		return dst
+		return dst, nil
 	}
 
 	// Interleaved mapping. The unit is the granule at which one object lives
@@ -400,15 +439,22 @@ func (m *Mapper) placeWithin(dst []PlacedAccess, node cxl.NodeID, addr uint64, s
 		if colsPerRow == 0 {
 			colsPerRow = 1
 		}
-		row := int64(u / sweep / colsPerRow)
+		row := u / sweep / colsPerRow
+		if row > math.MaxInt32 {
+			return dst, rowRangeError(node, addr, row)
+		}
 		dst = append(dst, PlacedAccess{
 			Node:  node,
-			Loc:   dram.Loc{Rank: rank, Chip: g * group, Bank: bank, Row: row},
-			Bytes: int(chunk),
+			Loc:   dram.Loc{Rank: int32(rank), Chip: int32(g * group), Bank: int32(bank), Row: int32(row)},
+			Bytes: int32(chunk),
 			Mode:  mode,
 		})
 		addr += chunk
 		size -= int(chunk)
 	}
-	return dst
+	return dst, nil
+}
+
+func rowRangeError(node cxl.NodeID, addr, row uint64) error {
+	return fmt.Errorf("memmgmt: %v address %#x maps to row %d, past the int32 range", node, addr, row)
 }

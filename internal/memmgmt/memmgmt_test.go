@@ -1,6 +1,7 @@
 package memmgmt
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -35,6 +36,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.CoalesceGroup = 0 },
 		func(c *Config) { c.CoalesceGroup = 3 },
 		func(c *Config) { c.StripeBytes = 0 },
+		// A piece could pass the int32 range of PlacedAccess.Bytes.
+		func(c *Config) { c.FineUnitBytes = 1 << 31 },
+		func(c *Config) { c.DIMM.RowBytes = 1 << 28 },
 	}
 	for i, fn := range mut {
 		c := DefaultConfig()
@@ -182,9 +186,9 @@ func TestSpatialRowMajorMinimizesRowSpan(t *testing.T) {
 	if len(accsF) != 512/64 {
 		t.Fatalf("fixed spatial mapped to %d accesses, want %d", len(accsF), 512/64)
 	}
-	banks := map[[3]int]bool{}
+	banks := map[[3]int32]bool{}
 	for _, a := range accsF {
-		banks[[3]int{a.Loc.Rank, a.Loc.Bank, int(a.Loc.Row)}] = true
+		banks[[3]int32{a.Loc.Rank, a.Loc.Bank, a.Loc.Row}] = true
 	}
 	if len(banks) < 2 {
 		t.Error("fixed mapping did not spread a spatial read across banks")
@@ -194,14 +198,14 @@ func TestSpatialRowMajorMinimizesRowSpan(t *testing.T) {
 
 func TestFineGrainedInterleaveSpreadsBanks(t *testing.T) {
 	m := mapperFor(t, nil, cxl.DIMM(0, 0))
-	seen := map[[3]int]bool{}
+	seen := map[[3]int32]bool{}
 	for i := 0; i < 256; i++ {
 		accs, err := m.MapShared(nil, trace.SpaceOcc, uint64(i)*32, 32, false, true, false)
 		if err != nil {
 			t.Fatalf("MapShared: %v", err)
 		}
 		for _, a := range accs {
-			seen[[3]int{a.Loc.Rank, a.Loc.Chip, a.Loc.Bank}] = true
+			seen[[3]int32{a.Loc.Rank, a.Loc.Chip, a.Loc.Bank}] = true
 		}
 	}
 	// 2 groups x 16 banks x 4 ranks = 128 distinct slots; sequential blocks
@@ -219,7 +223,7 @@ func TestMapSplitsStripeBoundary(t *testing.T) {
 	}
 	var total int
 	for _, a := range accs {
-		total += a.Bytes
+		total += int(a.Bytes)
 	}
 	if total != 100 {
 		t.Errorf("split pieces sum to %d, want 100", total)
@@ -251,10 +255,10 @@ func TestMapConservationProperty(t *testing.T) {
 		}
 		total := 0
 		for _, a := range accs {
-			total += a.Bytes
-			if a.Loc.Rank < 0 || a.Loc.Rank >= cfg.DIMM.Ranks ||
-				a.Loc.Bank < 0 || a.Loc.Bank >= cfg.DIMM.Banks() ||
-				a.Loc.Chip < 0 || a.Loc.Chip >= cfg.DIMM.ChipsPerRank ||
+			total += int(a.Bytes)
+			if a.Loc.Rank < 0 || int(a.Loc.Rank) >= cfg.DIMM.Ranks ||
+				a.Loc.Bank < 0 || int(a.Loc.Bank) >= cfg.DIMM.Banks() ||
+				a.Loc.Chip < 0 || int(a.Loc.Chip) >= cfg.DIMM.ChipsPerRank ||
 				a.Loc.Row < 0 {
 				return false
 			}
@@ -325,7 +329,7 @@ func TestSchemeString(t *testing.T) {
 }
 
 // Property: a step maps to at most as many pieces as the blocks of its
-// kind's granule (Granules) that it touches, on every scheme, group width,
+// space's and kind's granule (Granules) that it touches, on every scheme, group width,
 // pool shape and home, including stripe and unit sizes that are not powers
 // of two.
 func TestGranuleBoundsPieces(t *testing.T) {
@@ -341,20 +345,54 @@ func TestGranuleBoundsPieces(t *testing.T) {
 	for ci, mut := range configs {
 		for _, home := range homes {
 			m := mapperFor(t, mut, home)
-			hot, spatialG := m.Granules()
 			prop := func(addr uint32, size uint16, space uint8, spatial, local, shared bool) bool {
 				sz := uint32(size) + 1
-				pieces, err := m.MapShared(nil, trace.Space(space%uint8(trace.NumSpaces)), uint64(addr), sz, spatial, local, shared)
-				g := hot
-				if spatial {
-					g = spatialG
-				}
-				blocks := (uint64(addr)%g + uint64(sz) + g - 1) / g
+				sp := trace.Space(space % uint8(trace.NumSpaces))
+				var g trace.Granules
+				var locals [trace.NumSpaces]bool
+				locals[sp] = local
+				m.Granules(&g, &locals)
+				// An atomic step is shared unless its space is local, as
+				// MapShared's local flag wins over its shared one.
+				gran := g[sp][b2i(shared)][b2i(spatial)]
+				pieces, err := m.MapShared(nil, sp, uint64(addr), sz, spatial, local, shared)
+				blocks := (uint64(addr)%gran + uint64(sz) + gran - 1) / gran
 				return err == nil && uint64(len(pieces)) <= blocks
 			}
 			if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-				t.Errorf("config %d, home %v (granules %d, %d): %v", ci, home, hot, spatialG, err)
+				t.Errorf("config %d, home %v: %v", ci, home, err)
 			}
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestMapRejectsRowPastInt32 checks that a row past the int32 range of a
+// dram.Loc is a mapping error, never a wrapped row, on both the
+// interleaved and the row-major path. On lock-step DIMMs with the default
+// geometry, both put row r at address r<<20.
+func TestMapRejectsRowPastInt32(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		mut     func(*Config)
+		spatial bool
+	}{
+		{"interleaved", func(c *Config) { c.Scheme = SchemeFixed }, false},
+		{"row-major", func(c *Config) { c.Pool.CXLGSlots = 0 }, true},
+	} {
+		m := mapperFor(t, c.mut, cxl.Switch(0))
+		pieces, err := m.MapShared(nil, trace.SpaceReference, math.MaxInt32<<20, 32, c.spatial, false, false)
+		if err != nil || len(pieces) != 1 || pieces[0].Loc.Row != math.MaxInt32 {
+			t.Errorf("%s: row MaxInt32 mapped to %+v, %v", c.name, pieces, err)
+		}
+		if _, err := m.MapShared(nil, trace.SpaceReference, (math.MaxInt32+1)<<20, 32, c.spatial, false, false); err == nil {
+			t.Errorf("%s: row past MaxInt32 accepted", c.name)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package ndp
 
 import (
+	"fmt"
+	"math"
+
 	"beacon/internal/cxl"
 	"beacon/internal/memmgmt"
 	"beacon/internal/sim"
@@ -94,8 +97,8 @@ type Walker struct {
 	// returns its completion time.
 	Access func(now sim.Cycle, pa memmgmt.PlacedAccess, write bool) (sim.Cycle, error)
 	// Retry, when non-nil, is asked after a failed Access whether to
-	// re-issue it, and after what backoff; tries counts earlier retries. A
-	// retry runs in an event at the end of the backoff.
+	// re-issue it, and after what backoff; tries counts earlier retries,
+	// up to 65,535. A retry runs in an event at the end of the backoff.
 	Retry func(now sim.Cycle, err error, tries int) (sim.Cycles, bool)
 	// Atomic performs the RMW arithmetic at node at, starting at now, and
 	// returns its completion time. local reports that the piece lies in
@@ -115,18 +118,31 @@ type Walker struct {
 	onHop, onPhase, onRetry sim.Handler
 }
 
-// walk is one placed piece in flight through its flow, which points into
-// the walker's tables: phase i started at t, hops is its position on the
-// current route, and tries counts the current DRAM phase's retries.
+// walk is one placed piece in flight through its flow, the walker's table
+// flow names (flowOf): phase i started at t, hops is its position on the
+// current route, and tries counts the current DRAM phase's retries,
+// saturating at 65,535. It is 96 bytes, one per piece in flight.
 type walk struct {
-	flow  *Flow
-	home  cxl.NodeID
-	pa    memmgmt.PlacedAccess
-	tag   int32
-	i     int32
-	t     sim.Cycle
 	hops  cxl.Cursor
-	tries int32
+	t     sim.Cycle
+	pa    memmgmt.PlacedAccess
+	home  cxl.NodeID
+	tag   int32
+	flow  uint8
+	i     uint8
+	tries uint16
+}
+
+// numOps is the number of flows in each of Flows' tables. A walk's flow is
+// its op in Local, or numOps past it in Remote.
+const numOps = uint8(len(Flows{}.Local))
+
+// flowOf returns the table flow f names.
+func (w *Walker) flowOf(f uint8) Flow {
+	if f >= numOps {
+		return w.Flows.Remote[f-numOps]
+	}
+	return w.Flows.Local[f]
 }
 
 // Walk serves one placed piece of an op issued by home at now: it walks the
@@ -134,26 +150,37 @@ type walk struct {
 // acknowledgement) is back at home, or to Fail on an error, never both.
 func (w *Walker) Walk(now sim.Cycle, home cxl.NodeID, pa memmgmt.PlacedAccess, op trace.Op, tag int32) {
 	if w.onHop == nil {
-		w.onHop, w.onPhase, w.onRetry = w.hopDelivered, w.phaseDue, w.retryDue
+		w.bind()
 	}
-	flow := &w.Flows.Remote[op]
+	flow := uint8(op) + numOps
 	if pa.Node == home {
-		flow = &w.Flows.Local[op]
+		flow = uint8(op)
 	}
 	idx := w.walks.get()
-	w.walks.recs[idx] = walk{flow: flow, home: home, pa: pa, tag: tag}
+	w.walks.recs[idx] = walk{home: home, pa: pa, tag: tag, flow: flow}
 	w.run(idx, 0, now)
+}
+
+// bind binds the event handlers and checks that every flow's phase index
+// fits a walk's uint8.
+func (w *Walker) bind() {
+	for f := range 2 * numOps {
+		if n := len(w.flowOf(f)); n > math.MaxUint8 {
+			panic(fmt.Sprintf("ndp: flow %d has %d phases, past the %d a walk can index", f, n, math.MaxUint8))
+		}
+	}
+	w.onHop, w.onPhase, w.onRetry = w.hopDelivered, w.phaseDue, w.retryDue
 }
 
 // run starts phase i of record idx at t.
 func (w *Walker) run(idx int32, i int, t sim.Cycle) {
 	k := &w.walks.recs[idx]
-	flow := *k.flow
+	flow := w.flowOf(k.flow)
 	if i == len(flow) {
 		w.release(idx, t, nil)
 		return
 	}
-	k.i, k.t = int32(i), t
+	k.i, k.t = uint8(i), t
 	ph := flow[i]
 	switch ph.kind {
 	case phaseRoute:
@@ -163,11 +190,14 @@ func (w *Walker) run(idx int32, i int, t sim.Cycle) {
 			return
 		}
 		hops, wire, err := w.Path(from, to, w.bytes(k, ph.size))
+		if err == nil && wire > math.MaxInt32 {
+			err = fmt.Errorf("ndp: %d wire bytes per hop past the int32 range", wire)
+		}
 		if err != nil {
 			w.release(idx, t, err)
 			return
 		}
-		k.hops = cxl.NewCursor(hops, wire)
+		k.hops = cxl.NewCursor(hops, int32(wire))
 		w.hop(idx, t)
 	case phaseRead, phaseWrite:
 		k.tries = 0
@@ -194,14 +224,14 @@ func (w *Walker) hop(idx int32, t sim.Cycle) {
 // Retry hook's backoff while the hook allows.
 func (w *Walker) access(idx int32, t sim.Cycle) {
 	k := &w.walks.recs[idx]
-	done, err := w.Access(t, k.pa, (*k.flow)[k.i].kind == phaseWrite)
+	done, err := w.Access(t, k.pa, w.flowOf(k.flow)[k.i].kind == phaseWrite)
 	if err == nil {
 		w.after(idx, int(k.i)+1, done)
 		return
 	}
 	if w.Retry != nil {
 		if backoff, ok := w.Retry(t, err, int(k.tries)); ok {
-			k.tries++
+			k.tries = min(k.tries+1, math.MaxUint16)
 			w.Engine.Post(t+backoff, w.onRetry, idx)
 			return
 		}
@@ -213,11 +243,11 @@ func (w *Walker) access(idx int32, t sim.Cycle) {
 // atomic phase.
 func (w *Walker) after(idx int32, i int, t sim.Cycle) {
 	k := &w.walks.recs[idx]
-	if flow := *k.flow; i == len(flow) || flow[i].kind == phaseAtomic {
+	if flow := w.flowOf(k.flow); i == len(flow) || flow[i].kind == phaseAtomic {
 		w.run(idx, i, t)
 		return
 	}
-	k.i, k.t = int32(i), t
+	k.i, k.t = uint8(i), t
 	w.Engine.Post(t, w.onPhase, idx)
 }
 
@@ -240,10 +270,10 @@ func (w *Walker) release(idx int32, t sim.Cycle, err error) {
 
 // node resolves a symbolic endpoint.
 func (k *walk) node(e End) cxl.NodeID {
-	return [...]cxl.NodeID{Home: k.home, Target: k.pa.Node, TargetSwitch: cxl.Switch(k.pa.Node.Switch)}[e]
+	return [...]cxl.NodeID{Home: k.home, Target: k.pa.Node, TargetSwitch: cxl.Switch(int(k.pa.Node.Switch))}[e]
 }
 
 // bytes resolves a symbolic message size.
 func (w *Walker) bytes(k *walk, s Size) int {
-	return [...]int{Req: w.ReqBytes, ReqData: w.ReqBytes + k.pa.Bytes, Data: k.pa.Bytes, Ack: w.AckBytes}[s]
+	return [...]int{Req: w.ReqBytes, ReqData: w.ReqBytes + int(k.pa.Bytes), Data: int(k.pa.Bytes), Ack: w.AckBytes}[s]
 }

@@ -87,7 +87,7 @@ func (f *fake) walker(flows ndp.Flows) *ndp.Walker {
 func walkOne(t *testing.T, f *fake, flows ndp.Flows, home, target cxl.NodeID, op trace.Op) []string {
 	t.Helper()
 	f.eng = sim.NewEngine()
-	f.names = map[cxl.NodeID]string{target: "target", cxl.Switch(target.Switch): "switch", home: "home"}
+	f.names = map[cxl.NodeID]string{target: "target", cxl.Switch(int(target.Switch)): "switch", home: "home"}
 	w := f.walker(flows)
 	w.Done = func(_ int32, at sim.Cycle) { f.note("done @%d", at) }
 	w.Fail = func(_ int32, err error) { f.note("fail %v @%d", err, f.eng.Now()) }

@@ -88,8 +88,9 @@ type Replay struct {
 
 // taskRun is one admitted task in flight: where it runs, when it started,
 // and the current step's state. The step was issued at issue, its pieces
-// go out from the task's home (Replay.home) when the PE finishes at tc,
-// and it completes when the last of remaining pieces is back, at latest.
+// go out from the task's home (Replay.home) in an event when the PE
+// finishes, and it completes when the last of remaining pieces is back,
+// at latest. It is 48 bytes, one per task in flight.
 type taskRun struct {
 	task      *trace.Task
 	node      int32
@@ -97,7 +98,7 @@ type taskRun struct {
 	start     sim.Cycle
 	step      int32
 	remaining int32
-	issue, tc sim.Cycle
+	issue     sim.Cycle
 	latest    sim.Cycle
 }
 
@@ -186,20 +187,25 @@ func (r *Replay) Run(wl *trace.Workload) (Totals, error) {
 	// when the tasks fit the schedulers, and every slot is full when they
 	// do not, so n bounds the tasks in flight in both regimes. Each has
 	// one step out, so the pieces in flight are bounded by the n largest
-	// per-task fan-outs at the nodes' common mapping granules. Each node's
-	// backlog takes its round-robin share. Host fallback (tasks in flight
-	// past n) grows past the reservation by append.
+	// per-task fan-outs at the nodes' common per-space mapping granules
+	// (a task may run on any node after a failover). A task in flight has
+	// one event pending, or one per piece it has out, and the opening
+	// admission one per node, so the engine reserves the walk bound plus
+	// the nodes. Each node's backlog takes its round-robin share. Host
+	// fallback (tasks in flight past n) and the failover closures grow
+	// past the reservations by append.
 	inFlight, share := 0, (len(wl.Tasks)+len(r.nodes)-1)/len(r.nodes)
-	var hot, spatial uint64
+	var g trace.Granules
 	for _, nd := range r.nodes {
 		inFlight += nd.Module.limit
 		nd.Module.pending = make([]*trace.Task, 0, share)
-		h, s := nd.Mapper.Granules()
-		hot, spatial = memmgmt.CommonGranule(hot, h), memmgmt.CommonGranule(spatial, s)
+		nd.Mapper.Granules(&g, &wl.LocalSpaces)
 	}
 	n := min(len(wl.Tasks), inFlight)
 	r.tasks.reserve(n)
-	r.w.walks.reserve(wl.PieceBound(hot, spatial, n))
+	pieces := wl.PieceBound(&g, n)
+	r.w.walks.reserve(pieces)
+	r.engine.Reserve(pieces + len(r.nodes))
 	for i := range wl.Tasks {
 		r.nodes[i%len(r.nodes)].Module.Enqueue(&wl.Tasks[i])
 	}
@@ -287,16 +293,18 @@ func (r *Replay) runStep(idx int32, now sim.Cycle) {
 		tc = n.Module.Compute(now, task.Engine, st)
 	}
 	// Issue the pieces when the PE finishes computing; the step completes
-	// when every piece has returned.
-	rec.issue, rec.tc, rec.latest = now, tc, tc
+	// when every piece has returned. Compute never ends before now, so the
+	// event runs at tc.
+	rec.issue, rec.latest = now, tc
 	r.engine.Post(tc, r.onIssue, idx)
 }
 
 // issue maps record idx's step through its node's mapper and hands the
-// placed pieces to the walker, tagged with idx. Mapping is a pure
-// function of the step, so mapping when the pieces go out rather than
-// when the step starts lets every step share one scratch slice: pieces
-// only ever go out from an event, never inside another step's fan-out.
+// placed pieces to the walker, tagged with idx, at the PE's finish (now).
+// Mapping is a pure function of the step, so mapping when the pieces go
+// out rather than when the step starts lets every step share one scratch
+// slice: pieces only ever go out from an event, never inside another
+// step's fan-out.
 func (r *Replay) issue(idx int32) {
 	rec := &r.tasks.recs[idx]
 	st := &rec.task.Steps[rec.step]
@@ -310,14 +318,14 @@ func (r *Replay) issue(idx int32) {
 		return
 	}
 	rec.remaining = int32(len(placed))
-	home := r.home(rec)
+	home, now := r.home(rec), r.engine.Now()
 	for _, pa := range placed {
 		if pa.Node == home {
 			r.tot.LocalAccesses++
 		} else {
 			r.tot.RemoteAccesses++
 		}
-		r.w.Walk(rec.tc, home, pa, st.Op, idx)
+		r.w.Walk(now, home, pa, st.Op, idx)
 	}
 }
 

@@ -105,11 +105,11 @@ func TestReplaySurfacesServeError(t *testing.T) {
 // record per task or piece in flight, so a field that widens them costs
 // every run. The bounds are the 64-bit sizes and hold on 32-bit too.
 func TestRecordSizes(t *testing.T) {
-	if got := unsafe.Sizeof(taskRun{}); got > 56 {
-		t.Errorf("taskRun is %d bytes, want at most 56", got)
+	if got := unsafe.Sizeof(taskRun{}); got > 48 {
+		t.Errorf("taskRun is %d bytes, want at most 48", got)
 	}
-	if got := unsafe.Sizeof(walk{}); got > 160 {
-		t.Errorf("walk is %d bytes, want at most 160", got)
+	if got := unsafe.Sizeof(walk{}); got > 96 {
+		t.Errorf("walk is %d bytes, want at most 96", got)
 	}
 }
 
@@ -146,8 +146,9 @@ func TestReplayWalkSlabNeverRegrows(t *testing.T) {
 	for i := range wl.Tasks {
 		wl.Tasks[i].Steps[1] = trace.Step{Space: trace.SpaceOcc, Addr: uint64(i)*256 + 16, Size: 200}
 	}
-	hot, spatial := r.nodes[0].Mapper.Granules()
-	if got := wl.PieceBound(hot, spatial, tasks); got != tasks*fanout {
+	var g trace.Granules
+	r.nodes[0].Mapper.Granules(&g, &wl.LocalSpaces)
+	if got := wl.PieceBound(&g, tasks); got != tasks*fanout {
 		t.Fatalf("PieceBound = %d, want %d", got, tasks*fanout)
 	}
 	tot, err := r.Run(wl)
@@ -164,6 +165,37 @@ func TestReplayWalkSlabNeverRegrows(t *testing.T) {
 	}
 	if n <= tasks {
 		t.Errorf("walk slab peaked at %d records: the steps did not fan out", n)
+	}
+}
+
+// TestReplayCalendarSlabNeverRegrows pins the engine reservation on the
+// same fan-out: every piece waits an event between its two DRAM phases,
+// so the events pending peak past one per task, and the calendar slab
+// must hold them within the capacity Run reserved, the walk bound plus
+// one opening admission per node.
+func TestReplayCalendarSlabNeverRegrows(t *testing.T) {
+	r, _ := testReplay(t, 3, -1) // 3 nodes of depth 2
+	two := [...]Flow{{DRAMRead, DRAMRead}, {DRAMRead, DRAMRead}, {DRAMRead, DRAMRead}}
+	r.w.Flows = Flows{Local: two, Remote: two}
+	const tasks, fanout = 6, 7
+	wl := testWorkload(tasks)
+	for i := range wl.Tasks {
+		wl.Tasks[i].Steps[1] = trace.Step{Space: trace.SpaceOcc, Addr: uint64(i)*256 + 16, Size: 200}
+	}
+	tot, err := r.Run(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tot.Tasks != tasks {
+		t.Fatalf("completed %d tasks, want %d", tot.Tasks, tasks)
+	}
+	peak, room := r.engine.Slab()
+	if want := tasks*fanout + len(r.nodes); room != want || peak > room {
+		t.Errorf("calendar slab peak/room = %d/%d, want room %d (never regrown) and the peak within it",
+			peak, room, want)
+	}
+	if peak <= tasks {
+		t.Errorf("calendar slab peaked at %d events: the steps did not fan out", peak)
 	}
 }
 

@@ -20,9 +20,10 @@ import (
 // calSlot values, each bucket is a singly linked FIFO list through the
 // slots' 1-based next indexes (head/tail per bucket), and dispatched slots
 // go on a free list for the next schedule to reuse. The slab therefore
-// grows only to the peak number of bucketed events and scheduling
-// allocates nothing at steady state; the overflow tier is a value heap in
-// its own reusable slice, so there is no per-event heap node either.
+// grows only to the peak number of bucketed events, and not at all when
+// the model reserved that peak (Engine.Reserve), and scheduling allocates
+// nothing at steady state; the overflow tier is a value heap in its own
+// reusable slice, so there is no per-event heap node either.
 //
 // Ordering invariants, maintained jointly with the Engine:
 //
@@ -50,7 +51,7 @@ const (
 	calMask   = calWindow - 1
 )
 
-// calEvent is one pending event in the overflow heap.
+// calEvent is one pending event in the overflow heap: 32 bytes.
 type calEvent struct {
 	at  Cycle
 	seq uint64
@@ -58,12 +59,11 @@ type calEvent struct {
 }
 
 // calSlot is one bucketed event, its action flattened so the slot packs
-// into 32 bytes. Buckets keep seq order by list position, so the slot
+// into 24 bytes. Buckets keep seq order by list position, so the slot
 // needs no seq; next is the 1-based slab index of the following event in
 // the same bucket (or on the free list), 0 ending it.
 type calSlot struct {
 	at   Cycle
-	fn   func()
 	h    Handler
 	arg  int32
 	next int32
@@ -114,10 +114,21 @@ func (c *calendarScheduler) schedule(at Cycle, seq uint64, a action) {
 	}
 }
 
+// reserve gives the slab room for n bucketed events.
+func (c *calendarScheduler) reserve(n int) {
+	if n > cap(c.slab) {
+		c.slab = append(make([]calSlot, 0, n), c.slab...)
+	}
+}
+
+// usage reports the slab's length, which is the peak of bucketed events
+// (it grows only when no free slot is left), and its capacity.
+func (c *calendarScheduler) usage() (peak, room int) { return len(c.slab), cap(c.slab) }
+
 // bucket appends a window event to the tail of its cycle's bucket, in a
 // free slot when one is left over from a dispatched event.
 func (c *calendarScheduler) bucket(at Cycle, a action) {
-	slot := calSlot{at: at, fn: a.fn, h: a.h, arg: a.arg}
+	slot := calSlot{at: at, h: a.h, arg: a.arg}
 	idx := c.free
 	if idx != 0 {
 		c.free = c.slab[idx-1].next
@@ -160,11 +171,11 @@ func (c *calendarScheduler) pop() (Cycle, action, bool) {
 	if s.at != c.cur {
 		panic(fmt.Sprintf("sim: calendar bucket corrupt: event at %d in bucket for cycle %d", s.at, c.cur))
 	}
-	a := action{fn: s.fn, h: s.h, arg: s.arg}
+	a := action{h: s.h, arg: s.arg}
 	b.head = s.next
-	// Release the slot: dropping the fn pointer lets the closure be
-	// collected while the slot waits on the free list.
-	*s = calSlot{next: c.free}
+	// Release the slot. Its handler is bound for the model's lifetime (a
+	// closure lives in the engine's side slab), so it pins nothing.
+	s.next = c.free
 	c.free = idx
 	c.inWindow--
 	return at, a, true
@@ -261,7 +272,7 @@ func (c *calendarScheduler) overflowPop() calEvent {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = calEvent{} // release the closure
+	h[n] = calEvent{}
 	h = h[:n]
 	i := 0
 	for {

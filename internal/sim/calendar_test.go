@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // slabChurn is a standing population of self-rescheduling events. Each
 // hop draws its stride from rng: a quarter are same-cycle reschedules
@@ -133,5 +136,47 @@ func TestCalendarSteadyStateAllocFree(t *testing.T) {
 	churn() // warm-up: grow the slab and overflow heap to their peaks
 	if allocs := testing.AllocsPerRun(10, churn); allocs != 0 {
 		t.Errorf("steady-state churn run allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestEventRecordSizes guards the queue's layout: every bucketed event is
+// one calSlot and every far one a calEvent, so a field that widens them
+// costs every schedule. The bounds are the 64-bit sizes and hold on
+// 32-bit too.
+func TestEventRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(calSlot{}); got > 24 {
+		t.Errorf("calSlot is %d bytes, want at most 24", got)
+	}
+	if got := unsafe.Sizeof(calEvent{}); got > 32 {
+		t.Errorf("calEvent is %d bytes, want at most 32", got)
+	}
+}
+
+// TestReserveHoldsPeak checks Engine.Reserve on both queues: a run whose
+// pending events never pass the reservation keeps the storage Reserve
+// gave, and events already queued survive the reservation.
+func TestReserveHoldsPeak(t *testing.T) {
+	const n = 40
+	for _, q := range []struct {
+		name string
+		new  func() scheduler
+	}{{"calendar", calendarQueue}, {"heap", heapQueue}} {
+		name, e := q.name, newEngine(q.new())
+		var ran []int32
+		h := Handler(func(i int32) { ran = append(ran, i) })
+		e.Post(3, h, -1)
+		e.Reserve(n)
+		for i := int32(0); i < n-1; i++ {
+			e.Post(Cycle(i%7), h, i)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(ran) != n {
+			t.Errorf("%s: ran %d events, want %d", name, len(ran), n)
+		}
+		if peak, room := e.Slab(); peak != n || room != n {
+			t.Errorf("%s: slab peak/room = %d/%d, want %d/%d (never regrown)", name, peak, room, n, n)
+		}
 	}
 }

@@ -2,7 +2,12 @@
 // timing model in this repository. Time advances in integer DRAM bus cycles;
 // components post typed events (a Handler bound once plus an int32
 // argument) or, on cold paths, schedule closures on a shared engine, and
-// model contention with resource calendars (see resource.go).
+// model contention with resource calendars (see resource.go). Every
+// pending event is a handler and its argument: a closure waits in the
+// engine's side slab, and its event carries the slot's index to one
+// handler the engine binds for closures, so a bucketed event is 24 bytes.
+// A model that knows how many events it keeps pending reserves the queue
+// for them once (Engine.Reserve).
 //
 // The kernel is deliberately small: a pending-event queue with deterministic
 // tie-breaking, a clock, and a handful of queueing primitives. Determinism is
@@ -38,20 +43,12 @@ const (
 // in the model's slab, so neither posting nor dispatching allocates.
 type Handler func(arg int32)
 
-// action is what an event runs: a closure (ScheduleAt, ScheduleAtOrNow)
-// or a typed handler with its argument (Post).
+// action is what an event runs: a typed handler with its argument. A
+// closure event (ScheduleAt, ScheduleAtOrNow) runs the engine's closure
+// handler on the index of the closure's side-slab slot.
 type action struct {
-	fn  func()
 	h   Handler
 	arg int32
-}
-
-func (a action) run() {
-	if a.h != nil {
-		a.h(a.arg)
-		return
-	}
-	a.fn()
 }
 
 // Engine is a single-threaded discrete-event simulator over one timeline.
@@ -80,6 +77,13 @@ type Engine struct {
 	// corrupted timeline, and every later schedule is rejected: the error
 	// stays for the engine's lifetime.
 	err error
+	// fns is the closure side slab: fns[i] is the closure a pending
+	// closure event with argument i runs; fnFree lists the free slots.
+	// callFn, bound in newEngine, is the handler every closure event
+	// carries.
+	fns    []func()
+	fnFree []int32
+	callFn Handler
 }
 
 // NewEngine returns an engine with the clock at cycle 0 on the calendar
@@ -89,7 +93,11 @@ func NewEngine() *Engine { return newEngine(defaultScheduler()) }
 
 // newEngine returns an engine over the given pending-event queue; the
 // differential suite uses it to run the reference heap.
-func newEngine(s scheduler) *Engine { return &Engine{sched: s} }
+func newEngine(s scheduler) *Engine {
+	e := &Engine{sched: s}
+	e.callFn = e.runFn
+	return e
+}
 
 // mustInit panics when the engine was not built by NewEngine.
 func (e *Engine) mustInit() {
@@ -112,13 +120,36 @@ func (e *Engine) Pending() int {
 	return e.sched.len()
 }
 
+// Reserve gives the pending-event queue room for n events at once, so a
+// run whose peak stays within n never regrows it. A model calls it once,
+// before its first event, with its bound on the events it keeps pending;
+// a peak past n still grows the queue.
+func (e *Engine) Reserve(n int) {
+	e.mustInit()
+	e.sched.reserve(n)
+}
+
+// Slab reports the pending-event queue's storage: the most events it has
+// held and the room it has for them. A peak past the room Reserve gave
+// would have regrown it.
+func (e *Engine) Slab() (peak, room int) {
+	if e.sched == nil {
+		return 0, 0
+	}
+	return e.sched.usage()
+}
+
 // ScheduleAt runs fn at absolute time at (>= Now). An event in the past is
-// a model bug: it is rejected (dropped, never reordered onto the timeline)
-// and recorded as an error that Run returns. Once an error has been
-// recorded — a past-time violation or a MaxEvents abort — every subsequent
-// event is rejected too: the timeline is already corrupt and must not keep
-// growing.
-func (e *Engine) ScheduleAt(at Cycle, fn func()) { e.schedule(at, action{fn: fn}) }
+// a model bug: it is rejected (dropped, never reordered onto the timeline,
+// and fn is not kept) and recorded as an error that Run returns. Once an
+// error has been recorded — a past-time violation or a MaxEvents abort —
+// every subsequent event is rejected too: the timeline is already corrupt
+// and must not keep growing.
+func (e *Engine) ScheduleAt(at Cycle, fn func()) {
+	if e.admit(at) {
+		e.push(at, e.callFn, e.keepFn(fn))
+	}
+}
 
 // ScheduleAtOrNow runs fn at absolute time at, or at Now when at has
 // already passed. It is Post for cold paths that need a closure.
@@ -134,22 +165,50 @@ func (e *Engine) ScheduleAtOrNow(at Cycle, fn func()) {
 // work-conserving behaviour. Posted and scheduled events share one
 // timeline and one (at, seq) order.
 func (e *Engine) Post(at Cycle, h Handler, arg int32) {
-	e.schedule(max(at, e.now), action{h: h, arg: arg})
+	if at = max(at, e.now); e.admit(at) {
+		e.push(at, h, arg)
+	}
 }
 
-// schedule enqueues a at absolute time at, enforcing ScheduleAt's
-// past-time and sticky-error rules.
-func (e *Engine) schedule(at Cycle, a action) {
+// admit enforces ScheduleAt's past-time and sticky-error rules on an event
+// at absolute time at, reporting whether it may be enqueued.
+func (e *Engine) admit(at Cycle) bool {
 	e.mustInit()
 	if e.err != nil {
-		return
+		return false
 	}
 	if at < e.now {
 		e.err = fmt.Errorf("sim: schedule in the past: at=%d now=%d", at, e.now)
-		return
+		return false
 	}
-	e.sched.schedule(at, e.seq, a)
+	return true
+}
+
+// push enqueues h(arg) at absolute time at, next in seq order.
+func (e *Engine) push(at Cycle, h Handler, arg int32) {
+	e.sched.schedule(at, e.seq, action{h: h, arg: arg})
 	e.seq++
+}
+
+// keepFn stores fn in a free side-slab slot and returns its index.
+func (e *Engine) keepFn(fn func()) int32 {
+	if n := len(e.fnFree); n > 0 {
+		i := e.fnFree[n-1]
+		e.fnFree = e.fnFree[:n-1]
+		e.fns[i] = fn
+		return i
+	}
+	e.fns = append(e.fns, fn)
+	return int32(len(e.fns) - 1)
+}
+
+// runFn is the closure handler: it frees side-slab slot i, so fn can
+// schedule into it, and runs the closure it held.
+func (e *Engine) runFn(i int32) {
+	fn := e.fns[i]
+	e.fns[i] = nil
+	e.fnFree = append(e.fnFree, i)
+	fn()
 }
 
 // Run drains the pending-event queue until it is empty, returning the final
@@ -173,7 +232,7 @@ func (e *Engine) Run() (Cycle, error) {
 			e.err = fmt.Errorf("sim: exceeded MaxEvents=%d at cycle %d (livelock?)", e.MaxEvents, e.now)
 			break
 		}
-		a.run()
+		a.h(a.arg)
 	}
 	return e.now, e.err
 }

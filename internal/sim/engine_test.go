@@ -306,3 +306,30 @@ func TestEngineDeterminismProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A rejected closure keeps nothing: neither a past-time schedule nor one
+// after the error is stored in the closure side slab, and the slot a
+// dispatched closure frees is reused by the next schedule.
+func TestEngineRejectedScheduleKeepsNoClosure(t *testing.T) {
+	e := NewEngine()
+	e.ScheduleAt(e.Now()+10, func() {})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.fns) != 1 || len(e.fnFree) != 1 {
+		t.Fatalf("after one closure: %d slots, %d free; want 1, 1", len(e.fns), len(e.fnFree))
+	}
+	e.ScheduleAt(e.Now()+1, func() {})
+	if len(e.fns) != 1 || len(e.fnFree) != 0 {
+		t.Fatalf("freed slot not reused: %d slots, %d free; want 1, 0", len(e.fns), len(e.fnFree))
+	}
+	e.ScheduleAt(e.Now()-1, func() {})
+	e.ScheduleAt(e.Now()+5, func() {})
+	if len(e.fns) != 1 || len(e.fnFree) != 0 || e.Pending() != 1 {
+		t.Errorf("rejected closures kept: %d slots, %d free, %d pending; want 1, 0, 1",
+			len(e.fns), len(e.fnFree), e.Pending())
+	}
+	if _, err := e.Run(); err == nil {
+		t.Error("past-time schedule not reported")
+	}
+}

@@ -9,6 +9,8 @@ import "container/heap"
 // library's container/heap and the (at, seq) ordering below.
 type heapScheduler struct {
 	events eventHeap
+	// peak is the most events the heap has held.
+	peak int
 }
 
 type event struct {
@@ -39,7 +41,16 @@ func (h *eventHeap) Pop() any {
 
 func (h *heapScheduler) schedule(at Cycle, seq uint64, a action) {
 	heap.Push(&h.events, &event{at: at, seq: seq, act: a})
+	h.peak = max(h.peak, len(h.events))
 }
+
+func (h *heapScheduler) reserve(n int) {
+	if n > cap(h.events) {
+		h.events = append(make(eventHeap, 0, n), h.events...)
+	}
+}
+
+func (h *heapScheduler) usage() (peak, room int) { return h.peak, cap(h.events) }
 
 func (h *heapScheduler) pop() (Cycle, action, bool) {
 	if len(h.events) == 0 {

@@ -32,4 +32,10 @@ type scheduler interface {
 	pop() (Cycle, action, bool)
 	// len returns the number of pending events.
 	len() int
+	// reserve gives the queue room for n pending events; a peak past it
+	// still grows the queue.
+	reserve(n int)
+	// usage returns the most events the queue's storage has held and its
+	// capacity.
+	usage() (peak, room int)
 }

@@ -194,24 +194,33 @@ type Workload struct {
 	MergeBytes uint64
 }
 
+// Granules gives, per space, for plain and atomic (OpAtomicRMW) steps and
+// for non-spatial and spatial ones, the largest block size every split
+// point of such a step's placement is a multiple of:
+// g[space][atomic][spatial] (memmgmt.Mapper.Granules fills it).
+type Granules [NumSpaces][2][2]uint64
+
 // PieceBound bounds the placed pieces n of the workload's tasks can have
-// out at once, one step each, when every split point of the placement is a
-// multiple of hot for non-spatial steps and of spatial for spatial ones
-// (memmgmt.Mapper.Granules): the sum of the n largest per-task peaks,
-// where a task's peak is the most granule-aligned blocks one of its steps
-// touches. Blocks are counted at the largest power of two dividing each
-// granule, which every split point is a multiple of too, so counting
-// shifts rather than divides. It reads each step once.
-func (w *Workload) PieceBound(hot, spatial uint64, n int) int {
-	hotShift, spatialShift := bits.TrailingZeros64(hot), bits.TrailingZeros64(spatial)
+// out at once, one step each, when every split point of a step's
+// placement is a multiple of its entry in g: the sum of the n largest
+// per-task peaks, where a task's peak is the most granule-aligned blocks
+// one of its steps touches. Blocks are counted at the largest power of two
+// dividing each granule, which every split point is a multiple of too, so
+// counting shifts rather than divides. It reads each step once.
+func (w *Workload) PieceBound(g *Granules, n int) int {
+	var shifts [NumSpaces][2][2]uint8
+	for sp := range g {
+		for a := range g[sp] {
+			for s := range g[sp][a] {
+				shifts[sp][a][s] = uint8(bits.TrailingZeros64(g[sp][a][s]))
+			}
+		}
+	}
 	var peaks []int // peaks[k]: tasks whose widest step touches k blocks
 	for i := range w.Tasks {
 		peak := 0
 		for _, st := range w.Tasks[i].Steps {
-			sh := hotShift
-			if st.Spatial {
-				sh = spatialShift
-			}
+			sh := shifts[st.Space][b2i(st.Op == OpAtomicRMW)][b2i(st.Spatial)]
 			mask := uint64(1)<<sh - 1
 			peak = max(peak, int((st.Addr&mask+uint64(st.Size)+mask)>>sh))
 		}
@@ -227,6 +236,13 @@ func (w *Workload) PieceBound(hot, spatial uint64, n int) int {
 		n -= take
 	}
 	return bound
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Validate checks internal consistency: every step must reference a space

@@ -105,8 +105,8 @@ func TestStringers(t *testing.T) {
 }
 
 // TestPieceBound pins the walk-slab bound: the n largest per-task peaks,
-// each the most blocks one step touches at its kind's granule, counted at
-// the largest power of two dividing the granule.
+// each the most blocks one step touches at its space's and kind's
+// granule, counted at the largest power of two dividing the granule.
 func TestPieceBound(t *testing.T) {
 	step := func(addr uint64, size uint32, spatial bool) Step {
 		return Step{Space: SpaceOcc, Addr: addr, Size: size, Spatial: spatial}
@@ -118,6 +118,15 @@ func TestPieceBound(t *testing.T) {
 		{Steps: []Step{step(0, 1, false), step(4000, 200, true)}}, // 2 spatial at 4096
 		{}, // no steps: peak 0
 	}}
+	uniform := func(hot, spatial uint64) *Granules {
+		var g Granules
+		for sp := range g {
+			for a := range g[sp] {
+				g[sp][a] = [2]uint64{hot, spatial}
+			}
+		}
+		return &g
+	}
 	for _, c := range []struct {
 		hot, spatial uint64
 		n, want      int
@@ -127,8 +136,24 @@ func TestPieceBound(t *testing.T) {
 		{64, 4096, 5, 6},
 		{64, 64, 5, 8}, // the spatial step touches 4 blocks of 64
 	} {
-		if got := wl.PieceBound(c.hot, c.spatial, c.n); got != c.want {
+		if got := wl.PieceBound(uniform(c.hot, c.spatial), c.n); got != c.want {
 			t.Errorf("PieceBound(%d, %d, %d) = %d, want %d", c.hot, c.spatial, c.n, got, c.want)
 		}
+	}
+	// Granules are per space and per op kind: the same steps in another
+	// space, or as atomics, count at their own entries.
+	g := uniform(32, 4096)
+	g[SpaceSuffixArray][0] = [2]uint64{64, 64}
+	g[SpaceOcc][1] = [2]uint64{128, 4096}
+	for i := range wl.Tasks[2].Steps {
+		wl.Tasks[2].Steps[i].Space = SpaceSuffixArray // 2 at 64
+	}
+	wl.Tasks[3].Steps[1].Space = SpaceSuffixArray // 4 spatial at 64
+	if got := wl.PieceBound(g, 5); got != 10 {
+		t.Errorf("per-space PieceBound = %d, want 10", got)
+	}
+	wl.Tasks[0].Steps[1].Op = OpAtomicRMW // 1 at 128: the task peaks at 1
+	if got := wl.PieceBound(g, 5); got != 9 {
+		t.Errorf("per-op PieceBound = %d, want 9", got)
 	}
 }
