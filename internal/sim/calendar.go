@@ -272,7 +272,6 @@ func (c *calendarScheduler) overflowPop() calEvent {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = calEvent{}
 	h = h[:n]
 	i := 0
 	for {
