@@ -1,11 +1,11 @@
 package obs
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"strconv"
 	"sync"
-	"unsafe"
 )
 
 // Track identifies one horizontal timeline row in the trace viewer (one
@@ -13,29 +13,28 @@ import (
 // valid and maps to tid 0.
 type Track int
 
-// Event phases, mirroring Chrome trace_event phases.
-const (
-	phComplete byte = 'X' // span with duration
-	phInstant  byte = 'i' // point event
-)
-
-// traceEvent is one recorded timeline entry. It holds no pointers, so the
-// chunks that store events are never scanned by the garbage collector: the
-// span name is an index into the tracer's intern table and the phase is a
-// byte. Times are simulated DRAM bus cycles (1.25 ns each); the exporter
-// keeps them as integer ts values so golden outputs are exact.
+// traceEvent is one timeline entry as the encoder takes it and the decoder
+// returns it; the tracer stores it only encoded (see appendEvent). The span
+// name is an index into the tracer's intern table. Times are simulated DRAM
+// bus cycles (1.25 ns each); the exporter keeps them as integer ts values
+// so golden outputs are exact.
 type traceEvent struct {
-	start int64
-	dur   int64
-	track int32
-	name  uint16 // index into Tracer.names
-	ph    byte
+	start    int64
+	dur      int64 // spans only
+	track    int32
+	name     uint16 // index into Tracer.names
+	complete bool   // a span (phase X); otherwise an instant (phase i)
 }
 
 const (
-	// chunkEvents is how many events one storage chunk holds: as many as
-	// fit in 32 KB, so a chunk is a small, size-classed allocation.
-	chunkEvents = 32 << 10 / int(unsafe.Sizeof(traceEvent{}))
+	// chunkBytes is the size of one storage chunk, an 8 KB size class:
+	// about 2,000 events at the producers' typical 4 B per event.
+	chunkBytes = 8 << 10
+	// maxEventBytes is the most one encoded event takes: a 17-bit header
+	// (3 bytes), a 32-bit track (5), a 64-bit start delta (10) and a
+	// non-negative 64-bit duration (9). A chunk with less room left than
+	// this takes no more events, so no event straddles two chunks.
+	maxEventBytes = 3 + 5 + 10 + 9
 	// scanNames is how many interned names a lookup compares in order
 	// before it consults the map. The producers use fewer distinct names
 	// than this, all constants, so their lookups never hash a string.
@@ -44,13 +43,83 @@ const (
 	maxNames = 1 << 16
 )
 
+// appendEvent appends ev's encoding to b: uvarints of the header
+// name<<1|complete and of the track's 32 bits, the zigzag uvarint of the
+// start's delta from base (wrapping, so any two starts encode), and for a
+// span the duration's uvarint. Recorded events are mostly a few cycles
+// apart on fewer than 128 tracks with fewer than 64 names, so every field
+// usually takes one byte, and that case skips the varint loops.
+func appendEvent(b []byte, ev traceEvent, base int64) []byte {
+	hdr := uint64(ev.name) << 1
+	var dur uint64
+	if ev.complete {
+		hdr |= 1
+		dur = uint64(ev.dur)
+	}
+	track := uint64(uint32(ev.track))
+	d := ev.start - base
+	delta := uint64(d<<1) ^ uint64(d>>63)
+	if hdr|track|delta|dur < 0x80 {
+		if ev.complete {
+			return append(b, byte(hdr), byte(track), byte(delta), byte(dur))
+		}
+		return append(b, byte(hdr), byte(track), byte(delta))
+	}
+	b = binary.AppendUvarint(b, hdr)
+	b = binary.AppendUvarint(b, track)
+	b = binary.AppendUvarint(b, delta)
+	if ev.complete {
+		b = binary.AppendUvarint(b, dur)
+	}
+	return b
+}
+
+// decode overwrites ev with the event at the head of b, which appendEvent
+// wrote with ev's start as its base, and returns the bytes after it. Like
+// the encoder, it reads one-byte header, track and delta fields without the
+// varint loop.
+func (ev *traceEvent) decode(b []byte) []byte {
+	var hdr, track, d uint64
+	if len(b) >= 3 && b[0]|b[1]|b[2] < 0x80 {
+		hdr, track, d, b = uint64(b[0]), uint64(b[1]), uint64(b[2]), b[3:]
+	} else {
+		hdr, b = uvarint(b)
+		track, b = uvarint(b)
+		d, b = uvarint(b)
+	}
+	ev.start += int64(d>>1) ^ -int64(d&1)
+	ev.track = int32(uint32(track))
+	ev.name = uint16(hdr >> 1)
+	ev.complete = hdr&1 == 1
+	ev.dur = 0
+	if ev.complete {
+		var dur uint64
+		dur, b = uvarint(b)
+		ev.dur = int64(dur)
+	}
+	return b
+}
+
+// uvarint decodes the uvarint at the head of b, which the tracer wrote;
+// unlike binary.Uvarint, it inlines.
+func uvarint(b []byte) (uint64, []byte) {
+	var x uint64
+	for i, c := range b {
+		if c < 0x80 {
+			return x | uint64(c)<<(7*i), b[i+1:]
+		}
+		x |= uint64(c&0x7f) << (7 * i)
+	}
+	return x, nil
+}
+
 // Tracer records component activity spans in simulated time and exports
 // them as Chrome trace_event JSON loadable in Perfetto or chrome://tracing.
 // All methods are safe on a nil Tracer (one branch, no recording) and safe
 // for concurrent use. Recording stops at Cap events; the overflow is
 // counted in Dropped rather than silently growing memory. Events are
-// stored in chunks of at most chunkEvents, each allocated once at its
-// final capacity, so recording never copies an earlier event.
+// stored encoded in byte chunks of at most chunkBytes, each allocated once
+// at its final capacity, so recording never copies an earlier event.
 type Tracer struct {
 	mu     sync.Mutex
 	tracks []string
@@ -59,17 +128,21 @@ type Tracer struct {
 	// names past the first scanNames (nil until there are that many).
 	names   []string
 	nameIdx map[string]uint16
-	// chunks hold the events in recording order; every chunk but the last
-	// is full.
-	chunks [][]traceEvent
-	n      int // recorded events, the sum of the chunks' lengths
+	// chunks hold the encoded events in recording order. Each chunk
+	// decodes on its own: its first event's start is a delta from 0.
+	chunks [][]byte
+	// base is the start of the last chunk's last event, the delta base of
+	// the next event recorded into it.
+	base int64
+	n    int // recorded events
 	// cap bounds n; <=0 means DefaultTraceCap.
 	cap     int
 	dropped uint64
 }
 
-// DefaultTraceCap bounds a tracer's event memory (24 B/event, so 24 MB)
-// unless overridden with NewTracerCap.
+// DefaultTraceCap bounds a tracer's event memory unless overridden with
+// NewTracerCap. The simulator's producers take about 4 B per event, so
+// about 4 MB; no event takes more than maxEventBytes (27 B, so 27 MB).
 const DefaultTraceCap = 1 << 20
 
 // NewTracer returns a tracer with the default event cap.
@@ -128,7 +201,7 @@ func (t *Tracer) intern(name string) (uint16, bool) {
 
 // record appends one event, honoring the cap. An event whose name would
 // overflow the intern table is dropped too.
-func (t *Tracer) record(track Track, name string, ph byte, start, dur int64) {
+func (t *Tracer) record(track Track, name string, complete bool, start, dur int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.n >= t.cap {
@@ -141,13 +214,19 @@ func (t *Tracer) record(track Track, name string, ph byte, start, dur int64) {
 		return
 	}
 	last := len(t.chunks) - 1
-	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
-		t.chunks = append(t.chunks, make([]traceEvent, 0, min(chunkEvents, t.cap-t.n)))
+	if last < 0 || cap(t.chunks[last])-len(t.chunks[last]) < maxEventBytes {
+		size := chunkBytes
+		if left := t.cap - t.n; left < chunkBytes/maxEventBytes {
+			size = left * maxEventBytes
+		}
+		t.chunks = append(t.chunks, make([]byte, 0, size))
 		last++
+		t.base = 0
 	}
-	t.chunks[last] = append(t.chunks[last], traceEvent{
-		start: start, dur: dur, track: int32(track), name: id, ph: ph,
-	})
+	t.chunks[last] = appendEvent(t.chunks[last], traceEvent{
+		start: start, dur: dur, track: int32(track), name: id, complete: complete,
+	}, t.base)
+	t.base = start
 	t.n++
 }
 
@@ -157,7 +236,7 @@ func (t *Tracer) Span(track Track, name string, start, end int64) {
 	if t == nil {
 		return
 	}
-	t.record(track, name, phComplete, start, max(end-start, 0))
+	t.record(track, name, true, start, max(end-start, 0))
 }
 
 // Instant records a point event on a track.
@@ -165,7 +244,7 @@ func (t *Tracer) Instant(track Track, name string, at int64) {
 	if t == nil {
 		return
 	}
-	t.record(track, name, phInstant, at, 0)
+	t.record(track, name, false, at, 0)
 }
 
 // Events returns the number of recorded events.
@@ -188,17 +267,31 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
+// Bytes returns the size of the recorded events' encoding.
+func (t *Tracer) Bytes() int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for _, c := range t.chunks {
+		n += len(c)
+	}
+	return n
+}
+
 // snapshot returns the tracer's tracks, interned names and event chunks as
 // they stand. Recording only ever appends, so the returned slices stay
 // valid while recording goes on; the chunk list is copied because the
 // last chunk's header grows in place. A nil tracer has none.
-func (t *Tracer) snapshot() (tracks, names []string, chunks [][]traceEvent) {
+func (t *Tracer) snapshot() (tracks, names []string, chunks [][]byte) {
 	if t == nil {
 		return nil, nil, nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.tracks, t.names, append([][]traceEvent(nil), t.chunks...)
+	return t.tracks, t.names, append([][]byte(nil), t.chunks...)
 }
 
 // WriteChromeTrace serializes the trace as Chrome trace_event JSON. Open
@@ -299,21 +392,24 @@ func (cw *chromeWriter) tracer(t *Tracer, pid int) {
 		encoded[i] = jsonString(name)
 	}
 	for _, chunk := range chunks {
-		for _, ev := range chunk {
+		var ev traceEvent // the delta base is 0 at each chunk's start
+		for len(chunk) > 0 {
+			chunk = ev.decode(chunk)
 			cw.open(encoded[ev.name])
-			cw.buf = append(cw.buf, `,"ph":"`...)
-			cw.buf = append(cw.buf, ev.ph, '"')
-			cw.buf = append(cw.buf, `,"ts":`...)
-			cw.buf = strconv.AppendInt(cw.buf, ev.start, 10)
-			if ev.ph == phComplete {
+			if ev.complete {
+				cw.buf = append(cw.buf, `,"ph":"X","ts":`...)
+				cw.buf = strconv.AppendInt(cw.buf, ev.start, 10)
 				cw.buf = append(cw.buf, `,"dur":`...)
 				cw.buf = strconv.AppendInt(cw.buf, ev.dur, 10)
+			} else {
+				cw.buf = append(cw.buf, `,"ph":"i","ts":`...)
+				cw.buf = strconv.AppendInt(cw.buf, ev.start, 10)
 			}
 			cw.buf = append(cw.buf, `,"pid":`...)
 			cw.buf = strconv.AppendInt(cw.buf, int64(pid), 10)
 			cw.buf = append(cw.buf, `,"tid":`...)
 			cw.buf = strconv.AppendInt(cw.buf, int64(ev.track), 10)
-			if ev.ph == phInstant {
+			if !ev.complete {
 				cw.buf = append(cw.buf, `,"s":"t"`...) // thread-scoped instant
 			}
 			cw.end()

@@ -1,14 +1,14 @@
 package obs
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
+	"math"
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 )
 
 func TestTracerNilSafety(t *testing.T) {
@@ -150,40 +150,28 @@ func TestNilCollection(t *testing.T) {
 	}
 }
 
-// TestTraceEventLayout pins the stored record: at most 24 bytes and free
-// of pointers, so event chunks are never scanned by the garbage collector,
-// and a chunk fits a 32 KB size class. It holds on 32-bit platforms too.
-func TestTraceEventLayout(t *testing.T) {
-	size := unsafe.Sizeof(traceEvent{})
-	if size > 24 {
-		t.Errorf("traceEvent is %d bytes, want at most 24", size)
-	}
-	if f, ok := pointerField(reflect.TypeOf(traceEvent{})); ok {
-		t.Errorf("traceEvent holds a pointer in %s", f)
-	}
-	if chunk := uintptr(chunkEvents) * size; chunk > 32<<10 {
-		t.Errorf("a chunk of %d events is %d bytes, want at most 32 KB", chunkEvents, chunk)
-	}
-}
-
-// pointerField names the first field of typ whose memory holds a pointer.
-func pointerField(typ reflect.Type) (string, bool) {
-	switch typ.Kind() {
-	case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
-		reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
-		return typ.String(), true
-	case reflect.Array:
-		if typ.Len() > 0 {
-			return pointerField(typ.Elem())
+// TestTraceEventWorstCase pins the most bytes one event can take, the room
+// a chunk keeps free for its next event: spans with the largest header,
+// track, start delta and duration encode to exactly maxEventBytes and
+// decode back.
+func TestTraceEventWorstCase(t *testing.T) {
+	for _, c := range []struct {
+		ev   traceEvent
+		base int64
+	}{
+		{traceEvent{start: math.MaxInt64, dur: math.MaxInt64, track: -1, name: maxNames - 1, complete: true}, 0},
+		{traceEvent{start: math.MinInt64, dur: math.MaxInt64, track: math.MinInt32, name: maxNames - 1, complete: true}, 0},
+		{traceEvent{start: -1, dur: math.MaxInt64, track: -1, name: maxNames - 1, complete: true}, math.MaxInt64},
+	} {
+		b := appendEvent(nil, c.ev, c.base)
+		if len(b) != maxEventBytes {
+			t.Errorf("%+v from base %d encodes to %d bytes, want maxEventBytes = %d", c.ev, c.base, len(b), maxEventBytes)
 		}
-	case reflect.Struct:
-		for i := range typ.NumField() {
-			if f, ok := pointerField(typ.Field(i).Type); ok {
-				return typ.Field(i).Name + "." + f, true
-			}
+		ev := traceEvent{start: c.base}
+		if rest := ev.decode(b); ev != c.ev || len(rest) != 0 {
+			t.Errorf("%+v from base %d decodes to %+v with %d bytes left", c.ev, c.base, ev, len(rest))
 		}
 	}
-	return "", false
 }
 
 // The reference shapes of the export: what encoding/json makes of a
@@ -291,13 +279,13 @@ func TestChromeExportMatchesEncodingJSON(t *testing.T) {
 		tracks, names, chunks := o.Trace.snapshot()
 		want = append(want, threadNames(pid, tracks)...)
 		for _, chunk := range chunks {
-			for _, ev := range chunk {
-				ce := chromeEvent{Name: names[ev.name], Ph: string(ev.ph), Ts: ev.start, Pid: pid, Tid: int(ev.track)}
-				if ev.ph == phComplete {
+			var ev traceEvent
+			for len(chunk) > 0 {
+				chunk = ev.decode(chunk)
+				ce := chromeEvent{Name: names[ev.name], Ph: "i", Ts: ev.start, Pid: pid, Tid: int(ev.track), S: "t"}
+				if ev.complete {
 					dur := ev.dur
-					ce.Dur = &dur
-				} else {
-					ce.S = "t"
+					ce.Ph, ce.Dur, ce.S = "X", &dur, ""
 				}
 				want = append(want, ce)
 			}
@@ -308,18 +296,22 @@ func TestChromeExportMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestChromeExportAllocs pins the streaming export: writing a trace of 50
-// chunks allocates no more than writing one of 100 events, give or take
-// less than one allocation per chunk. The slack absorbs encoding/json's
+// TestChromeExportAllocs pins the streaming export: writing a trace of at
+// least 50 chunks allocates no more than writing one of 100 events, give or
+// take less than one allocation per chunk. The slack absorbs encoding/json's
 // encoder pool, which the race detector empties at random; without it the
 // two counts are equal.
 func TestChromeExportAllocs(t *testing.T) {
 	names := []string{"xfer", "compute", "rmw", "read", "write", "task"}
+	const chunks = 50
 	exportAllocs := func(events int) float64 {
 		tr := NewTracerCap(events)
 		tracks := []Track{tr.Track("link"), tr.Track("pes"), tr.Track("dimm")}
 		for i := range events {
 			tr.Span(tracks[i%len(tracks)], names[i%len(names)], int64(i), int64(i+4))
+		}
+		if _, _, c := tr.snapshot(); events > 100 && len(c) < chunks {
+			t.Fatalf("%d events fill %d chunks, want at least %d", events, len(c), chunks)
 		}
 		return testing.AllocsPerRun(5, func() {
 			if err := tr.WriteChromeTrace(io.Discard); err != nil {
@@ -327,29 +319,37 @@ func TestChromeExportAllocs(t *testing.T) {
 			}
 		})
 	}
-	const chunks = 50
-	small, large := exportAllocs(100), exportAllocs(chunks*chunkEvents)
+	// Each span takes 4 bytes: a one-byte header, track, start delta and
+	// duration.
+	events := chunks * chunkBytes / 4
+	small, large := exportAllocs(100), exportAllocs(events)
 	if large-small >= chunks {
 		t.Errorf("exporting %d events allocates %.0f times, 100 events %.0f: export allocations grow with the trace",
-			chunks*chunkEvents, large, small)
+			events, large, small)
 	}
 }
 
-// TestTracerChunksExportStraight records more than two chunks of mixed
-// spans and instants, so events straddle chunk boundaries, under a cap
-// that falls mid-chunk and under one that is never reached. Both must
-// export the bytes of a straight list of the kept events, in order.
+// TestTracerChunksExportStraight records mixed spans and instants over
+// more than two chunks, with starts that move forward, move back and jump
+// far, so events fill chunks to their boundaries and deltas take one byte
+// and several. It records under a cap that falls mid-chunk and under one
+// that is never reached. Both must export the bytes of a straight list of
+// the kept events, in order.
 func TestTracerChunksExportStraight(t *testing.T) {
 	names := []string{"xfer", "compute", "rmw", "read", "write", "task", "dram-ecc"}
 	tracks := []string{"bus", "pes", "dimm"}
-	total := 2*chunkEvents + chunkEvents/3
-	for _, limit := range []int{chunkEvents + chunkEvents/2, total + 1} {
+	perChunk := chunkBytes / 3 // no event takes fewer than 3 bytes
+	total := 2*perChunk + perChunk/3
+	for _, limit := range []int{perChunk + perChunk/2, total + 1} {
 		tr := NewTracerCap(limit)
 		var want []chromeEvent
 		for i := range total {
 			track := tr.Track(tracks[i%len(tracks)])
 			name := names[i%len(names)]
 			start := int64(3 * i)
+			if i%13 == 6 {
+				start = -start << 20
+			}
 			ce := chromeEvent{Name: name, Ts: start, Pid: 1, Tid: int(track)}
 			if i%5 == 4 {
 				tr.Instant(track, name, start)
@@ -366,6 +366,9 @@ func TestTracerChunksExportStraight(t *testing.T) {
 		if tr.Events() != len(want) || tr.Dropped() != uint64(total-len(want)) {
 			t.Fatalf("cap %d: events/dropped = %d/%d, want %d/%d",
 				limit, tr.Events(), tr.Dropped(), len(want), total-len(want))
+		}
+		if _, _, chunks := tr.snapshot(); limit > total && len(chunks) < 3 {
+			t.Fatalf("%d events fill %d chunks, want at least 3", total, len(chunks))
 		}
 		var got strings.Builder
 		if err := tr.WriteChromeTrace(&got); err != nil {
@@ -459,40 +462,111 @@ func TestTracerConcurrentRecording(t *testing.T) {
 	}
 }
 
-// TestTracerSpanAllocs pins the steady state: a chunk's worth of spans
-// allocates one chunk and nothing per event.
+// fuzzNames are the span names FuzzTracerRoundTrip draws from: more than
+// scanNames, so lookups take both intern paths, and some that encoding/json
+// escapes.
+var fuzzNames = []string{
+	"xfer", "compute", "rmw", "read", "write", "task", "dram-ecc", "link-crc",
+	"a", "b", "c", "d", "e", "f", "g", "h", "i", "<&>", `q"t`, "bad\xff",
+}
+
+// fuzzRecord is the size of one event in FuzzTracerRoundTrip's data.
+const fuzzRecord = 21
+
+// FuzzTracerRoundTrip records arbitrary events under an arbitrary cap and
+// checks that the export equals the export of a straight list of the kept
+// events. Each fuzzRecord bytes of data are one event: a flag byte (bit 0
+// an instant, the rest a name index), then a 32-bit track and a 64-bit
+// start and end, little-endian, so deltas of any size and sign come up. The
+// first 64 records replay 1+repeat times, so a short input crosses chunk
+// boundaries; a nonzero limit is the cap, which may fall partway.
+func FuzzTracerRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, limit uint16, repeat uint8, data []byte) {
+		data = data[:min(len(data), 64*fuzzRecord)]
+		tr := NewTracerCap(int(limit))
+		keep := int(limit)
+		if keep == 0 {
+			keep = DefaultTraceCap
+		}
+		tracks := []string{"bus", "pes"}
+		for _, name := range tracks {
+			tr.Track(name)
+		}
+		var want []chromeEvent
+		total := 0
+		for range int(repeat) + 1 {
+			for r := data; len(r) >= fuzzRecord; r = r[fuzzRecord:] {
+				name := fuzzNames[int(r[0]>>1)%len(fuzzNames)]
+				track := Track(int32(binary.LittleEndian.Uint32(r[1:])))
+				start := int64(binary.LittleEndian.Uint64(r[5:]))
+				end := int64(binary.LittleEndian.Uint64(r[13:]))
+				ce := chromeEvent{Name: name, Ts: start, Pid: 1, Tid: int(track)}
+				if r[0]&1 == 1 {
+					tr.Instant(track, name, start)
+					ce.Ph, ce.S = "i", "t"
+				} else {
+					tr.Span(track, name, start, end)
+					dur := max(end-start, 0)
+					ce.Ph, ce.Dur = "X", &dur
+				}
+				total++
+				if len(want) < keep {
+					want = append(want, ce)
+				}
+			}
+		}
+		if tr.Events() != len(want) || tr.Dropped() != uint64(total-len(want)) {
+			t.Fatalf("events/dropped = %d/%d, want %d/%d", tr.Events(), tr.Dropped(), len(want), total-len(want))
+		}
+		var got strings.Builder
+		if err := tr.WriteChromeTrace(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != straightTrace(t, tracks, want) {
+			t.Errorf("export of %d kept events differs from the straight list", len(want))
+		}
+	})
+}
+
+// TestTracerSpanAllocs pins the steady state: half a chunk's worth of
+// spans allocates at most one chunk and nothing per event.
 func TestTracerSpanAllocs(t *testing.T) {
 	tr := NewTracer()
 	bus, dimm := tr.Track("bus"), tr.Track("dimm")
 	var at int64
+	// Each span takes 4 bytes, so a run fills half a chunk.
+	const pairs = chunkBytes / 16
 	allocs := testing.AllocsPerRun(50, func() {
-		for range chunkEvents / 2 {
+		for range pairs {
 			tr.Span(bus, "xfer", at, at+4)
 			tr.Span(dimm, "read", at, at+9)
 			at++
 		}
 	})
 	if allocs > 1 {
-		t.Errorf("%d spans allocate %.0f times, want at most one chunk", chunkEvents, allocs)
+		t.Errorf("%d spans allocate %.0f times, want at most one chunk", 2*pairs, allocs)
 	}
 }
 
 // BenchmarkTracerSpan measures the cost of recording one span, cycling
-// through the producers' span names and a few tracks as a machine does. A
-// fresh tracer takes over every perTracer spans, so memory stays bounded
-// at any b.N.
+// through the producers' span names and a few tracks as a machine does,
+// and reports the bytes each span's encoding takes. A fresh tracer takes
+// over every perTracer spans, so memory stays bounded at any b.N.
 func BenchmarkTracerSpan(b *testing.B) {
 	const perTracer = 64 << 10
 	names := []string{"xfer", "compute", "rmw", "read", "write", "task"}
 	var tr *Tracer
 	var tracks []Track
+	encoded := 0
 	b.ReportAllocs()
 	for i := range b.N {
 		if i%perTracer == 0 {
+			encoded += tr.Bytes()
 			tr = NewTracerCap(perTracer)
 			tracks = []Track{tr.Track("link"), tr.Track("pes"), tr.Track("atomics"), tr.Track("dimm")}
 		}
 		at := int64(i)
 		tr.Span(tracks[i%len(tracks)], names[i%len(names)], at, at+8)
 	}
+	b.ReportMetric(float64(encoded+tr.Bytes())/float64(b.N), "B/event")
 }

@@ -15,14 +15,20 @@ import (
 // count, so the drop path and obs.trace_dropped are exercised.
 const traceDigestCap = 300
 
+// traceBytesPerEvent bounds the average encoded size of the timelines'
+// events; the runs below take 4.0–4.4 B/event.
+const traceBytesPerEvent = 6
+
 // TestChromeTraceDigests locks the Chrome trace_event bytes of small
 // observed runs to committed SHA-256 digests: BEACON-D, BEACON-S and the
 // DDR baseline with every optimization, BEACON-D under the heavy fault
 // profile (fault instants), and BEACON-D in a collection capped below its
 // event count (the drop path, merged through the collection's exporter).
 // Each line also carries the recorded and dropped event counts and the
-// job's final obs.trace_dropped gauge. A rewrite of the tracer or of a
-// producer that moves one span or one byte of the export fails here.
+// job's final obs.trace_dropped gauge, and each timeline must average at
+// most traceBytesPerEvent bytes per recorded event. A rewrite of the
+// tracer or of a producer that moves one span or one byte of the export
+// fails here.
 // Regenerate deliberately with:
 //
 //	go test -run TestChromeTraceDigests -update .
@@ -65,6 +71,9 @@ func TestChromeTraceDigests(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
+		}
+		if perEvent := float64(ob.Trace.Bytes()) / float64(ob.Trace.Events()); perEvent > traceBytesPerEvent {
+			t.Errorf("%s: the timeline takes %.2f B/event, want at most %d", c.label, perEvent, traceBytesPerEvent)
 		}
 		gauge := ob.Metrics.Dump().Final().Values["obs.trace_dropped"]
 		fmt.Fprintf(&sb, "%s events=%d dropped=%d trace_dropped=%g %x\n",
