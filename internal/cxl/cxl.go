@@ -378,6 +378,9 @@ func (h Hop) Traverse(now sim.Cycle, wire int) sim.Cycle {
 		switch h.kind {
 		case hopLink:
 			h.f.stats.WireBytes += uint64(wire)
+			if h.f.linkFaults == nil {
+				break // no injector: skip the map lookup
+			}
 			if fc, ok := h.f.linkFaults[h.pipe]; ok {
 				flits := (wire + FlitBytes - 1) / FlitBytes
 				for r := fc.LinkCRC(t, flits); r > 0; r-- {
@@ -387,6 +390,9 @@ func (h Hop) Traverse(now sim.Cycle, wire int) sim.Cycle {
 			}
 		case hopBus:
 			h.f.stats.SwitchBusBytes += uint64(wire)
+			if h.f.busFaults == nil {
+				break
+			}
 			if fc, ok := h.f.busFaults[h.pipe]; ok {
 				t += fc.SwitchDegrade(t)
 			}

@@ -103,8 +103,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Banks returns banks per chip.
-func (c Config) Banks() int { return c.BankGroups * c.BanksPerGroup }
+// Banks returns banks per chip. Its pointer receiver keeps the per-access
+// callers from copying the whole Config.
+func (c *Config) Banks() int { return c.BankGroups * c.BanksPerGroup }
 
 // RankBurstBytes returns the bytes a full-rank (lock-step) burst delivers:
 // every chip contributes ChipIOBytes per BL8 burst (64 B for 16 x4 chips).

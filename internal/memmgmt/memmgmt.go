@@ -266,7 +266,7 @@ func (m *Mapper) Granules(g *trace.Granules, local *[trace.NumSpaces]bool) {
 // granule is the largest block size every split point of a piece on one
 // DIMM kind is a multiple of (see placeWithin).
 func (m *Mapper) granule(cxlg, spatial bool) uint64 {
-	c := m.cfg
+	c := &m.cfg
 	unit := uint64(64) // the fixed scheme's unit, and lock-step interleaving
 	switch {
 	case c.Scheme != SchemeArchData:
@@ -360,7 +360,7 @@ func (m *Mapper) setFor(spatial, local, shared bool) []cxl.NodeID {
 // row-major; SchemeFixed interleaves everything at 64 B units regardless of
 // data type.
 func (m *Mapper) placeWithin(dst []PlacedAccess, node cxl.NodeID, addr uint64, size int, spatial bool) ([]PlacedAccess, error) {
-	cfgD := m.cfg.DIMM
+	cfgD := &m.cfg.DIMM
 	cxlg := m.cfg.Pool.IsCXLG(node)
 	banks := cfgD.Banks()
 
